@@ -37,13 +37,14 @@
 #
 # The analytic-pruner pair rides the same plan:
 # `inject/trials-per-sec-pruned` runs it through the masking pruner
-# (dead-window proofs + site equivalence classes on the extended-tier
+# (dead-window proofs + site equivalence classes on the batch's access
 # footprint, remainder delegated to the sliced engine) — the
-# sliced/pruned median ratio is the pruner's gain and is expected to be
-# >= 2x on this campaign shape — and `inject/pruner-overhead` runs a
+# sliced/pruned median ratio is the pruner's gain per batch, each side
+# paying its own footprint replay — and `inject/pruner-overhead` runs a
 # 100-site batch the pruner discharges entirely without simulating, so
 # its median is the pure per-batch analysis cost. Pruned records are
 # byte-identical to the sliced engine's (same equivalence suite).
+# `inject/prepare` times one cold golden pass of the same start point.
 #
 # The distributed pair `inject/distributed-overhead/{in-process,
 # two-workers}` runs the same tiny campaign on the 2-thread in-process

@@ -22,7 +22,7 @@ echo "==> perf smoke (timings non-gating, exit status gating)"
 TFSIM_BENCH_SAMPLES=1 TFSIM_BENCH_SAMPLE_MS=1 \
     cargo run --release --offline -q -p tfsim-bench --bin perf -- inject/
 
-echo "==> sliced/pruned-engine census smoke (gating)"
+echo "==> sliced/pruned-engine census and journal smoke (gating)"
 # A short campaign through the word-parallel (bit-sliced) engine and the
 # analytic masking pruner must each print the byte-identical census of
 # the same campaign on the snapshot ladder: `--sliced` and `--pruned`
@@ -38,6 +38,20 @@ $run_tfsim $sliced_args --sliced > target/ci_census_sliced.txt 2>/dev/null
 $run_tfsim $sliced_args --pruned > target/ci_census_pruned.txt 2>/dev/null
 diff target/ci_census_ladder.txt target/ci_census_sliced.txt
 diff target/ci_census_ladder.txt target/ci_census_pruned.txt
+# The journal carries every trial's trace (decision cycle, first observed
+# divergence and its unit), so the three engines' journals of one campaign
+# must be identical too. One worker keeps the task order fixed, and a
+# monitor off the 8-cycle golden-row grid puts decision cycles between
+# the rows the start point hashes.
+for engine in ladder sliced pruned; do
+    engine_flag=""
+    [ "$engine" != ladder ] && engine_flag="--$engine"
+    rm -f "target/ci_journal_$engine.jsonl"
+    $run_tfsim $sliced_args --monitor 1203 --threads 1 $engine_flag \
+        --journal "target/ci_journal_$engine.jsonl" >/dev/null 2>&1
+done
+diff target/ci_journal_ladder.jsonl target/ci_journal_sliced.jsonl
+diff target/ci_journal_ladder.jsonl target/ci_journal_pruned.jsonl
 
 echo "==> telemetry report smoke (gating)"
 # A tiny traced campaign must produce a JSONL trace that the report

@@ -15,7 +15,7 @@
 use std::net::TcpListener;
 
 use tfsim_arch::FuncSim;
-use tfsim_bitstate::{fingerprint_of, InjectionMask};
+use tfsim_bitstate::{fingerprint_of, FieldMeta, InjectionMask, StateVisitor, UnitId, VisitState};
 use tfsim_check::Bench;
 use tfsim_inject::{
     run_campaign_journaled, run_campaign_with_tasks, run_worker, serve_campaign, CampaignConfig,
@@ -96,9 +96,78 @@ fn campaign_plan(sp: &StartPoint, trials: u64, window: u64) -> Vec<TrialSpec> {
         .collect()
 }
 
+/// Every eligible field's first bit index, with the fingerprint unit it
+/// sits in and its visit ordinal inside that unit (the ordinal space
+/// `Pipeline::drain_accesses` reports). Fields outside any unit are left
+/// out.
+struct UnitFields {
+    mask: InjectionMask,
+    pos: u64,
+    unit: Option<UnitId>,
+    ord: u32,
+    fields: Vec<(u64, UnitId, u32)>,
+}
+
+impl StateVisitor for UnitFields {
+    fn field(&mut self, meta: FieldMeta, width: u32, _bits: &mut u64) {
+        if self.mask.eligible(meta) {
+            if let Some(unit) = self.unit {
+                self.fields.push((self.pos, unit, self.ord));
+            }
+            self.pos += width as u64;
+        }
+        self.ord += 1;
+    }
+
+    fn enter_unit(&mut self, unit: UnitId, _gen: u64) -> bool {
+        self.unit = Some(unit);
+        self.ord = 0;
+        true
+    }
+
+    fn exit_unit(&mut self, _unit: UnitId) {
+        self.unit = None;
+    }
+}
+
+/// Eligible bits of `cpu` whose word is tracked but never accessed in
+/// `cycles` fault-free steps: a flip there is dead for any window inside
+/// them, the pruner's first dead-window rule. One tracked replay screens
+/// every site at once.
+fn untouched_bits(cpu: &Pipeline, mask: InjectionMask, cycles: u64) -> Vec<u64> {
+    let mut golden = cpu.clone();
+    golden.set_access_tracking(UnitId::ALL);
+    let mut touched = vec![Vec::<bool>::new(); UnitId::COUNT];
+    for _ in 0..cycles {
+        golden.step();
+        golden.drain_accesses(|unit: UnitId, ord: u32, _| {
+            let seen = &mut touched[unit.index()];
+            if seen.len() <= ord as usize {
+                seen.resize(ord as usize + 1, false);
+            }
+            seen[ord as usize] = true;
+        });
+    }
+    let mut fields = UnitFields { mask, pos: 0, unit: None, ord: 0, fields: Vec::new() };
+    cpu.clone().visit_state(&mut fields);
+    fields
+        .fields
+        .into_iter()
+        .filter(|&(_, unit, ord)| {
+            cpu.access_tracked(unit, ord)
+                && !touched[unit.index()].get(ord as usize).copied().unwrap_or(false)
+        })
+        .map(|(bit, _, _)| bit)
+        .collect()
+}
+
 /// Campaign-throughput benches at the `default_scale` shape (warm-up 2,000
-/// cycles, injection window 250, monitor 10,000):
+/// cycles, injection window 250, monitor 10,000). Every batch pays its own
+/// golden rows and access footprint, as each campaign start point does:
 ///
+/// * `inject/prepare` — one cold `StartPoint::prepare` of the 10,250-cycle
+///   golden continuation (stepping, retirement aggregates, and the sparse
+///   golden rows); ns per golden cycle = median_ns / 10,250.
 /// * `inject/trials-per-sec` — one full start-point batch (100 trials)
 ///   through the fast path; trials/sec = 100e9 / median_ns.
 /// * `inject/trials-per-sec-traced` — the identical batch through the
@@ -117,18 +186,19 @@ fn campaign_plan(sp: &StartPoint, trials: u64, window: u64) -> Vec<TrialSpec> {
 ///   through the word-parallel (bit-sliced) engine: lanes whose flipped
 ///   word is overwritten or never read ride the shared golden evaluation,
 ///   only genuinely diverging lanes peel off to the scalar ladder. The
-///   sliced/untraced median ratio is the word-parallel speedup; the
-///   footprint build is amortized by priming it before measurement (a
-///   campaign start point pays it once across all its trials).
+///   sliced/untraced median ratio is the word-parallel speedup, footprint
+///   replay included.
 /// * `inject/trials-per-sec-pruned` — the identical 100-trial batch
 ///   through the analytic masking pruner: dead-window proofs and site
 ///   equivalence classes discharge most sites without a trial, the rest
 ///   delegate to the sliced engine. The sliced/pruned median ratio is the
 ///   pruner's gain on top of the word-parallel engine.
 /// * `inject/pruner-overhead` — a 100-site batch the pruner proves dead
-///   in its entirety (sites screened one by one beforehand): no lane ever
-///   dispatches, so the median is the pure cost of the pruning analysis
-///   (footprint lookups, prefix walks, analytic classification) per batch.
+///   in its entirety (sites in words the golden run never accesses,
+///   screened by one tracked replay beforehand): no lane ever dispatches,
+///   so the median is the pure per-batch cost of the pruning analysis
+///   (footprint replay, analytic classification), with every site keeping
+///   the replay running to the end of its window.
 /// * `inject/snapshot-ladder-vs-naive/{naive,ladder}` — the same 25-trial
 ///   plan through per-trial `run_trial` (replay + flat fingerprints) and
 ///   batched `run_trials` (snapshot ladder + cached fingerprints). The
@@ -137,7 +207,8 @@ fn bench_campaign(b: &mut Bench) {
     const WINDOW: u64 = 250;
     const MONITOR: u64 = 10_000;
     const MASK: InjectionMask = InjectionMask::LatchesAndRams;
-    if !wants(b, "inject/trials-per-sec")
+    if !wants(b, "inject/prepare")
+        && !wants(b, "inject/trials-per-sec")
         && !wants(b, "inject/trials-per-sec-traced")
         && !wants(b, "inject/trials-per-sec-deep-traced")
         && !wants(b, "inject/trials-per-sec-sliced")
@@ -148,6 +219,7 @@ fn bench_campaign(b: &mut Bench) {
         return;
     }
     let cpu = warmed_pipeline("gzip-like", 2_000);
+    b.bench("inject/prepare", || StartPoint::prepare(&cpu, WINDOW + MONITOR, MASK));
     let sp = StartPoint::prepare(&cpu, WINDOW + MONITOR, MASK);
 
     let plan = campaign_plan(&sp, 100, WINDOW);
@@ -156,27 +228,20 @@ fn bench_campaign(b: &mut Bench) {
     b.bench("inject/trials-per-sec-deep-traced", || {
         sp.run_trials_deep_traced(MASK, &plan, MONITOR)
     });
-    // Prime the lazily built golden footprints so the benches measure the
-    // steady-state per-batch cost, like every batch after the first.
-    sp.run_trials_sliced(MASK, &plan[..1], MONITOR);
     b.bench("inject/trials-per-sec-sliced", || sp.run_trials_sliced(MASK, &plan, MONITOR));
-    sp.run_trials_pruned(MASK, &plan[..1], MONITOR);
     b.bench("inject/trials-per-sec-pruned", || sp.run_trials_pruned(MASK, &plan, MONITOR));
     if wants(b, "inject/pruner-overhead") {
-        // Screen sites one at a time: a single-spec batch's disposition
-        // tally names that site's fate, so this keeps exactly the sites
-        // the pruner proves dead. The bench batch then runs through the
-        // full pruned path without ever simulating.
-        let dead: Vec<TrialSpec> = (0..4_000u64)
+        let untouched = untouched_bits(&cpu, MASK, WINDOW + MONITOR);
+        assert!(untouched.len() >= 100, "only {} untouched sites", untouched.len());
+        let stride = untouched.len() / 100;
+        let dead: Vec<TrialSpec> = (0..100u64)
             .map(|i| TrialSpec {
-                target: i.wrapping_mul(6_733) % sp.bit_count(),
+                target: untouched[i as usize * stride],
                 inject_cycle: i.wrapping_mul(53) % WINDOW,
             })
-            .filter(|s| {
-                sp.run_trials_pruned(MASK, std::slice::from_ref(s), MONITOR).1.proved_dead == 1
-            })
-            .take(100)
             .collect();
+        let (_, dispositions) = sp.run_trials_pruned(MASK, &dead, MONITOR);
+        assert_eq!(dispositions.proved_dead, 100, "the pruner must prove every site dead");
         b.bench("inject/pruner-overhead", || sp.run_trials_pruned(MASK, &dead, MONITOR));
     }
 

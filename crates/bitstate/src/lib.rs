@@ -348,13 +348,13 @@ impl fmt::Display for UnitId {
 /// the pipeline's actual instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loggability {
-    /// Logged whenever access tracking is on: the frozen tier the
-    /// word-parallel (sliced) engine's ride/heal proofs are audited
-    /// against (LSQ, register file, MHRs).
+    /// Logged whenever access tracking is on, and read by both the
+    /// word-parallel (sliced) engine's ride/heal proofs and the analytic
+    /// pruner: the audited kernel (LSQ, register file, MHRs).
     Core,
-    /// Logged only under *extended* access tracking: structures whose
-    /// instrumentation exists for the analytic pruner's dead-window
-    /// proofs (front-end latches and fetch queue, rename tables,
+    /// Logged whenever access tracking is on, but read only by the
+    /// analytic pruner's dead-window proofs, whose write contract is
+    /// weaker (front-end latches and fetch queue, rename tables,
     /// scheduler, ROB, functional units).
     Extended,
     /// Injectable state with no per-word access discipline: never

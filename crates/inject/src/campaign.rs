@@ -366,6 +366,14 @@ pub struct CampaignMetrics {
     prepare_ns: CounterId,
     advance_ns: CounterId,
     monitor_ns: CounterId,
+    /// Golden fingerprint rows hashed: each live task's sparse grid in
+    /// `StartPoint::prepare` plus its batch's dense and deferred
+    /// attribution rows. Exact and machine-independent.
+    rows_hashed: CounterId,
+    /// First accesses the live tasks' access footprints kept: fault sites
+    /// whose word the golden run reads or overwrites inside their window
+    /// (zero on the snapshot ladder, which builds no footprint).
+    footprint_events: CounterId,
     fail_latency: HistogramId,
     match_latency: HistogramId,
 }
@@ -383,6 +391,8 @@ impl CampaignMetrics {
             prepare_ns: registry.counter("phase/prepare_ns"),
             advance_ns: registry.counter("phase/advance_ns"),
             monitor_ns: registry.counter("phase/monitor_ns"),
+            rows_hashed: registry.counter("golden/rows_hashed"),
+            footprint_events: registry.counter("footprint/events_kept"),
             fail_latency: registry.histogram("cycles-to-failure-detection"),
             match_latency: registry.histogram("cycles-to-reconvergence"),
             registry,
@@ -551,6 +561,7 @@ fn run_engine(
             crate::sliced::LANE_WIDTH,
             shim,
             deep,
+            None,
         ),
         (false, false, true) => sp.run_trials_sliced_core::<false>(
             config.mask,
@@ -559,6 +570,7 @@ fn run_engine(
             crate::sliced::LANE_WIDTH,
             shim,
             false,
+            None,
         ),
     };
     (batch, prune)
@@ -841,8 +853,13 @@ fn run_campaign_core(
                     ls.record("ride", batch.ride_ns, 1);
                     ls.record("classify", batch.classify_ns, 1);
                     ls.record("prune", batch.prune_ns, 1);
+                    ls.record("rows", batch.rows_ns, 1);
+                    ls.record("footprint", batch.footprint_ns, 1);
+                    ls.record("attribute", batch.attribute_ns, 1);
                     ls.exit();
                 }
+                let rows_hashed = sp.rows_hashed + batch.rows_hashed;
+                let footprint_events = batch.footprint_events;
                 let (records, traces, deeps, faults, advance_ns, monitor_ns) = (
                     batch.records,
                     batch.traces,
@@ -869,6 +886,8 @@ fn run_campaign_core(
                     local.add(metrics.prepare_ns, prepare_ns);
                     local.add(metrics.advance_ns, advance_ns);
                     local.add(metrics.monitor_ns, monitor_ns);
+                    local.add(metrics.rows_hashed, rows_hashed);
+                    local.add(metrics.footprint_events, footprint_events);
                     for (rec, tr) in records.iter().zip(traces.iter()) {
                         let latency = tr.detect_cycle - rec.inject_cycle;
                         match rec.outcome {

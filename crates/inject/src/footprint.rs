@@ -1,134 +1,157 @@
-//! The golden access footprint: one tracked replay of the fault-free run,
-//! shared by the word-parallel (sliced) engine and the analytic masking
-//! pruner.
+//! The per-batch golden access footprint: one tracked replay of the
+//! fault-free run, shared by the analytic masking pruner and the
+//! word-parallel (sliced) engine.
 //!
-//! A footprint records, for every word of the tracked RAM-like structures,
-//! the cycles at which the golden run read or wrote that word, plus the
-//! per-cycle retire aggregates the analytic classifiers consume. Two
-//! tracking tiers exist:
+//! Both engines ask one question per fault site: what is the first access
+//! to the faulted word strictly after the injection cycle, inside the
+//! site's monitoring window? A read consumes the fault, a
+//! content-independent overwrite erases it, and no access at all leaves the
+//! word dead for the whole window. A batch holds at most a few hundred
+//! sites, so the replay keeps exactly those answers rather than whole-run
+//! timelines of every word: it watches only the words the sites hit,
+//! resolves each site at the first access after its injection cycle, and
+//! runs no further than the last site's window.
 //!
-//! * [`Tier::Core`] — the audited kernel the sliced engine rides on:
-//!   load/store queues, the physical register file, and the miss handling
-//!   registers (`Pipeline::set_access_tracking`).
-//! * [`Tier::Extended`] — everything the pipeline can log: core plus the
-//!   fetch queue, rename maps and free lists, scheduler entries, and the
-//!   reorder buffer (`Pipeline::set_access_tracking_extended`). Only the
-//!   pruner uses this tier; the sliced engine's dispositions stay pinned
-//!   to the core tier so its behaviour is bit-for-bit unchanged.
+//! Words of the units declaring [`Loggability::Core`] (load/store queues,
+//! physical register file, miss handling registers) obey the exact write
+//! contract the sliced engine's heals rest on, and the sliced engine reads
+//! only those. The other loggable units (fetch queue and front-end latches,
+//! rename maps and free lists, scheduler, reorder buffer, functional units)
+//! obey a deliberately weaker write contract: a structure may under-claim a
+//! write by logging a read instead (the ROB's `entry_mut` does), which can
+//! only demote an analytic disposition to a simulated one — never the
+//! reverse. What would be unsound, and what the `access_ordinals` pipeline
+//! tests rule out, is a tracked word changing with no event at all.
 //!
-//! The extended tier obeys a deliberately weaker write contract: a
-//! structure may under-claim a write by logging a read instead (the ROB's
-//! `entry_mut` does), which can only demote an analytic disposition to a
-//! simulated one — never the reverse. What would be unsound, and what the
-//! `access_ordinals` pipeline tests rule out, is a tracked word changing
-//! with no event at all.
+//! [`Loggability::Core`]: tfsim_bitstate::Loggability::Core
 
 use tfsim_bitstate::{
     Category, FieldMeta, InjectionMask, StateVisitor, StorageKind, UnitId, VisitState,
 };
-use tfsim_uarch::{Pipeline, RetireEvent};
+use tfsim_uarch::Pipeline;
 
 use crate::trial::StartPoint;
 
-/// Which access-tracking tier a footprint was built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// Load/store queues, register file, miss handling registers.
-    Core,
-    /// Core plus fetch queue, rename, scheduler, and reorder buffer.
-    Extended,
+/// Marks an unwatched word in [`Footprint::build`]'s lookup tables.
+const UNWATCHED: u32 = u32::MAX;
+
+/// One watched word and its sites.
+#[derive(Debug)]
+struct Word {
+    unit: UnitId,
+    ord: u32,
+    /// `(inject cycle, first access)` per distinct injection cycle,
+    /// ascending; the access is `(cycle, is_write)`.
+    sites: Vec<(u64, Option<(u64, bool)>)>,
 }
 
-impl Tier {
-    /// Whether this tier tracks the word at `(unit, ord)` on `cpu`'s
-    /// configuration.
-    pub(crate) fn tracked(self, cpu: &Pipeline, unit: UnitId, ord: u32) -> bool {
-        match self {
-            Tier::Core => cpu.access_tracked(unit, ord),
-            Tier::Extended => cpu.access_tracked_extended(unit, ord),
-        }
-    }
-}
-
-/// Golden per-cycle aggregates needed by the analytic classifiers: exactly
-/// what `classify` extracts from a `CycleReport` of a machine that replays
-/// the golden run.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CycleAgg {
-    /// Number of `RetireEvent::Retired` events this step.
-    pub(crate) retired: u16,
-    /// Whether the step performed a protective (watchdog/parity) flush.
-    pub(crate) pflush: bool,
-}
-
-/// One tracked replay of the golden run: per-word access timelines plus
-/// per-cycle retire aggregates. Built lazily once per start point and
-/// tier, and shared by every batch (and every thread — the data is
-/// immutable after construction).
+/// The first golden access to each fault site's word inside the site's
+/// window, from one tracked replay per batch.
 #[derive(Debug)]
 pub(crate) struct Footprint {
-    /// `timelines[unit.index()][ord]` = `(cycle, is_write)` events for the
-    /// word at visit ordinal `ord` of that unit, ascending by cycle, at
-    /// most one event per cycle (the first access of a cycle wins, so
-    /// read-before-write inside one cycle shows as a read).
-    timelines: Vec<Vec<Vec<(u32, bool)>>>,
-    /// Indexed by step; entry 0 is unused (the checkpoint itself).
-    pub(crate) percycle: Vec<CycleAgg>,
+    /// Ascending by `(unit, ord)`.
+    words: Vec<Word>,
+    kept: u64,
 }
 
 impl Footprint {
-    /// Replays the golden run once with the tier's access tracking on.
-    ///
-    /// The walk covers exactly the steps `StartPoint::prepare` executed:
-    /// it stops once the golden machine halts (stepping a halted machine
-    /// is a no-op and logs nothing).
-    pub(crate) fn build(sp: &StartPoint, tier: Tier) -> Footprint {
-        let horizon = sp.fps.len() as u64 - 1;
-        let mut golden = sp.checkpoint.clone();
-        match tier {
-            Tier::Core => golden.set_access_tracking(true),
-            Tier::Extended => golden.set_access_tracking_extended(true),
+    /// Replays the golden run once with access tracking on, resolving for
+    /// every site `(unit, ord, inject)` the first access to that word in
+    /// `(inject, min(horizon, inject + monitor)]`. The first access of a
+    /// cycle decides, so read-before-write inside one cycle counts as a
+    /// read. Only units with unresolved sites log, and the replay ends at
+    /// the last site's window (or when every site is resolved, or the
+    /// golden machine halts — stepping a halted machine is a no-op and
+    /// logs nothing).
+    pub(crate) fn build(sp: &StartPoint, sites: &[(UnitId, u32, u64)], monitor: u64) -> Footprint {
+        let mut keyed: Vec<(usize, u32, u64)> =
+            sites.iter().map(|&(unit, ord, c)| (unit.index(), ord, c)).collect();
+        keyed.sort_unstable();
+        keyed.dedup();
+        let mut words: Vec<Word> = Vec::new();
+        for (u, ord, c) in keyed {
+            match words.last_mut() {
+                Some(w) if w.unit.index() == u && w.ord == ord => w.sites.push((c, None)),
+                _ => words.push(Word { unit: UnitId::ALL[u], ord, sites: vec![(c, None)] }),
+            }
         }
-        let mut fp = Footprint {
-            timelines: vec![Vec::new(); UnitId::COUNT],
-            percycle: vec![CycleAgg::default(); sp.fps.len()],
-        };
-        for step in 1..=horizon {
-            if !golden.running() {
+        let mut watch: [Vec<u32>; UnitId::COUNT] = Default::default();
+        for (w, word) in words.iter().enumerate() {
+            let table = &mut watch[word.unit.index()];
+            if table.len() <= word.ord as usize {
+                table.resize(word.ord as usize + 1, UNWATCHED);
+            }
+            table[word.ord as usize] = w as u32;
+        }
+        // Per word, the first site not yet resolved; per unit, the words
+        // with sites still open. A unit whose words are all resolved stops
+        // logging.
+        let mut next = vec![0usize; words.len()];
+        let mut open = [0usize; UnitId::COUNT];
+        for word in &words {
+            open[word.unit.index()] += 1;
+        }
+        let mut kept = 0u64;
+        let last = sites.iter().map(|s| s.2).max().map_or(0, |c| sp.horizon.min(c + monitor));
+        let mut golden = sp.checkpoint.clone();
+        golden.set_access_tracking(UnitId::ALL.into_iter().filter(|u| open[u.index()] > 0));
+        for step in 1..=last {
+            if !golden.running() || open.iter().all(|&n| n == 0) {
                 break;
             }
-            let report = golden.step();
-            let retired = report
-                .events
-                .iter()
-                .filter(|e| matches!(e, RetireEvent::Retired(_)))
-                .count() as u16;
-            fp.percycle[step as usize] =
-                CycleAgg { retired, pflush: report.protective_flush };
-            let cycle = step as u32;
-            let mut record = |unit: UnitId, ord: u32, is_write: bool| {
-                let lanes = &mut fp.timelines[unit.index()];
-                let ord = ord as usize;
-                if lanes.len() <= ord {
-                    lanes.resize_with(ord + 1, Vec::new);
+            golden.step();
+            let mut closed = false;
+            golden.drain_accesses(|unit: UnitId, ord: u32, is_write: bool| {
+                let Some(&w) = watch[unit.index()].get(ord as usize) else { return };
+                if w == UNWATCHED {
+                    return;
                 }
-                let tl = &mut lanes[ord];
-                if tl.last().is_none_or(|&(c, _)| c != cycle) {
-                    tl.push((cycle, is_write));
+                let (word, n) = (&mut words[w as usize], &mut next[w as usize]);
+                // Every site injected before this step sees this as its
+                // first access; later accesses in the same step find no
+                // such site left.
+                while let Some((c, first)) = word.sites.get_mut(*n).filter(|s| s.0 < step) {
+                    if step <= sp.horizon.min(*c + monitor) {
+                        *first = Some((step, is_write));
+                        kept += 1;
+                    }
+                    *n += 1;
                 }
-            };
-            match tier {
-                Tier::Core => golden.drain_accesses(&mut record),
-                Tier::Extended => golden.drain_accesses_extended(&mut record),
+                if *n == word.sites.len() {
+                    watch[unit.index()][ord as usize] = UNWATCHED;
+                    open[unit.index()] -= 1;
+                    closed |= open[unit.index()] == 0;
+                }
+            });
+            if closed {
+                golden.set_access_tracking(UnitId::ALL.into_iter().filter(|u| open[u.index()] > 0));
             }
         }
-        fp
+        Footprint { words, kept }
     }
 
-    /// The event timeline of one tracked word (empty when the word was
-    /// never accessed in the golden window).
-    pub(crate) fn timeline(&self, unit: UnitId, ord: u32) -> &[(u32, bool)] {
-        self.timelines[unit.index()].get(ord as usize).map_or(&[], |v| v.as_slice())
+    /// The first access to `(unit, ord)` in the window of a site injected
+    /// at `inject`, as `(cycle, is_write)`; `None` when the word is dead
+    /// for the whole window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the site was not among those the footprint was built for.
+    pub(crate) fn first_access(&self, unit: UnitId, ord: u32, inject: u64) -> Option<(u64, bool)> {
+        let w = self
+            .words
+            .binary_search_by_key(&(unit.index(), ord), |w| (w.unit.index(), w.ord))
+            .expect("site word watched by the batch footprint");
+        let sites = &self.words[w].sites;
+        let k = sites
+            .binary_search_by_key(&inject, |s| s.0)
+            .expect("site cycle watched by the batch footprint");
+        sites[k].1
+    }
+
+    /// Sites whose word the golden run accessed inside their window.
+    pub(crate) fn kept(&self) -> u64 {
+        self.kept
     }
 }
 
@@ -230,38 +253,36 @@ pub(crate) enum Disposition {
     Peel,
 }
 
-/// The first event strictly after the injection cycle, as
-/// `(timeline_index, cycle, is_write)`. The flip lands in the state
-/// *after* `inject` steps, so accesses during step `inject` itself saw the
-/// pre-flip value.
-pub(crate) fn first_event_after(
-    timeline: &[(u32, bool)],
-    inject: u64,
-) -> Option<(usize, u32, bool)> {
-    let i = timeline.partition_point(|&(c, _)| (c as u64) <= inject);
-    timeline.get(i).map(|&(c, w)| (i, c, w))
-}
-
-pub(crate) fn disposition(timeline: &[(u32, bool)], inject: u64) -> Disposition {
-    match first_event_after(timeline, inject) {
-        Some((_, c, true)) => Disposition::Heal(c as u64),
-        Some((_, _, false)) => Disposition::Peel,
+/// The disposition a site's first access (see [`Footprint::first_access`])
+/// implies. The flip lands in the state *after* `inject` steps, so
+/// accesses during step `inject` itself saw the pre-flip value.
+pub(crate) fn disposition(first: Option<(u64, bool)>) -> Disposition {
+    match first {
+        Some((c, true)) => Disposition::Heal(c),
+        Some((_, false)) => Disposition::Peel,
         None => Disposition::Ride,
     }
 }
 
-impl StartPoint {
-    /// The core-tier golden footprint, built on first use and shared by
-    /// every subsequent sliced batch on this start point.
-    pub(crate) fn golden_footprint(&self) -> &Footprint {
-        self.footprint.get_or_init(|| Footprint::build(self, Tier::Core))
+/// Reference for tests: every word's whole-run access timeline (first
+/// access per cycle, `(cycle, is_write)`), from a plain tracked replay.
+#[cfg(test)]
+pub(crate) fn timelines(
+    sp: &StartPoint,
+) -> std::collections::BTreeMap<(UnitId, u32), Vec<(u64, bool)>> {
+    let mut golden = sp.checkpoint.clone();
+    golden.set_access_tracking(UnitId::ALL);
+    let mut out = std::collections::BTreeMap::<_, Vec<(u64, bool)>>::new();
+    for step in 1..=sp.horizon {
+        golden.step();
+        golden.drain_accesses(|unit: UnitId, ord: u32, w: bool| {
+            let tl = out.entry((unit, ord)).or_default();
+            if tl.last().is_none_or(|&(c, _)| c != step) {
+                tl.push((step, w));
+            }
+        });
     }
-
-    /// The extended-tier golden footprint used by the analytic pruner,
-    /// built on first use.
-    pub(crate) fn extended_footprint(&self) -> &Footprint {
-        self.footprint_ext.get_or_init(|| Footprint::build(self, Tier::Extended))
-    }
+    out
 }
 
 #[cfg(test)]
@@ -289,22 +310,57 @@ mod tests {
     }
 
     #[test]
-    fn first_event_after_is_strictly_after_inject() {
-        let tl = [(5u32, false), (9, true), (20, false)];
-        assert_eq!(first_event_after(&tl, 0), Some((0, 5, false)));
-        assert_eq!(first_event_after(&tl, 4), Some((0, 5, false)));
-        assert_eq!(first_event_after(&tl, 5), Some((1, 9, true)));
-        assert_eq!(first_event_after(&tl, 9), Some((2, 20, false)));
-        assert_eq!(first_event_after(&tl, 20), None);
-        assert_eq!(first_event_after(&[], 0), None);
+    fn first_access_is_the_first_event_inside_the_window() {
+        for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
+            let sp = start_point(config);
+            let reference = timelines(&sp);
+            let monitor = 300;
+            // Sites on a spread of logged words (every unit that logs) at
+            // injection cycles straddling their accesses, plus a
+            // never-accessed tracked word.
+            let mut sites = Vec::new();
+            for (i, (&(unit, ord), tl)) in reference.iter().enumerate().step_by(7) {
+                let c = tl[i % tl.len()].0;
+                for inject in [c.saturating_sub(1), c, c + 3, 0, sp.horizon - 5] {
+                    sites.push((unit, ord, inject));
+                }
+            }
+            let idle = (0..4096)
+                .find(|&o| {
+                    sp.checkpoint.access_tracked(UnitId::Regfile, o)
+                        && !reference.contains_key(&(UnitId::Regfile, o))
+                })
+                .expect("an idle register-file word");
+            sites.push((UnitId::Regfile, idle, 10));
+            let fp = Footprint::build(&sp, &sites, monitor);
+            let mut kept = 0;
+            for &(unit, ord, inject) in &sites {
+                let window_end = sp.horizon.min(inject + monitor);
+                let expected = reference.get(&(unit, ord)).and_then(|tl| {
+                    tl.iter().copied().find(|&(c, _)| c > inject).filter(|&(c, _)| c <= window_end)
+                });
+                assert_eq!(
+                    fp.first_access(unit, ord, inject),
+                    expected,
+                    "{unit:?} ord {ord} inject {inject} ({config:?})"
+                );
+            }
+            let mut distinct = sites.clone();
+            distinct.sort_by_key(|&(u, o, c)| (u.index(), o, c));
+            distinct.dedup();
+            for &(unit, ord, inject) in &distinct {
+                kept += fp.first_access(unit, ord, inject).is_some() as u64;
+            }
+            assert_eq!(fp.kept(), kept);
+            assert!(kept > 0 && kept < distinct.len() as u64, "{kept} of {}", distinct.len());
+        }
     }
 
     #[test]
-    fn disposition_follows_the_first_event() {
-        let tl = [(5u32, false), (9, true)];
-        assert!(matches!(disposition(&tl, 0), Disposition::Peel));
-        assert!(matches!(disposition(&tl, 5), Disposition::Heal(9)));
-        assert!(matches!(disposition(&tl, 9), Disposition::Ride));
+    fn disposition_follows_the_first_access() {
+        assert!(matches!(disposition(Some((5, false))), Disposition::Peel));
+        assert!(matches!(disposition(Some((9, true))), Disposition::Heal(9)));
+        assert!(matches!(disposition(None), Disposition::Ride));
     }
 
     #[test]
@@ -322,66 +378,25 @@ mod tests {
     }
 
     #[test]
-    fn extended_footprint_extends_the_core_one() {
-        let sp = start_point(PipelineConfig::baseline());
-        let core = Footprint::build(&sp, Tier::Core);
-        let ext = Footprint::build(&sp, Tier::Extended);
-
-        // The per-cycle aggregates describe the same golden run: tracking
-        // tier cannot change execution.
-        assert_eq!(core.percycle.len(), ext.percycle.len());
-        for (c, e) in core.percycle.iter().zip(ext.percycle.iter()) {
-            assert_eq!((c.retired, c.pflush), (e.retired, e.pflush));
-        }
-
-        for unit in UnitId::ALL {
-            match unit.loggability() {
-                Loggability::Core => {
-                    // Core-tier units produce identical timelines in both
-                    // tiers (the extended drain forwards to the core one).
-                    let n = core.timelines[unit.index()].len();
-                    assert!(n > 0, "{unit:?} never logged in the core tier");
-                    assert_eq!(n, ext.timelines[unit.index()].len(), "{unit:?}");
-                    for ord in 0..n as u32 {
-                        assert_eq!(
-                            core.timeline(unit, ord),
-                            ext.timeline(unit, ord),
-                            "{unit:?} ord {ord}"
-                        );
-                    }
-                }
-                Loggability::Extended => {
-                    assert!(
-                        core.timelines[unit.index()].is_empty(),
-                        "{unit:?} must not be logged in the core tier"
-                    );
-                    assert!(
-                        !ext.timelines[unit.index()].is_empty(),
-                        "{unit:?} never logged in the extended tier"
-                    );
-                }
-                Loggability::Unlogged | Loggability::Shadow => {
-                    assert!(core.timelines[unit.index()].is_empty(), "{unit:?}");
-                    assert!(ext.timelines[unit.index()].is_empty(), "{unit:?}");
-                }
+    fn logged_words_are_tracked_and_every_loggable_unit_logs() {
+        for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
+            let sp = start_point(config);
+            let reference = timelines(&sp);
+            // Any word with events must be claimed trackable (the converse
+            // does not hold: a tracked word the run never touches has no
+            // events).
+            for &(unit, ord) in reference.keys() {
+                assert!(sp.checkpoint.access_tracked(unit, ord), "{unit:?} ord {ord} untracked");
             }
-        }
-    }
-
-    #[test]
-    fn tier_tracked_agrees_with_recorded_timelines() {
-        let sp = start_point(PipelineConfig::protected());
-        let ext = Footprint::build(&sp, Tier::Extended);
-        // Any word with events must be claimed trackable by its tier, for
-        // both tiers (the converse does not hold: a tracked word the run
-        // never touches has an empty timeline).
-        for unit in UnitId::ALL {
-            for (ord, tl) in ext.timelines[unit.index()].iter().enumerate() {
-                if !tl.is_empty() {
-                    assert!(
-                        Tier::Extended.tracked(&sp.checkpoint, unit, ord as u32),
-                        "{unit:?} ord {ord} has events but is not extended-tracked"
-                    );
+            for unit in UnitId::ALL {
+                let logged = reference.keys().any(|&(u, _)| u == unit);
+                match unit.loggability() {
+                    Loggability::Core | Loggability::Extended => {
+                        assert!(logged, "{unit:?} never logged")
+                    }
+                    Loggability::Unlogged | Loggability::Shadow => {
+                        assert!(!logged, "{unit:?} must not log")
+                    }
                 }
             }
         }

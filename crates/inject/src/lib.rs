@@ -7,10 +7,11 @@
 //! 1. **Warm-up and checkpoints.** A workload runs on the pipeline model;
 //!    checkpoints (clones of the warmed machine) become *start points*.
 //! 2. **Golden precomputation.** From each start point the fault-free
-//!    machine runs for the monitoring horizon, recording a per-cycle
-//!    128-bit fingerprint of *every* state bit, the retirement trace, and
-//!    the per-cycle count of in-flight instructions that eventually commit
-//!    (for the Figure 6 utilization analysis).
+//!    machine runs for the monitoring horizon, recording a 128-bit
+//!    fingerprint of *every* state bit on every eighth cycle (each trial
+//!    batch adds the cycles just after its injections), the retirement
+//!    trace, and the per-cycle count of in-flight instructions that
+//!    eventually commit (for the Figure 6 utilization analysis).
 //! 3. **Trials.** Each trial clones the checkpoint, flips one uniformly
 //!    chosen eligible state bit at a uniformly chosen cycle, and monitors
 //!    up to 10,000 cycles, classifying the outcome as:

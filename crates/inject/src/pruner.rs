@@ -1,18 +1,19 @@
 //! The analytic masking pruner: dead-window proofs and site equivalence
-//! classes over the extended-tier golden access footprint.
+//! classes over the batch's golden access footprint.
 //!
 //! The sliced engine (`crate::sliced`) already discharges rides and heals
-//! analytically, but only for the core-tier tracked structures (LSQ,
-//! register file, MHRs). Everything else — fetch queue, rename, scheduler,
-//! reorder buffer — peels to a scalar replay even when the faulted word is
-//! plainly dead. On campaign-shaped batches those peels dominate the wall
+//! analytically, but only for the core structures (LSQ, register file,
+//! MHRs). Everything else — fetch queue, rename, scheduler, reorder
+//! buffer — peels to a scalar replay even when the faulted word is plainly
+//! dead. On campaign-shaped batches those peels dominate the wall
 //! clock: most land in idle entries of the big untracked RAMs and grind a
 //! full monitoring window to conclude nothing happened.
 //!
-//! The pruner runs once per batch, before any trial, using the
-//! [`Tier::Extended`] footprint (one extra tracked golden replay per start
-//! point, built lazily and cached). Every site gets exactly one of three
-//! dispositions:
+//! The pruner runs once per batch, before any trial, on the batch's access
+//! footprint (`crate::footprint`: one tracked golden replay that finds
+//! each site's first access to its word after injection, for every
+//! loggable structure). It hands the same footprint to the sliced engine
+//! it delegates to. Every site gets exactly one of three dispositions:
 //!
 //! * **Proved dead** — the fault provably never alters the classification
 //!   relative to the analytic rider:
@@ -27,7 +28,7 @@
 //!   classifier the sliced engine uses ([`StartPoint::ride_lane`]) and
 //!   never occupy a lane.
 //! * **Class-collapsed** — surviving sites that share a word, the same
-//!   inter-access gap, and the same decision-loop state at the first read
+//!   first read after injection, and the same decision-loop state at it
 //!   are grouped into an *equivalence class*: their machines are
 //!   bit-identical at the moment the fault is consumed, so one
 //!   representative trial determines every member's outcome. The
@@ -41,15 +42,15 @@
 //! The dispositions are sound because (enforced by the `access_ordinals`
 //! pipeline tests and the `prop_pruned_*` property suite):
 //!
-//! 1. *Reads are never under-logged* in either tier: a word with no read
+//! 1. *Reads are never under-logged* in any structure: a word with no read
 //!    event in a window really was not consumed there, so the machine
 //!    replays the golden run and the analytic rider's record is exact.
 //! 2. *Logged writes are full-word and content-independent*: a heal event
-//!    restores the golden value no matter the δ. The extended tier may
-//!    under-claim a write by logging a read instead (the ROB does), which
-//!    only demotes a site to `simulated` — never the reverse.
+//!    restores the golden value no matter the δ. Structures outside the
+//!    core set may under-claim a write by logging a read instead (the ROB
+//!    does), which only demotes a site to `simulated` — never the reverse.
 //! 3. *Class members are state-identical at consumption.* Two faults in
-//!    the same word and the same access gap build the same machine: golden
+//!    the same word with the same first read build the same machine: golden
 //!    state plus the same δ, untouched since injection. The class key adds
 //!    the classifier's loop state (last retire cycle, protective-flush
 //!    streak) at the first read, and membership requires the dense
@@ -69,23 +70,25 @@
 
 use std::collections::BTreeMap;
 
-use tfsim_bitstate::InjectionMask;
+use tfsim_bitstate::{InjectionMask, UnitId};
 use tfsim_obs::{DeepTrace, PruneDispositions};
 
-use crate::footprint::{first_event_after, Resolver, Span, Tier};
+use crate::footprint::{Footprint, Resolver, Span};
 use crate::trial::{
-    Outcome, StartPoint, TracedBatch, TrialFault, TrialObservers, TrialRecord, TrialSpec, TrialTrace,
+    keep_classified, Outcome, StartPoint, TracedBatch, TrialFault, TrialObservers, TrialRecord,
+    TrialSpec, TrialTrace, DENSE,
 };
 use crate::sliced::LANE_WIDTH;
 
-/// Identity of an equivalence class: same word and bit, same inter-access
-/// gap (by timeline index, which fixes the first-read cycle), and the same
-/// analytic decision-loop state carried into that read.
+/// Identity of an equivalence class: same word and bit, same first read
+/// after injection (one access per word and cycle, so the same
+/// inter-access gap), and the same analytic decision-loop state carried
+/// into that read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ClassKey {
     target: u64,
-    /// Index of the first post-injection event in the word's timeline.
-    gap: usize,
+    /// Cycle of the first post-injection access, a read.
+    read: u64,
     /// `last_retire_cycle` at the start of the first-read step.
     last_retire: u64,
     /// `flushes_without_retire` at the start of the first-read step.
@@ -120,7 +123,6 @@ impl StartPoint {
     /// checks cannot decide here — the δ is still latent — so they are
     /// irrelevant to the walk.
     fn walk_prefix(&self, inject: u64, end: u64) -> Prefix {
-        let fp = self.extended_footprint();
         let running_at = |c: u64| self.halted_at.is_none_or(|(hc, _)| c < hc);
         if !running_at(inject) {
             return Prefix::Decided;
@@ -129,19 +131,19 @@ impl StartPoint {
         let mut last_retire = inject;
         let mut flushes = 0u32;
         for step in (inject + 1)..=end {
-            let g = fp.percycle[step as usize];
-            if g.retired > 0 {
+            let retired = self.retired_at(step);
+            if retired > 0 {
                 last_retire = step;
                 flushes = 0;
             }
-            if g.pflush {
+            if self.pflush_at(step) {
                 flushes += 1;
                 if flushes >= 3 {
                     return Prefix::Decided;
                 }
                 last_retire = step;
             }
-            for _ in 0..g.retired {
+            for _ in 0..retired {
                 if matched >= self.records.len() {
                     return Prefix::Decided;
                 }
@@ -229,68 +231,65 @@ impl StartPoint {
         deep: bool,
     ) -> (TracedBatch, PruneDispositions) {
         let deep = TRACED && deep;
-        // Passes 1 and 2 (and the footprint/resolver builds they need) are
-        // the pruner's own analysis time, attributed to `prune_ns` — they
-        // run before any trial, outside the monitor bracket.
-        let prune_t0 = TRACED.then(std::time::Instant::now);
-        let fp = self.extended_footprint();
         let resolver = Resolver::build(&self.checkpoint, mask);
-        let last = self.fps.len() as u64 - 1;
-        let horizon_of = |c: u64| last.min(c + monitor);
+        let horizon_of = |c: u64| self.horizon.min(c + monitor);
+        // Sites on a tracked word, the ones the footprint can speak for.
+        let sites: Vec<Option<(Span, UnitId)>> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                if panic_shim == Some(i) || spec.inject_cycle > self.horizon {
+                    return None;
+                }
+                let span = *resolver.resolve(spec.target)?;
+                let unit =
+                    span.unit.filter(|&u| self.checkpoint.access_tracked(u, span.unit_ord))?;
+                Some((span, unit))
+            })
+            .collect();
+        let footprint_t0 = TRACED.then(std::time::Instant::now);
+        let watched: Vec<(UnitId, u32, u64)> = sites
+            .iter()
+            .zip(specs)
+            .filter_map(|(site, spec)| site.map(|(s, u)| (u, s.unit_ord, spec.inject_cycle)))
+            .collect();
+        let fp = Footprint::build(self, &watched, monitor);
+        let footprint_ns = footprint_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-        // Pass 1: per-site disposition from the extended footprint.
+        // Passes 1 and 2 are the pruner's own analysis time, attributed to
+        // `prune_ns` — they run before any trial, outside the monitor
+        // bracket.
+        let prune_t0 = TRACED.then(std::time::Instant::now);
+        // Pass 1: per-site disposition from the footprint.
         let mut plan: Vec<Plan> = Vec::with_capacity(specs.len());
         let mut classes: BTreeMap<ClassKey, Vec<usize>> = BTreeMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            if panic_shim == Some(i) || spec.inject_cycle as usize >= self.fps.len() {
-                plan.push(Plan::Simulate);
-                continue;
-            }
-            let Some(&span) = resolver.resolve(spec.target) else {
+        for (i, (spec, site)) in specs.iter().zip(&sites).enumerate() {
+            let Some((span, unit)) = *site else {
                 plan.push(Plan::Simulate);
                 continue;
             };
-            let tracked = span
-                .unit
-                .is_some_and(|u| Tier::Extended.tracked(&self.checkpoint, u, span.unit_ord));
-            if !tracked {
-                plan.push(Plan::Simulate);
-                continue;
-            }
-            let unit = span.unit.expect("tracked implies unit");
             let c = spec.inject_cycle;
-            plan.push(match first_event_after(fp.timeline(unit, span.unit_ord), c) {
+            plan.push(match fp.first_access(unit, span.unit_ord, c) {
                 // Dead window: never accessed again inside the window.
                 None => Plan::Analytic { span, heal: None },
                 // Dead window: overwritten before its next read.
-                Some((_, hc, true)) => Plan::Analytic { span, heal: Some(hc as u64) },
-                Some((gap, r, false)) => {
-                    let r = r as u64;
-                    if r > horizon_of(c) {
-                        // The read falls outside this site's window: within
-                        // the window the word is dead.
-                        Plan::Analytic { span, heal: None }
-                    } else {
-                        match self.walk_prefix(c, r - 1) {
-                            // Locked/halted before the read: the analytic
-                            // rider reaches the identical decision.
-                            Prefix::Decided => Plan::Analytic { span, heal: None },
-                            // Class membership requires the dense check
-                            // cadence to have fully elapsed before the
-                            // read, so every member checks on the same
-                            // steps from the read onward.
-                            Prefix::Pending { last_retire, flushes } if c + 64 < r => {
-                                let key =
-                                    ClassKey { target: spec.target, gap, last_retire, flushes };
-                                classes.entry(key).or_default().push(i);
-                                // Provisional: singletons demote below, and
-                                // the representative is picked per class.
-                                Plan::Derived { rep: i, span }
-                            }
-                            Prefix::Pending { .. } => Plan::Simulate,
-                        }
+                Some((hc, true)) => Plan::Analytic { span, heal: Some(hc) },
+                Some((r, false)) => match self.walk_prefix(c, r - 1) {
+                    // Locked/halted before the read: the analytic rider
+                    // reaches the identical decision.
+                    Prefix::Decided => Plan::Analytic { span, heal: None },
+                    // Class membership requires the dense check cadence to
+                    // have fully elapsed before the read, so every member
+                    // checks on the same steps from the read onward.
+                    Prefix::Pending { last_retire, flushes } if c + DENSE < r => {
+                        let key = ClassKey { target: spec.target, read: r, last_retire, flushes };
+                        classes.entry(key).or_default().push(i);
+                        // Provisional: singletons demote below, and the
+                        // representative is picked per class.
+                        Plan::Derived { rep: i, span }
                     }
-                }
+                    Prefix::Pending { .. } => Plan::Simulate,
+                },
             });
         }
 
@@ -317,58 +316,28 @@ impl StartPoint {
 
         let prune_ns = prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
 
-        // Delegate everything simulated to the sliced engine in one batch.
-        // Always traced internally: representative detect cycles drive the
-        // member derivation, and records are trace-independent.
+        // Delegate everything simulated to the sliced engine in one batch,
+        // on the same footprint. Always traced internally: representative
+        // detect cycles drive the member derivation, and records are
+        // trace-independent.
         let delegate_idx: Vec<usize> = plan
             .iter()
             .enumerate()
             .filter(|(_, p)| matches!(p, Plan::Simulate))
             .map(|(i, _)| i)
             .collect();
-        let delegate_specs: Vec<TrialSpec> = delegate_idx.iter().map(|&i| specs[i]).collect();
         let delegate_shim = panic_shim.and_then(|s| delegate_idx.binary_search(&s).ok());
-        let sub = self.run_trials_sliced_core::<true>(
+        let (sub, sub_out, mut faults) = self.delegate(
             mask,
-            &delegate_specs,
+            specs,
+            &delegate_idx,
             monitor,
             lane_width,
             delegate_shim,
             deep,
+            &fp,
         );
-        let mut advance_ns = sub.advance_ns;
-        let mut monitor_ns = sub.monitor_ns;
-        let mut ride_ns = sub.ride_ns;
-        let mut classify_ns = sub.classify_ns;
-
-        // Scatter the delegate's outputs back to original indices.
-        let mut sub_out: Vec<Option<(TrialRecord, TrialTrace, DeepTrace)>> =
-            vec![None; delegate_idx.len()];
-        {
-            let mut faulted: Vec<usize> = sub.faults.iter().map(|f| f.index).collect();
-            faulted.sort_unstable();
-            let sub_deeps = if deep { sub.deeps } else { vec![DeepTrace::new(); sub.records.len()] };
-            let mut recs = sub
-                .records
-                .into_iter()
-                .zip(sub.traces)
-                .zip(sub_deeps)
-                .map(|((r, t), d)| (r, t, d));
-            for (k, slot) in sub_out.iter_mut().enumerate() {
-                if faulted.binary_search(&k).is_err() {
-                    *slot = recs.next();
-                }
-            }
-        }
-        let mut faults: Vec<TrialFault> = sub
-            .faults
-            .into_iter()
-            .map(|f| TrialFault {
-                index: delegate_idx[f.index],
-                spec: f.spec,
-                panic_msg: f.panic_msg,
-            })
-            .collect();
+        let mut costs = sub;
 
         // A quarantined representative cannot vouch for its members: fall
         // back to simulating each of them individually.
@@ -376,49 +345,19 @@ impl StartPoint {
             let k = delegate_idx.binary_search(&rep).expect("representatives are delegated");
             sub_out[k].clone()
         };
-        let mut retry_idx: Vec<usize> = plan
+        let retry_idx: Vec<usize> = plan
             .iter()
             .enumerate()
             .filter(|(_, p)| matches!(p, Plan::Derived { rep, .. } if rep_result(*rep).is_none()))
             .map(|(i, _)| i)
             .collect();
-        retry_idx.sort_unstable();
-        let mut retry_out: Vec<Option<(TrialRecord, TrialTrace, DeepTrace)>> =
-            vec![None; retry_idx.len()];
+        let mut retry_out = Vec::new();
         if !retry_idx.is_empty() {
-            let retry_specs: Vec<TrialSpec> = retry_idx.iter().map(|&i| specs[i]).collect();
-            let sub2 = self.run_trials_sliced_core::<true>(
-                mask,
-                &retry_specs,
-                monitor,
-                lane_width,
-                None,
-                deep,
-            );
-            advance_ns += sub2.advance_ns;
-            monitor_ns += sub2.monitor_ns;
-            ride_ns += sub2.ride_ns;
-            classify_ns += sub2.classify_ns;
-            let mut faulted: Vec<usize> = sub2.faults.iter().map(|f| f.index).collect();
-            faulted.sort_unstable();
-            let sub2_deeps =
-                if deep { sub2.deeps } else { vec![DeepTrace::new(); sub2.records.len()] };
-            let mut recs = sub2
-                .records
-                .into_iter()
-                .zip(sub2.traces)
-                .zip(sub2_deeps)
-                .map(|((r, t), d)| (r, t, d));
-            for (k, slot) in retry_out.iter_mut().enumerate() {
-                if faulted.binary_search(&k).is_err() {
-                    *slot = recs.next();
-                }
-            }
-            faults.extend(sub2.faults.into_iter().map(|f| TrialFault {
-                index: retry_idx[f.index],
-                spec: f.spec,
-                panic_msg: f.panic_msg,
-            }));
+            let (sub2, out2, faults2) =
+                self.delegate(mask, specs, &retry_idx, monitor, lane_width, None, deep, &fp);
+            costs.add_costs(&sub2);
+            retry_out = out2;
+            faults.extend(faults2);
         }
 
         // Pass 3: assemble records in input order.
@@ -426,29 +365,36 @@ impl StartPoint {
         let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
         let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
         let mut deeps = vec![DeepTrace::new(); if deep { specs.len() } else { 0 }];
+        let mut put = |i: usize, result: Option<(TrialRecord, TrialTrace, DeepTrace)>| {
+            if let Some((rec, tr, dp)) = result {
+                out[i] = Some(rec);
+                if TRACED {
+                    traces[i] = tr;
+                }
+                if deep {
+                    deeps[i] = dp;
+                }
+            }
+        };
         let t0 = TRACED.then(std::time::Instant::now);
         for (i, p) in plan.iter().enumerate() {
             let spec = specs[i];
             match p {
                 Plan::Analytic { span, heal } => {
                     dispo.proved_dead += 1;
-                    let trace_slot = if TRACED { Some(&mut traces[i]) } else { None };
-                    let deep_slot = if deep { Some(&mut deeps[i]) } else { None };
-                    let obs = TrialObservers { trace: trace_slot, deep: deep_slot };
-                    out[i] = Some(self.ride_lane(fp, span, *heal, spec, monitor, obs));
+                    let mut tr = TrialTrace::default();
+                    let mut dp = DeepTrace::new();
+                    let obs = TrialObservers {
+                        trace: TRACED.then_some(&mut tr),
+                        deep: deep.then_some(&mut dp),
+                    };
+                    let rec = self.ride_lane(span, *heal, spec, monitor, obs);
+                    put(i, Some((rec, tr, dp)));
                 }
                 Plan::Simulate => {
                     dispo.simulated += 1;
                     let k = delegate_idx.binary_search(&i).expect("simulated sites delegate");
-                    if let Some((rec, tr, dp)) = sub_out[k].clone() {
-                        out[i] = Some(rec);
-                        if TRACED {
-                            traces[i] = tr;
-                        }
-                        if deep {
-                            deeps[i] = dp;
-                        }
-                    }
+                    put(i, sub_out[k].clone());
                 }
                 Plan::Derived { rep, span } => match rep_result(*rep) {
                     Some((rrec, rtr, rdeep)) => {
@@ -462,85 +408,105 @@ impl StartPoint {
                         } else {
                             Outcome::GrayArea
                         };
-                        out[i] = Some(TrialRecord {
+                        let rec = TrialRecord {
                             outcome,
                             category: span.category,
                             kind: span.kind,
                             unit: span.unit,
                             inject_cycle: spec.inject_cycle,
                             valid_instructions: self.valid_at(spec.inject_cycle),
-                        });
-                        if TRACED {
-                            // The first fingerprint check after injection
-                            // always sees the latent δ: divergence is
-                            // immediate and attributed to the site's unit.
-                            traces[i] = TrialTrace {
-                                detect_cycle: rtr.detect_cycle.min(horizon),
-                                divergence_cycle: Some(spec.inject_cycle + 1),
-                                diverged_unit: span.unit,
-                            };
-                        }
-                        if deep {
-                            // Rep and member are state-identical from the
-                            // shared read on, and before it both timelines
-                            // hold the single sample {injected unit}: the
-                            // member's timeline is the rep's with the head
-                            // pinned to its own injection and the tail
-                            // clipped to its own window.
-                            deeps[i] = rdeep.derive(spec.inject_cycle + 1, horizon);
-                        }
+                        };
+                        // The first fingerprint check after injection
+                        // always sees the latent δ: divergence is immediate
+                        // and attributed to the site's unit.
+                        let tr = TrialTrace {
+                            detect_cycle: rtr.detect_cycle.min(horizon),
+                            divergence_cycle: Some(spec.inject_cycle + 1),
+                            diverged_unit: span.unit,
+                        };
+                        // Rep and member are state-identical from the
+                        // shared read on, and before it both timelines hold
+                        // the single sample {injected unit}: the member's
+                        // timeline is the rep's with the head pinned to its
+                        // own injection and the tail clipped to its own
+                        // window.
+                        let dp = rdeep.derive(spec.inject_cycle + 1, horizon);
+                        put(i, Some((rec, tr, dp)));
                     }
                     None => {
                         dispo.simulated += 1;
                         let k = retry_idx.binary_search(&i).expect("orphaned members retry");
-                        if let Some((rec, tr, dp)) = retry_out[k].clone() {
-                            out[i] = Some(rec);
-                            if TRACED {
-                                traces[i] = tr;
-                            }
-                            if deep {
-                                deeps[i] = dp;
-                            }
-                        }
+                        put(i, retry_out[k].clone());
                     }
                 },
             }
         }
+        let mut batch = keep_classified(out, traces, deeps, faults, TRACED, deep);
+        costs.prune_ns += prune_ns;
+        costs.footprint_ns += footprint_ns;
+        costs.footprint_events += fp.kept();
         if let Some(t0) = t0 {
             // Pass 3 is dominated by the analytic riders: monitor time on
             // the ride side of the split.
             let dt = t0.elapsed().as_nanos() as u64;
-            monitor_ns += dt;
-            ride_ns += dt;
+            costs.monitor_ns += dt;
+            costs.ride_ns += dt;
         }
-
-        faults.sort_by_key(|f| f.index);
-        let mut records = Vec::with_capacity(specs.len());
-        let mut kept_traces = Vec::with_capacity(traces.len());
-        let mut kept_deeps = Vec::with_capacity(deeps.len());
-        for (i, rec) in out.into_iter().enumerate() {
-            if let Some(rec) = rec {
-                records.push(rec);
-                if TRACED {
-                    kept_traces.push(traces[i]);
-                }
-                if deep {
-                    kept_deeps.push(std::mem::take(&mut deeps[i]));
-                }
-            }
-        }
-        let batch = TracedBatch {
-            records,
-            traces: kept_traces,
-            faults,
-            deeps: kept_deeps,
-            advance_ns,
-            monitor_ns,
-            ride_ns,
-            classify_ns,
-            prune_ns,
-        };
+        batch.add_costs(&costs);
         (batch, dispo)
+    }
+
+    /// Runs the specs at `idx` on the sliced engine over the pruner's
+    /// footprint, always traced. Returns the sub-batch (for its costs),
+    /// its outputs aligned with `idx` (`None` where quarantined), and its
+    /// faults re-indexed to the original specs.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn delegate(
+        &self,
+        mask: InjectionMask,
+        specs: &[TrialSpec],
+        idx: &[usize],
+        monitor: u64,
+        lane_width: usize,
+        panic_shim: Option<usize>,
+        deep: bool,
+        fp: &Footprint,
+    ) -> (TracedBatch, Vec<Option<(TrialRecord, TrialTrace, DeepTrace)>>, Vec<TrialFault>) {
+        let sub_specs: Vec<TrialSpec> = idx.iter().map(|&i| specs[i]).collect();
+        let mut sub = self.run_trials_sliced_core::<true>(
+            mask,
+            &sub_specs,
+            monitor,
+            lane_width,
+            panic_shim,
+            deep,
+            Some(fp),
+        );
+        let records = std::mem::take(&mut sub.records);
+        let traces = std::mem::take(&mut sub.traces);
+        let deeps = if deep {
+            std::mem::take(&mut sub.deeps)
+        } else {
+            vec![DeepTrace::new(); records.len()]
+        };
+        let faults = std::mem::take(&mut sub.faults);
+        let mut classified =
+            records.into_iter().zip(traces).zip(deeps).map(|((r, t), d)| (r, t, d));
+        let mut faulted = faults.iter().map(|f| f.index).peekable();
+        let out = (0..idx.len())
+            .map(|k| match faulted.peek() {
+                Some(&f) if f == k => {
+                    faulted.next();
+                    None
+                }
+                _ => classified.next(),
+            })
+            .collect();
+        let faults = faults
+            .into_iter()
+            .map(|f| TrialFault { index: idx[f.index], spec: f.spec, panic_msg: f.panic_msg })
+            .collect();
+        (sub, out, faults)
     }
 }
 
@@ -554,7 +520,7 @@ mod tests {
     const MASK: InjectionMask = InjectionMask::LatchesAndRams;
 
     /// The sliced test bed: a memory-heavy hash loop touching every
-    /// extended-tier structure at a brisk cadence.
+    /// loggable structure at a brisk cadence.
     fn hash_start_point(config: PipelineConfig) -> StartPoint {
         let mut a = Asm::new(0x1_0000);
         a.li(Reg::R10, 0x9e3779b97f4a7c15u64);
@@ -675,31 +641,28 @@ mod tests {
         assert_eq!(dispo.total(), specs.len() as u64);
     }
 
-    /// Scans the extended footprint for words whose first read sits more
-    /// than 70 cycles past the previous access, then aims multiple trials
-    /// into each gap: the pruner must collapse them into classes while the
-    /// records stay identical to the scalar ladder's.
+    /// Scans the golden access timelines for words whose first read sits
+    /// more than 70 cycles past the previous access, then aims multiple
+    /// trials into each gap: the pruner must collapse them into classes
+    /// while the records stay identical to the scalar ladder's.
     #[test]
     fn pruned_collapses_classes_and_matches_the_ladder() {
         let sp = gapped_start_point(PipelineConfig::baseline());
-        let fp = sp.extended_footprint();
+        let timelines = crate::footprint::timelines(&sp);
         let resolver = Resolver::build(&sp.checkpoint, MASK);
 
         let mut specs: Vec<TrialSpec> = Vec::new();
         for span in resolver.spans() {
             let Some(unit) = span.unit else { continue };
-            if !Tier::Extended.tracked(&sp.checkpoint, unit, span.unit_ord) {
-                continue;
-            }
-            let tl = fp.timeline(unit, span.unit_ord);
-            let mut prev = 0u32;
+            let Some(tl) = timelines.get(&(unit, span.unit_ord)) else { continue };
+            let mut prev = 0u64;
             for &(c, is_write) in tl {
                 // A read at `c` with no access since `prev`, and a gap wide
                 // enough that injections at `prev` and `prev + 1` both sit
                 // 64+ cycles clear of the read.
                 if !is_write && c > prev + 70 {
-                    specs.push(TrialSpec { target: span.start, inject_cycle: prev as u64 });
-                    specs.push(TrialSpec { target: span.start, inject_cycle: prev as u64 + 1 });
+                    specs.push(TrialSpec { target: span.start, inject_cycle: prev });
+                    specs.push(TrialSpec { target: span.start, inject_cycle: prev + 1 });
                     break;
                 }
                 prev = c;

@@ -8,13 +8,13 @@
 //! its per-cycle retirement pattern — is the golden run's, already
 //! precomputed by [`StartPoint::prepare`].
 //!
-//! This module exploits that with a *golden access footprint*: one extra
-//! tracked replay of the fault-free run (per start point, built lazily and
-//! shared by every batch) records, for every word of the RAM-like tracked
-//! structures (load/store queues, physical register file, miss handling
-//! registers), the cycles at which the machine read or wrote that word.
-//! A batch of trials is then processed as words of up to 64 *lanes*, one
-//! trial per lane, all sharing the single golden evaluation:
+//! This module exploits that with a *golden access footprint*: one tracked
+//! replay of the fault-free run per batch (see `crate::footprint`) finds,
+//! for every lane whose fault sits in a word of the audited core structures
+//! (load/store queues, physical register file, miss handling registers),
+//! the first cycle after injection at which the machine reads or writes
+//! that word. A batch of trials is then processed as words of up to 64
+//! *lanes*, one trial per lane, all sharing the single golden evaluation:
 //!
 //! * **Ride** — the faulted word is never accessed in the monitoring
 //!   window. The lane never needs a machine: its outcome follows
@@ -31,9 +31,10 @@
 //!   [`StartPoint::classify`] the snapshot ladder uses — so peeled
 //!   records are the ladder's records by construction.
 //!
-//! Untracked targets (front-end latches, scheduler, ROB, rename, …) and
-//! targets outside any unit always peel. Equivalence with the ladder and
-//! the naive path is pinned by `tests/fastpath_equivalence.rs`.
+//! Targets outside the core structures (front-end latches, scheduler, ROB,
+//! rename, …) and targets outside any unit always peel. Equivalence with
+//! the ladder and the naive path is pinned by
+//! `tests/fastpath_equivalence.rs`.
 //!
 //! # Soundness contract
 //!
@@ -59,20 +60,22 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
-use tfsim_bitstate::{InjectionMask, UnitId};
+use tfsim_bitstate::{InjectionMask, Loggability, UnitId};
 
 use tfsim_obs::DeepTrace;
 
 use crate::footprint::{disposition, Disposition, Footprint, Resolver, Span};
 use crate::trial::{
-    install_containment_hook, panic_message, FailureMode, Outcome, StartPoint, TracedBatch,
-    TrialFault, TrialObservers, TrialRecord, TrialSpec, TrialTrace, CONTAINED,
+    install_containment_hook, keep_classified, panic_message, FailureMode, Outcome, Rows,
+    StartPoint, TracedBatch, TrialFault, TrialObservers, TrialRecord, TrialSpec, TrialTrace,
+    CONTAINED, DENSE, SPARSE,
 };
 
 /// Lanes per word: one trial per bit of a 64-bit bookkeeping word.
 pub const LANE_WIDTH: usize = 64;
 
 /// How a lane was dispatched, for the per-word bookkeeping masks.
+#[derive(Clone, Copy)]
 enum Plan<'a> {
     /// Ride or heal: share the golden evaluation analytically.
     Share(&'a Span, Option<u64>),
@@ -90,7 +93,8 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> Vec<TrialRecord> {
-        self.run_trials_sliced_core::<false>(mask, specs, monitor, LANE_WIDTH, None, false).records
+        self.run_trials_sliced_core::<false>(mask, specs, monitor, LANE_WIDTH, None, false, None)
+            .records
     }
 
     /// [`StartPoint::run_trials_traced`] semantics on the word-parallel
@@ -103,7 +107,7 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> TracedBatch {
-        self.run_trials_sliced_core::<true>(mask, specs, monitor, LANE_WIDTH, None, false)
+        self.run_trials_sliced_core::<true>(mask, specs, monitor, LANE_WIDTH, None, false, None)
     }
 
     /// [`StartPoint::run_trials_deep_traced`] semantics on the
@@ -117,7 +121,7 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> TracedBatch {
-        self.run_trials_sliced_core::<true>(mask, specs, monitor, LANE_WIDTH, None, true)
+        self.run_trials_sliced_core::<true>(mask, specs, monitor, LANE_WIDTH, None, true, None)
     }
 
     /// [`StartPoint::run_trials_sliced`] with an explicit lane width in
@@ -131,12 +135,18 @@ impl StartPoint {
         monitor: u64,
         lane_width: usize,
     ) -> Vec<TrialRecord> {
-        self.run_trials_sliced_core::<false>(mask, specs, monitor, lane_width, None, false).records
+        self.run_trials_sliced_core::<false>(mask, specs, monitor, lane_width, None, false, None)
+            .records
     }
 
     /// The shared word-parallel ladder. Mirrors `run_trials_core`'s
     /// contract exactly: input-order records, quarantined panics, sorted
     /// monotonic walker for everything scalar.
+    ///
+    /// `footprint` is the batch's access footprint when the caller already
+    /// built one covering every core-word site of `specs` (the pruner
+    /// does); otherwise the batch builds its own.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_trials_sliced_core<const TRACED: bool>(
         &self,
         mask: InjectionMask,
@@ -145,12 +155,61 @@ impl StartPoint {
         lane_width: usize,
         panic_shim: Option<usize>,
         deep: bool,
+        footprint: Option<&Footprint>,
     ) -> TracedBatch {
         let deep = TRACED && deep;
         assert!((1..=LANE_WIDTH).contains(&lane_width), "lane width must be 1..=64");
         install_containment_hook();
-        let fp = self.golden_footprint();
         let resolver = Resolver::build(&self.checkpoint, mask);
+        // Lanes faulting a tracked word of the core structures can share
+        // the golden evaluation; everything else is scalar.
+        let core_site = |i: usize| -> Option<(&Span, UnitId)> {
+            let spec = specs[i];
+            if panic_shim == Some(i) || spec.inject_cycle > self.horizon {
+                return None;
+            }
+            let span = resolver.resolve(spec.target)?;
+            let unit = span.unit.filter(|&u| {
+                u.loggability() == Loggability::Core
+                    && self.checkpoint.access_tracked(u, span.unit_ord)
+            })?;
+            Some((span, unit))
+        };
+        let footprint_t0 = TRACED.then(Instant::now);
+        let built;
+        let fp = match footprint {
+            Some(fp) => fp,
+            None => {
+                let sites: Vec<(UnitId, u32, u64)> = (0..specs.len())
+                    .filter_map(|i| {
+                        core_site(i).map(|(s, u)| (u, s.unit_ord, specs[i].inject_cycle))
+                    })
+                    .collect();
+                built = Footprint::build(self, &sites, monitor);
+                &built
+            }
+        };
+        let footprint_ns = footprint_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let plans: Vec<Plan> = (0..specs.len())
+            .map(|i| match core_site(i) {
+                Some((span, unit)) => {
+                    match disposition(fp.first_access(unit, span.unit_ord, specs[i].inject_cycle)) {
+                        Disposition::Ride => Plan::Share(span, None),
+                        Disposition::Heal(hc) => Plan::Share(span, Some(hc)),
+                        Disposition::Peel => Plan::Scalar,
+                    }
+                }
+                None => Plan::Scalar,
+            })
+            .collect();
+        let rows_t0 = TRACED.then(Instant::now);
+        let mut rows = Rows::new(
+            self,
+            (0..specs.len())
+                .filter(|&i| matches!(plans[i], Plan::Scalar))
+                .map(|i| specs[i].inject_cycle),
+        );
+        let rows_ns = rows_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_by_key(|&i| specs[i].inject_cycle);
@@ -160,6 +219,7 @@ impl StartPoint {
         let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
         let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
         let mut deeps = vec![DeepTrace::new(); if deep { specs.len() } else { 0 }];
+        let mut closings = Vec::new();
         let mut faults = Vec::new();
         let mut advance_ns = 0u64;
         let mut monitor_ns = 0u64;
@@ -175,32 +235,8 @@ impl StartPoint {
             for (lane, &i) in word.iter().enumerate() {
                 let spec = specs[i];
                 let lane_bit = 1u64 << lane;
-                let plan = if panic_shim == Some(i)
-                    || spec.inject_cycle as usize >= self.fps.len()
-                {
-                    Plan::Scalar
-                } else {
-                    match resolver.resolve(spec.target) {
-                        Some(span)
-                            if span.unit.is_some_and(|u| {
-                                self.checkpoint.access_tracked(u, span.unit_ord)
-                            }) =>
-                        {
-                            let unit = span.unit.expect("tracked implies unit");
-                            match disposition(
-                                fp.timeline(unit, span.unit_ord),
-                                spec.inject_cycle,
-                            ) {
-                                Disposition::Ride => Plan::Share(span, None),
-                                Disposition::Heal(hc) => Plan::Share(span, Some(hc)),
-                                Disposition::Peel => Plan::Scalar,
-                            }
-                        }
-                        _ => Plan::Scalar,
-                    }
-                };
                 let t0 = TRACED.then(Instant::now);
-                match plan {
+                match plans[i] {
                     Plan::Share(span, heal) => {
                         match heal {
                             Some(_) => healed |= lane_bit,
@@ -209,7 +245,7 @@ impl StartPoint {
                         let trace_slot = if TRACED { Some(&mut traces[i]) } else { None };
                         let deep_slot = if deep { Some(&mut deeps[i]) } else { None };
                         let obs = TrialObservers { trace: trace_slot, deep: deep_slot };
-                        out[i] = Some(self.ride_lane(fp, span, heal, spec, monitor, obs));
+                        out[i] = Some(self.ride_lane(span, heal, spec, monitor, obs));
                         if let Some(t0) = t0 {
                             let dt = t0.elapsed().as_nanos() as u64;
                             monitor_ns += dt;
@@ -238,6 +274,7 @@ impl StartPoint {
                             }
                             self.classify(
                                 mask,
+                                &rows,
                                 walker.clone(),
                                 spec,
                                 monitor,
@@ -247,7 +284,10 @@ impl StartPoint {
                         }));
                         CONTAINED.with(|c| c.set(false));
                         match classified {
-                            Ok(rec) => out[i] = Some(rec),
+                            Ok((rec, closing)) => {
+                                out[i] = Some(rec);
+                                closings.extend(closing.map(|c| (i, c)));
+                            }
                             Err(payload) => faults.push(TrialFault {
                                 index: i,
                                 spec,
@@ -270,33 +310,21 @@ impl StartPoint {
                 "lane dispositions are exclusive"
             );
         }
+        let attribute_t0 = TRACED.then(Instant::now);
+        rows.close(closings, &mut traces, &mut deeps);
+        let attribute_ns = attribute_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-        faults.sort_by_key(|f| f.index);
-        let mut records = Vec::with_capacity(specs.len());
-        let mut kept_traces = Vec::with_capacity(traces.len());
-        let mut kept_deeps = Vec::with_capacity(deeps.len());
-        for (i, rec) in out.into_iter().enumerate() {
-            if let Some(rec) = rec {
-                records.push(rec);
-                if TRACED {
-                    kept_traces.push(traces[i]);
-                }
-                if deep {
-                    kept_deeps.push(std::mem::take(&mut deeps[i]));
-                }
-            }
-        }
-        TracedBatch {
-            records,
-            traces: kept_traces,
-            faults,
-            deeps: kept_deeps,
-            advance_ns,
-            monitor_ns,
-            ride_ns,
-            classify_ns,
-            prune_ns: 0,
-        }
+        let mut batch = keep_classified(out, traces, deeps, faults, TRACED, deep);
+        batch.advance_ns = advance_ns;
+        batch.monitor_ns = monitor_ns;
+        batch.ride_ns = ride_ns;
+        batch.classify_ns = classify_ns;
+        batch.rows_ns = rows_ns;
+        batch.footprint_ns = footprint_ns;
+        batch.attribute_ns = attribute_ns;
+        batch.rows_hashed = rows.hashed();
+        batch.footprint_events = if footprint.is_none() { fp.kept() } else { 0 };
+        batch
     }
 
     /// The analytic classifier for a riding/healing lane: a literal mirror
@@ -306,7 +334,6 @@ impl StartPoint {
     /// δ sits in a word nothing reads before it is (possibly) overwritten.
     pub(crate) fn ride_lane(
         &self,
-        fp: &Footprint,
         span: &Span,
         heal_cycle: Option<u64>,
         spec: TrialSpec,
@@ -347,23 +374,23 @@ impl StartPoint {
             let mut matched = self.instret[inject_cycle as usize] as usize;
             let mut last_retire_cycle = inject_cycle;
             let mut flushes_without_retire = 0u32;
-            let horizon = (self.fps.len() as u64 - 1).min(inject_cycle + monitor);
+            let horizon = self.horizon.min(inject_cycle + monitor);
 
             for step in (inject_cycle + 1)..=horizon {
                 last_step = step;
-                let g = fp.percycle[step as usize];
-                if g.retired > 0 {
+                let retired = self.retired_at(step);
+                if retired > 0 {
                     last_retire_cycle = step;
                     flushes_without_retire = 0;
                 }
-                if g.pflush {
+                if self.pflush_at(step) {
                     flushes_without_retire += 1;
                     if flushes_without_retire >= 3 {
                         break 'decide (Outcome::Failure(FailureMode::Locked), step);
                     }
                     last_retire_cycle = step;
                 }
-                for _ in 0..g.retired {
+                for _ in 0..retired {
                     // A golden-replaying lane retires the golden records
                     // verbatim: the per-record architectural comparisons
                     // pass by identity, and the ran-ahead guard below is
@@ -388,8 +415,8 @@ impl StartPoint {
                 if running_at(step) && step - last_retire_cycle >= 100 {
                     break 'decide (Outcome::Failure(FailureMode::Locked), step);
                 }
-                let dense = step - inject_cycle <= 64;
-                if (dense || step % 8 == 0) && self.instret[step as usize] == matched as u64 {
+                let dense = step - inject_cycle <= DENSE;
+                if (dense || step % SPARSE == 0) && self.instret[step as usize] == matched as u64 {
                     // Fingerprint check: the lane equals golden except for
                     // the δ, so equality holds exactly once healed.
                     if heal_cycle.is_some_and(|hc| step >= hc) {
@@ -420,7 +447,7 @@ impl StartPoint {
             // Mirror of `classify`'s post-decision attribution walk:
             // at the decision state the lane differs from golden iff
             // the δ is still unhealed, and then exactly in its unit.
-            let at = last_step.min(self.fps.len() as u64 - 1);
+            let at = last_step.min(self.horizon);
             let unhealed = heal_cycle.is_none_or(|hc| last_step < hc);
             if traced && divergence.is_none() && unhealed {
                 divergence = Some((at, span.unit));

@@ -13,6 +13,19 @@
 //!   µArch-Match checks use a [`CachedFingerprint`] that only rehashes
 //!   dirty units. Produces bit-identical [`TrialRecord`]s — pinned by a
 //!   property test.
+//!
+//! # Golden rows
+//!
+//! A µArch-Match check compares the trial machine against the golden
+//! fingerprint *row* of the same cycle (root hash plus per-unit
+//! subhashes). Checks run at every cycle of the dense window
+//! `(inject, inject + 64]` and at every eighth cycle after it, so
+//! [`StartPoint::prepare`] hashes only the sparse grid (cycle 0 and every
+//! eighth cycle) and each batch hashes the dense rows of its own injection
+//! windows in one golden walk ([`Rows`]). The traced paths' post-decision
+//! attribution reads a row at the decision cycle, which may lie on neither;
+//! those reads are deferred to one forward golden walk after the batch's
+//! trials ([`Rows::close`]), so untraced batches never pay for them.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -186,7 +199,7 @@ pub struct TrialFault {
 
 /// Output of [`StartPoint::run_trials_traced`]: records plus per-trial
 /// traces and the batch's phase timing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TracedBatch {
     /// One record per *classified* input spec, in input order (identical
     /// to what [`StartPoint::run_trials`] returns for the same specs).
@@ -214,6 +227,37 @@ pub struct TracedBatch {
     /// proofs and class formation). Zero outside the pruned path; *not*
     /// part of `monitor_ns` — the analysis runs before any trial.
     pub prune_ns: u64,
+    /// Wall-clock time spent hashing the batch's dense golden rows (the
+    /// post-injection windows of its simulated trials).
+    pub rows_ns: u64,
+    /// Wall-clock time spent in the batch's tracked golden replay (the
+    /// access footprint of the sliced and pruned paths).
+    pub footprint_ns: u64,
+    /// Wall-clock time spent resolving post-decision attributions whose
+    /// golden rows the batch did not already hold.
+    pub attribute_ns: u64,
+    /// Golden rows the batch hashed (dense rows plus deferred attribution
+    /// rows). Exact and machine-independent.
+    pub rows_hashed: u64,
+    /// First accesses the batch's access footprint kept: fault sites whose
+    /// word the golden run reads or overwrites inside their window.
+    pub footprint_events: u64,
+}
+
+impl TracedBatch {
+    /// Adds another batch's timings and counters to this one's.
+    pub(crate) fn add_costs(&mut self, other: &TracedBatch) {
+        self.advance_ns += other.advance_ns;
+        self.monitor_ns += other.monitor_ns;
+        self.ride_ns += other.ride_ns;
+        self.classify_ns += other.classify_ns;
+        self.prune_ns += other.prune_ns;
+        self.rows_ns += other.rows_ns;
+        self.footprint_ns += other.footprint_ns;
+        self.attribute_ns += other.attribute_ns;
+        self.rows_hashed += other.rows_hashed;
+        self.footprint_events += other.footprint_events;
+    }
 }
 
 thread_local! {
@@ -250,19 +294,32 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
+/// One golden fingerprint row: the root hash and the per-unit subhashes it
+/// folds, indexed by [`UnitId::index`].
+pub(crate) type Row = (u128, [u128; UnitId::COUNT]);
+
+/// Past its dense post-injection window, the classifier checks µArch Match
+/// on every `SPARSE`th cycle; [`StartPoint::prepare`] keeps golden rows on
+/// exactly that grid.
+pub(crate) const SPARSE: u64 = 8;
+
+/// Length of the classifier's dense check window after each injection.
+pub(crate) const DENSE: u64 = 64;
+
 /// A prepared start point: a warmed checkpoint plus everything the
 /// classifier needs from the fault-free continuation.
 pub struct StartPoint {
     pub(crate) checkpoint: Pipeline,
-    /// Per-cycle fingerprints, `fps[i]` = state after `i` steps (index 0
-    /// is the checkpoint itself).
-    pub(crate) fps: Vec<u128>,
-    /// Per-cycle, per-unit subhashes aligned with `fps` (row `i` indexed
-    /// by [`UnitId::index`]): lets a diverging trial name the units that
-    /// differ from golden at a given cycle.
-    unit_fps: Vec<[u128; UnitId::COUNT]>,
+    /// Last cycle of the golden continuation (`prepare`'s horizon).
+    pub(crate) horizon: u64,
+    /// Golden rows on the sparse grid: `sparse[k]` is the state after
+    /// `k * SPARSE` steps.
+    sparse: Vec<Row>,
     /// Cumulative retirements after `i` steps.
     pub(crate) instret: Vec<u64>,
+    /// Whether golden step `i` performed a protective (watchdog) flush;
+    /// entry 0 (the checkpoint itself) is unused.
+    pflush: Vec<bool>,
     /// The golden retirement trace (index = commit number since the
     /// checkpoint).
     pub(crate) records: Vec<RetireRecord>,
@@ -272,20 +329,21 @@ pub struct StartPoint {
     valid_counts: Vec<u32>,
     /// Eligible bit count for the campaign's mask.
     bit_count: u64,
-    /// Lazily built golden access footprint for the word-parallel path
-    /// (see `crate::sliced`): per-cell read/write timelines plus per-cycle
-    /// retire aggregates from one tracked replay of the golden run.
-    pub(crate) footprint: std::sync::OnceLock<crate::footprint::Footprint>,
-    /// Extended-tier footprint for the analytic pruner (see
-    /// `crate::pruner`), from a second tracked replay covering every
-    /// loggable structure.
-    pub(crate) footprint_ext: std::sync::OnceLock<crate::footprint::Footprint>,
+    /// Golden rows `prepare` hashed.
+    pub(crate) rows_hashed: u64,
+}
+
+/// Hashes `cpu` into a golden row with `engine`.
+fn hash_row(engine: &mut CachedFingerprint, cpu: &mut Pipeline) -> Row {
+    let root = engine.fingerprint(cpu);
+    (root, *engine.unit_hashes())
 }
 
 impl StartPoint {
     /// Prepares a start point from a *warmed* pipeline whose flow log has
     /// been enabled since reset. Runs the golden continuation for
-    /// `horizon` cycles.
+    /// `horizon` cycles, keeping per-cycle retirement aggregates and the
+    /// golden rows of the sparse grid.
     ///
     /// # Panics
     ///
@@ -295,18 +353,18 @@ impl StartPoint {
         checkpoint.disable_flow_log();
         let mut golden = warmed.clone();
 
-        let mut fps = Vec::with_capacity(horizon as usize + 1);
-        let mut unit_fps = Vec::with_capacity(horizon as usize + 1);
+        let mut sparse = Vec::with_capacity((horizon / SPARSE) as usize + 1);
         let mut instret = Vec::with_capacity(horizon as usize + 1);
+        let mut pflush = vec![false; horizon as usize + 1];
         let mut records = Vec::new();
         let mut halted_at = None;
         let base_instret = golden.instret();
-        // The golden ladder is hashed with the cached engine: the golden
+        // The golden rows are hashed with the cached engine: the golden
         // machine mutates only through `step()`, so unit stamps are exact
         // and unchanged predictor/cache arrays hash for free.
         let mut engine = CachedFingerprint::new();
-        fps.push(engine.fingerprint(&mut golden));
-        unit_fps.push(*engine.unit_hashes());
+        let mut rows_hashed = 1;
+        sparse.push(hash_row(&mut engine, &mut golden));
         instret.push(0);
         for step in 1..=horizon {
             let report = golden.step();
@@ -321,20 +379,24 @@ impl StartPoint {
                     }
                 }
             }
-            fps.push(engine.fingerprint(&mut golden));
-            unit_fps.push(*engine.unit_hashes());
+            pflush[step as usize] = report.protective_flush;
             instret.push(golden.instret() - base_instret);
+            if step % SPARSE == 0 {
+                rows_hashed += 1;
+                sparse.push(hash_row(&mut engine, &mut golden));
+            }
             if !golden.running() && halted_at.is_some() {
-                // Freeze: replicate the terminal state for the remaining
-                // horizon so comparisons stay index-aligned.
-                let last_fp = *fps.last().expect("nonempty");
-                let last_units = *unit_fps.last().expect("nonempty");
+                // Freeze: a halted machine never changes again, so every
+                // later row and retirement count is the terminal one.
+                let frozen = if step % SPARSE == 0 {
+                    *sparse.last().expect("nonempty")
+                } else {
+                    rows_hashed += 1;
+                    hash_row(&mut engine, &mut golden)
+                };
+                sparse.resize((horizon / SPARSE) as usize + 1, frozen);
                 let last_ir = *instret.last().expect("nonempty");
-                while fps.len() <= horizon as usize {
-                    fps.push(last_fp);
-                    unit_fps.push(last_units);
-                    instret.push(last_ir);
-                }
+                instret.resize(horizon as usize + 1, last_ir);
                 break;
             }
         }
@@ -387,15 +449,15 @@ impl StartPoint {
 
         StartPoint {
             checkpoint,
-            fps,
-            unit_fps,
+            horizon,
+            sparse,
             instret,
+            pflush,
             records,
             halted_at,
             valid_counts,
             bit_count: count.count,
-            footprint: std::sync::OnceLock::new(),
-            footprint_ext: std::sync::OnceLock::new(),
+            rows_hashed,
         }
     }
 
@@ -409,21 +471,14 @@ impl StartPoint {
         self.valid_counts.get(cycle as usize).copied().unwrap_or(0)
     }
 
-    /// Units whose subhash differs from the golden run at relative cycle
-    /// `cycle`, given a trial machine's unit hashes (e.g. from the
-    /// [`CachedFingerprint`] of a diverging µArch-Match check). First-
-    /// divergence attribution for debugging and reporting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle` is beyond the prepared horizon.
-    pub fn diverging_units(&self, cycle: u64, units: &[u128; UnitId::COUNT]) -> Vec<UnitId> {
-        let golden = &self.unit_fps[cycle as usize];
-        UnitId::ALL
-            .iter()
-            .copied()
-            .filter(|u| golden[u.index()] != units[u.index()])
-            .collect()
+    /// Instructions the golden run retired in step `step` (≥ 1).
+    pub(crate) fn retired_at(&self, step: u64) -> u64 {
+        self.instret[step as usize] - self.instret[step as usize - 1]
+    }
+
+    /// Whether golden step `step` (≥ 1) performed a protective flush.
+    pub(crate) fn pflush_at(&self, step: u64) -> bool {
+        self.pflush[step as usize]
     }
 
     /// Runs one trial: flip eligible bit number `target` at `inject_cycle`
@@ -439,6 +494,7 @@ impl StartPoint {
         inject_cycle: u64,
         monitor: u64,
     ) -> TrialRecord {
+        let rows = Rows::new(self, std::iter::once(inject_cycle));
         let mut cpu = self.checkpoint.clone();
 
         // Advance fault-free to the injection cycle.
@@ -451,12 +507,14 @@ impl StartPoint {
 
         self.classify(
             mask,
+            &rows,
             cpu,
             TrialSpec { target, inject_cycle },
             monitor,
             false,
             TrialObservers::default(),
         )
+        .0
     }
 
     /// Runs a batch of trials against this start point, equivalent to
@@ -551,11 +609,15 @@ impl StartPoint {
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_by_key(|&i| specs[i].inject_cycle);
 
+        let rows_t0 = TRACED.then(Instant::now);
+        let mut rows = Rows::new(self, specs.iter().map(|s| s.inject_cycle));
+        let rows_ns = rows_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let mut walker = self.checkpoint.clone();
         let mut walked = 0u64;
         let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
         let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
         let mut deeps = vec![DeepTrace::new(); if deep { specs.len() } else { 0 }];
+        let mut closings = Vec::new();
         let mut faults = Vec::new();
         let mut advance_ns = 0u64;
         let mut monitor_ns = 0u64;
@@ -582,6 +644,7 @@ impl StartPoint {
                 }
                 self.classify(
                     mask,
+                    &rows,
                     walker.clone(),
                     spec,
                     monitor,
@@ -591,7 +654,10 @@ impl StartPoint {
             }));
             CONTAINED.with(|c| c.set(false));
             match classified {
-                Ok(rec) => out[i] = Some(rec),
+                Ok((rec, closing)) => {
+                    out[i] = Some(rec);
+                    closings.extend(closing.map(|c| (i, c)));
+                }
                 Err(payload) => {
                     faults.push(TrialFault { index: i, spec, panic_msg: panic_message(payload) })
                 }
@@ -600,42 +666,26 @@ impl StartPoint {
                 monitor_ns += t1.elapsed().as_nanos() as u64;
             }
         }
-        // Quarantined trials have no record, trace, or deep timeline;
-        // everything else stays in input order.
-        faults.sort_by_key(|f| f.index);
-        let mut records = Vec::with_capacity(specs.len());
-        let mut kept_traces = Vec::with_capacity(traces.len());
-        let mut kept_deeps = Vec::with_capacity(deeps.len());
-        for (i, rec) in out.into_iter().enumerate() {
-            if let Some(rec) = rec {
-                records.push(rec);
-                if TRACED {
-                    kept_traces.push(traces[i]);
-                }
-                if deep {
-                    kept_deeps.push(std::mem::take(&mut deeps[i]));
-                }
-            }
-        }
+        let attribute_t0 = TRACED.then(Instant::now);
+        rows.close(closings, &mut traces, &mut deeps);
+        let attribute_ns = attribute_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         // On the scalar ladder all monitor time is classification time.
-        TracedBatch {
-            records,
-            traces: kept_traces,
-            faults,
-            deeps: kept_deeps,
-            advance_ns,
-            monitor_ns,
-            ride_ns: 0,
-            classify_ns: monitor_ns,
-            prune_ns: 0,
-        }
+        let mut batch = keep_classified(out, traces, deeps, faults, TRACED, deep);
+        batch.advance_ns = advance_ns;
+        batch.monitor_ns = monitor_ns;
+        batch.classify_ns = monitor_ns;
+        batch.rows_ns = rows_ns;
+        batch.attribute_ns = attribute_ns;
+        batch.rows_hashed = rows.hashed();
+        batch
     }
 
     /// The shared classification loop: takes a machine already advanced
-    /// fault-free to `spec.inject_cycle`, flips the bit, and monitors. With
-    /// `cached_fp` the µArch-Match checks run on a [`CachedFingerprint`]
-    /// (fast path); without, on flat [`fingerprint_of`] (reference path).
-    /// Both hash definitions are identical by construction.
+    /// fault-free to `spec.inject_cycle`, flips the bit, and monitors
+    /// against the golden rows in `rows`. With `cached_fp` the µArch-Match
+    /// checks run on a [`CachedFingerprint`] (fast path); without, on flat
+    /// [`fingerprint_of`] (reference path). Both hash definitions are
+    /// identical by construction.
     ///
     /// With `obs.trace`, the decision cycle and first observed divergence
     /// are recorded into it. Tracing never alters the classification: all
@@ -649,15 +699,22 @@ impl StartPoint {
     /// classifier's, whose suspect short-circuit feeds the journaled
     /// `diverged_unit` attribution and must stay byte-identical to the
     /// non-deep run.
+    ///
+    /// Returns the record and, when an observer still needs the
+    /// decision-cycle comparison against golden, the [`Closing`] the
+    /// caller resolves with [`Rows::close`] once every trial of the batch
+    /// is classified.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn classify(
         &self,
         mask: InjectionMask,
+        rows: &Rows<'_>,
         mut cpu: Pipeline,
         spec: TrialSpec,
         monitor: u64,
         cached_fp: bool,
         obs: TrialObservers<'_>,
-    ) -> TrialRecord {
+    ) -> (TrialRecord, Option<Closing>) {
         let TrialObservers { trace, mut deep } = obs;
         let TrialSpec { target, inject_cycle } = spec;
         let traced = trace.is_some();
@@ -691,7 +748,7 @@ impl StartPoint {
             let mut matched_records = (cpu.instret() - base_instret) as usize;
             let mut last_retire_cycle = inject_cycle;
             let mut flushes_without_retire = 0u32;
-            let horizon = (self.fps.len() as u64 - 1).min(inject_cycle + monitor);
+            let horizon = self.horizon.min(inject_cycle + monitor);
             // Created after the flip: the cache starts cold, so the flip
             // (which bypasses generation stamps) can never be hidden by a
             // stale entry.
@@ -801,21 +858,19 @@ impl StartPoint {
                 // cycle with the same retirement count. Once equal, the two
                 // deterministic machines stay equal, so sparse checking
                 // after an initial dense window loses nothing.
-                let dense = step - inject_cycle <= 64;
-                if (dense || step % 8 == 0)
+                let dense = step - inject_cycle <= DENSE;
+                if (dense || step % SPARSE == 0)
                     && self.instret[step as usize] == cpu.instret() - base_instret
                     && matched_records as u64 == cpu.instret() - base_instret
                 {
+                    let (golden_root, golden_units) =
+                        rows.get(step).expect("the batch holds every check row");
                     let eq = match engine.as_mut() {
                         // Fast path: per-unit comparison against the golden
                         // row, short-circuiting on the unit a latent fault
                         // keeps diverged.
-                        Some(e) => e.matches(
-                            &mut cpu,
-                            self.fps[step as usize],
-                            &self.unit_fps[step as usize],
-                        ),
-                        None => fingerprint_of(&mut cpu) == self.fps[step as usize],
+                        Some(e) => e.matches(&mut cpu, *golden_root, golden_units),
+                        None => fingerprint_of(&mut cpu) == *golden_root,
                     };
                     if eq {
                         // A heal closes the divergence timeline (change-only
@@ -842,13 +897,7 @@ impl StartPoint {
                         if dense || step % 64 == 0 {
                             let e = deep_engine.as_mut().expect("deep sampling engine");
                             e.fingerprint(&mut cpu);
-                            d.push(
-                                step,
-                                UnitId::diverged_mask(
-                                    e.unit_hashes(),
-                                    &self.unit_fps[step as usize],
-                                ),
-                            );
+                            d.push(step, UnitId::diverged_mask(e.unit_hashes(), golden_units));
                         }
                     }
                 }
@@ -860,27 +909,6 @@ impl StartPoint {
             (Outcome::GrayArea, last_step)
         };
 
-        if outcome != Outcome::MicroArchMatch
-            && ((traced && divergence.is_none()) || deep.is_some())
-        {
-            // The outcome was decided without any µArch check observing
-            // the divergence (e.g. an architectural mismatch in the
-            // retire stream): attribute it with one hierarchical walk
-            // at the decision state. Deep mode reuses the same walk to
-            // close the timeline with the final diverged-unit set.
-            // Happens after the outcome is sealed, so it cannot perturb
-            // classification.
-            let at = last_step.min(self.fps.len() as u64 - 1);
-            let mut fp = Fingerprint::new();
-            cpu.visit_state(&mut fp);
-            if traced && divergence.is_none() && fp.value() != self.fps[at as usize] {
-                let units = self.diverging_units(at, fp.unit_hashes());
-                divergence = Some((at, units.first().copied()));
-            }
-            if let Some(d) = deep {
-                d.push(at, UnitId::diverged_mask(fp.unit_hashes(), &self.unit_fps[at as usize]));
-            }
-        }
         if let Some(tr) = trace {
             tr.detect_cycle = decided_at;
             if let Some((cycle, unit)) = divergence {
@@ -888,7 +916,175 @@ impl StartPoint {
                 tr.diverged_unit = unit;
             }
         }
-        make(outcome)
+        let attribute = traced && divergence.is_none();
+        let closing = (outcome != Outcome::MicroArchMatch && (attribute || deep.is_some()))
+            .then(|| {
+                // The outcome was decided without any µArch check observing
+                // the divergence (e.g. an architectural mismatch in the
+                // retire stream): attribute it with one hierarchical walk
+                // at the decision state. Deep mode reuses the same walk to
+                // close the timeline with the final diverged-unit set. The
+                // comparison against golden waits for `Rows::close`; the
+                // outcome is already sealed, so it cannot perturb
+                // classification.
+                let mut fp = Fingerprint::new();
+                cpu.visit_state(&mut fp);
+                Closing {
+                    at: last_step.min(self.horizon),
+                    root: fp.value(),
+                    units: *fp.unit_hashes(),
+                    attribute,
+                }
+            });
+        (make(outcome), closing)
+    }
+}
+
+/// Splits per-spec outputs into a [`TracedBatch`]: quarantined trials have
+/// no record, trace, or deep timeline; everything else stays in input
+/// order.
+pub(crate) fn keep_classified(
+    out: Vec<Option<TrialRecord>>,
+    traces: Vec<TrialTrace>,
+    mut deeps: Vec<DeepTrace>,
+    mut faults: Vec<TrialFault>,
+    traced: bool,
+    deep: bool,
+) -> TracedBatch {
+    faults.sort_by_key(|f| f.index);
+    let mut records = Vec::with_capacity(out.len());
+    let mut kept_traces = Vec::with_capacity(traces.len());
+    let mut kept_deeps = Vec::with_capacity(deeps.len());
+    for (i, rec) in out.into_iter().enumerate() {
+        if let Some(rec) = rec {
+            records.push(rec);
+            if traced {
+                kept_traces.push(traces[i]);
+            }
+            if deep {
+                kept_deeps.push(std::mem::take(&mut deeps[i]));
+            }
+        }
+    }
+    TracedBatch { records, traces: kept_traces, faults, deeps: kept_deeps, ..Default::default() }
+}
+
+/// A trial's decision-state fingerprint, waiting for the golden row of its
+/// decision cycle: what the traced paths' post-decision attribution and
+/// the deep timeline's closing sample compare.
+pub(crate) struct Closing {
+    /// The decision cycle, clamped to the golden horizon.
+    at: u64,
+    root: u128,
+    units: [u128; UnitId::COUNT],
+    /// Whether the trace still lacks a divergence: set it here if the
+    /// state differs from golden.
+    attribute: bool,
+}
+
+/// A fault-free replay of the golden continuation that hashes rows on
+/// demand, moving forward only.
+struct GoldenWalk {
+    cpu: Pipeline,
+    at: u64,
+    engine: CachedFingerprint,
+    hashed: u64,
+}
+
+impl GoldenWalk {
+    fn new(sp: &StartPoint) -> GoldenWalk {
+        GoldenWalk {
+            cpu: sp.checkpoint.clone(),
+            at: 0,
+            engine: CachedFingerprint::new(),
+            hashed: 0,
+        }
+    }
+
+    /// The golden row after `cycle` steps; `cycle` must not precede the
+    /// previous call's.
+    fn row(&mut self, cycle: u64) -> Row {
+        assert!(cycle >= self.at, "golden walk cannot step back from {} to {cycle}", self.at);
+        // Stepping a halted machine is a no-op: its state stays frozen.
+        while self.at < cycle && self.cpu.running() {
+            self.cpu.step();
+            self.at += 1;
+        }
+        self.at = cycle;
+        self.hashed += 1;
+        hash_row(&mut self.engine, &mut self.cpu)
+    }
+}
+
+/// The golden rows one batch's classifier reads: the start point's sparse
+/// grid, plus dense rows over `[lo, lo + dense.len())` covering every
+/// dense check window `(c, c + 64]` of the batch's injection cycles.
+pub(crate) struct Rows<'a> {
+    sp: &'a StartPoint,
+    lo: u64,
+    dense: Vec<Row>,
+    /// Positioned at the last dense row; resolves deferred closings.
+    walk: GoldenWalk,
+}
+
+impl<'a> Rows<'a> {
+    /// Hashes the dense rows for trials injected at `cycles`: one golden
+    /// walk over `[min, max + 64]`, clipped to the horizon. Grid cycles are
+    /// copied from the sparse rows.
+    pub(crate) fn new(sp: &'a StartPoint, cycles: impl Iterator<Item = u64>) -> Rows<'a> {
+        let (lo, hi) = cycles.fold((u64::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
+        let hi = hi.saturating_add(DENSE).min(sp.horizon);
+        let mut walk = GoldenWalk::new(sp);
+        let dense = (lo..=hi)
+            .map(|c| match c % SPARSE {
+                0 => sp.sparse[(c / SPARSE) as usize],
+                _ => walk.row(c),
+            })
+            .collect();
+        Rows { sp, lo, dense, walk }
+    }
+
+    /// The golden row after `cycle` steps, if the batch holds it.
+    pub(crate) fn get(&self, cycle: u64) -> Option<&Row> {
+        match cycle.checked_sub(self.lo).and_then(|k| self.dense.get(k as usize)) {
+            Some(row) => Some(row),
+            None if cycle.is_multiple_of(SPARSE) => self.sp.sparse.get((cycle / SPARSE) as usize),
+            None => None,
+        }
+    }
+
+    /// Golden rows hashed so far (dense rows and deferred closings).
+    pub(crate) fn hashed(&self) -> u64 {
+        self.walk.hashed
+    }
+
+    /// Resolves the batch's deferred closings, in ascending decision
+    /// cycle: rows the batch holds are read directly, the others come from
+    /// walking the golden run forward. `closings` pairs each with the spec
+    /// index of its slots in `traces` and `deeps` (either may be empty).
+    pub(crate) fn close(
+        &mut self,
+        mut closings: Vec<(usize, Closing)>,
+        traces: &mut [TrialTrace],
+        deeps: &mut [DeepTrace],
+    ) {
+        closings.sort_by_key(|(_, c)| c.at);
+        for (i, c) in closings {
+            let (root, units) = match self.get(c.at) {
+                Some(row) => *row,
+                None => self.walk.row(c.at),
+            };
+            let mask = UnitId::diverged_mask(&c.units, &units);
+            if c.attribute && c.root != root {
+                if let Some(tr) = traces.get_mut(i) {
+                    tr.divergence_cycle = Some(c.at);
+                    tr.diverged_unit = UnitId::from_mask(mask).next();
+                }
+            }
+            if let Some(d) = deeps.get_mut(i) {
+                d.push(c.at, mask);
+            }
+        }
     }
 }
 
@@ -1178,27 +1374,36 @@ mod tests {
     }
 
     #[test]
-    fn diverging_units_name_the_faulty_subtree() {
+    fn golden_rows_match_a_fault_free_clone_and_flips_diverge() {
         let sp = start_point();
-        // Walk a fault-free clone to some cycle: no unit diverges.
-        let k = 37u64;
+        // A batch injecting at cycle 30 holds the dense rows 30..=94; cycle
+        // 37 is off the sparse grid, 40 is on it.
+        let rows = Rows::new(&sp, std::iter::once(30));
         let mut cpu = sp.checkpoint.clone();
-        for _ in 0..k {
-            cpu.step();
-        }
-        let mut engine = CachedFingerprint::new();
-        let fp = engine.fingerprint(&mut cpu);
-        assert_eq!(fp, sp.fps[k as usize], "fault-free clone must match golden");
-        assert!(sp.diverging_units(k, engine.unit_hashes()).is_empty());
+        let mut walked = 0;
+        for k in [37u64, 40] {
+            while walked < k {
+                cpu.step();
+                walked += 1;
+            }
+            let (root, units) = rows.get(k).expect("row held by the batch");
+            let mut fp = Fingerprint::new();
+            cpu.visit_state(&mut fp);
+            assert_eq!(fp.value(), *root, "fault-free clone must match golden at {k}");
+            assert_eq!(fp.unit_hashes(), units);
 
-        // Flip a bit: the root diverges and at least one unit is named.
-        let mut flip = FlipBit::new(InjectionMask::LatchesAndRams, 12_345);
-        cpu.visit_state(&mut flip);
-        let mut fresh = CachedFingerprint::new();
-        let fp = fresh.fingerprint(&mut cpu);
-        assert_ne!(fp, sp.fps[k as usize]);
-        let diverged = sp.diverging_units(k, fresh.unit_hashes());
-        assert!(!diverged.is_empty(), "a flipped machine must name a diverging unit");
+            // Flip a bit: the root diverges and at least one unit is named.
+            let mut flipped = cpu.clone();
+            let mut flip = FlipBit::new(InjectionMask::LatchesAndRams, 12_345);
+            flipped.visit_state(&mut flip);
+            let mut fp = Fingerprint::new();
+            flipped.visit_state(&mut fp);
+            assert_ne!(fp.value(), *root);
+            assert_ne!(UnitId::diverged_mask(fp.unit_hashes(), units), 0);
+        }
+        // Off the grid and outside the dense window: deferred to the walk.
+        assert!(rows.get(101).is_none());
+        assert!(rows.get(104).is_some(), "grid rows are always held");
     }
 
     #[test]

@@ -64,7 +64,8 @@ impl AccessLog {
     }
 
     /// Drains buffered events in program order as `(ord, is_write)`.
-    pub fn drain(&mut self, f: &mut dyn FnMut(u32, bool)) {
+    #[inline]
+    pub fn drain(&mut self, mut f: impl FnMut(u32, bool)) {
         for &e in &self.events {
             f(e & !WRITE_BIT, e & WRITE_BIT != 0);
         }
@@ -82,7 +83,7 @@ mod tests {
         log.read(3);
         log.write(4);
         let mut seen = Vec::new();
-        log.drain(&mut |ord, w| seen.push((ord, w)));
+        log.drain(|ord, w| seen.push((ord, w)));
         assert!(seen.is_empty());
     }
 
@@ -94,10 +95,10 @@ mod tests {
         log.write(7);
         log.read(2);
         let mut seen = Vec::new();
-        log.drain(&mut |ord, w| seen.push((ord, w)));
+        log.drain(|ord, w| seen.push((ord, w)));
         assert_eq!(seen, vec![(7, false), (7, true), (2, false)]);
         let mut again = Vec::new();
-        log.drain(&mut |ord, w| again.push((ord, w)));
+        log.drain(|ord, w| again.push((ord, w)));
         assert!(again.is_empty(), "drain clears the buffer");
     }
 
@@ -108,7 +109,7 @@ mod tests {
         log.read(1);
         log.set_enabled(true);
         let mut seen = Vec::new();
-        log.drain(&mut |ord, w| seen.push((ord, w)));
+        log.drain(|ord, w| seen.push((ord, w)));
         assert!(seen.is_empty());
     }
 }

@@ -511,7 +511,7 @@ impl FuOp {
 /// The functional-unit complement of Figure 2: two simple ALUs, one
 /// complex ALU, one branch ALU, two address generation units.
 ///
-/// Carries its own word-granular [`AccessLog`] (extended footprint tier).
+/// Carries its own word-granular [`AccessLog`].
 /// The hot per-cycle loops touch only the `valid` word of idle slots (the
 /// short-circuit in every scan), so an idle unit's operand latches go
 /// untouched until the next install overwrites them whole — exactly the
@@ -708,7 +708,7 @@ mod tests {
         let _ = s.valid(3);
         s.set_issued(3, true);
         let mut events = Vec::new();
-        s.log.drain(&mut |ord, is_write| events.push((ord, is_write)));
+        s.log.drain(|ord, is_write| events.push((ord, is_write)));
         assert_eq!(
             events,
             vec![
@@ -719,7 +719,7 @@ mod tests {
         // A whole-entry install touches every reserved word exactly once.
         s.install(0, SchedEntry::default());
         let mut writes = 0;
-        s.log.drain(&mut |ord, is_write| {
+        s.log.drain(|ord, is_write| {
             assert!(is_write);
             assert!(ord < schedw::WORDS);
             writes += 1;

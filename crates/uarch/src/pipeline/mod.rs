@@ -480,84 +480,51 @@ impl Pipeline {
         self.flow_log = None;
     }
 
-    /// Enables (or disables) word-granular access logging in the tracked
-    /// RAM-like structures (LSQ, physical register file, MHRs). Logging is
-    /// instrumentation, not machine state: it never changes execution and
-    /// is not part of the visit walk. The word-parallel trial engine turns
-    /// it on for a private golden clone only.
-    pub fn set_access_tracking(&mut self, on: bool) {
-        self.lsq.log.set_enabled(on);
-        self.regfile.log.set_enabled(on);
-        self.mhrs.log.set_enabled(on);
-    }
-
-    /// Enables (or disables) the *extended* access-tracking tier: the core
-    /// structures plus every remaining loggable structure — fetch queue,
-    /// fetch-buffer and decode-pipe latches, rename maps and free lists,
-    /// scheduler, ROB, and functional units (the units declaring
-    /// [`tfsim_bitstate::Loggability::Extended`]). The analytic masking
-    /// pruner builds its footprint from this wider tier; the sliced trial
-    /// engine keeps the narrower core tier so its audited ride/heal kernel
-    /// is unchanged.
-    pub fn set_access_tracking_extended(&mut self, on: bool) {
-        self.set_access_tracking(on);
-        self.fq.log.set_enabled(on);
-        self.flatch_log.set_enabled(on);
-        self.spec_rat.log.set_enabled(on);
-        self.arch_rat.log.set_enabled(on);
-        self.spec_fl.log.set_enabled(on);
-        self.arch_fl.log.set_enabled(on);
-        self.sched.log.set_enabled(on);
-        self.rob.log.set_enabled(on);
-        self.fus.log.set_enabled(on);
+    /// Turns word-granular access logging on in the structures of
+    /// exactly the given fingerprint units, and off everywhere else,
+    /// discarding any undrained events. The loggable units are the load/
+    /// store queues, physical register file and miss handling registers
+    /// (the units declaring [`tfsim_bitstate::Loggability::Core`]) plus
+    /// the fetch queue and front-end latches, rename maps and free lists,
+    /// scheduler, ROB, and functional units (those declaring
+    /// [`tfsim_bitstate::Loggability::Extended`]); other units have
+    /// nothing to log. Logging is instrumentation, not machine state: it
+    /// never changes execution and is not part of the visit walk. The
+    /// trial engines turn it on for a private golden clone only.
+    pub fn set_access_tracking(&mut self, units: impl IntoIterator<Item = UnitId>) {
+        let mut on = [false; UnitId::COUNT];
+        for u in units {
+            on[u.index()] = true;
+        }
+        let on = |u: UnitId| on[u.index()];
+        self.fq.log.set_enabled(on(UnitId::Front));
+        self.flatch_log.set_enabled(on(UnitId::Front));
+        self.spec_rat.log.set_enabled(on(UnitId::Rename));
+        self.arch_rat.log.set_enabled(on(UnitId::Rename));
+        self.spec_fl.log.set_enabled(on(UnitId::Rename));
+        self.arch_fl.log.set_enabled(on(UnitId::Rename));
+        self.sched.log.set_enabled(on(UnitId::Sched));
+        self.rob.log.set_enabled(on(UnitId::Rob));
+        self.lsq.log.set_enabled(on(UnitId::Lsq));
+        self.fus.log.set_enabled(on(UnitId::Fus));
+        self.regfile.log.set_enabled(on(UnitId::Regfile));
+        self.mhrs.log.set_enabled(on(UnitId::ArchCtrl));
     }
 
     /// Drains every logged access since the previous drain, in program
-    /// order per structure (LSQ first, then register file, then MHRs),
-    /// mapping each structure-local fixed ordinal to the *visit-order*
-    /// field index inside the enclosing fingerprint unit for the active
-    /// configuration. `f(unit, field_ordinal, is_write)`.
-    pub fn drain_accesses(&mut self, f: &mut dyn FnMut(UnitId, u32, bool)) {
-        let ptr_ecc = self.config.pointer_ecc;
-        // Without pointer ECC the per-entry `dst_ecc` field is absent from
-        // the visit walk: drop its events and close the gap.
-        let lq_words = if ptr_ecc { lqw::WORDS } else { lqw::WORDS - 1 };
-        let sq_visit_base = sizes::LOAD_QUEUE as u32 * lq_words;
-        self.lsq.log.drain(&mut |ord, w| {
-            if ord < SQ_BASE {
-                let entry = ord / lqw::WORDS;
-                let k = ord % lqw::WORDS;
-                if !ptr_ecc && k == lqw::DST_ECC {
-                    return;
-                }
-                let k = if !ptr_ecc && k > lqw::DST_ECC { k - 1 } else { k };
-                f(UnitId::Lsq, entry * lq_words + k, w);
-            } else {
-                f(UnitId::Lsq, sq_visit_base + (ord - SQ_BASE), w);
-            }
-        });
-        // Regfile local ordinals coincide with the unit's visit order for
-        // every configuration (the ECC fields come after and are never
-        // logged).
-        self.regfile.log.drain(&mut |ord, w| f(UnitId::Regfile, ord, w));
-        // ArchCtrl visit order: 80 spec_ready bools, then the MHR fields.
-        let mhr_base = sizes::PHYS_REGS as u32;
-        self.mhrs.log.drain(&mut |ord, w| f(UnitId::ArchCtrl, mhr_base + ord, w));
-    }
-
-    /// Drains every logged access of the *extended* tier (fetch queue,
-    /// rename structures, scheduler, ROB, then the core structures), with
-    /// the same `(unit, visit-order field ordinal, is_write)` contract as
-    /// [`Pipeline::drain_accesses`]. Entry-granular logs (fetch queue,
-    /// ROB) are expanded to every visit word of the touched entry.
-    pub fn drain_accesses_extended(&mut self, f: &mut dyn FnMut(UnitId, u32, bool)) {
+    /// order per structure, mapping each structure-local fixed ordinal to
+    /// the *visit-order* field index inside the enclosing fingerprint unit
+    /// for the active configuration. `f(unit, field_ordinal, is_write)`.
+    /// Entry-granular logs (fetch queue, ROB) are expanded to every visit
+    /// word of the touched entry.
+    pub fn drain_accesses(&mut self, mut f: impl FnMut(UnitId, u32, bool)) {
         let parity = self.config.insn_parity;
         let ptr_ecc = self.config.pointer_ecc;
         // Front: fetch-queue slots sit after the 6 scalar fetch-control
         // latches and the 3x8 fetch-buffer slots in the unit's walk.
         let sw = 8 + parity as u32;
         let fq_base = 6 + 3 * sizes::FETCH_WIDTH as u32 * sw;
-        self.fq.log.drain(&mut |entry, w| {
+        self.fq.log.drain(|entry, w| {
             let base = fq_base + entry * sw;
             for k in 0..sw {
                 f(UnitId::Front, base + k, w);
@@ -568,7 +535,7 @@ impl Pipeline {
         // after the 6 fetch-control scalars; the decode/rename pipe sits
         // after the fetch queue and its 3 ring-pointer latches.
         let dec_base = fq_base + sizes::FETCH_QUEUE as u32 * sw + 3;
-        self.flatch_log.drain(&mut |ord, w| {
+        self.flatch_log.drain(|ord, w| {
             let (slot, k) = (ord / flw::WORDS, ord % flw::WORDS);
             if k == flw::PARITY && !parity {
                 return;
@@ -584,17 +551,17 @@ impl Pipeline {
         // never logged).
         let rat_words: u32 = if ptr_ecc { 64 } else { 32 };
         let fl_words: u32 = if ptr_ecc { 96 + 3 } else { 48 + 3 };
-        self.spec_rat.log.drain(&mut |ord, w| f(UnitId::Rename, ord, w));
-        self.arch_rat.log.drain(&mut |ord, w| f(UnitId::Rename, rat_words + ord, w));
-        self.spec_fl.log.drain(&mut |ord, w| f(UnitId::Rename, 2 * rat_words + ord, w));
+        self.spec_rat.log.drain(|ord, w| f(UnitId::Rename, ord, w));
+        self.arch_rat.log.drain(|ord, w| f(UnitId::Rename, rat_words + ord, w));
+        self.spec_fl.log.drain(|ord, w| f(UnitId::Rename, 2 * rat_words + ord, w));
         self.arch_fl
             .log
-            .drain(&mut |ord, w| f(UnitId::Rename, 2 * rat_words + fl_words + ord, w));
+            .drain(|ord, w| f(UnitId::Rename, 2 * rat_words + fl_words + ord, w));
         // Sched: fixed 23-word numbering; without pointer ECC the last
         // four (ECC) words are absent from the walk — drop their events
         // (they sit at the end of the entry, so no gap closes).
         let sched_vw = if ptr_ecc { schedw::WORDS } else { schedw::WORDS - 4 };
-        self.sched.log.drain(&mut |ord, w| {
+        self.sched.log.drain(|ord, w| {
             let (entry, k) = (ord / schedw::WORDS, ord % schedw::WORDS);
             if k < sched_vw {
                 f(UnitId::Sched, entry * sched_vw + k, w);
@@ -602,7 +569,7 @@ impl Pipeline {
         });
         // Rob: entry-granular, expanded to the entry's visit words.
         let rob_vw = 16 + parity as u32 + if ptr_ecc { 2 } else { 0 };
-        self.rob.log.drain(&mut |entry, w| {
+        self.rob.log.drain(|entry, w| {
             let base = entry * rob_vw;
             for k in 0..rob_vw {
                 f(UnitId::Rob, base + k, w);
@@ -611,41 +578,46 @@ impl Pipeline {
         // Functional units: fixed 28-word slots; the four pointer-ECC
         // words at the end drop out when the protection is off.
         let fu_vw = if ptr_ecc { fuw::WORDS } else { fuw::WORDS - 4 };
-        self.fus.log.drain(&mut |ord, w| {
+        self.fus.log.drain(|ord, w| {
             let (slot, k) = (ord / fuw::WORDS, ord % fuw::WORDS);
             if k < fu_vw {
                 f(UnitId::Fus, slot * fu_vw + k, w);
             }
         });
-        self.drain_accesses(f);
+        // LSQ: without pointer ECC the per-entry `dst_ecc` field is absent
+        // from the visit walk: drop its events and close the gap.
+        let lq_words = if ptr_ecc { lqw::WORDS } else { lqw::WORDS - 1 };
+        let sq_visit_base = sizes::LOAD_QUEUE as u32 * lq_words;
+        self.lsq.log.drain(|ord, w| {
+            if ord < SQ_BASE {
+                let entry = ord / lqw::WORDS;
+                let k = ord % lqw::WORDS;
+                if !ptr_ecc && k == lqw::DST_ECC {
+                    return;
+                }
+                let k = if !ptr_ecc && k > lqw::DST_ECC { k - 1 } else { k };
+                f(UnitId::Lsq, entry * lq_words + k, w);
+            } else {
+                f(UnitId::Lsq, sq_visit_base + (ord - SQ_BASE), w);
+            }
+        });
+        // Regfile local ordinals coincide with the unit's visit order for
+        // every configuration (the ECC fields come after and are never
+        // logged).
+        self.regfile.log.drain(|ord, w| f(UnitId::Regfile, ord, w));
+        // ArchCtrl visit order: 80 spec_ready bools, then the MHR fields.
+        let mhr_base = sizes::PHYS_REGS as u32;
+        self.mhrs.log.drain(|ord, w| f(UnitId::ArchCtrl, mhr_base + ord, w));
     }
 
     /// Whether a `(unit, visit-order field ordinal)` pair lies inside the
     /// range covered by the access log (the word set `drain_accesses` can
-    /// report). Faults in untracked words cannot be reasoned about from a
-    /// golden access footprint and must take a scalar trial path.
+    /// report). Queue-control latches (ring pointers), the fetch-control
+    /// scalars, register-file ECC syndromes and the ArchCtrl latches
+    /// outside the MHRs stay untracked. Faults in untracked words cannot
+    /// be reasoned about from a golden access footprint and must take a
+    /// scalar trial path.
     pub fn access_tracked(&self, unit: UnitId, ord: u32) -> bool {
-        let lq_words =
-            if self.config.pointer_ecc { lqw::WORDS } else { lqw::WORDS - 1 };
-        match unit {
-            UnitId::Lsq => {
-                ord < sizes::LOAD_QUEUE as u32 * lq_words
-                    + sizes::STORE_QUEUE as u32 * sqw::WORDS
-            }
-            UnitId::Regfile => ord < 3 * sizes::PHYS_REGS as u32,
-            UnitId::ArchCtrl => {
-                let mhr_base = sizes::PHYS_REGS as u32;
-                (mhr_base..mhr_base + sizes::MHRS as u32 * 3).contains(&ord)
-            }
-            _ => false,
-        }
-    }
-
-    /// Like [`Pipeline::access_tracked`], but for the word set
-    /// [`Pipeline::drain_accesses_extended`] covers. Queue-control
-    /// latches (the fetch queue's ring pointers) and the fetch-control
-    /// scalars remain untracked in every tier.
-    pub fn access_tracked_extended(&self, unit: UnitId, ord: u32) -> bool {
         let parity = self.config.insn_parity;
         let ptr_ecc = self.config.pointer_ecc;
         match unit {
@@ -679,7 +651,17 @@ impl Pipeline {
                 let vw = 16 + parity as u32 + if ptr_ecc { 2 } else { 0 };
                 ord < sizes::ROB as u32 * vw
             }
-            _ => self.access_tracked(unit, ord),
+            UnitId::Lsq => {
+                let lq_words = if ptr_ecc { lqw::WORDS } else { lqw::WORDS - 1 };
+                ord < sizes::LOAD_QUEUE as u32 * lq_words
+                    + sizes::STORE_QUEUE as u32 * sqw::WORDS
+            }
+            UnitId::Regfile => ord < 3 * sizes::PHYS_REGS as u32,
+            UnitId::ArchCtrl => {
+                let mhr_base = sizes::PHYS_REGS as u32;
+                (mhr_base..mhr_base + sizes::MHRS as u32 * 3).contains(&ord)
+            }
+            _ => false,
         }
     }
 

@@ -878,11 +878,11 @@ mod access_ordinals {
             .collect();
 
         let mut tracked = tiny_pipeline(config);
-        tracked.set_access_tracking(true);
+        tracked.set_access_tracking(UnitId::ALL);
         op(&mut tracked);
         let mut reads = BTreeSet::new();
         let mut writes = BTreeSet::new();
-        tracked.drain_accesses(&mut |u, o, w| {
+        tracked.drain_accesses(|u, o, w| {
             if w {
                 writes.insert((u, o));
             } else {
@@ -950,17 +950,17 @@ mod access_ordinals {
     #[test]
     fn dst_ecc_events_exist_only_under_pointer_ecc() {
         let mut cpu = tiny_pipeline(PipelineConfig::baseline());
-        cpu.set_access_tracking(true);
+        cpu.set_access_tracking(UnitId::ALL);
         let _ = cpu.lsq.lq_dst_ecc(3);
         let mut events = Vec::new();
-        cpu.drain_accesses(&mut |u, o, w| events.push((u, o, w)));
+        cpu.drain_accesses(|u, o, w| events.push((u, o, w)));
         assert!(events.is_empty(), "dst_ecc is absent from the baseline walk: {events:?}");
 
         let mut cpu = tiny_pipeline(PipelineConfig::protected());
-        cpu.set_access_tracking(true);
+        cpu.set_access_tracking(UnitId::ALL);
         let _ = cpu.lsq.lq_dst_ecc(3);
         let mut events = Vec::new();
-        cpu.drain_accesses(&mut |u, o, w| events.push((u, o, w)));
+        cpu.drain_accesses(|u, o, w| events.push((u, o, w)));
         assert_eq!(events, vec![(UnitId::Lsq, 3 * lqw::WORDS + lqw::DST_ECC, false)]);
     }
 
@@ -1065,21 +1065,21 @@ mod access_ordinals {
         }
     }
 
-    // --- Extended tier ---------------------------------------------------
+    // --- Extended units --------------------------------------------------
     //
-    // The analytic masking pruner builds its footprint from the *extended*
-    // tracking tier (fetch queue, rename structures, scheduler, ROB on top
-    // of the core set). Its soundness contract is weaker on the write side
-    // than the core tier's: structures may under-claim writes by logging a
-    // read instead (a spurious read only demotes a lane from heal to peel,
-    // which is always simulated). What must never happen is a tracked word
-    // changing with *no* event at all — that would let the pruner prove a
-    // "ride" for a word the machine actually touched.
+    // The analytic masking pruner also reads the units declaring
+    // `Loggability::Extended` (fetch queue, rename structures, scheduler,
+    // ROB, functional units). Their soundness contract is weaker on the
+    // write side than the core units': structures may under-claim writes
+    // by logging a read instead (a spurious read only demotes a lane from
+    // heal to peel, which is always simulated). What must never happen is
+    // a tracked word changing with *no* event at all — that would let the
+    // pruner prove a "ride" for a word the machine actually touched.
 
     /// Runs `op` untracked and diffs the state walk; runs it again with
-    /// extended tracking and drains. Asserts every changed
-    /// extended-tracked field is covered by *some* logged event, and
-    /// returns the (reads, writes) event sets.
+    /// tracking on and drains. Asserts every changed tracked field is
+    /// covered by *some* logged event, and returns the (reads, writes)
+    /// event sets.
     fn check_extended_events(
         config: PipelineConfig,
         op: &dyn Fn(&mut Pipeline),
@@ -1091,11 +1091,11 @@ mod access_ordinals {
         assert_eq!(before.len(), after.len(), "visit shape changed");
 
         let mut tracked = tiny_pipeline(config);
-        tracked.set_access_tracking_extended(true);
+        tracked.set_access_tracking(UnitId::ALL);
         op(&mut tracked);
         let mut reads = BTreeSet::new();
         let mut writes = BTreeSet::new();
-        tracked.drain_accesses_extended(&mut |u, o, w| {
+        tracked.drain_accesses(|u, o, w| {
             if w {
                 writes.insert((u, o));
             } else {
@@ -1105,10 +1105,10 @@ mod access_ordinals {
         for ((bu, bo, bv), (_, _, av)) in before.iter().zip(after.iter()) {
             if bv != av {
                 let u = bu.expect("changed field outside any unit");
-                if tracked.access_tracked_extended(u, *bo) {
+                if tracked.access_tracked(u, *bo) {
                     assert!(
                         writes.contains(&(u, *bo)) || reads.contains(&(u, *bo)),
-                        "changed extended-tracked {u:?} ordinal {bo} with no logged event\nreads: {reads:?}\nwrites: {writes:?}"
+                        "changed tracked {u:?} ordinal {bo} with no logged event\nreads: {reads:?}\nwrites: {writes:?}"
                     );
                 }
             }
@@ -1185,11 +1185,11 @@ mod access_ordinals {
     }
 
     #[test]
-    fn extended_stepping_covers_all_tracked_changes() {
+    fn stepping_logs_an_event_for_every_tracked_change() {
         // Integration for the pruner's footprint: run real cycles (store,
-        // load, a loop branch) with extended tracking on; every change the
-        // step made to an extended-tracked word must come with some logged
-        // event that cycle.
+        // load, a loop branch) with tracking on; every change the step
+        // made to a tracked word must come with some logged event that
+        // cycle.
         for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
             let build = || {
                 let mut a = Asm::new(0x1_0000);
@@ -1206,23 +1206,23 @@ mod access_ordinals {
             };
             let mut plain = build();
             let mut tracked = build();
-            tracked.set_access_tracking_extended(true);
+            tracked.set_access_tracking(UnitId::ALL);
             for _ in 0..80 {
                 let before = dump(&mut plain);
                 plain.step();
                 let after = dump(&mut plain);
                 tracked.step();
                 let mut events = BTreeSet::new();
-                tracked.drain_accesses_extended(&mut |u, o, _| {
+                tracked.drain_accesses(|u, o, _| {
                     events.insert((u, o));
                 });
                 for ((bu, bo, bv), (_, _, av)) in before.iter().zip(after.iter()) {
                     if bv != av {
                         if let Some(u) = bu {
-                            if tracked.access_tracked_extended(*u, *bo) {
+                            if tracked.access_tracked(*u, *bo) {
                                 assert!(
                                     events.contains(&(*u, *bo)),
-                                    "cycle changed extended-tracked {u:?} ordinal {bo} without logging"
+                                    "cycle changed tracked {u:?} ordinal {bo} without logging"
                                 );
                             }
                         }
@@ -1237,38 +1237,33 @@ mod access_ordinals {
     }
 
     #[test]
-    fn loggability_tiers_match_tracking_coverage() {
+    fn loggability_matches_tracking_coverage() {
         // The per-unit `Loggability` declaration must agree with what the
-        // two drain tiers actually cover: Core units have tracked words in
-        // both tiers, Extended units only in the extended tier, and
-        // Unlogged/Shadow units in neither.
+        // drain covers: Core and Extended units have tracked words (Core
+        // exactly the words `is_tracked` names, which the write-exact
+        // tests above audit), Unlogged and Shadow units none.
         use tfsim_bitstate::Loggability;
         for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
             let cpu = tiny_pipeline(config);
             for unit in UnitId::ALL {
-                let core = (0..4096).any(|o| cpu.access_tracked(unit, o));
-                let extended = (0..4096).any(|o| cpu.access_tracked_extended(unit, o));
-                // The extended tier is a superset of the core tier.
-                for o in 0..4096 {
-                    assert!(
-                        !cpu.access_tracked(unit, o) || cpu.access_tracked_extended(unit, o),
-                        "{unit:?} ordinal {o} tracked in core but not extended"
-                    );
-                }
+                let tracked = (0..4096).any(|o| cpu.access_tracked(unit, o));
                 match unit.loggability() {
                     Loggability::Core => {
-                        assert!(core, "{unit:?} declares Core but has no core-tracked words");
+                        for o in 0..4096 {
+                            assert_eq!(
+                                cpu.access_tracked(unit, o),
+                                is_tracked(config, unit, o),
+                                "{unit:?} ordinal {o}"
+                            );
+                        }
+                        assert!(tracked, "{unit:?} declares Core but has no tracked words");
                     }
                     Loggability::Extended => {
-                        assert!(!core, "{unit:?} declares Extended but is core-tracked");
-                        assert!(
-                            extended,
-                            "{unit:?} declares Extended but has no extended-tracked words"
-                        );
+                        assert!(tracked, "{unit:?} declares Extended but has no tracked words");
                     }
                     Loggability::Unlogged | Loggability::Shadow => {
                         assert!(
-                            !extended,
+                            !tracked,
                             "{unit:?} declares {:?} but has tracked words",
                             unit.loggability()
                         );
@@ -1279,6 +1274,50 @@ mod access_ordinals {
     }
 
     #[test]
+    fn tracking_logs_exactly_the_selected_units() {
+        let build = || {
+            let mut a = Asm::new(0x1_0000);
+            a.li(Reg::R1, 0x10_0000);
+            a.li(Reg::R2, 6);
+            let top = a.here_label();
+            a.stq(Reg::R2, Reg::R1, 0);
+            a.ldq(Reg::R3, Reg::R1, 0);
+            a.subq_i(Reg::R2, 1, Reg::R2);
+            a.bne(Reg::R2, top);
+            a.halt();
+            let p = Program::new("loopy", a).with_data(0x10_0000, vec![0u8; 64]);
+            Pipeline::new(&p, PipelineConfig::baseline())
+        };
+        let units_logged = |cpu: &mut Pipeline| {
+            let mut seen = BTreeSet::new();
+            for _ in 0..60 {
+                cpu.step();
+                cpu.drain_accesses(|u, _, _| {
+                    seen.insert(u);
+                });
+            }
+            seen
+        };
+        let mut all = build();
+        all.set_access_tracking(UnitId::ALL);
+        let every = units_logged(&mut all);
+        assert!(every.len() >= 8, "every loggable unit logs: {every:?}");
+
+        let mut two = build();
+        two.set_access_tracking([UnitId::Rob, UnitId::Regfile]);
+        assert_eq!(units_logged(&mut two), BTreeSet::from([UnitId::Rob, UnitId::Regfile]));
+        // Re-selecting switches the others off.
+        let mut one = build();
+        one.set_access_tracking([UnitId::Rob, UnitId::Regfile]);
+        one.set_access_tracking([UnitId::Lsq]);
+        assert_eq!(units_logged(&mut one), BTreeSet::from([UnitId::Lsq]));
+        let mut none = build();
+        none.set_access_tracking(UnitId::ALL);
+        none.set_access_tracking([]);
+        assert!(units_logged(&mut none).is_empty());
+    }
+
+    #[test]
     fn stepping_with_tracking_covers_all_tracked_changes() {
         // Integration: run real cycles with tracking on; every change the
         // step made to a tracked word must be covered by a logged write or
@@ -1286,14 +1325,14 @@ mod access_ordinals {
         for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
             let mut plain = tiny_pipeline(config);
             let mut tracked = tiny_pipeline(config);
-            tracked.set_access_tracking(true);
+            tracked.set_access_tracking(UnitId::ALL);
             for _ in 0..40 {
                 let before = dump(&mut plain);
                 plain.step();
                 let after = dump(&mut plain);
                 tracked.step();
                 let mut writes = BTreeSet::new();
-                tracked.drain_accesses(&mut |u, o, w| {
+                tracked.drain_accesses(|u, o, w| {
                     if w {
                         writes.insert((u, o));
                     }

@@ -126,7 +126,7 @@ pub struct FetchQueue {
     pub tail: u64,
     /// Occupancy (6-bit).
     pub count: u64,
-    /// Entry-granular access log (extended-tier tracking).
+    /// Entry-granular access log.
     pub log: AccessLog,
 }
 
@@ -366,7 +366,7 @@ pub struct Rob {
     pub tail: u64,
     /// Occupancy (7-bit).
     pub count: u64,
-    /// Entry-granular access log (extended-tier tracking).
+    /// Entry-granular access log.
     pub log: AccessLog,
 }
 

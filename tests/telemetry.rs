@@ -273,7 +273,8 @@ fn deep_trace_schema_version_gates_parsing() {
 #[test]
 fn journal_bytes_are_identical_across_trace_levels() {
     let journal_bytes = |tag: &str, deep: bool, with_sink: bool| {
-        let mut cfg = tiny_config(5, 0);
+        // One worker: tasks append journal lines in completion order.
+        let mut cfg = tiny_config(5, 1);
         cfg.deep_trace = deep;
         let workloads = tiny_workloads();
         let path = std::env::temp_dir()
@@ -303,4 +304,81 @@ fn journal_bytes_are_identical_across_trace_levels() {
     let deep = journal_bytes("deep", true, true);
     assert_eq!(untraced, traced, "traced journal diverged from untraced");
     assert_eq!(untraced, deep, "deep-traced journal diverged from untraced");
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Pins what the engines journal and stream — traces, divergence cycles,
+/// attributed units and deep timelines, not just the census — to fixed
+/// digests, so an engine change that moves any of them shows here. The
+/// injection window and monitor are not multiples of 8, so decision
+/// cycles fall off the sparse golden-row grid; the campaign is journaled
+/// (journals carry traces) and deep-traced (every non-matching trial
+/// closes its timeline at its decision cycle). Re-pin only for a change
+/// that alters the science on purpose.
+#[test]
+fn trace_and_journal_bytes_are_pinned_across_engines() {
+    let run = |tag: &str, sliced: bool, pruned: bool| {
+        let mut cfg = tiny_config(9, 1);
+        cfg.start_points = 2;
+        cfg.trials_per_start_point = 32;
+        cfg.inject_window = 203;
+        cfg.monitor_cycles = 1_203;
+        cfg.deep_trace = true;
+        cfg.sliced = sliced;
+        cfg.pruned = pruned;
+        let workloads = tiny_workloads();
+        let path = std::env::temp_dir()
+            .join(format!("tfsim-pinned-journal-{}-{tag}.jsonl", std::process::id()));
+        let j = CampaignJournal::create(&path, &JournalMeta::new(&cfg, &workloads)).unwrap();
+        let sink = RingSink::new(1 << 18);
+        let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
+        run_campaign_journaled(&cfg, &workloads, &obs, Some(&j));
+        drop(j);
+        let journal = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let stream: String =
+            strip_wall_clock(&sink.events()).iter().map(|e| e.to_json() + "\n").collect();
+        (fnv1a(&journal), fnv1a(stream.as_bytes()))
+    };
+    // The journal leaves the engine out of its identity; the pruned
+    // stream differs only in its footer's disposition tally.
+    const JOURNAL: u64 = 0x59c3_ed54_83bc_77c1;
+    const STREAM: u64 = 0xb047_163e_2ace_fc21;
+    const PRUNED_STREAM: u64 = 0x7222_520a_8dd3_0a42;
+    assert_eq!(run("ladder", false, false), (JOURNAL, STREAM), "ladder");
+    assert_eq!(run("sliced", true, false), (JOURNAL, STREAM), "sliced");
+    assert_eq!(run("pruned", false, true), (JOURNAL, PRUNED_STREAM), "pruned");
+}
+
+/// The telemetry footer's work counters are exact: a fixed pruned campaign
+/// hashes the same golden rows and keeps the same access-footprint events
+/// at any worker count.
+#[test]
+fn work_counters_are_exact_for_a_fixed_campaign() {
+    let counters = |threads: usize| {
+        let mut cfg = tiny_config(13, threads);
+        cfg.pruned = true;
+        let sink = RingSink::new(1 << 12);
+        let metrics = CampaignMetrics::new();
+        let obs = CampaignObs { sink: &sink, metrics: Some(&metrics), progress: None, spans: None };
+        run_campaign_observed(&cfg, &tiny_workloads(), &obs);
+        let footer = metrics.render();
+        let counter = |name: &str| -> u64 {
+            footer
+                .lines()
+                .find_map(|l| l.trim_start().strip_prefix(name))
+                .unwrap_or_else(|| panic!("{name} missing from the footer:\n{footer}"))
+                .trim()
+                .parse()
+                .expect("counter value")
+        };
+        (counter("golden/rows_hashed"), counter("footprint/events_kept"))
+    };
+    let pinned = (813, 25);
+    assert_eq!(counters(1), pinned, "one worker");
+    assert_eq!(counters(2), pinned, "two workers");
 }
