@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Campaign-throughput benchmark runner.
 #
-# Builds the perf binary in release mode, runs the injection benchmarks
-# (or any other filter passed as $1), prints the human-readable table to
-# stderr, and records the machine-readable results — one JSON object per
-# line — to BENCH_campaign.json.
+# Builds the perf binary in release mode, runs the injection and
+# Figure 11 benchmarks (or any other filters passed as arguments), prints
+# the human-readable table to stderr, and records the machine-readable
+# results — one JSON object per line — to BENCH_campaign.json.
 #
-#   ./bench.sh                 # inject/ benches -> BENCH_campaign.json
-#   ./bench.sh pipeline/       # any other filter, same output file
+#   ./bench.sh                 # inject/ and arch/ benches -> BENCH_campaign.json
+#   ./bench.sh pipeline/       # any other filters, same output file
 #
 # TFSIM_BENCH_SAMPLES / TFSIM_BENCH_SAMPLE_MS tune the measurement (see
 # crates/check/src/bench.rs). The headline number is the ratio of the
@@ -52,14 +52,23 @@
 # two-workers/in-process median ratio is the full lease-protocol + wire +
 # merge overhead and is gated <= 1.15x: distributing over localhost must
 # stay within noise of the thread pool, because task compute dominates.
+#
+# The Figure 11 pair `arch/sw-ladder-vs-naive/{naive,ladder}` runs one
+# 40-trial `reg-bit-64` plan on `mcf-like` through per-trial
+# `swinject::run_trial` and through `swinject::run_campaign` (the
+# fault-free prefix run once, trials stopped at exact reconvergence). The
+# ladder/naive median ratio is gated <= 0.5.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-filter="${1:-inject/}"
+[ $# -gt 0 ] || set -- inject/ arch/
 out=BENCH_campaign.json
 
-cargo run --release --offline -q -p tfsim-bench --bin perf -- "$filter" --json \
-  | tee /dev/stderr | grep '^{' > "$out"
+: > "$out"
+for filter in "$@"; do
+  cargo run --release --offline -q -p tfsim-bench --bin perf -- "$filter" --json \
+    | tee /dev/stderr | grep '^{' >> "$out"
+done
 echo "wrote $out" >&2
 
 # Overhead gates (only when the run recorded the trio).
@@ -84,5 +93,13 @@ if [ -n "$inproc" ] && [ -n "$distrib" ]; then
   awk -v i="$inproc" -v d="$distrib" 'BEGIN {
     printf "two-workers/in-process: %.3fx\n", d/i
     if (d > 1.15 * i) { print "GATE FAIL: distributed exceeds in-process by >15%"; exit 1 }
+  }' >&2
+fi
+naive=$(median "arch/sw-ladder-vs-naive/naive")
+ladder=$(median "arch/sw-ladder-vs-naive/ladder")
+if [ -n "$naive" ] && [ -n "$ladder" ]; then
+  awk -v n="$naive" -v l="$ladder" 'BEGIN {
+    printf "sw ladder/naive: %.3fx\n", l/n
+    if (l > 0.5 * n) { print "GATE FAIL: Figure 11 ladder exceeds 0.5x naive"; exit 1 }
   }' >&2
 fi

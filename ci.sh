@@ -11,16 +11,19 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo clippy --offline -- -D warnings"
-cargo clippy --offline --all-targets -- -D warnings
+echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> perf smoke (timings non-gating, exit status gating)"
-# One minimal sample through the injection benches so the bench binary and
-# bench.sh's data source can never bit-rot. Timings from a 1-sample run are
-# meaningless and are NOT compared against anything, but a bench binary
-# that crashes is a real regression, so its exit status gates.
-TFSIM_BENCH_SAMPLES=1 TFSIM_BENCH_SAMPLE_MS=1 \
-    cargo run --release --offline -q -p tfsim-bench --bin perf -- inject/
+# One minimal sample through the injection and Figure 11 benches so the
+# bench binary and bench.sh's data source can never bit-rot. Timings from
+# a 1-sample run are meaningless and are NOT compared against anything,
+# but a bench binary that crashes is a real regression, so its exit
+# status gates.
+for filter in inject/ arch/; do
+    TFSIM_BENCH_SAMPLES=1 TFSIM_BENCH_SAMPLE_MS=1 \
+        cargo run --release --offline -q -p tfsim-bench --bin perf -- "$filter"
+done
 
 echo "==> sliced/pruned-engine census and journal smoke (gating)"
 # A short campaign through the word-parallel (bit-sliced) engine and the

@@ -1,7 +1,7 @@
 //! The functional simulator core.
 
 use tfsim_isa::{alu, decode, syscall, ExecClass, Mnemonic, PalFunc, Program, Reg};
-use tfsim_mem::{is_aligned, PageSet, SparseMemory};
+use tfsim_mem::{is_aligned, PageSet, SparseMemory, PAGE_SIZE};
 
 /// Program-visible register and control state.
 ///
@@ -178,6 +178,9 @@ pub struct FuncSim {
     retired: u64,
     syscalls: u64,
     code_pages: PageSet,
+    /// The page `code_pages` last received from a fetch: fetches that
+    /// stay on it skip the insert.
+    last_code_page: u64,
     data_pages: PageSet,
     pending_fault: Option<ArchFault>,
 }
@@ -200,6 +203,7 @@ impl FuncSim {
             retired: 0,
             syscalls: 0,
             code_pages,
+            last_code_page: u64::MAX,
             data_pages,
             pending_fault: None,
         }
@@ -271,7 +275,10 @@ impl FuncSim {
         }
 
         let pc = self.state.pc;
-        self.code_pages.insert_range(pc, 4);
+        if pc / PAGE_SIZE != self.last_code_page || pc % PAGE_SIZE > PAGE_SIZE - 4 {
+            self.code_pages.insert_range(pc, 4);
+            self.last_code_page = pc / PAGE_SIZE;
+        }
         let mut raw = self.mem.read_u32(pc);
 
         // Fault models operating on the instruction word.
@@ -405,9 +412,16 @@ impl FuncSim {
                                 // destinations in the pipeline model).
                                 let buf = self.state.read_reg(Reg::A1);
                                 let len = self.state.read_reg(Reg::A2).min(1 << 20);
-                                for i in 0..len {
-                                    self.output.push(self.mem.read_u8(buf.wrapping_add(i)));
-                                    self.data_pages.insert_addr(buf.wrapping_add(i));
+                                let start = self.output.len();
+                                self.output.resize(start + len as usize, 0);
+                                self.mem.read_bytes(buf, &mut self.output[start..]);
+                                // Every page the buffer touches (it may
+                                // wrap around the address space).
+                                let mut i = 0;
+                                while i < len {
+                                    let addr = buf.wrapping_add(i);
+                                    self.data_pages.insert_addr(addr);
+                                    i += PAGE_SIZE - addr % PAGE_SIZE;
                                 }
                             }
                             _ => raise!(Exception::BadPalCall),
@@ -720,5 +734,42 @@ mod tests {
         sim.run(100);
         assert!(sim.code_pages().covers(0x1_0000, 4));
         assert!(!sim.code_pages().covers(0x9_0000, 4));
+    }
+
+    /// Code stored at run time across a page boundary outside the image,
+    /// called twice: `code_pages` equals the set per-instruction inserts
+    /// build, and gains both pages.
+    #[test]
+    fn code_pages_track_fetches_outside_the_image() {
+        const STUB: u64 = 0x3_fff8; // two words before a page boundary
+        let mut stub = Asm::new(STUB);
+        stub.li(Reg::R9, 7);
+        stub.mov(Reg::R9, Reg::R10);
+        stub.addq(Reg::R9, Reg::R10, Reg::R11);
+        stub.ret(Reg::RA);
+        let mut a = Asm::new(0x1_0000);
+        for (i, w) in stub.finish_words().into_iter().enumerate() {
+            a.li(Reg::R2, w as u64);
+            a.li(Reg::R1, STUB + 4 * i as u64);
+            a.stl(Reg::R2, Reg::R1, 0);
+        }
+        a.li(Reg::R1, STUB);
+        a.jsr(Reg::RA, Reg::R1);
+        a.jsr(Reg::RA, Reg::R1);
+        a.li(Reg::V0, syscall::EXIT);
+        a.mov(Reg::R11, Reg::A0);
+        a.callsys();
+        let p = Program::new("stub", a);
+        let mut sim = FuncSim::new(&p);
+        let mut expect = sim.code_pages().clone();
+        loop {
+            expect.insert_range(sim.state.pc, 4);
+            if !matches!(sim.step(), StepEvent::Retired(_)) {
+                break;
+            }
+        }
+        assert_eq!(sim.exit_code(), Some(14));
+        assert_eq!(sim.code_pages(), &expect);
+        assert!(sim.code_pages().covers(STUB, 16), "both stub pages fetched");
     }
 }

@@ -14,9 +14,10 @@
 
 use std::net::TcpListener;
 
+use tfsim_arch::swinject::{self, FaultModel, SwTally};
 use tfsim_arch::FuncSim;
 use tfsim_bitstate::{fingerprint_of, FieldMeta, InjectionMask, StateVisitor, UnitId, VisitState};
-use tfsim_check::Bench;
+use tfsim_check::{Bench, Rng};
 use tfsim_inject::{
     run_campaign_journaled, run_campaign_with_tasks, run_worker, serve_campaign, CampaignConfig,
     CampaignJournal, CampaignObs, JournalMeta, ServeConfig, StartPoint, TrialSpec, WorkerConfig,
@@ -254,6 +255,36 @@ fn bench_campaign(b: &mut Bench) {
     b.bench("inject/snapshot-ladder-vs-naive/ladder", || sp.run_trials(MASK, &duel, MONITOR));
 }
 
+/// `arch/sw-ladder-vs-naive/{naive,ladder}` — the same 40-trial
+/// `reg-bit-64` Figure 11 plan on `mcf-like` (the workload with the
+/// largest memory image, so the ladder's memory compares are in the
+/// number) through per-trial `swinject::run_trial`, each re-running the
+/// program from reset, and through `swinject::run_campaign`,
+/// which runs the fault-free prefix once and stops trials at exact
+/// reconvergence. The golden reference is built outside the timed region.
+/// The ladder/naive median ratio is the Section-5 engine's speedup.
+fn bench_sw_campaign(b: &mut Bench) {
+    const TRIALS: u64 = 40;
+    const SEED: u64 = 42;
+    const MODEL: FaultModel = FaultModel::ResultBit64;
+    if !wants(b, "arch/sw-ladder-vs-naive") {
+        return;
+    }
+    let program = tfsim_workloads::by_name("mcf-like").expect("workload").build(1);
+    let golden = swinject::golden_ref(&program, 10_000_000);
+    b.bench("arch/sw-ladder-vs-naive/naive", || {
+        let mut rng = Rng::from_seed_stream(SEED, MODEL as u64);
+        let mut tally = SwTally::default();
+        for _ in 0..TRIALS {
+            tally.record(swinject::run_trial(&program, &golden, MODEL, &mut rng));
+        }
+        tally
+    });
+    b.bench("arch/sw-ladder-vs-naive/ladder", || {
+        swinject::run_campaign(&program, &golden, MODEL, TRIALS, SEED)
+    });
+}
+
 /// `inject/distributed-overhead/{in-process,two-workers}` — the same
 /// journaled campaign (2 workloads x 2 start points) run by the
 /// in-process pool at 2 threads and by a coordinator with 2 localhost TCP
@@ -306,7 +337,7 @@ fn bench_distributed(b: &mut Bench) {
                 scope.spawn(move || run_worker(&WorkerConfig::new(addr)).expect("worker"));
             }
             let report = coordinator.join().expect("coordinator thread");
-            run_campaign_with_tasks(&cfg, &wl, &CampaignObs::disabled(), report.tasks)
+            run_campaign_with_tasks(cfg, wl, &CampaignObs::disabled(), report.tasks)
         })
     });
     let _ = std::fs::remove_file(&journal_path);
@@ -361,6 +392,7 @@ fn main() {
     bench_fingerprint(&mut bench);
     bench_trial(&mut bench);
     bench_campaign(&mut bench);
+    bench_sw_campaign(&mut bench);
     bench_distributed(&mut bench);
     bench_codecs(&mut bench);
     bench_decoder(&mut bench);

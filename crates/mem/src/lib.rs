@@ -31,7 +31,11 @@ pub const PAGE_SIZE: u64 = 8192;
 ///
 /// Untouched locations read as zero. All multi-byte accesses are
 /// little-endian and may span page boundaries.
-#[derive(Debug, Clone, Default)]
+///
+/// Two memories are equal when they hold the same set of allocated pages
+/// with the same bytes (an allocated all-zero page is not the same as an
+/// unallocated one, matching [`SparseMemory::checksum`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseMemory {
     pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
 }
@@ -66,25 +70,41 @@ impl SparseMemory {
 
     /// Writes one byte, allocating the page if needed.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
-        page[(addr % PAGE_SIZE) as usize] = value;
+        self.page_mut(addr / PAGE_SIZE)[(addr % PAGE_SIZE) as usize] = value;
+    }
+
+    fn page_mut(&mut self, num: u64) -> &mut [u8; PAGE_SIZE as usize] {
+        self.pages.entry(num).or_insert_with(|| Box::new([0; PAGE_SIZE as usize]))
+    }
+
+    /// Splits the `len` bytes from `addr` into runs that each stay within
+    /// one page, yielding `(page number, offset in the page, offset from
+    /// addr, length)`; addresses wrap at the top of the address space.
+    fn page_runs(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+        let mut done = 0usize;
+        std::iter::from_fn(move || {
+            if done == len {
+                return None;
+            }
+            let a = addr.wrapping_add(done as u64);
+            let off = (a % PAGE_SIZE) as usize;
+            let n = (len - done).min(PAGE_SIZE as usize - off);
+            let run = (a / PAGE_SIZE, off, done, n);
+            done += n;
+            Some(run)
+        })
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
     fn read_le<const N: usize>(&self, addr: u64) -> [u8; N] {
         let mut buf = [0u8; N];
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
-        }
+        self.read_bytes(addr, &mut buf);
         buf
     }
 
     fn write_le(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+        for (num, off, at, n) in Self::page_runs(addr, bytes.len()) {
+            self.page_mut(num)[off..off + n].copy_from_slice(&bytes[at..at + n]);
         }
     }
 
@@ -148,10 +168,15 @@ impl SparseMemory {
         }
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`.
+    /// Reads `buf.len()` bytes starting at `addr` (one page lookup per
+    /// page the range touches; never allocates).
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+        for (num, off, at, n) in Self::page_runs(addr, buf.len()) {
+            let dst = &mut buf[at..at + n];
+            match self.pages.get(&num) {
+                Some(p) => dst.copy_from_slice(&p[off..off + n]),
+                None => dst.fill(0),
+            }
         }
     }
 

@@ -143,8 +143,8 @@ mod tests {
 
     #[test]
     fn pointer_widths_cover_structures() {
-        assert!(sizes::PHYS_REGS <= 1 << sizes::PREG_BITS);
-        assert!(sizes::ROB <= 1 << sizes::ROB_BITS);
+        const { assert!(sizes::PHYS_REGS <= 1 << sizes::PREG_BITS) };
+        const { assert!(sizes::ROB <= 1 << sizes::ROB_BITS) };
         assert_eq!(sizes::FREELIST, 48);
     }
 }

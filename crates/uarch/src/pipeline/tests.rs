@@ -364,7 +364,7 @@ fn flow_log_conservation() {
     let mut cpu = pipeline_with_tlbs(&Program::new("flow", a), PipelineConfig::baseline());
     cpu.enable_flow_log();
     cpu.run(100_000);
-    assert_eq!(cpu.halted().is_some(), true);
+    assert!(cpu.halted().is_some());
     let events = cpu.take_flow_events();
     use std::collections::BTreeMap;
     let mut state: BTreeMap<u64, u8> = BTreeMap::new();
@@ -688,7 +688,7 @@ fn invariants_hold_throughout_a_fault_free_run() {
         while cpu.running() && cycles < 200_000 {
             cpu.step();
             cycles += 1;
-            if cycles % 64 == 0 {
+            if cycles.is_multiple_of(64) {
                 let v = cpu.check_invariants();
                 assert!(v.is_empty(), "fault-free violation at cycle {cycles}: {v:?}");
             }
@@ -802,6 +802,9 @@ mod access_ordinals {
     use crate::exec::schedw;
     use crate::queues::{lqw, sqw, LqEntry, RobEntry, SlotPayload, SqEntry};
 
+    /// Logged (reads, writes) as `(unit, visit ordinal)` sets.
+    type EventSets = (BTreeSet<(UnitId, u32)>, BTreeSet<(UnitId, u32)>);
+
     /// Records `(unit, within-unit field ordinal, value)` for every field.
     struct FieldDump {
         fields: Vec<(Option<UnitId>, u32, u64)>,
@@ -864,7 +867,7 @@ mod access_ordinals {
     fn check_writes_cover_changes(
         config: PipelineConfig,
         op: &dyn Fn(&mut Pipeline),
-    ) -> (BTreeSet<(UnitId, u32)>, BTreeSet<(UnitId, u32)>) {
+    ) -> EventSets {
         let mut plain = tiny_pipeline(config);
         let before = dump(&mut plain);
         op(&mut plain);
@@ -1083,7 +1086,7 @@ mod access_ordinals {
     fn check_extended_events(
         config: PipelineConfig,
         op: &dyn Fn(&mut Pipeline),
-    ) -> (BTreeSet<(UnitId, u32)>, BTreeSet<(UnitId, u32)>) {
+    ) -> EventSets {
         let mut plain = tiny_pipeline(config);
         let before = dump(&mut plain);
         op(&mut plain);

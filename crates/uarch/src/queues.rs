@@ -1194,9 +1194,7 @@ mod tests {
     fn fetch_queue_fifo_order() {
         let mut fq = FetchQueue::new();
         for i in 0..5u64 {
-            let mut p = SlotPayload::default();
-            p.pc = 0x1000 + i * 4;
-            fq.push(p);
+            fq.push(SlotPayload { pc: 0x1000 + i * 4, ..SlotPayload::default() });
         }
         assert_eq!(fq.len(), 5);
         for i in 0..5u64 {

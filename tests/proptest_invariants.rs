@@ -165,6 +165,65 @@ prop_check! {
         }
     }
 
+    /// Reads and writes of every size, concentrated on page edges and on
+    /// unallocated pages (including the top page, where accesses wrap),
+    /// match the same sequence done one byte at a time: the same values
+    /// read, no page allocated by a read, and the same pages, bytes and
+    /// checksum at the end.
+    fn memory_page_runs_match_bytewise_model(
+        ops in vecs(
+            (
+                ints(0u8..2),
+                ints(0u64..8),
+                (ints(0u8..3), ints(0u64..PAGE_SIZE)),
+                (any_u64(), ints(0usize..6)),
+            ),
+            1..40,
+        )
+    ) {
+        let mut mem = SparseMemory::new();
+        let mut model = SparseMemory::new();
+        for (op, page, (edge, off), (value, size)) in ops {
+            let page = if page == 7 { u64::MAX / PAGE_SIZE } else { page };
+            let off = match edge {
+                0 => off,
+                1 => PAGE_SIZE - 1 - off % 16,
+                _ => off % 16,
+            };
+            let addr = page * PAGE_SIZE + off;
+            let len = [1u64, 2, 4, 8, 3, PAGE_SIZE + 5][size];
+            let sized = len.is_power_of_two() && len <= 8;
+            let bytes: Vec<u8> = (0..len).map(|i| (value >> (8 * (i % 8))) as u8).collect();
+            if op == 0 {
+                if sized {
+                    mem.write_sized(addr, value, len);
+                } else {
+                    mem.write_bytes(addr, &bytes);
+                }
+                for (i, &b) in bytes.iter().enumerate() {
+                    model.write_u8(addr.wrapping_add(i as u64), b);
+                }
+            } else {
+                let pages = mem.page_count();
+                let expect: Vec<u8> =
+                    (0..len).map(|i| model.read_u8(addr.wrapping_add(i))).collect();
+                if sized {
+                    let mut le = [0u8; 8];
+                    le[..len as usize].copy_from_slice(&expect);
+                    prop_assert_eq!(mem.read_sized(addr, len), u64::from_le_bytes(le));
+                } else {
+                    let mut got = vec![0xa5; len as usize];
+                    mem.read_bytes(addr, &mut got);
+                    prop_assert_eq!(got, expect);
+                }
+                prop_assert_eq!(mem.page_count(), pages, "a read allocated a page");
+            }
+        }
+        prop_assert_eq!(mem.pages().collect::<Vec<_>>(), model.pages().collect::<Vec<_>>());
+        prop_assert_eq!(mem.checksum(), model.checksum());
+        prop_assert!(mem == model);
+    }
+
     /// Page sets cover exactly the inserted ranges.
     fn pageset_covers_inserted(addr in ints(0u64..0x10_0000), len in ints(1u64..0x8000)) {
         let mut s = PageSet::new();
