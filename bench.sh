@@ -18,11 +18,7 @@
 # The default filter also records the telemetry-overhead pair:
 # `inject/trials-per-sec` (untraced, the zero-overhead contract's pinned
 # number) vs `inject/trials-per-sec-traced` (per-trial spans on), both
-# over the identical 100-trial plan — and `inject/trials-per-sec-sliced`,
-# the same plan through the word-parallel (bit-sliced) engine. The
-# untraced/sliced median ratio is the word-parallel speedup; the sliced
-# engine's records are byte-identical to the ladder's (pinned by the
-# equivalence suite), so the ratio is pure execution-strategy gain.
+# over the identical 100-trial plan.
 #
 # The deep-trace pair extends the telemetry-overhead story:
 # `inject/trials-per-sec-deep-traced` runs the identical plan with full
@@ -37,13 +33,14 @@
 #
 # The analytic-pruner pair rides the same plan:
 # `inject/trials-per-sec-pruned` runs it through the masking pruner
-# (dead-window proofs + site equivalence classes on the batch's access
-# footprint, remainder delegated to the sliced engine) — the
-# sliced/pruned median ratio is the pruner's gain per batch, each side
-# paying its own footprint replay — and `inject/pruner-overhead` runs a
-# 100-site batch the pruner discharges entirely without simulating, so
-# its median is the pure per-batch analysis cost. Pruned records are
-# byte-identical to the sliced engine's (same equivalence suite).
+# (dead-window proofs on the batch's access footprint, remainder run on
+# the snapshot ladder) — the untraced/pruned median ratio is the pruner's
+# gain per batch, footprint replay included — and
+# `inject/pruner-overhead` runs a 100-site batch the pruner discharges
+# entirely without simulating, so its median is the pure per-batch
+# analysis cost. Pruned records are byte-identical to the ladder's
+# (pinned by the equivalence suite), so the ratio is pure
+# execution-strategy gain.
 # `inject/prepare` times one cold golden pass of the same start point.
 #
 # The distributed pair `inject/distributed-overhead/{in-process,

@@ -25,35 +25,32 @@ for filter in inject/ arch/; do
         cargo run --release --offline -q -p tfsim-bench --bin perf -- "$filter"
 done
 
-echo "==> sliced/pruned-engine census and journal smoke (gating)"
-# A short campaign through the word-parallel (bit-sliced) engine and the
-# analytic masking pruner must each print the byte-identical census of
-# the same campaign on the snapshot ladder: `--sliced` and `--pruned`
-# are execution strategies, never experiment knobs. Timings here are
-# non-gating (a 12-trial campaign proves correctness, not speed; the
-# pruner's >=2x throughput claim lives in bench.sh / BENCH_campaign.json
-# where medians over real sample counts are recorded).
+echo "==> ladder-vs-pruned census and journal diff (gating)"
+# A short campaign through the analytic masking pruner must print the
+# byte-identical census of the same campaign on the snapshot ladder, the
+# engine the pruner delegates to and the one the equivalence suite pins
+# to the naive per-trial oracle: `--pruned` is an execution strategy,
+# never an experiment knob. Timings here are non-gating (a 12-trial
+# campaign proves correctness, not speed; throughput lives in bench.sh /
+# BENCH_campaign.json where medians over real sample counts are recorded).
 run_tfsim="cargo run --release --offline -q -p tfsim-bench --bin tfsim-run --"
-sliced_args="campaign --quick --seed 7 --start-points 1 --trials 12 --monitor 1200 \
+engine_args="campaign --quick --seed 7 --start-points 1 --trials 12 --monitor 1200 \
     --scale 1 --workloads gzip-like,twolf-like"
-$run_tfsim $sliced_args > target/ci_census_ladder.txt 2>/dev/null
-$run_tfsim $sliced_args --sliced > target/ci_census_sliced.txt 2>/dev/null
-$run_tfsim $sliced_args --pruned > target/ci_census_pruned.txt 2>/dev/null
-diff target/ci_census_ladder.txt target/ci_census_sliced.txt
+$run_tfsim $engine_args > target/ci_census_ladder.txt 2>/dev/null
+$run_tfsim $engine_args --pruned > target/ci_census_pruned.txt 2>/dev/null
 diff target/ci_census_ladder.txt target/ci_census_pruned.txt
 # The journal carries every trial's trace (decision cycle, first observed
-# divergence and its unit), so the three engines' journals of one campaign
-# must be identical too. One worker keeps the task order fixed, and a
-# monitor off the 8-cycle golden-row grid puts decision cycles between
-# the rows the start point hashes.
-for engine in ladder sliced pruned; do
+# divergence and its unit), so both engines' journals of one campaign must
+# be identical too. One worker keeps the task order fixed, and a monitor
+# off the 8-cycle golden-row grid puts decision cycles between the rows
+# the start point hashes.
+for engine in ladder pruned; do
     engine_flag=""
     [ "$engine" != ladder ] && engine_flag="--$engine"
     rm -f "target/ci_journal_$engine.jsonl"
-    $run_tfsim $sliced_args --monitor 1203 --threads 1 $engine_flag \
+    $run_tfsim $engine_args --monitor 1203 --threads 1 $engine_flag \
         --journal "target/ci_journal_$engine.jsonl" >/dev/null 2>&1
 done
-diff target/ci_journal_ladder.jsonl target/ci_journal_sliced.jsonl
 diff target/ci_journal_ladder.jsonl target/ci_journal_pruned.jsonl
 
 echo "==> telemetry report smoke (gating)"

@@ -183,20 +183,14 @@ fn untouched_bits(cpu: &Pipeline, mask: InjectionMask, cycles: u64) -> Vec<u64> 
 ///   sparse, via a dedicated incremental fingerprint engine). The
 ///   deep/traced median ratio is the timeline cost; it is bounded even
 ///   for faults that stay diverged across the whole monitor window.
-/// * `inject/trials-per-sec-sliced` — the identical 100-trial batch
-///   through the word-parallel (bit-sliced) engine: lanes whose flipped
-///   word is overwritten or never read ride the shared golden evaluation,
-///   only genuinely diverging lanes peel off to the scalar ladder. The
-///   sliced/untraced median ratio is the word-parallel speedup, footprint
-///   replay included.
 /// * `inject/trials-per-sec-pruned` — the identical 100-trial batch
-///   through the analytic masking pruner: dead-window proofs and site
-///   equivalence classes discharge most sites without a trial, the rest
-///   delegate to the sliced engine. The sliced/pruned median ratio is the
-///   pruner's gain on top of the word-parallel engine.
+///   through the analytic masking pruner: dead-window proofs discharge
+///   most sites without a trial, and the remainder runs on the snapshot
+///   ladder. The untraced/pruned median ratio is the pruner's gain per
+///   batch, footprint replay included.
 /// * `inject/pruner-overhead` — a 100-site batch the pruner proves dead
 ///   in its entirety (sites in words the golden run never accesses,
-///   screened by one tracked replay beforehand): no lane ever dispatches,
+///   screened by one tracked replay beforehand): no trial ever simulates,
 ///   so the median is the pure per-batch cost of the pruning analysis
 ///   (footprint replay, analytic classification), with every site keeping
 ///   the replay running to the end of its window.
@@ -212,7 +206,6 @@ fn bench_campaign(b: &mut Bench) {
         && !wants(b, "inject/trials-per-sec")
         && !wants(b, "inject/trials-per-sec-traced")
         && !wants(b, "inject/trials-per-sec-deep-traced")
-        && !wants(b, "inject/trials-per-sec-sliced")
         && !wants(b, "inject/trials-per-sec-pruned")
         && !wants(b, "inject/pruner-overhead")
         && !wants(b, "inject/snapshot-ladder-vs-naive")
@@ -229,7 +222,6 @@ fn bench_campaign(b: &mut Bench) {
     b.bench("inject/trials-per-sec-deep-traced", || {
         sp.run_trials_deep_traced(MASK, &plan, MONITOR)
     });
-    b.bench("inject/trials-per-sec-sliced", || sp.run_trials_sliced(MASK, &plan, MONITOR));
     b.bench("inject/trials-per-sec-pruned", || sp.run_trials_pruned(MASK, &plan, MONITOR));
     if wants(b, "inject/pruner-overhead") {
         let untouched = untouched_bits(&cpu, MASK, WINDOW + MONITOR);

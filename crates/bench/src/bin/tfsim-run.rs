@@ -6,14 +6,14 @@
 //!           [--max-cycles N] [--disasm] [--trace N] [--dump N] [--arch-only]
 //! tfsim-run campaign [--quick|--default-scale|--paper] [--seed N]
 //!           [--threads N] [--scale N] [--start-points N] [--trials N]
-//!           [--monitor N] [--workloads a,b,...] [--sliced] [--pruned]
+//!           [--monitor N] [--workloads a,b,...] [--pruned]
 //!           [--trace PATH [--deep-trace]] [--profile PATH]
 //!           [--journal PATH [--resume]]
 //! tfsim-run report PATH [--top N] [--propagation]
 //! tfsim-run serve [campaign flags] [--addr HOST] [--port N]
 //!           [--lease-ms N] [--heartbeat-ms N] [--idle-timeout-ms N]
 //!           [--ops-trace PATH]
-//! tfsim-run worker --connect HOST:PORT [--sliced] [--pruned]
+//! tfsim-run worker --connect HOST:PORT [--pruned]
 //!           [--shard PATH] [--chaos SPEC] [--max-retries N]
 //! tfsim-run merge SHARD.jsonl... [--trace PATH]
 //! ```
@@ -23,19 +23,17 @@
 //! completion and a summary (exit code, output, IPC, stats) is printed.
 //!
 //! `campaign` runs a fault-injection campaign and prints the outcome
-//! census. `--sliced` runs the trials on the word-parallel (bit-sliced)
-//! engine — an execution strategy, not an experiment parameter: the
-//! census, trace, and journal are byte-identical to the default
-//! snapshot-ladder engine, just faster. `--pruned` adds the analytic
-//! masking pruner on top of the sliced engine: dead-window proofs and
-//! site equivalence classes discharge most sites without simulating,
-//! the telemetry footer reports the per-site disposition tally, and the
-//! census stays byte-identical to both other engines. With `--trace PATH` it streams the per-trial JSONL event
-//! stream to `PATH` (plus metrics and a live progress meter on stderr);
-//! without it the campaign takes the untraced zero-overhead path. The
-//! census is rendered through the same `tfsim_stats::census_rows` builder
-//! either way, so traced and untraced runs of the same seed print
-//! byte-identical censuses.
+//! census. `--pruned` puts the analytic masking pruner in front of the
+//! default snapshot-ladder engine: dead-window proofs discharge most sites
+//! without simulating, the rest run on the ladder, and the telemetry
+//! footer reports the per-site disposition tally. It is an execution
+//! strategy, not an experiment parameter: the census, trace, and journal
+//! are byte-identical to the ladder's, just faster. With `--trace PATH` it
+//! streams the per-trial JSONL event stream to `PATH` (plus metrics and a
+//! live progress meter on stderr); without it the campaign takes the
+//! untraced zero-overhead path. The census is rendered through the same
+//! `tfsim_stats::census_rows` builder either way, so traced and untraced
+//! runs of the same seed print byte-identical censuses.
 //!
 //! With `--journal PATH` every completed (benchmark, start-point) task is
 //! durably appended to a crash-safe JSONL journal as it finishes;
@@ -104,6 +102,15 @@ const EXIT_RUNTIME: i32 = 1;
 fn die(code: i32, msg: impl std::fmt::Display) -> ! {
     eprintln!("tfsim-run: {msg}");
     std::process::exit(code);
+}
+
+/// Sets its flag when dropped, whether on return or on unwind.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 /// Renders campaign outcome totals through the canonical census builder.
@@ -270,7 +277,6 @@ fn cmd_campaign(args: &[String]) {
     let mut threads = None::<usize>;
     let mut deep_trace = false;
     let mut profile = None::<PathBuf>;
-    let mut sliced = false;
     let mut pruned = false;
     let mut flags = parse_campaign_flags("campaign", args, |args, i| match args[i].as_str() {
         "--threads" => {
@@ -285,10 +291,6 @@ fn cmd_campaign(args: &[String]) {
             profile = Some(path_arg(args, i, "--profile"));
             Some(i + 2)
         }
-        "--sliced" => {
-            sliced = true;
-            Some(i + 1)
-        }
         "--pruned" => {
             pruned = true;
             Some(i + 1)
@@ -298,7 +300,6 @@ fn cmd_campaign(args: &[String]) {
     if let Some(n) = threads {
         flags.config.threads = n;
     }
-    flags.config.sliced = sliced;
     flags.config.pruned = pruned;
     flags.config.deep_trace = deep_trace;
     if deep_trace && flags.trace.is_none() {
@@ -339,8 +340,11 @@ fn cmd_campaign(args: &[String]) {
                     progress: Some(&progress),
                     spans: profiler.as_ref(),
                 };
+                // Stops the meter on unwind too, or the scope would wait
+                // forever to join it.
+                let stop = SetOnDrop(&finished);
                 let result = run_campaign_journaled(&config, &workloads, &obs, journal);
-                finished.store(true, Ordering::Relaxed);
+                drop(stop);
                 let _ = meter.join();
                 result
             });
@@ -555,7 +559,6 @@ fn cmd_serve(args: &[String]) {
 
 fn cmd_worker(args: &[String]) {
     let mut connect = None::<String>;
-    let mut sliced = false;
     let mut pruned = false;
     let mut shard = None::<PathBuf>;
     let mut chaos = Chaos::off();
@@ -572,10 +575,6 @@ fn cmd_worker(args: &[String]) {
                         .unwrap_or_else(|| die(EXIT_USAGE, "--connect needs HOST:PORT")),
                 );
                 i += 2;
-            }
-            "--sliced" => {
-                sliced = true;
-                i += 1;
             }
             "--pruned" => {
                 pruned = true;
@@ -612,7 +611,6 @@ fn cmd_worker(args: &[String]) {
     let addr =
         connect.unwrap_or_else(|| die(EXIT_USAGE, "worker: --connect HOST:PORT is required"));
     let mut wc = WorkerConfig::new(addr);
-    wc.sliced = sliced;
     wc.pruned = pruned;
     wc.shard = shard;
     wc.chaos = chaos;

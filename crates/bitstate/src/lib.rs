@@ -48,10 +48,6 @@
 
 use std::fmt;
 
-pub mod sliced;
-
-pub use sliced::{SlicedField, SlicedState};
-
 /// Logical function of a bit of state — the categories of the paper's
 /// Table 1, plus the two categories introduced by the protection hardware
 /// (`Ecc`, `Parity`).
@@ -338,9 +334,9 @@ impl fmt::Display for UnitId {
 
 /// Access-log coverage tier of a fingerprint unit.
 ///
-/// The word-parallel engine and the analytic masking pruner both consume
-/// golden-run read/write timelines, and a timeline is only trustworthy for
-/// a unit whose accessors actually log. Before this enum existed that
+/// The analytic masking pruner consumes golden-run read/write timelines,
+/// and a timeline is only trustworthy for a unit whose accessors actually
+/// log. Before this enum existed that
 /// coverage was implicit — an untracked structure silently produced an
 /// empty timeline, which the conservative consumers treated as "always
 /// simulate", quietly degrading to no-prune. Every unit now declares its
@@ -348,14 +344,14 @@ impl fmt::Display for UnitId {
 /// the pipeline's actual instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loggability {
-    /// Logged whenever access tracking is on, and read by both the
-    /// word-parallel (sliced) engine's ride/heal proofs and the analytic
-    /// pruner: the audited kernel (LSQ, register file, MHRs).
+    /// Logged whenever access tracking is on, with the exact write
+    /// contract: every content-independent full-word overwrite logs as a
+    /// write. The audited kernel (LSQ, register file, MHRs).
     Core,
-    /// Logged whenever access tracking is on, but read only by the
-    /// analytic pruner's dead-window proofs, whose write contract is
-    /// weaker (front-end latches and fetch queue, rename tables,
-    /// scheduler, ROB, functional units).
+    /// Logged whenever access tracking is on, with a weaker write
+    /// contract: a write may be under-claimed as a read, which only costs
+    /// the pruner a proof (front-end latches and fetch queue, rename
+    /// tables, scheduler, ROB, functional units).
     Extended,
     /// Injectable state with no per-word access discipline: never
     /// logged, sites here are always simulated. Currently empty — kept

@@ -77,25 +77,18 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads (0 = all available).
     pub threads: usize,
-    /// Run trials on the word-parallel (bit-sliced) engine instead of the
-    /// scalar snapshot ladder. An execution strategy like `threads`:
+    /// Run the analytic masking pruner before any trial: dead-window
+    /// proofs discharge most sites without a machine, and the remainder
+    /// runs on the snapshot ladder. An execution strategy like `threads`:
     /// censuses, records, traces, and journals are byte-identical either
     /// way, so the flag is deliberately *not* part of the journal
     /// identity.
-    pub sliced: bool,
-    /// Run the analytic masking pruner before any trial: dead-window
-    /// proofs and equivalence classes discharge most sites without a
-    /// machine, and the remainder delegates to the sliced engine. An
-    /// execution strategy like `sliced` and `threads`: censuses, records,
-    /// traces, and journals are byte-identical either way, so the flag is
-    /// deliberately *not* part of the journal identity. Implies the sliced
-    /// engine for whatever still simulates.
     pub pruned: bool,
     /// Record each trial's full divergence timeline (which units held
     /// faulty state, per µArch check) and emit it as
     /// [`Event::Propagation`] after the trial's event. A trace *level*,
     /// not an experiment parameter: censuses, records, traces, and
-    /// journals are byte-identical with or without it, so — like `sliced`
+    /// journals are byte-identical with or without it, so — like `pruned`
     /// and `threads` — it is deliberately not part of the journal
     /// identity. Timelines are not journaled either: tasks replayed from a
     /// journal contribute no `Propagation` events. Only effective when
@@ -124,7 +117,6 @@ impl CampaignConfig {
             monitor_cycles: 3_000,
             seed,
             threads: 0,
-            sliced: false,
             pruned: false,
             deep_trace: false,
             panic_shim: None,
@@ -147,7 +139,6 @@ impl CampaignConfig {
             monitor_cycles: 10_000,
             seed,
             threads: 0,
-            sliced: false,
             pruned: false,
             deep_trace: false,
             panic_shim: None,
@@ -168,7 +159,6 @@ impl CampaignConfig {
             monitor_cycles: 10_000,
             seed,
             threads: 0,
-            sliced: false,
             pruned: false,
             deep_trace: false,
             panic_shim: None,
@@ -510,10 +500,10 @@ fn scatter_of(bench: usize, records: &[TrialRecord]) -> ScatterPoint {
 }
 
 /// Dispatches one task's drawn trial plan to the configured engine
-/// (snapshot ladder, sliced, or pruned) at the requested trace level.
-/// The single definition keeps the in-process pool and the distributed
-/// worker on the same machine code, so a worker's results are
-/// byte-identical to the local run's by construction.
+/// (snapshot ladder or pruned) at the requested trace level. The single
+/// definition keeps the in-process pool and the distributed worker on the
+/// same machine code, so a worker's results are byte-identical to the
+/// local run's by construction.
 fn run_engine(
     config: &CampaignConfig,
     sp: &StartPoint,
@@ -522,58 +512,19 @@ fn run_engine(
     traced: bool,
     deep: bool,
 ) -> (crate::trial::TracedBatch, Option<PruneDispositions>) {
-    let mut prune = None;
-    let batch = match (traced, config.pruned, config.sliced) {
-        (true, true, _) => {
-            let (batch, d) = sp.run_trials_pruned_core::<true>(
-                config.mask,
-                specs,
-                config.monitor_cycles,
-                crate::sliced::LANE_WIDTH,
-                shim,
-                deep,
-            );
-            prune = Some(d);
-            batch
+    let (mask, monitor) = (config.mask, config.monitor_cycles);
+    match (traced, config.pruned) {
+        (true, true) => {
+            let (batch, d) = sp.run_trials_pruned_core::<true>(mask, specs, monitor, shim, deep);
+            (batch, Some(d))
         }
-        (false, true, _) => {
-            let (batch, d) = sp.run_trials_pruned_core::<false>(
-                config.mask,
-                specs,
-                config.monitor_cycles,
-                crate::sliced::LANE_WIDTH,
-                shim,
-                false,
-            );
-            prune = Some(d);
-            batch
+        (false, true) => {
+            let (batch, d) = sp.run_trials_pruned_core::<false>(mask, specs, monitor, shim, false);
+            (batch, Some(d))
         }
-        (true, false, false) => {
-            sp.run_trials_core::<true>(config.mask, specs, config.monitor_cycles, shim, deep)
-        }
-        (false, false, false) => {
-            sp.run_trials_core::<false>(config.mask, specs, config.monitor_cycles, shim, false)
-        }
-        (true, false, true) => sp.run_trials_sliced_core::<true>(
-            config.mask,
-            specs,
-            config.monitor_cycles,
-            crate::sliced::LANE_WIDTH,
-            shim,
-            deep,
-            None,
-        ),
-        (false, false, true) => sp.run_trials_sliced_core::<false>(
-            config.mask,
-            specs,
-            config.monitor_cycles,
-            crate::sliced::LANE_WIDTH,
-            shim,
-            false,
-            None,
-        ),
-    };
-    (batch, prune)
+        (true, false) => (sp.run_trials_core::<true>(mask, specs, monitor, shim, deep), None),
+        (false, false) => (sp.run_trials_core::<false>(mask, specs, monitor, shim, false), None),
+    }
 }
 
 /// Executes one (benchmark, start point) task from scratch — warm-up,

@@ -1,8 +1,7 @@
 //! The per-batch golden access footprint: one tracked replay of the
-//! fault-free run, shared by the analytic masking pruner and the
-//! word-parallel (sliced) engine.
+//! fault-free run, read by the analytic masking pruner.
 //!
-//! Both engines ask one question per fault site: what is the first access
+//! The pruner asks one question per fault site: what is the first access
 //! to the faulted word strictly after the injection cycle, inside the
 //! site's monitoring window? A read consumes the fault, a
 //! content-independent overwrite erases it, and no access at all leaves the
@@ -13,15 +12,15 @@
 //! runs no further than the last site's window.
 //!
 //! Words of the units declaring [`Loggability::Core`] (load/store queues,
-//! physical register file, miss handling registers) obey the exact write
-//! contract the sliced engine's heals rest on, and the sliced engine reads
-//! only those. The other loggable units (fetch queue and front-end latches,
+//! physical register file, miss handling registers) obey an exact write
+//! contract: every content-independent full-word overwrite logs as a
+//! write. The other loggable units (fetch queue and front-end latches,
 //! rename maps and free lists, scheduler, reorder buffer, functional units)
-//! obey a deliberately weaker write contract: a structure may under-claim a
-//! write by logging a read instead (the ROB's `entry_mut` does), which can
-//! only demote an analytic disposition to a simulated one — never the
-//! reverse. What would be unsound, and what the `access_ordinals` pipeline
-//! tests rule out, is a tracked word changing with no event at all.
+//! obey a deliberately weaker one: a structure may under-claim a write by
+//! logging a read instead (the ROB's `entry_mut` does), which can only
+//! demote a proved-dead site to a simulated one — never the reverse. What
+//! would be unsound, and what the `access_ordinals` pipeline tests rule
+//! out, is a tracked word changing with no event at all.
 //!
 //! [`Loggability::Core`]: tfsim_bitstate::Loggability::Core
 
@@ -235,39 +234,12 @@ impl Resolver {
         let i = self.spans.partition_point(|s| s.start + s.width as u64 <= target);
         self.spans.get(i).filter(|s| s.start <= target)
     }
-
-    /// All eligible spans in visit order (test diagnostics only).
-    #[cfg(test)]
-    pub(crate) fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-}
-
-/// What the footprint says about a lane's faulted word.
-pub(crate) enum Disposition {
-    /// No access in `(inject, horizon]`: the δ is never consumed.
-    Ride,
-    /// First access is a content-independent overwrite at this cycle.
-    Heal(u64),
-    /// First access is a read: the fault is consumed — go scalar.
-    Peel,
-}
-
-/// The disposition a site's first access (see [`Footprint::first_access`])
-/// implies. The flip lands in the state *after* `inject` steps, so
-/// accesses during step `inject` itself saw the pre-flip value.
-pub(crate) fn disposition(first: Option<(u64, bool)>) -> Disposition {
-    match first {
-        Some((c, true)) => Disposition::Heal(c),
-        Some((_, false)) => Disposition::Peel,
-        None => Disposition::Ride,
-    }
 }
 
 /// Reference for tests: every word's whole-run access timeline (first
 /// access per cycle, `(cycle, is_write)`), from a plain tracked replay.
 #[cfg(test)]
-pub(crate) fn timelines(
+fn timelines(
     sp: &StartPoint,
 ) -> std::collections::BTreeMap<(UnitId, u32), Vec<(u64, bool)>> {
     let mut golden = sp.checkpoint.clone();
@@ -354,13 +326,6 @@ mod tests {
             assert_eq!(fp.kept(), kept);
             assert!(kept > 0 && kept < distinct.len() as u64, "{kept} of {}", distinct.len());
         }
-    }
-
-    #[test]
-    fn disposition_follows_the_first_access() {
-        assert!(matches!(disposition(Some((5, false))), Disposition::Peel));
-        assert!(matches!(disposition(Some((9, true))), Disposition::Heal(9)));
-        assert!(matches!(disposition(None), Disposition::Ride));
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!
 //! * an unterminated final line is the torn tail of an interrupted
 //!   append — dropped silently;
-//! * a newline-terminated final line that fails to parse is treated the
-//!   same way (the line plus its `\n` can still land in separate disk
-//!   sectors) — dropped with a warning;
-//! * a parse failure *before* the final line is not a torn append and is
+//! * a newline-terminated final line that fails to parse, or names a task
+//!   the header's campaign cannot hold (`JournalMeta::check_task`), is
+//!   treated the same way (the line plus its `\n` can still land in
+//!   separate disk sectors) — dropped with a warning;
+//! * such a failure *before* the final line is not a torn append and is
 //!   a hard error: the file is damaged, not merely interrupted;
 //! * the file is physically truncated ([`File::set_len`]) to the valid
 //!   prefix, so subsequent appends extend a clean journal.
@@ -53,7 +54,7 @@ const VERSION: u64 = 2;
 /// task into a campaign with a different seed, mask, scale, workload set,
 /// or protection config would silently corrupt the census.
 ///
-/// `CampaignConfig::threads`, `sliced`, `pruned`, and `deep_trace` are
+/// `CampaignConfig::threads`, `pruned`, and `deep_trace` are
 /// deliberately *not* part of the identity (they are execution strategies
 /// or observation levels and results are byte-identical across them), and
 /// neither is the trace level of the run (traced or not) or the hidden
@@ -174,8 +175,8 @@ impl JournalMeta {
     }
 
     /// Reconstructs the campaign this identity describes: the config
-    /// (execution-strategy fields — `threads`, `sliced`, `pruned`,
-    /// `deep_trace` — at their defaults, for the caller to choose) and the
+    /// (execution-strategy fields — `threads`, `pruned`, `deep_trace` —
+    /// at their defaults, for the caller to choose) and the
     /// workload list, resolved by name against the standard set.
     /// Round-trips with [`JournalMeta::new`]: the rebuilt pair produces an
     /// equal `JournalMeta`.
@@ -208,6 +209,47 @@ impl JournalMeta {
         config.inject_window = self.inject_window;
         config.monitor_cycles = self.monitor_cycles;
         Ok((config, workloads))
+    }
+
+    /// Checks that a parsed task means something in this campaign, so
+    /// replaying it cannot index past the campaign's tables or its own:
+    ///
+    /// * its benchmark and start point lie inside the campaign grid;
+    /// * it carries the campaign's number of drawn specs;
+    /// * its quarantined trials name distinct specs, in ascending order;
+    /// * no trace decides before its trial's injection.
+    pub(crate) fn check_task(&self, task: &JournaledTask) -> Result<(), String> {
+        let (bench, sp) = (task.bench, task.start_point);
+        if bench >= self.benchmarks.len() || sp >= self.start_points {
+            return Err(format!("task ({bench}, {sp}) is outside the campaign grid"));
+        }
+        if task.specs.len() != self.trials_per_start_point as usize {
+            return Err(format!(
+                "task ({bench}, {sp}) has {} specs, the campaign draws {}",
+                task.specs.len(),
+                self.trials_per_start_point
+            ));
+        }
+        let mut next = 0;
+        for f in &task.faults {
+            if f.index < next || f.index >= task.specs.len() {
+                return Err(format!(
+                    "task ({bench}, {sp}) quarantines spec {} out of order or range",
+                    f.index
+                ));
+            }
+            next = f.index + 1;
+        }
+        for (rec, tr) in task.records.iter().zip(&task.traces) {
+            if tr.detect_cycle < rec.inject_cycle {
+                return Err(format!(
+                    "task ({bench}, {sp}) has a trial decided at cycle {} before its \
+                     injection at {}",
+                    tr.detect_cycle, rec.inject_cycle
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn to_json(&self) -> Json {
@@ -585,7 +627,7 @@ impl CampaignJournal {
                     )));
                 }
             } else {
-                match task_from_json(&value) {
+                match task_from_json(&value).and_then(|t| meta.check_task(&t).map(|()| t)) {
                     Ok(task) => {
                         // A crash window exists between a task's fsync'd
                         // append and the harness observing it; the same
@@ -680,8 +722,13 @@ mod tests {
         std::env::temp_dir().join(format!("tfsim-journal-{}-{name}", std::process::id()))
     }
 
+    /// The campaign the sample tasks belong to: three start points of
+    /// three trials each.
     fn meta() -> JournalMeta {
-        JournalMeta::new(&CampaignConfig::quick(0xD5_2004), &tfsim_workloads::all())
+        let mut config = CampaignConfig::quick(0xD5_2004);
+        config.start_points = 3;
+        config.trials_per_start_point = 3;
+        JournalMeta::new(&config, &tfsim_workloads::all())
     }
 
     fn sample_task(sp: u32) -> JournaledTask {
@@ -726,15 +773,15 @@ mod tests {
         let mut config = CampaignConfig::paper_scale(0xBEEF);
         config.mask = InjectionMask::LatchesOnly;
         config.pipeline = tfsim_uarch::PipelineConfig::protected();
-        config.threads = 3; // execution strategy: not part of the identity
-        config.sliced = true;
+        config.threads = 3; // execution strategies: not part of the identity
+        config.pruned = true;
         let workloads = tfsim_workloads::all();
         let m = JournalMeta::new(&config, &workloads);
         let back = JournalMeta::parse(&m.render()).unwrap();
         assert_eq!(back, m);
         let (rebuilt_config, rebuilt_workloads) = back.to_campaign().unwrap();
         assert_eq!(JournalMeta::new(&rebuilt_config, &rebuilt_workloads), m);
-        assert!(!rebuilt_config.sliced, "strategy fields reset to defaults");
+        assert!(!rebuilt_config.pruned, "strategy fields reset to defaults");
     }
 
     #[test]
@@ -859,6 +906,79 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = CampaignJournal::resume(&path, &m).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `sample_task(0)` with its two trials decided at `detect`.
+    fn traced_task(detect: [u64; 2]) -> JournaledTask {
+        let mut t = sample_task(0);
+        t.traces = detect.map(|d| TrialTrace { detect_cycle: d, ..TrialTrace::default() }).to_vec();
+        t
+    }
+
+    /// Tasks that parse but cannot belong to the campaign: each names the
+    /// damage `check_task` must report.
+    fn meaningless_tasks() -> Vec<(&'static str, JournaledTask)> {
+        let mut bench = sample_task(0);
+        bench.bench = 10;
+        let mut sp = sample_task(0);
+        sp.start_point = 3;
+        let mut specs = sample_task(0);
+        specs.specs.push(TrialSpec { target: 1, inject_cycle: 1 });
+        specs.records.push(specs.records[0]);
+        let mut fault_range = sample_task(0);
+        fault_range.faults[0].index = 99;
+        let mut fault_order = sample_task(0);
+        fault_order.records.truncate(1);
+        fault_order.faults.insert(0, fault_order.faults[0].clone());
+        fault_order.faults[1].index = 0;
+        vec![
+            ("outside the campaign grid", bench),
+            ("outside the campaign grid", sp),
+            ("has 4 specs, the campaign draws 3", specs),
+            ("quarantines spec 99 out of order or range", fault_range),
+            ("quarantines spec 0 out of order or range", fault_order),
+            ("decided at cycle 179 before its injection at 180", traced_task([17, 179])),
+        ]
+    }
+
+    #[test]
+    fn check_task_names_each_kind_of_damage() {
+        let m = meta();
+        assert_eq!(m.check_task(&sample_task(2)), Ok(()));
+        let at_injection = traced_task([17, 180]);
+        assert_eq!(m.check_task(&at_injection), Ok(()), "a trial may decide at its injection");
+        for (want, task) in meaningless_tasks() {
+            let err = m.check_task(&task).unwrap_err();
+            assert!(err.contains(want), "{want:?} not in {err:?}");
+        }
+    }
+
+    #[test]
+    fn meaningless_tasks_fail_mid_file_and_drop_at_the_tail() {
+        let path = tmp("meaning.jsonl");
+        let m = meta();
+        for (want, task) in meaningless_tasks() {
+            // Mid-file: the journal is damaged, not torn.
+            {
+                let j = CampaignJournal::create(&path, &m).unwrap();
+                j.append_task(&task).unwrap();
+                j.append_task(&sample_task(1)).unwrap();
+            }
+            let err = CampaignJournal::resume(&path, &m).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{want}");
+            assert!(err.to_string().contains(want), "{want:?} not in {err}");
+            // Tail: dropped like a torn append, and truncated away.
+            {
+                let j = CampaignJournal::create(&path, &m).unwrap();
+                j.append_task(&sample_task(1)).unwrap();
+                j.append_task(&task).unwrap();
+            }
+            let j = CampaignJournal::resume(&path, &m).unwrap();
+            assert_eq!(j.completed(), &[sample_task(1)], "{want}");
+            drop(j);
+            assert_eq!(CampaignJournal::resume(&path, &m).unwrap().completed().len(), 1);
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

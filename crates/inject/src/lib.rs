@@ -28,6 +28,16 @@
 //! flushes land in the Gray Area rather than being counted as failures —
 //! matching the paper's semantics.
 //!
+//! Trials of one start point run as a batch on the snapshot ladder
+//! ([`StartPoint::run_trials`]): one fault-free walker advanced through
+//! the injection window, one clone per trial. With
+//! [`CampaignConfig::pruned`], the analytic masking pruner runs in front of
+//! it ([`StartPoint::run_trials_pruned`]): sites whose faulted word the
+//! golden run never reads before the trial is decided get their records
+//! analytically, and the rest run on the ladder. Both paths produce
+//! byte-identical records; [`StartPoint::run_trial`] is the per-trial
+//! oracle they are tested against.
+//!
 //! Campaigns are observable via [`run_campaign_observed`]: per-trial events
 //! into a `tfsim_obs::EventSink` (JSONL traces for the `tfsim-run report`
 //! subcommand), counters and latency histograms into [`CampaignMetrics`],
@@ -59,7 +69,6 @@ mod journal;
 mod lease;
 mod pruner;
 mod shard;
-mod sliced;
 mod trial;
 
 pub use campaign::{
@@ -73,7 +82,6 @@ pub use shard::{
     merge_shards, run_worker, serve_campaign, MergeStats, ServeConfig, ServeReport, WorkerConfig,
     WorkerReport,
 };
-pub use sliced::LANE_WIDTH;
 pub use tfsim_obs::PruneDispositions;
 pub use trial::{
     FailureMode, Outcome, StartPoint, TracedBatch, TrialFault, TrialRecord, TrialSpec, TrialTrace,

@@ -272,8 +272,8 @@ struct Coord<'a> {
     journal: Option<&'a CampaignJournal>,
     ops: &'a dyn EventSink,
     epoch: Instant,
-    bench_count: usize,
-    start_points: u32,
+    /// The campaign identity, against which completions are validated.
+    meta: JournalMeta,
     next_worker: u64,
     workers_seen: u64,
     active_conns: usize,
@@ -326,7 +326,8 @@ pub fn serve_campaign(
     ops: &dyn EventSink,
     serve: &ServeConfig,
 ) -> io::Result<ServeReport> {
-    let meta = JournalMeta::new(config, workloads).render();
+    let identity = JournalMeta::new(config, workloads);
+    let meta = identity.render();
     let replayed: Vec<JournaledTask> =
         journal.map(|j| j.completed().to_vec()).unwrap_or_default();
     let done: BTreeSet<TaskId> =
@@ -347,8 +348,7 @@ pub fn serve_campaign(
         journal,
         ops,
         epoch: Instant::now(),
-        bench_count: workloads.len(),
-        start_points: config.start_points,
+        meta: identity,
         next_worker: 1,
         workers_seen: 0,
         active_conns: 0,
@@ -513,13 +513,8 @@ fn handle_conn(
                 }
                 Msg::Complete { token, task } => {
                     let id: TaskId = (task.bench, task.start_point as u64);
-                    if task.bench >= c.bench_count || task.start_point >= c.start_points {
-                        Some(Msg::Reject {
-                            reason: format!(
-                                "task ({}, {}) is outside the campaign grid",
-                                task.bench, task.start_point
-                            ),
-                        })
+                    if let Err(reason) = c.meta.check_task(&task) {
+                        Some(Msg::Reject { reason })
                     } else {
                         match c.table.complete(id, token) {
                             CompleteOutcome::Accepted => {
@@ -581,10 +576,8 @@ fn handle_conn(
 pub struct WorkerConfig {
     /// Coordinator address, e.g. `127.0.0.1:7400`.
     pub addr: String,
-    /// Run this worker's trials on the sliced engine (execution strategy;
-    /// results are byte-identical either way).
-    pub sliced: bool,
-    /// Run this worker's trials through the analytic pruner.
+    /// Run this worker's trials through the analytic pruner (execution
+    /// strategy; results are byte-identical either way).
     pub pruned: bool,
     /// Journal shard this worker appends completed tasks to, if any.
     pub shard: Option<PathBuf>,
@@ -603,7 +596,6 @@ impl WorkerConfig {
     pub fn new(addr: impl Into<String>) -> WorkerConfig {
         WorkerConfig {
             addr: addr.into(),
-            sliced: false,
             pruned: false,
             shard: None,
             chaos: Chaos::off(),
@@ -751,7 +743,6 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
     if state.campaign.is_none() {
         let meta = JournalMeta::parse(&meta_line).map_err(invalid)?;
         let (mut config, workloads) = meta.to_campaign().map_err(invalid)?;
-        config.sliced = wc.sliced;
         config.pruned = wc.pruned;
         if let Some(path) = &wc.shard {
             state.shard = Some(CampaignJournal::create(path, &meta)?);
@@ -806,7 +797,10 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
             return Err(invalid(format!("grant ({bench}, {sp}) is outside the campaign grid")));
         }
 
-        // Chaos: a stalled worker computes but never renews its lease.
+        // Chaos: a stalled worker computes but never renews its lease, and
+        // holds its completion until the coordinator must have expired it
+        // (one heartbeat past the lease), however fast the task ran.
+        let granted_at = Instant::now();
         let stall = wc.chaos.fires(FaultKind::StallHeartbeat);
         let task = {
             let stop = AtomicBool::new(false);
@@ -833,6 +827,10 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
                 task
             })
         };
+        if stall {
+            let hold = Duration::from_millis(lease_ms + heartbeat_ms);
+            std::thread::sleep(hold.saturating_sub(granted_at.elapsed()));
+        }
 
         // Durability before visibility, shard-locally: the task reaches
         // the shard before the coordinator can learn of it.
@@ -914,6 +912,52 @@ pub fn merge_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trial::{TrialFault, TrialSpec};
+
+    /// A completion that parses but cannot belong to the campaign is
+    /// rejected by the coordinator, never accepted into the census.
+    #[test]
+    fn coordinator_rejects_a_meaningless_completion() {
+        let mut config = CampaignConfig::quick(5);
+        config.start_points = 1;
+        config.trials_per_start_point = 2;
+        let workloads = &tfsim_workloads::all()[..1];
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let serve = ServeConfig { lease_ms: 5_000, heartbeat_ms: 500, idle_timeout_ms: 200 };
+        std::thread::scope(|scope| {
+            let coordinator = scope.spawn(|| {
+                serve_campaign(listener, &config, workloads, None, &tfsim_obs::NoopSink, &serve)
+            });
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // As the worker does: a frame's length and body must not wait
+            // on Nagle, or the coordinator's short read timeout splits it.
+            stream.set_nodelay(true).expect("nodelay");
+            let mut call = |msg: Msg| {
+                write_frame(&mut stream, &msg.render()).expect("send");
+                Msg::parse(&read_frame(&mut stream).expect("response")).expect("parse")
+            };
+            assert!(matches!(call(Msg::Hello), Msg::Welcome { .. }));
+            let Msg::Grant { token, .. } = call(Msg::Request) else { panic!("no grant") };
+            let spec = TrialSpec { target: 3, inject_cycle: 4 };
+            let task = JournaledTask {
+                bench: 0,
+                start_point: 0,
+                eligible_bits: 1,
+                specs: vec![spec],
+                records: Vec::new(),
+                traces: Vec::new(),
+                faults: vec![TrialFault { index: 0, spec, panic_msg: String::new() }],
+            };
+            match call(Msg::Complete { token, task: Box::new(task) }) {
+                Msg::Reject { reason } => assert!(reason.contains("has 1 specs"), "{reason}"),
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+            drop(stream);
+            let report = coordinator.join().expect("coordinator thread").expect("serve");
+            assert!(!report.complete && report.tasks.is_empty(), "{report:?}");
+        });
+    }
 
     #[test]
     fn frames_round_trip() {

@@ -218,20 +218,20 @@ pub struct TracedBatch {
     pub advance_ns: u64,
     /// Wall-clock time spent flipping, monitoring, and classifying.
     pub monitor_ns: u64,
-    /// Portion of `monitor_ns` spent in the analytic ride/heal classifier
-    /// (sliced and pruned paths; zero on the scalar ladder).
+    /// Portion of `monitor_ns` spent in the pruner's analytic rider (zero
+    /// on the scalar ladder).
     pub ride_ns: u64,
     /// Portion of `monitor_ns` spent in scalar classification.
     pub classify_ns: u64,
-    /// Wall-clock time spent in the pruner's analysis passes (disposition
-    /// proofs and class formation). Zero outside the pruned path; *not*
-    /// part of `monitor_ns` — the analysis runs before any trial.
+    /// Wall-clock time spent in the pruner's disposition proofs. Zero
+    /// outside the pruned path; *not* part of `monitor_ns` — the analysis
+    /// runs before any trial.
     pub prune_ns: u64,
     /// Wall-clock time spent hashing the batch's dense golden rows (the
     /// post-injection windows of its simulated trials).
     pub rows_ns: u64,
     /// Wall-clock time spent in the batch's tracked golden replay (the
-    /// access footprint of the sliced and pruned paths).
+    /// pruner's access footprint).
     pub footprint_ns: u64,
     /// Wall-clock time spent resolving post-decision attributions whose
     /// golden rows the batch did not already hold.
@@ -265,13 +265,13 @@ thread_local! {
     /// process panic hook stays quiet for contained unwinds (the fault is
     /// captured in a [`TrialFault`]; stderr noise would interleave across
     /// worker threads).
-    pub(crate) static CONTAINED: Cell<bool> = const { Cell::new(false) };
+    static CONTAINED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs (once per process) a panic hook that suppresses output for
 /// contained trial panics and delegates everything else to the previous
 /// hook unchanged.
-pub(crate) fn install_containment_hook() {
+fn install_containment_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = panic::take_hook();
@@ -284,7 +284,7 @@ pub(crate) fn install_containment_hook() {
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(p) => match p.downcast::<&'static str>() {
@@ -705,7 +705,7 @@ impl StartPoint {
     /// caller resolves with [`Rows::close`] once every trial of the batch
     /// is classified.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn classify(
+    fn classify(
         &self,
         mask: InjectionMask,
         rows: &Rows<'_>,

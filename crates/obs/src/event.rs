@@ -41,10 +41,12 @@ pub struct PruneDispositions {
     /// next read, or never read again inside the detection window).
     pub proved_dead: u64,
     /// Sites whose outcome was multiplied out from an equivalence-class
-    /// representative's simulated trial.
+    /// representative's simulated trial. The pruner no longer forms
+    /// classes and always writes 0; the field stays so traces that carry
+    /// it keep parsing and reporting.
     pub class_collapsed: u64,
-    /// Sites actually simulated: class representatives plus everything the
-    /// pruner could not discharge analytically.
+    /// Sites actually simulated: everything the pruner could not
+    /// discharge analytically.
     pub simulated: u64,
 }
 

@@ -72,27 +72,6 @@ impl DeepTrace {
         &self.samples
     }
 
-    /// Derives a class member's timeline from its representative's.
-    ///
-    /// The member's first divergence is pinned to `first_cycle` (its own
-    /// injection point plus one — the faulted word is live immediately),
-    /// later samples keep their absolute cycles, and everything past
-    /// `horizon` is dropped. Sound for state-identical equivalence classes:
-    /// rep and member machines are step-identical from the class's shared
-    /// read cycle on, and before it both timelines are the single sample
-    /// `{injected unit}`.
-    pub fn derive(&self, first_cycle: u64, horizon: u64) -> DeepTrace {
-        let mut out = DeepTrace::new();
-        for (i, &(cycle, mask)) in self.samples.iter().enumerate() {
-            let cycle = if i == 0 { first_cycle } else { cycle };
-            if cycle > horizon {
-                break;
-            }
-            out.push(cycle, mask);
-        }
-        out
-    }
-
     /// Expands the masks to label lists via `label_of` (bit index →
     /// label), producing the payload of an `Event::Propagation`.
     pub fn to_labels(&self, label_of: impl Fn(usize) -> String) -> Vec<(u64, Vec<String>)> {
@@ -139,19 +118,6 @@ mod tests {
         u.push(2, 0b1);
         u.push(2, 0);
         assert!(u.is_empty());
-    }
-
-    #[test]
-    fn derive_rewrites_head_and_clips_horizon() {
-        let mut rep = DeepTrace::new();
-        rep.push(10, 0b001);
-        rep.push(40, 0b011);
-        rep.push(90, 0b010);
-        let member = rep.derive(21, 50);
-        assert_eq!(member.samples(), &[(21, 0b001), (40, 0b011)]);
-        assert_eq!(rep.derive(21, 39).samples(), &[(21, 0b001)]);
-        assert!(rep.derive(21, 10).is_empty()); // head past horizon: nothing left
-        assert!(DeepTrace::new().derive(5, 100).is_empty());
     }
 
     #[test]

@@ -475,8 +475,7 @@ impl TelemetryReport {
         if let Some(p) = &self.prune {
             // Pruner accounting: how the planned census volume was
             // discharged. Only simulated sites ran the pipeline; the rest
-            // were proved masked from the golden access footprint or
-            // multiplied out from an equivalence-class representative.
+            // were proved masked from the golden access footprint.
             let total = p.total();
             out.push_str(&format!(
                 "\npruner dispositions: {} proved dead ({}), {} class-collapsed ({}), \

@@ -1,12 +1,12 @@
-//! Per-structure access logging for the word-parallel trial engine.
+//! Per-structure access logging for the analytic masking pruner.
 //!
-//! The sliced trial engine (`tfsim-inject`) rides fault lanes on a single
-//! golden evaluation for as long as the flipped word is provably unread: a
-//! lane peels off to the scalar path the first time the machine *reads*
-//! the corrupted cell, and heals (rejoins golden exactly) when the machine
-//! *overwrites* it with freshly computed data. Both decisions require a
-//! per-cycle record of which state words the pipeline touched, which this
-//! module provides.
+//! The pruner (`tfsim-inject`) proves a fault site dead, with no trial
+//! simulated, when the flipped word is provably unread in its window: a
+//! site must be simulated once the machine *reads* the corrupted cell
+//! before the trial is decided, and it heals (rejoins golden exactly) when
+//! the machine *overwrites* it with freshly computed data. Both decisions
+//! require a per-cycle record of which state words the pipeline touched,
+//! which this module provides.
 //!
 //! Each RAM-like structure owns an [`AccessLog`] and reports accesses as
 //! structure-local word ordinals. Logging is disabled by default (one
@@ -16,9 +16,9 @@
 //! # Soundness contract
 //!
 //! *Reads may be over-logged* (a spurious read only forces a conservative
-//! peel, never a wrong outcome). *Writes must be logged exactly*, and only
-//! for full-word overwrites whose value cannot depend on the word's prior
-//! content — the engine treats a logged write as proof the lane's
+//! simulation, never a wrong outcome). *Writes must be logged exactly*, and
+//! only for full-word overwrites whose value cannot depend on the word's
+//! prior content — the pruner treats a logged write as proof the site's
 //! difference was erased. Sites that read-modify-write a word log the read
 //! first, which shadows the write (first access per cycle wins).
 //! Observer paths (state walks, fingerprints, invariant checks, test

@@ -122,7 +122,7 @@ pub struct Mhr {
 #[derive(Debug, Clone)]
 pub struct MhrFile {
     entries: Vec<Mhr>,
-    /// Word-granular access log for the sliced trial engine. Local word
+    /// Word-granular access log for the analytic pruner. Local word
     /// ordinals: entry `e` occupies `3*e + {0: valid, 1: addr, 2: timer}`.
     pub log: AccessLog,
 }

@@ -788,7 +788,7 @@ fn check_invariants_flags_planted_corruptions() {
 
 // --- Access-log ordinal pinning -----------------------------------------
 //
-// The sliced trial engine trusts `drain_accesses` to name, in *visit
+// The analytic masking pruner trusts `drain_accesses` to name, in *visit
 // order*, exactly the unit-local field each structure access touched. These
 // tests pin that mapping against the real state walk: perform an operation
 // twice — once untracked (diffing full field dumps to find which fields
@@ -1074,10 +1074,10 @@ mod access_ordinals {
     // `Loggability::Extended` (fetch queue, rename structures, scheduler,
     // ROB, functional units). Their soundness contract is weaker on the
     // write side than the core units': structures may under-claim writes
-    // by logging a read instead (a spurious read only demotes a lane from
-    // heal to peel, which is always simulated). What must never happen is
-    // a tracked word changing with *no* event at all — that would let the
-    // pruner prove a "ride" for a word the machine actually touched.
+    // by logging a read instead (a spurious read only demotes a site from
+    // proved dead to simulated). What must never happen is a tracked word
+    // changing with *no* event at all — that would let the pruner prove a
+    // dead window for a word the machine actually touched.
 
     /// Runs `op` untracked and diffs the state walk; runs it again with
     /// tracking on and drains. Asserts every changed tracked field is

@@ -710,7 +710,7 @@ pub const SQ_BASE: u32 = sizes::LOAD_QUEUE as u32 * lqw::WORDS;
 ///
 /// The entry arrays are private: every read and full-word write from the
 /// pipeline's step path goes through the logged accessors below, which is
-/// what lets the word-parallel trial engine prove a flipped cell was never
+/// what lets the analytic masking pruner prove a flipped cell was never
 /// consumed. Observers (state walks, invariant checks, tests) use
 /// [`Lsq::peek_lq`] / [`Lsq::peek_sq`], which never log.
 #[derive(Debug, Clone)]
@@ -729,7 +729,7 @@ pub struct Lsq {
     pub sq_tail: u64,
     /// Store occupancy.
     pub sq_count: u64,
-    /// Word-granular access log for the sliced trial engine.
+    /// Word-granular access log for the analytic pruner.
     pub log: AccessLog,
 }
 

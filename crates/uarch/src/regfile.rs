@@ -34,9 +34,9 @@ pub struct PhysRegFile {
     ecc_stale: Vec<u64>,
     ecc_stale_count: u64,
     ecc_enabled: bool,
-    /// Word-granular access log for the sliced trial engine. Covers the
+    /// Word-granular access log for the analytic pruner. Covers the
     /// values, extra bits, and scoreboard; the ECC side state is untracked
-    /// (flips there take the scalar path).
+    /// (flips there are always simulated).
     pub log: AccessLog,
 }
 
@@ -80,8 +80,8 @@ impl PhysRegFile {
                     self.vals[i] = fixed as u64;
                     self.extra[i] = (fixed >> 64) as u64 & 1;
                     // Repair is content-dependent, but the reads above
-                    // shadow these writes in the engine's dedup — the
-                    // repair itself always forces a peel.
+                    // shadow these writes in the pruner's dedup — the
+                    // repair itself always sends the site to simulation.
                     self.log.write(i as u32);
                     self.log.write(EXTRA_BASE + i as u32);
                 }

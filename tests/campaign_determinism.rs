@@ -81,75 +81,6 @@ fn outcome_counts_identical_across_1_2_and_n_threads() {
 }
 
 #[test]
-fn sliced_campaign_is_byte_identical_to_the_ladder() {
-    use tfsim::inject::{
-        run_campaign_journaled, run_campaign_observed, CampaignJournal, CampaignObs, JournalMeta,
-    };
-    use tfsim::obs::{strip_wall_clock, RingSink};
-
-    let workloads: Vec<_> = workloads::all()
-        .into_iter()
-        .filter(|w| w.name == "gzip-like" || w.name == "vpr-like")
-        .collect();
-
-    // Traced run: the full per-trial event stream (modulo wall clock) must
-    // agree, which pins every record, trace, and quarantine field — not
-    // just the aggregated census.
-    let run_traced = |sliced: bool| {
-        let mut cfg = config(2);
-        cfg.sliced = sliced;
-        let sink = RingSink::new(1 << 16);
-        let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
-        let r = run_campaign_observed(&cfg, &workloads, &obs);
-        (outcome_census(&r), strip_wall_clock(&sink.events()))
-    };
-    let (ladder_census, ladder_events) = run_traced(false);
-    let (sliced_census, sliced_events) = run_traced(true);
-    assert_eq!(ladder_census, sliced_census, "sliced campaign census diverged from the ladder");
-    assert_eq!(
-        ladder_events, sliced_events,
-        "sliced campaign event stream diverged from the ladder"
-    );
-
-    // Journal files written by the two engines must be byte-identical:
-    // `sliced` is an execution strategy, not part of the experiment
-    // identity, so a journal written by one engine resumes under the other.
-    let journal_bytes = |sliced: bool| {
-        let mut cfg = config(1);
-        cfg.sliced = sliced;
-        let path = std::env::temp_dir()
-            .join(format!("tfsim-sliced-journal-{}-{sliced}.jsonl", std::process::id()));
-        let meta = JournalMeta::new(&cfg, &workloads);
-        let j = CampaignJournal::create(&path, &meta).unwrap();
-        run_campaign_journaled(&cfg, &workloads, &CampaignObs::disabled(), Some(&j));
-        drop(j);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        bytes
-    };
-    assert_eq!(
-        journal_bytes(false),
-        journal_bytes(true),
-        "sliced campaign journal diverged from the ladder"
-    );
-
-    // The containment/quarantine machinery must behave identically when a
-    // peeled scalar trial panics mid-run.
-    let shim = (1usize, 1u32, 5u32);
-    let run_shimmed = |sliced: bool| {
-        let mut cfg = config(2);
-        cfg.sliced = sliced;
-        cfg.panic_shim = Some(shim);
-        run_campaign_on(&cfg, &workloads)
-    };
-    let ladder = run_shimmed(false);
-    let sliced = run_shimmed(true);
-    assert_eq!(outcome_census(&ladder), outcome_census(&sliced));
-    assert_eq!(ladder.quarantined, sliced.quarantined);
-    assert_eq!(sliced.quarantined.len(), 1);
-}
-
-#[test]
 fn pruned_campaign_is_byte_identical_to_the_unpruned_engines() {
     use tfsim::inject::{
         run_campaign_journaled, run_campaign_observed, CampaignJournal, CampaignObs, JournalMeta,
@@ -161,29 +92,25 @@ fn pruned_campaign_is_byte_identical_to_the_unpruned_engines() {
         .filter(|w| w.name == "gzip-like" || w.name == "vpr-like")
         .collect();
 
-    // The full per-trial event stream must agree with both unpruned
-    // engines everywhere except the footer, which additionally carries the
+    // The full per-trial event stream must agree with the ladder's
+    // everywhere except the footer, which additionally carries the
     // pruner's disposition tally.
-    let run_traced = |pruned: bool, sliced: bool| {
+    let run_traced = |pruned: bool| {
         let mut cfg = config(2);
         cfg.pruned = pruned;
-        cfg.sliced = sliced;
         let sink = RingSink::new(1 << 16);
         let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
         let r = run_campaign_observed(&cfg, &workloads, &obs);
         (outcome_census(&r), strip_wall_clock(&sink.events()), r.prune)
     };
-    let (ladder_census, ladder_events, ladder_prune) = run_traced(false, false);
-    let (sliced_census, sliced_events, sliced_prune) = run_traced(false, true);
-    let (pruned_census, pruned_events, pruned_prune) = run_traced(true, false);
+    let (ladder_census, ladder_events, ladder_prune) = run_traced(false);
+    let (pruned_census, pruned_events, pruned_prune) = run_traced(true);
 
-    assert_eq!(ladder_census, sliced_census);
     assert_eq!(ladder_census, pruned_census, "pruned campaign census diverged");
-    assert!(ladder_prune.is_none() && sliced_prune.is_none(), "unpruned runs carry no tally");
+    assert!(ladder_prune.is_none(), "unpruned runs carry no tally");
 
     let (pruned_footer, pruned_rest) = pruned_events.split_last().unwrap();
     let (ladder_footer, ladder_rest) = ladder_events.split_last().unwrap();
-    assert_eq!(sliced_events.split_last().unwrap().1, pruned_rest);
     assert_eq!(ladder_rest, pruned_rest, "pruned campaign event stream diverged");
     match (ladder_footer, pruned_footer) {
         (

@@ -53,15 +53,15 @@ fn tmp(name: &str) -> PathBuf {
 struct Spawn {
     chaos: &'static str,
     shard: Option<PathBuf>,
-    sliced: bool,
+    pruned: bool,
 }
 
 impl Spawn {
     fn clean() -> Spawn {
-        Spawn { chaos: "", shard: None, sliced: false }
+        Spawn { chaos: "", shard: None, pruned: false }
     }
     fn chaotic(spec: &'static str) -> Spawn {
-        Spawn { chaos: spec, shard: None, sliced: false }
+        Spawn { chaos: spec, shard: None, pruned: false }
     }
 }
 
@@ -86,7 +86,7 @@ fn cluster(
                 let addr = addr.clone();
                 scope.spawn(move || {
                     let mut wc = WorkerConfig::new(addr);
-                    wc.sliced = spawn.sliced;
+                    wc.pruned = spawn.pruned;
                     wc.shard = spawn.shard;
                     if !spawn.chaos.is_empty() {
                         wc.chaos = Chaos::parse(spawn.chaos).expect("chaos spec");
@@ -131,9 +131,9 @@ fn distributed_census_and_event_stream_match_single_process() {
     let ref_census = census_of(&reference);
     let ref_events = strip_wall_clock(&sink.events());
 
-    // Two clean workers, one on the bit-sliced engine: the engine mix is
-    // an execution strategy, invisible in the merged results.
-    let mixed = Spawn { sliced: true, ..Spawn::clean() };
+    // Two clean workers, one running the pruner: the engine mix is an
+    // execution strategy, invisible in the merged results.
+    let mixed = Spawn { pruned: true, ..Spawn::clean() };
     let (report, results) =
         cluster(&cfg, &wl, &short_leases(), None, vec![Spawn::clean(), mixed]);
     for r in results {
@@ -216,8 +216,8 @@ fn torn_and_duplicated_shards_merge_first_wins() {
     // task; the clean worker (journaling to its own shard) finishes the
     // campaign, re-executing the torn worker's reassigned tasks.
     let workers = vec![
-        Spawn { chaos: "seed=7,tear=n2", shard: Some(torn.clone()), sliced: false },
-        Spawn { chaos: "", shard: Some(clean.clone()), sliced: false },
+        Spawn { chaos: "seed=7,tear=n2", shard: Some(torn.clone()), pruned: false },
+        Spawn { chaos: "", shard: Some(clean.clone()), pruned: false },
     ];
     let (report, _) = cluster(&cfg, &wl, &short_leases(), None, workers);
     let (census, _) = replay(&cfg, &wl, report);

@@ -6,17 +6,10 @@
 //! * The hierarchical root fingerprint (`CachedFingerprint`) must equal
 //!   the flat `fingerprint_of` on a live pipeline after random bit flips
 //!   and random stepping.
-//! * The word-parallel (bit-sliced) engine `run_trials_sliced` must return
-//!   the same records as the ladder and the naive path over random plans
-//!   at every lane width in `1..=64`, including partial final words.
-//! * A lane of the dense `SlicedState` container, flipped and extracted,
-//!   must equal the scalar machine flipped by `FlipBit` at the same
-//!   target — hit attribution (`FlippedBit.unit`) included.
 //! * The analytic masking pruner `run_trials_pruned` must return the same
 //!   records as the ladder and the naive path over random plans, windows,
-//!   protection configs, and delegate lane widths in `1..=64` — and a
-//!   site the pruner proves dead must classify identically under a full
-//!   scalar `run_trial` replay.
+//!   and protection configs — and a site the pruner proves dead must
+//!   classify identically under a full scalar `run_trial` replay.
 //!
 //! Together these are the proof obligations that let the campaign use the
 //! fast path without ever changing an outcome census. A failing property
@@ -25,14 +18,13 @@
 use std::sync::OnceLock;
 
 use tfsim::bitstate::{
-    fingerprint_of, BitCount, CachedFingerprint, FlipBit, InjectionMask, SlicedState, Snapshot,
-    VisitState,
+    fingerprint_of, BitCount, CachedFingerprint, FlipBit, InjectionMask, VisitState,
 };
 use tfsim::check::prop::{self, any_u64, ints, vecs, Config};
-use tfsim::inject::{OutcomeCounts, StartPoint, TrialSpec};
+use tfsim::inject::{StartPoint, TrialSpec};
 use tfsim::isa::{Asm, Program, Reg};
 use tfsim::uarch::{Pipeline, PipelineConfig};
-use tfsim_check::{prop_assert, prop_assert_eq};
+use tfsim_check::prop_assert_eq;
 
 const MASK: InjectionMask = InjectionMask::LatchesAndRams;
 
@@ -118,65 +110,24 @@ fn batched_run_trials_equals_per_trial_run_trial() {
 }
 
 #[test]
-fn sliced_equals_ladder_equals_naive_at_every_lane_width() {
-    // Random plans through all three engines: naive per-trial replay,
-    // batched snapshot ladder, and the word-parallel (bit-sliced) engine
-    // at a random lane width in 1..=64. Plans of 1..8 trials against
-    // widths up to 64 exercise partial final words constantly (any plan
-    // shorter than the width is one partial word). Record equality is
-    // per-trial and total: outcome, FailureMode, category, kind, unit,
-    // inject cycle, and valid-instruction count all pinned.
-    let mut cfg = Config::from_env();
-    cfg.cases = cfg.cases.min(16);
-    let sp = start_point();
-    assert!(sp.bit_count() > 40_000, "plan generator assumes ≥40k eligible bits");
-    let gen = (vecs((ints(0u64..40_000), ints(0u64..64)), 1..8), ints(1usize..65));
-    prop::run(&cfg, "sliced_equals_ladder_equals_naive_at_every_lane_width", &gen, |val| {
-        let (plan, width) = val.clone();
-        let specs: Vec<TrialSpec> =
-            plan.iter().map(|&(target, inject_cycle)| TrialSpec { target, inject_cycle }).collect();
-        let monitor = 400;
-        let ladder = sp.run_trials(MASK, &specs, monitor);
-        let sliced = sp.run_trials_sliced_with_width(MASK, &specs, monitor, width);
-        prop_assert_eq!(sliced.len(), specs.len());
-        prop_assert_eq!(&sliced, &ladder, "sliced (width {}) != ladder", width);
-        let mut sliced_census = OutcomeCounts::default();
-        let mut naive_census = OutcomeCounts::default();
-        for (i, s) in specs.iter().enumerate() {
-            let naive = sp.run_trial(MASK, s.target, s.inject_cycle, monitor);
-            prop_assert_eq!(sliced[i], naive, "sliced != naive at trial {}", i);
-            sliced_census.add(sliced[i].outcome);
-            naive_census.add(naive.outcome);
-        }
-        prop_assert_eq!(sliced_census, naive_census);
-        Ok(())
-    });
-}
-
-#[test]
 fn pruned_equals_ladder_equals_naive_at_every_lane_width() {
     // Random plans through the analytic masking pruner against the ladder
-    // and the naive path, across random monitoring windows, protection
-    // configs, and delegate lane widths. The pruner may discharge a site
-    // analytically, collapse it into a class, or delegate it — whatever it
-    // picks, the records must be bit-identical to the scalar walk, and
-    // every site must land in exactly one disposition bucket.
+    // and the naive path, across random monitoring windows and protection
+    // configs. The pruner may discharge a site analytically or delegate it
+    // to the ladder — whatever it picks, the records must be bit-identical
+    // to the scalar walk, and every site must land in exactly one
+    // disposition bucket.
     let mut cfg = Config::from_env();
     cfg.cases = cfg.cases.min(12);
-    let gen = (
-        vecs((ints(0u64..40_000), ints(0u64..64)), 1..8),
-        ints(1usize..65),
-        ints(120u64..500),
-        ints(0u8..2),
-    );
+    let gen = (vecs((ints(0u64..40_000), ints(0u64..64)), 1..8), ints(120u64..500), ints(0u8..2));
     prop::run(&cfg, "pruned_equals_ladder_equals_naive_at_every_lane_width", &gen, |val| {
-        let (plan, width, monitor, protected) = val.clone();
+        let (plan, monitor, protected) = val.clone();
         let sp = if protected == 1 { protected_start_point() } else { start_point() };
         let specs: Vec<TrialSpec> =
             plan.iter().map(|&(target, inject_cycle)| TrialSpec { target, inject_cycle }).collect();
         let ladder = sp.run_trials(MASK, &specs, monitor);
-        let (pruned, dispo) = sp.run_trials_pruned_with_width(MASK, &specs, monitor, width);
-        prop_assert_eq!(&pruned, &ladder, "pruned (width {}) != ladder", width);
+        let (pruned, dispo) = sp.run_trials_pruned(MASK, &specs, monitor);
+        prop_assert_eq!(&pruned, &ladder, "pruned != ladder");
         prop_assert_eq!(dispo.total(), specs.len() as u64, "dispositions must cover every site");
         for (i, s) in specs.iter().enumerate() {
             let naive = sp.run_trial(MASK, s.target, s.inject_cycle, monitor);
@@ -213,56 +164,13 @@ fn pruned_proved_dead_site_equals_the_scalar_trial() {
 }
 
 #[test]
-fn sliced_lane_flip_round_trips_to_the_scalar_trial() {
-    // The dense bit-sliced container is the reference semantics for the
-    // campaign engine's sparse realization: flipping eligible bit `target`
-    // in lane `k` of the transposed state, then extracting lane `k` back
-    // to a scalar machine, must equal flipping the scalar machine with
-    // `FlipBit` at the same (bit, cycle) — and the reported hit (category,
-    // kind, bit, width, enclosing unit) must be identical.
-    let mut cfg = Config::from_env();
-    cfg.cases = cfg.cases.min(48);
-    let base = base_pipeline();
-    let gen = (ints(0u64..40_000), ints(0u32..64), ints(0u64..24));
-    prop::run(&cfg, "sliced_lane_flip_round_trips_to_the_scalar_trial", &gen, move |val| {
-        let (target, lane, cycle) = *val;
-        let mut cpu = base.clone();
-        for _ in 0..cycle {
-            cpu.step();
-        }
-
-        let mut scalar = cpu.clone();
-        let mut flip = FlipBit::new(MASK, target);
-        scalar.visit_state(&mut flip);
-        prop_assert!(flip.flipped.is_some(), "target {} not eligible", target);
-
-        let mut sliced = SlicedState::capture(&mut cpu.clone());
-        let hit = sliced.flip(MASK, target, lane);
-        prop_assert_eq!(hit, flip.flipped, "lane flip reports a different hit than FlipBit");
-        prop_assert_eq!(sliced.divergent_lanes(), 1u64 << lane, "only lane {} may diverge", lane);
-
-        // The flipped lane extracts to exactly the scalar-flipped state…
-        let mut extracted = cpu.clone();
-        sliced.load_lane(lane, &mut extracted);
-        let diff = Snapshot::capture(&mut extracted).diff(&Snapshot::capture(&mut scalar));
-        prop_assert!(diff.is_empty(), "lane {} != scalar flip: {:?}", lane, diff);
-
-        // …and a neighboring lane is still bit-for-bit golden.
-        let other = (lane + 1) % 64;
-        let mut golden = cpu.clone();
-        sliced.load_lane(other, &mut golden);
-        prop_assert_eq!(fingerprint_of(&mut golden), fingerprint_of(&mut cpu.clone()));
-        Ok(())
-    });
-}
-
-#[test]
 fn peel_off_stress_many_simultaneous_divergences() {
-    // A dense burst of trials packed into three adjacent injection cycles:
-    // whole words of lanes dispatch together, so every diverging lane must
-    // peel off its own scalar walker from the shared monotonic one while
-    // its word-mates ride. Deliberate duplicate specs check that each
-    // trial lands in the census exactly once — never merged, never lost.
+    // A dense burst of trials packed into three adjacent injection cycles
+    // through the pruner: every site the golden run reads must be
+    // delegated to the ladder, peeling off its own scalar clone of the
+    // shared monotonic walker, while its neighbours are proved dead
+    // analytically. Deliberate duplicate specs check that each trial lands
+    // in the census exactly once — never merged, never lost.
     let sp = start_point();
     let monitor = 400;
     let mut specs = Vec::new();
@@ -274,7 +182,7 @@ fn peel_off_stress_many_simultaneous_divergences() {
     let dup = specs[5];
     specs.extend(std::iter::repeat_n(dup, 8));
 
-    // The shared walker a peeled lane clones is the *uncorrupted* machine
+    // The shared walker a delegated trial clones is the *uncorrupted* machine
     // advanced to the injection cycle: it must satisfy every structural
     // invariant at each peel point.
     let mut walker = base_pipeline().clone();
@@ -289,16 +197,21 @@ fn peel_off_stress_many_simultaneous_divergences() {
     }
 
     let ladder = sp.run_trials(MASK, &specs, monitor);
-    let sliced = sp.run_trials_sliced(MASK, &specs, monitor);
-    assert_eq!(sliced.len(), specs.len(), "every trial must land in the census exactly once");
-    assert_eq!(sliced, ladder, "peel-off burst diverged from the ladder");
-    for (i, (r, s)) in sliced.iter().zip(&specs).enumerate() {
+    let (pruned, dispo) = sp.run_trials_pruned(MASK, &specs, monitor);
+    assert_eq!(pruned.len(), specs.len(), "every trial must land in the census exactly once");
+    assert_eq!(pruned, ladder, "peel-off burst diverged from the ladder");
+    assert_eq!(dispo.total(), specs.len() as u64, "one disposition per trial");
+    assert!(
+        dispo.proved_dead > 0 && dispo.simulated > 0,
+        "the burst must exercise both dispositions: {dispo:?}"
+    );
+    for (i, (r, s)) in pruned.iter().zip(&specs).enumerate() {
         assert_eq!(r.inject_cycle, s.inject_cycle, "record {i} lost input-order alignment");
     }
     let dup_count = specs.iter().filter(|s| **s == dup).count();
     assert_eq!(dup_count, 9, "test bed: 1 original + 8 duplicates");
     let dup_records: Vec<_> =
-        sliced.iter().zip(&specs).filter(|(_, s)| **s == dup).map(|(r, _)| *r).collect();
+        pruned.iter().zip(&specs).filter(|(_, s)| **s == dup).map(|(r, _)| *r).collect();
     assert_eq!(dup_records.len(), 9, "duplicate specs must each keep their own record");
     assert!(
         dup_records.windows(2).all(|w| w[0] == w[1]),
