@@ -2,12 +2,20 @@
 # Campaign-throughput benchmark runner.
 #
 # Builds the perf binary in release mode, runs the injection and
-# Figure 11 benchmarks (or any other filters passed as arguments), prints
-# the human-readable table to stderr, and records the machine-readable
-# results — one JSON object per line — to BENCH_campaign.json.
+# Figure 11 benchmarks plus the per-layer rows (or any other filters
+# passed as arguments), prints the human-readable table to stderr, and
+# records the machine-readable results — one JSON object per line — to
+# BENCH_campaign.json.
 #
-#   ./bench.sh                 # inject/ and arch/ benches -> BENCH_campaign.json
+#   ./bench.sh                 # default filters below -> BENCH_campaign.json
 #   ./bench.sh pipeline/       # any other filters, same output file
+#
+# The layer rows time what a campaign is built from:
+# `pipeline/step-1k/{gzip,mcf,twolf}-like` (one golden or trial cycle),
+# `funcsim/step-10k` (the functional probe and Figure 11's walker),
+# `fingerprint/full-machine` (the flat walk that recomputes every digest)
+# and `fingerprint/cached-cold` (a fresh cached engine on a warmed
+# machine: every trial's first µArch check).
 #
 # TFSIM_BENCH_SAMPLES / TFSIM_BENCH_SAMPLE_MS tune the measurement (see
 # crates/check/src/bench.rs). The headline number is the ratio of the
@@ -58,7 +66,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-[ $# -gt 0 ] || set -- inject/ arch/
+[ $# -gt 0 ] || set -- inject/ arch/ pipeline/step-1k/ funcsim/step-10k fingerprint/
 out=BENCH_campaign.json
 
 : > "$out"

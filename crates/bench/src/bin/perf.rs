@@ -16,7 +16,10 @@ use std::net::TcpListener;
 
 use tfsim_arch::swinject::{self, FaultModel, SwTally};
 use tfsim_arch::FuncSim;
-use tfsim_bitstate::{fingerprint_of, FieldMeta, InjectionMask, StateVisitor, UnitId, VisitState};
+use tfsim_bitstate::{
+    fingerprint_of, CachedFingerprint, FieldMeta, InjectionMask, StateVisitor, UnitId, UnitStamp,
+    VisitState,
+};
 use tfsim_check::{Bench, Rng};
 use tfsim_inject::{
     run_campaign_journaled, run_campaign_with_tasks, run_worker, serve_campaign, CampaignConfig,
@@ -71,8 +74,16 @@ fn bench_funcsim(b: &mut Bench) {
 }
 
 fn bench_fingerprint(b: &mut Bench) {
-    let mut cpu = warmed_pipeline("gzip-like", 500);
-    b.bench("fingerprint/full-machine", || fingerprint_of(&mut cpu));
+    if wants(b, "fingerprint/full-machine") {
+        let mut cpu = warmed_pipeline("gzip-like", 500);
+        b.bench("fingerprint/full-machine", || fingerprint_of(&mut cpu));
+    }
+    // What every trial's first µArch check pays: a fresh engine rehashes
+    // each latch unit and reads each shadow unit's maintained digest.
+    if wants(b, "fingerprint/cached-cold") {
+        let mut cpu = warmed_pipeline("mcf-like", 500);
+        b.bench("fingerprint/cached-cold", || CachedFingerprint::new().fingerprint(&mut cpu));
+    }
 }
 
 fn bench_trial(b: &mut Bench) {
@@ -120,7 +131,7 @@ impl StateVisitor for UnitFields {
         self.ord += 1;
     }
 
-    fn enter_unit(&mut self, unit: UnitId, _gen: u64) -> bool {
+    fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
         self.unit = Some(unit);
         self.ord = 0;
         true

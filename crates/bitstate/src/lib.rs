@@ -216,11 +216,11 @@ impl FieldMeta {
 ///
 /// [`VisitState`] implementations may bracket groups of fields between
 /// [`StateVisitor::enter_unit`] / [`StateVisitor::exit_unit`] calls. Each
-/// unit carries a monotonic *generation stamp*: a counter the machine
-/// advances whenever the unit's content may have changed. Fingerprint
-/// visitors use the stamp to skip rehashing units that provably did not
-/// change since the last walk; all other visitors ignore units entirely,
-/// so field order, bit numbering, and injection targets are unaffected.
+/// unit carries a [`UnitStamp`] summarizing its content: a generation
+/// counter, or a maintained content digest. Fingerprint visitors use the
+/// stamp to avoid rehashing the unit's words; all other visitors ignore
+/// units entirely, so field order, bit numbering, and injection targets
+/// are unaffected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UnitId {
     /// Front-end latches: fetch control, fetch stages/queue, decode and
@@ -383,6 +383,120 @@ impl UnitId {
     }
 }
 
+/// How a fingerprint unit summarizes its content for the fingerprint
+/// engines, passed to [`StateVisitor::enter_unit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnitStamp {
+    /// A generation counter that advances whenever the unit's bits may have
+    /// changed. [`CachedFingerprint`] reuses the unit's subhash while the
+    /// counter stands still and rehashes its words when it moves.
+    Gen(u64),
+    /// The unit's maintained [`UnitDigest`], which *is* its subhash:
+    /// [`CachedFingerprint`] reads it without visiting a word, and the
+    /// flat [`Fingerprint`] recomputes it from the words (asserting, in
+    /// debug builds, that the two agree).
+    Digest(u128),
+}
+
+/// SplitMix64's output finalizer: a bijection on `u64`.
+#[inline]
+fn fmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The digest term of `word` at position `ord` of its unit's visit order:
+/// two SplitMix64 finalizers of the word keyed by its ordinal, one per
+/// 64-bit half.
+///
+/// For a fixed `ord` each half is a bijection in `word`, so two states that
+/// differ in a single word never share a digest. States differing in
+/// several words collide with probability about 2⁻¹²⁸ — the exposure the
+/// root fingerprint comparison always had.
+#[inline]
+pub fn word_digest(ord: usize, word: u64) -> u128 {
+    let key = (ord as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let lo = fmix64(word ^ key);
+    let hi = fmix64(word.wrapping_add(key) ^ 0x6a09_e667_f3bc_c909);
+    (hi as u128) << 64 | lo as u128
+}
+
+/// The maintained content digest of a *shadow unit* (a unit of
+/// fingerprinted but never injected state): the wrapping sum over the
+/// unit's words of [`word_digest`]`(ord, word)`, where `ord` is the word's
+/// position in the unit's visit order.
+///
+/// A structure keeps its digest current by routing every write through
+/// [`UnitDigest::store`], which costs two word digests per changed word,
+/// and reports it as [`UnitStamp::Digest`]. Fault injection never reaches
+/// such a unit ([`FlipBit`] only flips injectable fields), so no write can
+/// bypass the digest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UnitDigest(u128);
+
+impl UnitDigest {
+    /// The digest of every word `unit` visits, computed by walking it.
+    pub fn of(unit: &mut dyn VisitState) -> UnitDigest {
+        let mut sum = DigestSum::default();
+        unit.visit_state(&mut sum);
+        UnitDigest(sum.sum)
+    }
+
+    /// The digest value (the unit's subhash).
+    pub fn value(self) -> u128 {
+        self.0
+    }
+
+    /// Writes `new` into `slot`, the word at visit ordinal `ord`, keeping
+    /// the digest current. Restating the stored value costs nothing.
+    #[inline]
+    pub fn store(&mut self, ord: usize, slot: &mut u64, new: u64) {
+        if *slot != new {
+            let old = word_digest(ord, *slot);
+            self.0 = self.0.wrapping_sub(old).wrapping_add(word_digest(ord, new));
+            *slot = new;
+        }
+    }
+}
+
+/// Sums the [`word_digest`] terms of every visited word.
+#[derive(Debug, Clone, Copy, Default)]
+struct DigestSum {
+    ord: usize,
+    sum: u128,
+}
+
+impl DigestSum {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.sum = self.sum.wrapping_add(word_digest(self.ord, word));
+        self.ord += 1;
+    }
+
+    /// Adds consecutive words; the terms are independent, so the loop
+    /// pipelines across words.
+    #[inline]
+    fn add_all(&mut self, words: &[u64]) {
+        let mut sum = self.sum;
+        for (k, &word) in words.iter().enumerate() {
+            sum = sum.wrapping_add(word_digest(self.ord + k, word));
+        }
+        self.sum = sum;
+        self.ord += words.len();
+    }
+}
+
+impl StateVisitor for DigestSum {
+    fn field(&mut self, _meta: FieldMeta, _width: u32, bits: &mut u64) {
+        self.add(*bits);
+    }
+
+    fn array(&mut self, _meta: FieldMeta, _entry_width: u32, entries: &mut [u64]) {
+        self.add_all(entries);
+    }
+}
+
 /// A visitor over every bit of machine state.
 ///
 /// Implementations receive each field exactly once per walk, in a fixed
@@ -403,16 +517,15 @@ pub trait StateVisitor {
     }
 
     /// Marks the start of fingerprint unit `unit`, whose content is
-    /// summarized by the machine-provided generation stamp `gen` (a counter
-    /// that advances whenever the unit's bits may have changed).
+    /// summarized by the machine-provided `stamp`.
     ///
     /// Returning `false` asks the machine to skip the unit's fields and not
     /// call [`StateVisitor::exit_unit`]: the visitor already knows the
-    /// unit's contribution (e.g. a cached subhash for an unchanged `gen`).
-    /// Visitors that must see every field — censuses, bit counts, fault
-    /// injection, snapshots — keep this default, which visits everything.
-    /// Units never nest.
-    fn enter_unit(&mut self, _unit: UnitId, _gen: u64) -> bool {
+    /// unit's contribution (a cached subhash for an unchanged generation,
+    /// or the unit's maintained digest). Visitors that must see every
+    /// field — censuses, bit counts, fault injection, snapshots — keep
+    /// this default, which visits everything. Units never nest.
+    fn enter_unit(&mut self, _unit: UnitId, _stamp: UnitStamp) -> bool {
         true
     }
 
@@ -661,7 +774,7 @@ impl StateVisitor for FlipBit {
         self.pos += total;
     }
 
-    fn enter_unit(&mut self, unit: UnitId, _gen: u64) -> bool {
+    fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
         // Track the enclosing unit for injection-site attribution, but keep
         // visiting everything: bit numbering must not depend on units.
         self.in_unit = Some(unit);
@@ -678,10 +791,15 @@ impl StateVisitor for FlipBit {
 /// treated as microarchitecturally identical.
 ///
 /// The hash is *hierarchical*: each [`UnitId`] unit the machine brackets is
-/// hashed into its own 128-bit subhash (starting from the FNV offset), and
-/// the root mixes stray (non-unit) words and completed unit subhashes in
-/// visit order. This makes the root reconstructible from cached subhashes —
-/// see [`CachedFingerprint`] — and lets a golden-run ladder store per-unit
+/// hashed into its own 128-bit subhash, and the root mixes stray
+/// (non-unit) words and completed unit subhashes in visit order. A
+/// [`UnitStamp::Gen`] unit's subhash is an FNV chain over its words
+/// (starting from the FNV offset); a [`UnitStamp::Digest`] unit's subhash
+/// is its [`UnitDigest`], which this engine recomputes from the words —
+/// and, in debug builds, asserts equal to the machine's maintained value,
+/// so every fingerprint of a machine audits the digests' write sites.
+/// This makes the root reconstructible from per-unit subhashes — see
+/// [`CachedFingerprint`] — and lets a golden-run ladder store per-unit
 /// hashes for first-divergence attribution. Machines that declare no units
 /// hash exactly as a flat FNV over their words.
 #[derive(Debug, Clone, Copy)]
@@ -689,6 +807,8 @@ pub struct Fingerprint {
     h: u128,
     sub: u128,
     in_unit: bool,
+    /// Open digest unit: its maintained digest and the words' running sum.
+    digest: Option<(u128, DigestSum)>,
     units: [u128; UnitId::COUNT],
 }
 
@@ -698,7 +818,13 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 impl Fingerprint {
     /// Creates a fresh fingerprint accumulator.
     pub fn new() -> Fingerprint {
-        Fingerprint { h: FNV128_OFFSET, sub: FNV128_OFFSET, in_unit: false, units: [0; UnitId::COUNT] }
+        Fingerprint {
+            h: FNV128_OFFSET,
+            sub: FNV128_OFFSET,
+            in_unit: false,
+            digest: None,
+            units: [0; UnitId::COUNT],
+        }
     }
 
     /// The accumulated 128-bit root hash.
@@ -717,6 +843,10 @@ impl Fingerprint {
     }
 
     fn mix(&mut self, word: u64) {
+        if let Some((_, sum)) = self.digest.as_mut() {
+            sum.add(word);
+            return;
+        }
         let acc = if self.in_unit { &mut self.sub } else { &mut self.h };
         *acc ^= word as u128;
         *acc = acc.wrapping_mul(FNV128_PRIME);
@@ -730,27 +860,49 @@ impl Default for Fingerprint {
 }
 
 impl StateVisitor for Fingerprint {
-    fn field(&mut self, _meta: FieldMeta, width: u32, bits: &mut u64) {
+    fn field(&mut self, meta: FieldMeta, width: u32, bits: &mut u64) {
         debug_assert_eq!(*bits & !width_mask(width), 0, "field exceeds declared width {width}");
+        debug_assert!(
+            self.digest.is_none() || !meta.injectable,
+            "a digest unit holds injectable state, which a flip would change behind its digest"
+        );
         self.mix(*bits);
     }
 
-    fn array(&mut self, _meta: FieldMeta, _entry_width: u32, entries: &mut [u64]) {
+    fn array(&mut self, meta: FieldMeta, _entry_width: u32, entries: &mut [u64]) {
+        debug_assert!(
+            self.digest.is_none() || !meta.injectable,
+            "a digest unit holds injectable state, which a flip would change behind its digest"
+        );
+        if let Some((_, sum)) = self.digest.as_mut() {
+            sum.add_all(entries);
+            return;
+        }
         for e in entries.iter() {
             self.mix(*e);
         }
     }
 
-    fn enter_unit(&mut self, _unit: UnitId, _gen: u64) -> bool {
+    fn enter_unit(&mut self, _unit: UnitId, stamp: UnitStamp) -> bool {
         debug_assert!(!self.in_unit, "fingerprint units must not nest");
         self.sub = FNV128_OFFSET;
         self.in_unit = true;
+        if let UnitStamp::Digest(maintained) = stamp {
+            self.digest = Some((maintained, DigestSum::default()));
+        }
         true
     }
 
     fn exit_unit(&mut self, unit: UnitId) {
         debug_assert!(self.in_unit, "exit_unit without enter_unit");
         self.in_unit = false;
+        if let Some((_maintained, sum)) = self.digest.take() {
+            debug_assert_eq!(
+                sum.sum, _maintained,
+                "unit {unit}: maintained digest disagrees with its words (a write bypassed it)"
+            );
+            self.sub = sum.sum;
+        }
         self.units[unit.index()] = self.sub;
         self.h ^= self.sub;
         self.h = self.h.wrapping_mul(FNV128_PRIME);
@@ -764,21 +916,23 @@ pub fn fingerprint_of(machine: &mut dyn VisitState) -> u128 {
     fp.value()
 }
 
-/// An incremental fingerprint engine that caches per-unit subhashes keyed
-/// by the generation stamps machines pass to [`StateVisitor::enter_unit`].
+/// An incremental fingerprint engine: the root [`fingerprint_of`] would
+/// compute, without rehashing what did not change.
 ///
-/// On a walk, a unit whose stamp matches the cached one is *skipped*
-/// (`enter_unit` returns `false`) and its cached subhash is mixed into the
-/// root, so the root always equals what [`fingerprint_of`] would compute —
-/// without rehashing unchanged predictor and cache arrays.
+/// A [`UnitStamp::Digest`] unit contributes its maintained digest without
+/// a single word being visited. A [`UnitStamp::Gen`] unit is rehashed only
+/// when its generation moved since the engine last hashed it; otherwise
+/// the engine skips it (`enter_unit` returns `false`) and mixes its cached
+/// subhash into the root.
 ///
 /// # Correctness contract
 ///
 /// A cache is valid for **one machine instance**, and only while every
 /// state change between [`CachedFingerprint::fingerprint`] calls goes
 /// through the machine's mutation API (which advances the generation
-/// stamps). After out-of-band mutation — e.g. a [`FlipBit`] walk — call
-/// [`CachedFingerprint::invalidate`] or use a fresh engine.
+/// stamps and maintains the digests). After out-of-band mutation — e.g. a
+/// [`FlipBit`] walk — call [`CachedFingerprint::invalidate`] or use a fresh
+/// engine.
 #[derive(Debug, Clone)]
 pub struct CachedFingerprint {
     h: u128,
@@ -791,6 +945,7 @@ pub struct CachedFingerprint {
     suspect: Option<UnitId>, // unit that mismatched golden on the last `matches`
     hits: u64,
     misses: u64,
+    words: u64,
 }
 
 impl CachedFingerprint {
@@ -807,12 +962,14 @@ impl CachedFingerprint {
             suspect: None,
             hits: 0,
             misses: 0,
+            words: 0,
         }
     }
 
     /// Fingerprints `machine`, reusing cached subhashes for units whose
-    /// generation stamp is unchanged since the previous call. Equals
-    /// [`fingerprint_of`] on the same machine.
+    /// generation stamp is unchanged since the previous call and reading
+    /// digest units' subhashes directly. Equals [`fingerprint_of`] on the
+    /// same machine.
     pub fn fingerprint(&mut self, machine: &mut dyn VisitState) -> u128 {
         self.h = FNV128_OFFSET;
         self.active = None;
@@ -904,7 +1061,7 @@ impl CachedFingerprint {
         &self.units
     }
 
-    /// Units served from cache across all walks.
+    /// Units served without rehashing (cached or digest) across all walks.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -912,6 +1069,12 @@ impl CachedFingerprint {
     /// Units rehashed across all walks.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Words mixed across all walks: stray words plus the words of every
+    /// rehashed unit. Exact and machine-independent.
+    pub fn words(&self) -> u64 {
+        self.words
     }
 
     fn mix(&mut self, word: u64) {
@@ -935,16 +1098,18 @@ impl Default for CachedFingerprint {
 impl StateVisitor for CachedFingerprint {
     fn field(&mut self, _meta: FieldMeta, width: u32, bits: &mut u64) {
         debug_assert_eq!(*bits & !width_mask(width), 0, "field exceeds declared width {width}");
+        self.words += 1;
         self.mix(*bits);
     }
 
     fn array(&mut self, _meta: FieldMeta, _entry_width: u32, entries: &mut [u64]) {
+        self.words += entries.len() as u64;
         for e in entries.iter() {
             self.mix(*e);
         }
     }
 
-    fn enter_unit(&mut self, unit: UnitId, gen: u64) -> bool {
+    fn enter_unit(&mut self, unit: UnitId, stamp: UnitStamp) -> bool {
         debug_assert!(self.active.is_none(), "fingerprint units must not nest");
         debug_assert_eq!(
             self.seen & (1 << unit.index()),
@@ -957,6 +1122,15 @@ impl StateVisitor for CachedFingerprint {
             // (entries stay keyed by their recorded generations).
             return false;
         }
+        let gen = match stamp {
+            UnitStamp::Digest(digest) => {
+                self.hits += 1;
+                self.units[unit.index()] = digest;
+                self.mix_unit(digest);
+                return false;
+            }
+            UnitStamp::Gen(gen) => gen,
+        };
         if let Some((g, h)) = self.cache[unit.index()] {
             if g == gen {
                 self.hits += 1;
@@ -1122,38 +1296,48 @@ mod tests {
         assert_eq!(t.pc, 0xabcd0 ^ (1 << 5));
     }
 
-    /// A machine with two fingerprint units (one stamped by `hot_gen`, one
-    /// by `cold_gen`) plus one stray field outside any unit.
+    /// A machine with two fingerprint units — `hot`, stamped by the
+    /// generation `hot_gen`, and the shadow array `cold`, summarized by its
+    /// maintained digest — plus one stray field outside any unit.
     struct UnitToy {
         stray: u64,
         hot: u64,
         hot_gen: u64,
         cold: Vec<u64>,
-        cold_gen: u64,
+        cold_digest: UnitDigest,
     }
 
     impl UnitToy {
         fn new() -> UnitToy {
-            UnitToy { stray: 0x5a, hot: 0xdead_beef, hot_gen: 0, cold: vec![1, 2, 3], cold_gen: 0 }
+            let cold = vec![1, 2, 3];
+            let cold_digest = UnitDigest::of(&mut ColdArray(cold.clone()));
+            UnitToy { stray: 0x5a, hot: 0xdead_beef, hot_gen: 0, cold, cold_digest }
         }
 
         fn set_cold(&mut self, i: usize, val: u64) {
-            if self.cold[i] != val {
-                self.cold[i] = val;
-                self.cold_gen += 1;
-            }
+            self.cold_digest.store(i, &mut self.cold[i], val);
+        }
+    }
+
+    /// The `cold` unit's fields on their own, as its structure would visit
+    /// them.
+    struct ColdArray(Vec<u64>);
+
+    impl VisitState for ColdArray {
+        fn visit_state(&mut self, v: &mut dyn StateVisitor) {
+            v.array(FieldMeta::shadow(Category::Ctrl, StorageKind::Ram), 8, &mut self.0);
         }
     }
 
     impl VisitState for UnitToy {
         fn visit_state(&mut self, v: &mut dyn StateVisitor) {
             v.field(FieldMeta::new(Category::Ctrl, StorageKind::Latch), 8, &mut self.stray);
-            if v.enter_unit(UnitId::Front, self.hot_gen) {
+            if v.enter_unit(UnitId::Front, UnitStamp::Gen(self.hot_gen)) {
                 v.field(FieldMeta::new(Category::Data, StorageKind::Latch), 64, &mut self.hot);
                 v.exit_unit(UnitId::Front);
             }
-            if v.enter_unit(UnitId::Bpred, self.cold_gen) {
-                v.array(FieldMeta::shadow(Category::Ctrl, StorageKind::Ram), 2, &mut self.cold);
+            if v.enter_unit(UnitId::Bpred, UnitStamp::Digest(self.cold_digest.value())) {
+                v.array(FieldMeta::shadow(Category::Ctrl, StorageKind::Ram), 8, &mut self.cold);
                 v.exit_unit(UnitId::Bpred);
             }
         }
@@ -1200,7 +1384,7 @@ mod tests {
         let mut c = Census::new();
         t.visit_state(&mut c);
         assert_eq!(c.total(), 8 + 64);
-        assert_eq!(c.shadow_total(), 6);
+        assert_eq!(c.shadow_total(), 3 * 8);
 
         let before = fingerprint_of(&mut t);
         let mut flip = FlipBit::new(InjectionMask::LatchesAndRams, 8);
@@ -1224,21 +1408,70 @@ mod tests {
         let mut t = UnitToy::new();
         let mut engine = CachedFingerprint::new();
         assert_eq!(engine.fingerprint(&mut t), fingerprint_of(&mut t));
-        // Second walk with nothing changed: both units served from cache.
+        // The digest unit is served without a word visited; the generation
+        // unit is hashed once, then served from cache while it stands still.
+        assert_eq!((engine.hits(), engine.misses()), (1, 1));
         assert_eq!(engine.fingerprint(&mut t), fingerprint_of(&mut t));
-        assert_eq!(engine.hits(), 2);
-        assert_eq!(engine.misses(), 2);
+        assert_eq!((engine.hits(), engine.misses()), (3, 1));
+        // Only the stray word and the hot unit's word were ever mixed.
+        assert_eq!(engine.words(), 3);
 
-        // Mutate through the stamped API: the dirty unit is rehashed, the
-        // clean one is not, and the root still matches the flat walk.
+        // Mutate the digest unit through its maintained API: the root
+        // still matches the flat walk, and nothing is rehashed.
         t.set_cold(1, 9);
         assert_eq!(engine.fingerprint(&mut t), fingerprint_of(&mut t));
-        assert_eq!(engine.hits(), 3);
-        assert_eq!(engine.misses(), 3);
+        assert_eq!((engine.hits(), engine.misses()), (5, 1));
+        assert_eq!(engine.words(), 4);
+
+        // A moved generation rehashes its unit.
+        t.hot ^= 2;
+        t.hot_gen += 1;
+        assert_eq!(engine.fingerprint(&mut t), fingerprint_of(&mut t));
+        assert_eq!((engine.hits(), engine.misses()), (6, 2));
 
         // Stray (non-unit) fields are hashed on every walk.
         t.stray ^= 0x11;
         assert_eq!(engine.fingerprint(&mut t), fingerprint_of(&mut t));
+    }
+
+    #[test]
+    fn maintained_digest_equals_the_recomputed_one() {
+        let mut t = UnitToy::new();
+        for (i, val) in [(0, 7), (2, 0), (1, 9), (1, 9), (0, 1), (2, 3), (1, 2)] {
+            t.set_cold(i, val);
+            assert_eq!(t.cold_digest, UnitDigest::of(&mut ColdArray(t.cold.clone())));
+        }
+        // Restoring every word restores the digest exactly.
+        assert_eq!(t.cold_digest, UnitToy::new().cold_digest);
+        // The flat engine's unit subhash is the recomputed digest.
+        let mut flat = Fingerprint::new();
+        t.visit_state(&mut flat);
+        assert_eq!(flat.unit(UnitId::Bpred), t.cold_digest.value());
+    }
+
+    #[test]
+    fn word_digest_separates_single_word_differences() {
+        // A bijection in the word for each ordinal: distinct words at one
+        // ordinal never share a term, whatever the ordinal.
+        for ord in [0usize, 1, 2, 63, 4096, 18_432] {
+            let mut seen = std::collections::HashSet::new();
+            for word in (0..64u64).chain((0..64).map(|b| 1u64 << b)).chain([u64::MAX]) {
+                seen.insert((word, word_digest(ord, word)));
+            }
+            let terms: std::collections::HashSet<u128> = seen.iter().map(|&(_, d)| d).collect();
+            assert_eq!(terms.len(), seen.len(), "ordinal {ord}");
+        }
+        // The same word at different ordinals contributes different terms.
+        assert_ne!(word_digest(0, 0), word_digest(1, 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "maintained digest disagrees")]
+    fn a_write_behind_the_digest_fails_the_debug_audit() {
+        let mut t = UnitToy::new();
+        t.cold[2] ^= 1; // bypasses `set_cold`
+        fingerprint_of(&mut t);
     }
 
     #[test]
@@ -1280,6 +1513,17 @@ mod tests {
         assert!(!engine.matches(&mut t, root, &units));
         t.stray ^= 1;
         assert!(engine.matches(&mut t, root, &units));
+
+        // A divergence in a digest unit is probed by reading its digest.
+        t.set_cold(0, 5);
+        assert!(!engine.matches(&mut t, root, &units));
+        assert_eq!(engine.suspect(), Some(UnitId::Bpred));
+        let (hits, misses, words) = (engine.hits(), engine.misses(), engine.words());
+        assert!(!engine.matches(&mut t, root, &units));
+        // Only the stray word outside any unit is mixed by the probe walk.
+        assert_eq!((engine.hits(), engine.misses(), engine.words()), (hits + 1, misses, words + 1));
+        t.set_cold(0, 1);
+        assert!(engine.matches(&mut t, root, &units));
     }
 
     #[test]
@@ -1315,9 +1559,10 @@ mod tests {
         let mut t = UnitToy::new();
         let mut engine = CachedFingerprint::new();
         engine.fingerprint(&mut t);
-        // Mutate a unit WITHOUT advancing its stamp: the cache is now stale
-        // and the root is wrong — exactly what the contract forbids.
-        t.cold[2] ^= 1;
+        // Mutate a generation unit WITHOUT advancing its stamp: the cache
+        // is now stale and the root is wrong — exactly what the contract
+        // forbids.
+        t.hot ^= 1;
         assert_ne!(engine.fingerprint(&mut t), fingerprint_of(&mut t));
         // invalidate() drops the cache and the next walk is correct again.
         engine.invalidate();

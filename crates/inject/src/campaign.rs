@@ -360,6 +360,10 @@ pub struct CampaignMetrics {
     /// `StartPoint::prepare` plus its batch's dense and deferred
     /// attribution rows. Exact and machine-independent.
     rows_hashed: CounterId,
+    /// Words mixed into those rows: the latch units' words, since the
+    /// shadow units contribute their maintained digests without a word
+    /// visited. Exact and machine-independent.
+    words_hashed: CounterId,
     /// First accesses the live tasks' access footprints kept: fault sites
     /// whose word the golden run reads or overwrites inside their window
     /// (zero on the snapshot ladder, which builds no footprint).
@@ -382,6 +386,7 @@ impl CampaignMetrics {
             advance_ns: registry.counter("phase/advance_ns"),
             monitor_ns: registry.counter("phase/monitor_ns"),
             rows_hashed: registry.counter("golden/rows_hashed"),
+            words_hashed: registry.counter("golden/words_hashed"),
             footprint_events: registry.counter("footprint/events_kept"),
             fail_latency: registry.histogram("cycles-to-failure-detection"),
             match_latency: registry.histogram("cycles-to-reconvergence"),
@@ -810,6 +815,7 @@ fn run_campaign_core(
                     ls.exit();
                 }
                 let rows_hashed = sp.rows_hashed + batch.rows_hashed;
+                let words_hashed = sp.words_hashed + batch.words_hashed;
                 let footprint_events = batch.footprint_events;
                 let (records, traces, deeps, faults, advance_ns, monitor_ns) = (
                     batch.records,
@@ -838,6 +844,7 @@ fn run_campaign_core(
                     local.add(metrics.advance_ns, advance_ns);
                     local.add(metrics.monitor_ns, monitor_ns);
                     local.add(metrics.rows_hashed, rows_hashed);
+                    local.add(metrics.words_hashed, words_hashed);
                     local.add(metrics.footprint_events, footprint_events);
                     for (rec, tr) in records.iter().zip(traces.iter()) {
                         let latency = tr.detect_cycle - rec.inject_cycle;

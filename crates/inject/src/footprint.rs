@@ -25,7 +25,7 @@
 //! [`Loggability::Core`]: tfsim_bitstate::Loggability::Core
 
 use tfsim_bitstate::{
-    Category, FieldMeta, InjectionMask, StateVisitor, StorageKind, UnitId, VisitState,
+    Category, FieldMeta, InjectionMask, StateVisitor, StorageKind, UnitId, UnitStamp, VisitState,
 };
 use tfsim_uarch::Pipeline;
 
@@ -202,7 +202,7 @@ impl StateVisitor for SpanCollector {
     // The default `array` forwards entry-by-entry to `field`, which is
     // exactly the per-word granularity the footprint uses. Do not override.
 
-    fn enter_unit(&mut self, unit: UnitId, _gen: u64) -> bool {
+    fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
         self.unit = Some(unit);
         self.ord = 0;
         true

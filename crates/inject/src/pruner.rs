@@ -513,6 +513,112 @@ mod tests {
         assert_eq!(dispo.total(), specs.len() as u64);
     }
 
+    /// Every eligible field of `cpu` in visit order: `(unit, ordinal within
+    /// the unit, first eligible bit, category, value)`.
+    fn eligible_fields(
+        cpu: &mut tfsim_uarch::Pipeline,
+    ) -> Vec<(Option<UnitId>, u32, u64, tfsim_bitstate::Category, u64)> {
+        use tfsim_bitstate::{FieldMeta, StateVisitor, UnitStamp, VisitState};
+        #[derive(Default)]
+        struct Fields {
+            pos: u64,
+            unit: Option<UnitId>,
+            ord: u32,
+            out: Vec<(Option<UnitId>, u32, u64, tfsim_bitstate::Category, u64)>,
+        }
+        impl StateVisitor for Fields {
+            fn field(&mut self, meta: FieldMeta, width: u32, bits: &mut u64) {
+                if MASK.eligible(meta) {
+                    self.out.push((self.unit, self.ord, self.pos, meta.category, *bits));
+                    self.pos += width as u64;
+                }
+                self.ord += 1;
+            }
+            fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
+                (self.unit, self.ord) = (Some(unit), 0);
+                true
+            }
+            fn exit_unit(&mut self, _unit: UnitId) {
+                self.unit = None;
+            }
+        }
+        let mut f = Fields::default();
+        cpu.visit_state(&mut f);
+        f.out
+    }
+
+    /// Faults in miss handling register addresses: the load scan for an
+    /// outstanding fill compares an entry's address only while the entry is
+    /// valid, so a flipped address in an idle entry is dead until the next
+    /// allocation overwrites it, while a live entry's address is read by
+    /// the next load that scans it.
+    #[test]
+    fn idle_mhr_address_faults_are_proved_dead() {
+        // A load stream striding one cache line per iteration through 256
+        // KiB: every load misses, so fills overlap while most entries idle.
+        let mut a = Asm::new(0x1_0000);
+        a.li(Reg::R1, 0x10_0000);
+        a.li(Reg::R7, 4_000);
+        let top = a.here_label();
+        a.ldq(Reg::R6, Reg::R1, 0);
+        a.addq(Reg::R9, Reg::R6, Reg::R9);
+        a.addq_i(Reg::R1, 64, Reg::R1);
+        a.subq_i(Reg::R7, 1, Reg::R7);
+        a.bne(Reg::R7, top);
+        a.halt();
+        let p = tfsim_isa::Program::new("mhr-bed", a).with_data(0x10_0000, vec![0u8; 4_000 * 64]);
+        let warmed = warm_pipeline(&p, PipelineConfig::baseline(), 300);
+        let sp = StartPoint::prepare(&warmed, 1_500, MASK);
+
+        // MHR entries as (valid, first eligible bit of the address): each
+        // entry's address field follows its valid bit in the ArchCtrl walk.
+        let mhrs = |cpu: &mut tfsim_uarch::Pipeline| -> Vec<(bool, u64)> {
+            let fields = eligible_fields(cpu);
+            let arch: Vec<_> = fields.iter().filter(|f| f.0 == Some(UnitId::ArchCtrl)).collect();
+            (1..arch.len())
+                .filter(|&k| arch[k].3 == tfsim_bitstate::Category::Addr)
+                .map(|k| (arch[k - 1].4 == 1, arch[k].2))
+                .collect()
+        };
+        // The first cycle at which an entry has just allocated.
+        let mut golden = sp.checkpoint.clone();
+        let mut before = mhrs(&mut golden);
+        assert_eq!(before.len(), 16, "sixteen MHR entries");
+        let (inject, live, idle) = (1..200u64)
+            .find_map(|c| {
+                golden.step();
+                let now = mhrs(&mut golden);
+                let fresh = (0..now.len()).find(|&e| now[e].0 && !before[e].0);
+                let idle: Vec<u64> = now.iter().filter(|e| !e.0).map(|e| e.1).collect();
+                before = now.clone();
+                fresh.map(|e| (c, now[e].1, idle))
+            })
+            .expect("the load stream allocates an MHR");
+        assert!(idle.len() >= 4, "most entries idle: {idle:?}");
+
+        let classify = |target: u64, monitor: u64| {
+            let spec = TrialSpec { target, inject_cycle: inject };
+            let (pruned, dispo) = sp.run_trials_pruned(MASK, &[spec], monitor);
+            assert_eq!(pruned, sp.run_trials(MASK, &[spec], monitor), "target {target}");
+            assert_eq!(pruned[0], sp.run_trial(MASK, target, inject, monitor), "target {target}");
+            dispo
+        };
+        // The live entry's address is read by the next load's scan, before
+        // its fill completes (a window shorter than the miss latency).
+        for monitor in [6, 1_000] {
+            let dispo = classify(live, monitor);
+            assert_eq!(dispo.simulated, 1, "live entry address, monitor {monitor}");
+        }
+        // Idle entries' addresses are never read: proved dead, whether
+        // a later allocation heals them or the window closes first.
+        for &target in idle.iter().step_by(3) {
+            for monitor in [6, 1_000] {
+                let dispo = classify(target, monitor);
+                assert_eq!(dispo.proved_dead, 1, "idle entry address, monitor {monitor}");
+            }
+        }
+    }
+
     /// The forced-panic shim flows through the delegate remapping: the
     /// quarantined fault surfaces under its original spec index and every
     /// other record is unperturbed.

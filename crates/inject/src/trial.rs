@@ -239,6 +239,9 @@ pub struct TracedBatch {
     /// Golden rows the batch hashed (dense rows plus deferred attribution
     /// rows). Exact and machine-independent.
     pub rows_hashed: u64,
+    /// Words the batch's golden walk mixed into those rows. Exact and
+    /// machine-independent.
+    pub words_hashed: u64,
     /// First accesses the batch's access footprint kept: fault sites whose
     /// word the golden run reads or overwrites inside their window.
     pub footprint_events: u64,
@@ -256,6 +259,7 @@ impl TracedBatch {
         self.footprint_ns += other.footprint_ns;
         self.attribute_ns += other.attribute_ns;
         self.rows_hashed += other.rows_hashed;
+        self.words_hashed += other.words_hashed;
         self.footprint_events += other.footprint_events;
     }
 }
@@ -331,6 +335,8 @@ pub struct StartPoint {
     bit_count: u64,
     /// Golden rows `prepare` hashed.
     pub(crate) rows_hashed: u64,
+    /// Words `prepare` mixed into those rows.
+    pub(crate) words_hashed: u64,
 }
 
 /// Hashes `cpu` into a golden row with `engine`.
@@ -360,8 +366,8 @@ impl StartPoint {
         let mut halted_at = None;
         let base_instret = golden.instret();
         // The golden rows are hashed with the cached engine: the golden
-        // machine mutates only through `step()`, so unit stamps are exact
-        // and unchanged predictor/cache arrays hash for free.
+        // machine mutates only through `step()`, so unit stamps are exact,
+        // and the shadow units' maintained digests cost nothing to read.
         let mut engine = CachedFingerprint::new();
         let mut rows_hashed = 1;
         sparse.push(hash_row(&mut engine, &mut golden));
@@ -401,48 +407,9 @@ impl StartPoint {
             }
         }
 
-        // Figure 6 instrumentation: for each cycle, how many in-flight
-        // instructions eventually commit. Flow events use absolute cycle
-        // numbers; the checkpoint sits at `warmed.cycles()`.
-        let base_cycle = warmed.cycles();
-        let events = golden.take_flow_events();
-        let mut valid_counts = vec![0u32; horizon as usize + 1];
-        {
-            use std::collections::HashMap;
-            // seq -> (fetch_cycle, end_cycle, committed)
-            let mut spans: HashMap<u64, (u64, Option<u64>, bool)> = HashMap::new();
-            for ev in &events {
-                match *ev {
-                    FlowEvent::Fetch { seq, cycle } => {
-                        spans.entry(seq).or_insert((cycle, None, false)).0 = cycle;
-                    }
-                    FlowEvent::Commit { seq, cycle } => {
-                        let e = spans.entry(seq).or_insert((0, None, false));
-                        e.1 = Some(cycle);
-                        e.2 = true;
-                    }
-                    FlowEvent::Squash { seq, cycle } => {
-                        let e = spans.entry(seq).or_insert((0, None, false));
-                        e.1 = Some(cycle);
-                    }
-                }
-            }
-            for (_, (fetch, end, committed)) in spans {
-                if !committed {
-                    continue;
-                }
-                let end = end.unwrap_or(u64::MAX);
-                // Clamp the span to the [checkpoint, horizon] window in
-                // relative cycles.
-                let lo = fetch.saturating_sub(base_cycle);
-                let hi = end.saturating_sub(base_cycle).min(horizon);
-                for c in lo..hi {
-                    if let Some(slot) = valid_counts.get_mut(c as usize) {
-                        *slot += 1;
-                    }
-                }
-            }
-        }
+        // Flow events use absolute cycle numbers; the checkpoint sits at
+        // `warmed.cycles()`.
+        let valid_counts = valid_counts(&golden.take_flow_events(), warmed.cycles(), horizon);
 
         let mut count = BitCount::new(mask);
         checkpoint.visit_state(&mut count);
@@ -458,6 +425,7 @@ impl StartPoint {
             valid_counts,
             bit_count: count.count,
             rows_hashed,
+            words_hashed: engine.words(),
         }
     }
 
@@ -677,6 +645,7 @@ impl StartPoint {
         batch.rows_ns = rows_ns;
         batch.attribute_ns = attribute_ns;
         batch.rows_hashed = rows.hashed();
+        batch.words_hashed = rows.words_hashed();
         batch
     }
 
@@ -1058,6 +1027,11 @@ impl<'a> Rows<'a> {
         self.walk.hashed
     }
 
+    /// Words mixed into those rows.
+    pub(crate) fn words_hashed(&self) -> u64 {
+        self.walk.engine.words()
+    }
+
     /// Resolves the batch's deferred closings, in ascending decision
     /// cycle: rows the batch holds are read directly, the others come from
     /// walking the golden run forward. `closings` pairs each with the spec
@@ -1088,6 +1062,51 @@ impl<'a> Rows<'a> {
     }
 }
 
+/// Figure 6 instrumentation: for each cycle `0..=horizon` after the
+/// checkpoint at absolute cycle `base_cycle`, how many in-flight
+/// instructions eventually commit. An instruction counts from its fetch
+/// cycle up to (not including) its commit cycle; the last flow event of a
+/// sequence number wins.
+fn valid_counts(events: &[FlowEvent], base_cycle: u64, horizon: u64) -> Vec<u32> {
+    let seq_of = |ev: &FlowEvent| match *ev {
+        FlowEvent::Fetch { seq, .. }
+        | FlowEvent::Commit { seq, .. }
+        | FlowEvent::Squash { seq, .. } => seq,
+    };
+    let first = events.iter().map(seq_of).min().unwrap_or(0);
+    let last = events.iter().map(seq_of).max().unwrap_or(0);
+    // Per sequence number (dense: fetch numbers them consecutively):
+    // fetch cycle, end cycle, committed.
+    let mut spans = vec![(0u64, 0u64, false); (last - first + 1) as usize];
+    for ev in events {
+        let span = &mut spans[(seq_of(ev) - first) as usize];
+        match *ev {
+            FlowEvent::Fetch { cycle, .. } => span.0 = cycle,
+            FlowEvent::Commit { cycle, .. } => (span.1, span.2) = (cycle, true),
+            FlowEvent::Squash { cycle, .. } => span.1 = cycle,
+        }
+    }
+    // A difference array over the window: +1 where a committed lifetime
+    // starts, −1 where it ends, then one prefix sum.
+    let mut delta = vec![0i64; horizon as usize + 2];
+    for &(fetch, end, committed) in &spans {
+        let lo = fetch.saturating_sub(base_cycle);
+        let hi = end.saturating_sub(base_cycle).min(horizon);
+        if committed && lo < hi {
+            delta[lo as usize] += 1;
+            delta[hi as usize] -= 1;
+        }
+    }
+    let mut live = 0i64;
+    delta[..=horizon as usize]
+        .iter()
+        .map(|d| {
+            live += d;
+            live as u32
+        })
+        .collect()
+}
+
 /// Warm-up helper: builds a flow-logged pipeline, runs it `cycles`, and
 /// returns it (TLBs preloaded from a fault-free functional run).
 pub(crate) fn warm_pipeline(
@@ -1114,6 +1133,9 @@ mod tests {
     use super::*;
     use tfsim_isa::{Asm, Reg};
     use tfsim_uarch::PipelineConfig;
+
+    /// Cycles the stepping audit checks per workload and config.
+    const AUDIT_CYCLES: u64 = 500;
 
     fn start_point() -> StartPoint {
         let mut a = Asm::new(0x1_0000);
@@ -1194,6 +1216,132 @@ mod tests {
         let p = tfsim_isa::Program::new("short", a);
         let warmed = warm_pipeline(&p, PipelineConfig::baseline(), 10);
         StartPoint::prepare(&warmed, 2_000, InjectionMask::LatchesAndRams)
+    }
+
+    /// The per-cycle Figure 6 computation `valid_counts` replaced: every
+    /// committed instruction adds one to each cycle of its lifetime.
+    fn valid_counts_per_cycle(events: &[FlowEvent], base_cycle: u64, horizon: u64) -> Vec<u32> {
+        use std::collections::HashMap;
+        let mut valid_counts = vec![0u32; horizon as usize + 1];
+        // seq -> (fetch_cycle, end_cycle, committed)
+        let mut spans: HashMap<u64, (u64, Option<u64>, bool)> = HashMap::new();
+        for ev in events {
+            match *ev {
+                FlowEvent::Fetch { seq, cycle } => {
+                    spans.entry(seq).or_insert((cycle, None, false)).0 = cycle;
+                }
+                FlowEvent::Commit { seq, cycle } => {
+                    let e = spans.entry(seq).or_insert((0, None, false));
+                    e.1 = Some(cycle);
+                    e.2 = true;
+                }
+                FlowEvent::Squash { seq, cycle } => {
+                    let e = spans.entry(seq).or_insert((0, None, false));
+                    e.1 = Some(cycle);
+                }
+            }
+        }
+        for (_, (fetch, end, committed)) in spans {
+            if !committed {
+                continue;
+            }
+            let end = end.unwrap_or(u64::MAX);
+            let lo = fetch.saturating_sub(base_cycle);
+            let hi = end.saturating_sub(base_cycle).min(horizon);
+            for c in lo..hi {
+                if let Some(slot) = valid_counts.get_mut(c as usize) {
+                    *slot += 1;
+                }
+            }
+        }
+        valid_counts
+    }
+
+    #[test]
+    fn valid_counts_equal_the_per_cycle_reference() {
+        let loop_program = {
+            let mut a = Asm::new(0x1_0000);
+            a.li(Reg::R1, 0x10_0000);
+            a.li(Reg::R7, 3_000);
+            let top = a.here_label();
+            a.stq(Reg::R7, Reg::R1, 0);
+            a.ldq(Reg::R6, Reg::R1, 0);
+            a.subq_i(Reg::R7, 1, Reg::R7);
+            a.bne(Reg::R7, top);
+            a.halt();
+            tfsim_isa::Program::new("fig6-bed", a).with_data(0x10_0000, vec![0u8; 64])
+        };
+        // Start points across the run, the last of them halting inside its
+        // horizon, under both pipeline configs.
+        for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
+            for (warm, horizon) in [(0, 300), (150, 700), (900, 2_000), (3_000, 5_000)] {
+                let warmed = warm_pipeline(&loop_program, config, warm);
+                let mut golden = warmed.clone();
+                for _ in 0..horizon {
+                    golden.step();
+                }
+                let events = golden.take_flow_events();
+                let fast = valid_counts(&events, warmed.cycles(), horizon);
+                assert_eq!(fast, valid_counts_per_cycle(&events, warmed.cycles(), horizon));
+                let sp = StartPoint::prepare(&warmed, horizon, InjectionMask::LatchesAndRams);
+                assert!((0..=horizon).all(|c| sp.valid_at(c) == fast[c as usize]));
+                if warm == 3_000 {
+                    assert!(sp.halted_at.is_some(), "the last start point must halt");
+                }
+            }
+        }
+        assert!(valid_counts(&[], 0, 4).iter().all(|&n| n == 0));
+    }
+
+    /// Every workload at scale 1, warmed 300 cycles, under both pipeline
+    /// configs.
+    fn warmed_workloads() -> &'static [(String, Pipeline)] {
+        static WARMED: std::sync::OnceLock<Vec<(String, Pipeline)>> = std::sync::OnceLock::new();
+        WARMED.get_or_init(|| {
+            let mut out = Vec::new();
+            for w in tfsim_workloads::all() {
+                let program = w.build(1);
+                let configs = [
+                    ("baseline", PipelineConfig::baseline()),
+                    ("protected", PipelineConfig::protected()),
+                ];
+                for (label, config) in configs {
+                    let name = format!("{} ({label})", w.name);
+                    out.push((name, warm_pipeline(&program, config, 300)));
+                }
+            }
+            out
+        })
+    }
+
+    #[test]
+    fn golden_rows_hash_only_the_latch_words() {
+        // The shadow units contribute their maintained digests without a
+        // word visited, so a row costs the latch units' words alone (3,257
+        // on the baseline machine, a few more with protection).
+        for (name, warmed) in warmed_workloads() {
+            let sp = StartPoint::prepare(warmed, 64, InjectionMask::LatchesAndRams);
+            assert_eq!(sp.rows_hashed, 9, "{name}");
+            let per_row = sp.words_hashed / sp.rows_hashed;
+            assert!(per_row <= 5_000, "{name}: {per_row} words per golden row");
+        }
+    }
+
+    #[test]
+    fn cached_fingerprint_equals_the_flat_walk_at_every_cycle() {
+        // The flat walk recomputes every shadow unit's digest from its
+        // words and, in debug builds, asserts it equals the maintained one:
+        // stepping each workload and checking every cycle audits every
+        // digest write site the workloads reach.
+        for (name, warmed) in warmed_workloads() {
+            let mut cpu = warmed.clone();
+            let mut engine = CachedFingerprint::new();
+            for cycle in 0..AUDIT_CYCLES {
+                cpu.step();
+                let flat = fingerprint_of(&mut cpu);
+                assert_eq!(engine.fingerprint(&mut cpu), flat, "{name} @ {cycle}");
+            }
+        }
     }
 
     #[test]

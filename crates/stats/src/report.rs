@@ -118,9 +118,11 @@ pub struct TelemetryReport {
 impl TelemetryReport {
     /// Aggregates an event stream into a report.
     ///
-    /// Returns an error if the stream lacks a `CampaignStart` header or if
-    /// the `CampaignEnd` footer's totals disagree with the trial events —
-    /// a truncated or corrupted trace fails loudly instead of producing a
+    /// Returns an error if the stream lacks a `CampaignStart` header, if
+    /// an event names a benchmark, start point or trial off the header's
+    /// grid, if a trial is decided before its injection, or if the
+    /// `CampaignEnd` footer's totals disagree with the trial events — a
+    /// truncated or corrupted trace fails loudly instead of producing a
     /// quietly wrong report.
     pub fn from_events(events: &[Event]) -> Result<TelemetryReport, String> {
         let header = match events.first() {
@@ -177,7 +179,8 @@ impl TelemetryReport {
         // along between events.
         type TrialContext = ((u64, u64, u64), u64, u64, bool);
         let mut last_trial: Option<TrialContext> = None;
-        for ev in &events[1..] {
+        for (i, ev) in events.iter().enumerate().skip(1) {
+            report.check_grid(i + 1, ev)?;
             match ev {
                 Event::Trial {
                     benchmark,
@@ -193,6 +196,13 @@ impl TelemetryReport {
                     diverged_unit,
                     ..
                 } => {
+                    if detect_cycle < inject_cycle {
+                        return Err(format!(
+                            "event {}: trial ({benchmark}, {start_point}, {trial}) is decided at \
+                             cycle {detect_cycle}, before its injection at cycle {inject_cycle}",
+                            i + 1
+                        ));
+                    }
                     report.trials += 1;
                     let failed = outcome == "fail";
                     match outcome.as_str() {
@@ -293,6 +303,44 @@ impl TelemetryReport {
             }
         }
         Ok(report)
+    }
+
+    /// Checks that event number `n` (1-based), if it names a benchmark,
+    /// start point or trial, names one on the `campaign_start` header's
+    /// grid.
+    fn check_grid(&self, n: usize, ev: &Event) -> Result<(), String> {
+        let (kind, benchmark, start_point, trial) = match ev {
+            Event::Trial { benchmark, start_point, trial, .. } => {
+                ("trial", *benchmark, *start_point, Some(*trial))
+            }
+            Event::Propagation { benchmark, start_point, trial, .. } => {
+                ("propagation", *benchmark, *start_point, Some(*trial))
+            }
+            Event::Quarantine { benchmark, start_point, trial, .. } => {
+                ("quarantine", *benchmark, *start_point, Some(*trial))
+            }
+            Event::Phase { benchmark, start_point, .. } => {
+                ("phase", *benchmark, *start_point, None)
+            }
+            Event::Lease { benchmark, start_point, .. } => {
+                ("lease", *benchmark, *start_point, None)
+            }
+            _ => return Ok(()),
+        };
+        let benchmarks = self.benchmarks.len() as u64;
+        let off = if benchmark >= benchmarks {
+            Some(format!("benchmark {benchmark} of {benchmarks}"))
+        } else if start_point >= self.start_points {
+            Some(format!("start point {start_point} of {}", self.start_points))
+        } else {
+            trial
+                .filter(|&t| t >= self.trials_per_start_point)
+                .map(|t| format!("trial {t} of {}", self.trials_per_start_point))
+        };
+        match off {
+            Some(off) => Err(format!("event {n} ({kind}) names {off} in the campaign_start grid")),
+            None => Ok(()),
+        }
     }
 
     /// Folds one trial's divergence timeline into the chain, residency,
@@ -876,6 +924,54 @@ mod tests {
         }
         let err = TelemetryReport::from_events(&events).unwrap_err();
         assert!(err.contains("disagree"), "got: {err}");
+    }
+
+    #[test]
+    fn events_off_the_header_grid_are_rejected() {
+        let corrupt = |edit: &dyn Fn(&mut Event)| {
+            let mut events = sample_stream();
+            edit(&mut events[2]);
+            TelemetryReport::from_events(&events).unwrap_err()
+        };
+        let err = corrupt(&|ev| {
+            if let Event::Trial { benchmark, .. } = ev {
+                *benchmark = 5;
+            }
+        });
+        assert_eq!(err, "event 3 (trial) names benchmark 5 of 1 in the campaign_start grid");
+        let err = corrupt(&|ev| {
+            if let Event::Trial { start_point, .. } = ev {
+                *start_point = 1;
+            }
+        });
+        assert!(err.contains("start point 1 of 1"), "got: {err}");
+        let err = corrupt(&|ev| {
+            if let Event::Trial { trial, .. } = ev {
+                *trial = 4;
+            }
+        });
+        assert!(err.contains("trial 4 of 4"), "got: {err}");
+
+        let mut events = sample_stream();
+        if let Event::Phase { start_point, .. } = &mut events[1] {
+            *start_point = 9;
+        }
+        let err = TelemetryReport::from_events(&events).unwrap_err();
+        assert!(err.starts_with("event 2 (phase) names start point 9"), "got: {err}");
+    }
+
+    #[test]
+    fn a_trial_decided_before_its_injection_is_rejected() {
+        let mut events = sample_stream();
+        if let Event::Trial { inject_cycle, detect_cycle, .. } = &mut events[2] {
+            (*inject_cycle, *detect_cycle) = (50, 0);
+        }
+        let err = TelemetryReport::from_events(&events).unwrap_err();
+        assert_eq!(
+            err,
+            "event 3: trial (0, 0, 0) is decided at cycle 0, before its injection at cycle 50"
+        );
+        assert!(!err.contains('\n'));
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //! injection. All state here is therefore registered as *shadow* state:
 //! fingerprinted for the µArch Match comparison but never injected.
 
-use tfsim_bitstate::{Category, FieldMeta, StateVisitor, StorageKind, VisitState};
+use tfsim_bitstate::{Category, FieldMeta, StateVisitor, StorageKind, UnitDigest, VisitState};
 
 const BIMODAL_ENTRIES: usize = 4096;
 const LOCAL_ENTRIES: usize = 1024;
 const LOCAL_HIST_BITS: u32 = 10;
 const GLOBAL_ENTRIES: usize = 4096;
 const GHR_BITS: u32 = 12;
+
+// Digest ordinals: each table's first word in the predictor's visit order.
+const ORD_LOCAL_HIST: usize = BIMODAL_ENTRIES;
+const ORD_LOCAL_PRED: usize = ORD_LOCAL_HIST + LOCAL_ENTRIES;
+const ORD_GLOBAL_PRED: usize = ORD_LOCAL_PRED + (1 << LOCAL_HIST_BITS);
+const ORD_CHOOSE_LG: usize = ORD_GLOBAL_PRED + GLOBAL_ENTRIES;
+const ORD_CHOOSE_HB: usize = ORD_CHOOSE_LG + GLOBAL_ENTRIES;
+const ORD_GHR: usize = ORD_CHOOSE_HB + GLOBAL_ENTRIES;
 
 fn pc_index(pc: u64, entries: usize) -> usize {
     ((pc >> 2) as usize) & (entries - 1)
@@ -39,23 +47,13 @@ pub struct BranchPredictor {
     choose_lg: Vec<u64>,   // 2-bit: local (low) vs global (high)
     choose_hb: Vec<u64>,   // 2-bit: bimodal (low) vs hybrid (high)
     ghr: u64,
-    gen: u64, // generation stamp: advances on every content change
-}
-
-/// Writes `new` into `slot` and records whether the value changed. Keeps
-/// generation stamps quiet when training saturated counters or re-shifting
-/// an unchanged history — the common steady-state case.
-fn set_changed(slot: &mut u64, new: u64, changed: &mut bool) {
-    if *slot != new {
-        *slot = new;
-        *changed = true;
-    }
+    digest: UnitDigest, // maintained content digest of everything above
 }
 
 impl BranchPredictor {
     /// Creates a predictor with weakly-not-taken initial state.
     pub fn new() -> BranchPredictor {
-        BranchPredictor {
+        let mut p = BranchPredictor {
             bimodal: vec![1; BIMODAL_ENTRIES],
             local_hist: vec![0; LOCAL_ENTRIES],
             local_pred: vec![3; 1 << LOCAL_HIST_BITS],
@@ -63,14 +61,15 @@ impl BranchPredictor {
             choose_lg: vec![1; GLOBAL_ENTRIES],
             choose_hb: vec![2; GLOBAL_ENTRIES],
             ghr: 0,
-            gen: 0,
-        }
+            digest: UnitDigest::default(),
+        };
+        p.digest = UnitDigest::of(&mut p);
+        p
     }
 
-    /// Generation stamp for cached fingerprinting: unchanged stamp ⇒
-    /// unchanged predictor content.
-    pub fn state_gen(&self) -> u64 {
-        self.gen
+    /// The maintained content digest: the predictor's fingerprint subhash.
+    pub fn digest(&self) -> UnitDigest {
+        self.digest
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
@@ -100,18 +99,14 @@ impl BranchPredictor {
 
     /// Restores the global history after a squash.
     pub fn restore_ghr(&mut self, ghr: u64) {
-        let mut changed = false;
-        set_changed(&mut self.ghr, ghr & ((1 << GHR_BITS) - 1), &mut changed);
-        self.gen += changed as u64;
+        self.digest.store(ORD_GHR, &mut self.ghr, ghr & ((1 << GHR_BITS) - 1));
     }
 
     /// Speculatively shifts a predicted direction into the global history
     /// (called at fetch for every conditional branch).
     pub fn speculate(&mut self, taken: bool) {
-        let mut changed = false;
         let new = ((self.ghr << 1) | taken as u64) & ((1 << GHR_BITS) - 1);
-        set_changed(&mut self.ghr, new, &mut changed);
-        self.gen += changed as u64;
+        self.digest.store(ORD_GHR, &mut self.ghr, new);
     }
 
     /// Trains all components with the resolved outcome. `ghr_at_fetch` is
@@ -128,27 +123,26 @@ impl BranchPredictor {
         let g_correct = (self.global_pred[gi] >= 2) == taken;
         let hybrid_correct = if self.choose_lg[gi] >= 2 { g_correct } else { l_correct };
 
-        let mut changed = false;
+        let d = &mut self.digest;
         // Choosers move toward the component that was right.
         if g_correct != l_correct {
             let new = bump(self.choose_lg[gi], g_correct, 3);
-            set_changed(&mut self.choose_lg[gi], new, &mut changed);
+            d.store(ORD_CHOOSE_LG + gi, &mut self.choose_lg[gi], new);
         }
         if hybrid_correct != b_correct {
             let hi = pc_index(pc, GLOBAL_ENTRIES);
             let new = bump(self.choose_hb[hi], hybrid_correct, 3);
-            set_changed(&mut self.choose_hb[hi], new, &mut changed);
+            d.store(ORD_CHOOSE_HB + hi, &mut self.choose_hb[hi], new);
         }
 
         let new = bump(self.bimodal[bi], taken, 3);
-        set_changed(&mut self.bimodal[bi], new, &mut changed);
+        d.store(bi, &mut self.bimodal[bi], new);
         let new = bump(self.local_pred[lh], taken, 7);
-        set_changed(&mut self.local_pred[lh], new, &mut changed);
+        d.store(ORD_LOCAL_PRED + lh, &mut self.local_pred[lh], new);
         let new = bump(self.global_pred[gi], taken, 3);
-        set_changed(&mut self.global_pred[gi], new, &mut changed);
+        d.store(ORD_GLOBAL_PRED + gi, &mut self.global_pred[gi], new);
         let new = ((self.local_hist[li] << 1) | taken as u64) & ((1 << LOCAL_HIST_BITS) - 1);
-        set_changed(&mut self.local_hist[li], new, &mut changed);
-        self.gen += changed as u64;
+        d.store(ORD_LOCAL_HIST + li, &mut self.local_hist[li], new);
     }
 }
 
@@ -181,29 +175,35 @@ pub struct Btb {
     tags: Vec<u64>,
     targets: Vec<u64>,
     lru: Vec<u64>, // 2-bit round-robin pointer per set
-    gen: u64,      // generation stamp: advances on every content change
+    digest: UnitDigest, // maintained content digest of everything above
 }
 
 const BTB_SETS: usize = 256;
 const BTB_WAYS: usize = 4;
 
+// Digest ordinals: each array's first word in the BTB's visit order.
+const ORD_BTB_TAGS: usize = BTB_SETS * BTB_WAYS;
+const ORD_BTB_TARGETS: usize = 2 * BTB_SETS * BTB_WAYS;
+const ORD_BTB_LRU: usize = 3 * BTB_SETS * BTB_WAYS;
+
 impl Btb {
     /// Creates an empty BTB.
     pub fn new() -> Btb {
-        Btb {
+        let mut b = Btb {
             valid: vec![0; BTB_SETS * BTB_WAYS],
             tags: vec![0; BTB_SETS * BTB_WAYS],
             targets: vec![0; BTB_SETS * BTB_WAYS],
             lru: vec![0; BTB_SETS],
-            gen: 0,
-        }
+            digest: UnitDigest::default(),
+        };
+        b.digest = UnitDigest::of(&mut b);
+        b
     }
 
-    /// Generation stamp for cached fingerprinting: unchanged stamp ⇒
-    /// unchanged BTB content. Re-recording an already-stored target does
-    /// not advance it.
-    pub fn state_gen(&self) -> u64 {
-        self.gen
+    /// The maintained content digest: the BTB's fingerprint subhash.
+    /// Re-recording an already-stored target leaves it unchanged.
+    pub fn digest(&self) -> UnitDigest {
+        self.digest
     }
 
     fn set_and_tag(pc: u64) -> (usize, u64) {
@@ -230,21 +230,19 @@ impl Btb {
         for w in 0..BTB_WAYS {
             let i = set * BTB_WAYS + w;
             if self.valid[i] == 1 && self.tags[i] == tag {
-                if self.targets[i] != target >> 2 {
-                    self.targets[i] = target >> 2;
-                    self.gen += 1;
-                }
+                self.digest.store(ORD_BTB_TARGETS + i, &mut self.targets[i], target >> 2);
                 return;
             }
         }
         // Miss: round-robin replacement (the LRU pointer always moves).
         let w = (self.lru[set] as usize) % BTB_WAYS;
         let i = set * BTB_WAYS + w;
-        self.valid[i] = 1;
-        self.tags[i] = tag;
-        self.targets[i] = target >> 2;
-        self.lru[set] = (self.lru[set] + 1) % BTB_WAYS as u64;
-        self.gen += 1;
+        let d = &mut self.digest;
+        d.store(i, &mut self.valid[i], 1);
+        d.store(ORD_BTB_TAGS + i, &mut self.tags[i], tag);
+        d.store(ORD_BTB_TARGETS + i, &mut self.targets[i], target >> 2);
+        let lru = (self.lru[set] + 1) % BTB_WAYS as u64;
+        d.store(ORD_BTB_LRU + set, &mut self.lru[set], lru);
     }
 }
 
@@ -270,35 +268,41 @@ impl VisitState for Btb {
 pub struct Ras {
     stack: Vec<u64>, // 8 x 62-bit return addresses
     tos: u64,        // 3-bit pointer to the next free slot
-    gen: u64,        // generation stamp: advances on every content change
+    digest: UnitDigest, // maintained content digest of the stack and pointer
 }
 
 const RAS_ENTRIES: u64 = 8;
 
+/// Digest ordinal of the pointer, which the RAS visits after its stack.
+const ORD_RAS_TOS: usize = RAS_ENTRIES as usize;
+
 impl Ras {
     /// Creates an empty stack.
     pub fn new() -> Ras {
-        Ras { stack: vec![0; RAS_ENTRIES as usize], tos: 0, gen: 0 }
+        let mut r =
+            Ras { stack: vec![0; RAS_ENTRIES as usize], tos: 0, digest: UnitDigest::default() };
+        r.digest = UnitDigest::of(&mut r);
+        r
     }
 
-    /// Generation stamp for cached fingerprinting: unchanged stamp ⇒
-    /// unchanged stack and pointer.
-    pub fn state_gen(&self) -> u64 {
-        self.gen
+    /// The maintained content digest: the stack's fingerprint subhash.
+    pub fn digest(&self) -> UnitDigest {
+        self.digest
     }
 
     /// Pushes a return address (calls: `BSR`/`JSR`). Wraps on overflow, as
     /// a real circular RAS does.
     pub fn push(&mut self, return_addr: u64) {
-        self.stack[(self.tos % RAS_ENTRIES) as usize] = return_addr >> 2;
-        self.tos = (self.tos + 1) % RAS_ENTRIES;
-        self.gen += 1; // the pointer always moves
+        let slot = (self.tos % RAS_ENTRIES) as usize;
+        self.digest.store(slot, &mut self.stack[slot], return_addr >> 2);
+        let tos = (self.tos + 1) % RAS_ENTRIES;
+        self.digest.store(ORD_RAS_TOS, &mut self.tos, tos);
     }
 
     /// Pops the predicted return target (`RET`).
     pub fn pop(&mut self) -> u64 {
-        self.tos = (self.tos + RAS_ENTRIES - 1) % RAS_ENTRIES;
-        self.gen += 1; // the pointer always moves
+        let tos = (self.tos + RAS_ENTRIES - 1) % RAS_ENTRIES;
+        self.digest.store(ORD_RAS_TOS, &mut self.tos, tos);
         self.stack[(self.tos % RAS_ENTRIES) as usize] << 2
     }
 
@@ -309,10 +313,7 @@ impl Ras {
 
     /// Pointer recovery after a squash.
     pub fn restore_pointer(&mut self, tos: u64) {
-        if self.tos != tos % RAS_ENTRIES {
-            self.tos = tos % RAS_ENTRIES;
-            self.gen += 1;
-        }
+        self.digest.store(ORD_RAS_TOS, &mut self.tos, tos % RAS_ENTRIES);
     }
 }
 
@@ -431,6 +432,35 @@ mod tests {
         }
         // The two oldest entries were overwritten; the newest survives.
         assert_eq!(r.pop(), 0x1000 + 9 * 4);
+    }
+
+    #[test]
+    fn maintained_digests_equal_the_recomputed_ones() {
+        use tfsim_bitstate::UnitDigest;
+        let (mut p, mut b, mut r) = (BranchPredictor::new(), Btb::new(), Ras::new());
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pc = (x >> 20) & 0xf_fffc;
+            let taken = x & 1 == 1;
+            match x % 5 {
+                0 => p.train(pc, taken, x >> 40),
+                1 => p.speculate(taken),
+                2 => p.restore_ghr(x >> 50),
+                3 => b.update(pc, (x >> 8) & !3),
+                _ => match x % 3 {
+                    0 => r.push(pc),
+                    1 => _ = r.pop(),
+                    _ => r.restore_pointer(x >> 60),
+                },
+            }
+        }
+        assert_eq!(p.digest(), UnitDigest::of(&mut p));
+        assert_eq!(b.digest(), UnitDigest::of(&mut b));
+        assert_eq!(r.digest(), UnitDigest::of(&mut r));
+        assert_ne!(p.digest(), BranchPredictor::new().digest());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! paper explicitly injects "the various structures that support the
 //! caches, such as miss handling registers".
 
-use tfsim_bitstate::{Category, FieldMeta, StateVisitor, StorageKind, VisitState};
+use tfsim_bitstate::{Category, FieldMeta, StateVisitor, StorageKind, UnitDigest, VisitState};
 
 use crate::access::AccessLog;
 use crate::config::sizes;
@@ -22,7 +22,7 @@ pub struct TagCache {
     tags: Vec<u64>,
     lru: Vec<u64>, // 1 bit per set: way to replace next
     sets: u64,
-    gen: u64, // generation stamp: advances on every content change
+    digest: UnitDigest, // maintained content digest of the three arrays
 }
 
 impl TagCache {
@@ -31,20 +31,32 @@ impl TagCache {
     pub fn new(bytes: u64) -> TagCache {
         let sets = bytes / sizes::LINE_BYTES / sizes::CACHE_WAYS as u64;
         assert!(sets.is_power_of_two());
-        TagCache {
+        let mut c = TagCache {
             valid: vec![0; (sets * 2) as usize],
             tags: vec![0; (sets * 2) as usize],
             lru: vec![0; sets as usize],
             sets,
-            gen: 0,
-        }
+            digest: UnitDigest::default(),
+        };
+        c.digest = UnitDigest::of(&mut c);
+        c
     }
 
-    /// Generation stamp for cached fingerprinting: unchanged stamp ⇒
-    /// unchanged tag/valid/LRU content. Steady-state hits that re-confirm
-    /// an already-correct LRU bit do not advance it.
-    pub fn state_gen(&self) -> u64 {
-        self.gen
+    /// The maintained content digest: the tag array's fingerprint subhash.
+    /// Steady-state hits that re-confirm an already-correct LRU bit leave
+    /// it unchanged.
+    pub fn digest(&self) -> UnitDigest {
+        self.digest
+    }
+
+    /// Digest ordinals of the tag of way-slot `i` and of set `set`'s LRU
+    /// bit: the arrays are visited valid, tags, LRU.
+    fn ord_tag(&self, i: usize) -> usize {
+        self.valid.len() + i
+    }
+
+    fn ord_lru(&self, set: usize) -> usize {
+        self.valid.len() + self.tags.len() + set
     }
 
     fn set_and_tag(&self, addr: u64) -> (u64, u64) {
@@ -59,10 +71,8 @@ impl TagCache {
             let i = (set * 2 + way) as usize;
             if self.valid[i] == 1 && self.tags[i] == tag {
                 // LRU points at the way to replace: the other one.
-                if self.lru[set as usize] != 1 - way {
-                    self.lru[set as usize] = 1 - way;
-                    self.gen += 1;
-                }
+                let ord = self.ord_lru(set as usize);
+                self.digest.store(ord, &mut self.lru[set as usize], 1 - way);
                 return true;
             }
         }
@@ -86,10 +96,11 @@ impl TagCache {
         let (set, tag) = self.set_and_tag(addr);
         let way = self.lru[set as usize] & 1;
         let i = (set * 2 + way) as usize;
-        self.valid[i] = 1;
-        self.tags[i] = tag;
-        self.lru[set as usize] = 1 - way;
-        self.gen += 1;
+        let (ord_tag, ord_lru) = (self.ord_tag(i), self.ord_lru(set as usize));
+        let d = &mut self.digest;
+        d.store(i, &mut self.valid[i], 1);
+        d.store(ord_tag, &mut self.tags[i], tag);
+        d.store(ord_lru, &mut self.lru[set as usize], 1 - way);
     }
 }
 
@@ -167,14 +178,17 @@ impl MhrFile {
 
     /// Whether a fill for the line containing `addr` is outstanding.
     ///
-    /// Conservatively logs a read of every entry's valid bit and address —
-    /// the scan's outcome can depend on any of them.
+    /// Logs a read of every entry's valid bit, and of the address of each
+    /// valid entry: the scan compares an address only when its entry is
+    /// valid, so an idle entry's address cannot change the outcome.
     pub fn pending(&mut self, addr: u64) -> bool {
         let line = addr & !(sizes::LINE_BYTES - 1);
         if self.log.enabled() {
-            for i in 0..self.entries.len() as u32 {
+            for (i, e) in (0..).zip(&self.entries) {
                 self.log.read(i * MHR_WORDS);
-                self.log.read(i * MHR_WORDS + 1);
+                if e.valid {
+                    self.log.read(i * MHR_WORDS + 1);
+                }
             }
         }
         self.entries.iter().any(|e| e.valid && e.addr == line)
@@ -279,6 +293,21 @@ mod tests {
         assert!(c.contains(0x0));
         assert!(!c.contains(stride));
         assert!(c.contains(2 * stride));
+    }
+
+    #[test]
+    fn tag_cache_digest_equals_the_recomputed_one() {
+        use tfsim_bitstate::UnitDigest;
+        let mut c = TagCache::new(sizes::ICACHE_BYTES);
+        let fresh = c.digest();
+        for k in 0..600u64 {
+            let addr = k.wrapping_mul(0x9e37_79b9) & 0x3f_ffc0;
+            if !c.access(addr) {
+                c.fill(addr);
+            }
+        }
+        assert_eq!(c.digest(), UnitDigest::of(&mut c));
+        assert_ne!(c.digest(), fresh);
     }
 
     #[test]

@@ -798,7 +798,7 @@ fn check_invariants_flags_planted_corruptions() {
 mod access_ordinals {
     use super::*;
     use std::collections::BTreeSet;
-    use tfsim_bitstate::{FieldMeta, StateVisitor, UnitId};
+    use tfsim_bitstate::{FieldMeta, StateVisitor, UnitId, UnitStamp};
     use crate::exec::schedw;
     use crate::queues::{lqw, sqw, LqEntry, RobEntry, SlotPayload, SqEntry};
 
@@ -817,7 +817,7 @@ mod access_ordinals {
             self.fields.push((self.unit, self.ord, *bits));
             self.ord += 1;
         }
-        fn enter_unit(&mut self, unit: UnitId, _gen: u64) -> bool {
+        fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
             self.unit = Some(unit);
             self.ord = 0;
             true
@@ -1023,9 +1023,29 @@ mod access_ordinals {
             for w in [80u32, 81, 82] {
                 assert!(writes.contains(&(UnitId::ArchCtrl, w)), "missing write {w}: {writes:?}");
             }
-            // The duplicate-line scan read every entry's valid and addr.
-            assert!(reads.contains(&(UnitId::ArchCtrl, 80)));
-            assert!(reads.contains(&(UnitId::ArchCtrl, 80 + 15 * 3 + 1)));
+            // The duplicate-line scan read every entry's valid word, but
+            // no address: every entry was idle, so no address could match.
+            for e in 0..sizes::MHRS as u32 {
+                assert!(reads.contains(&(UnitId::ArchCtrl, 80 + 3 * e)), "valid of entry {e}");
+                assert!(!reads.contains(&(UnitId::ArchCtrl, 80 + 3 * e + 1)), "addr of entry {e}");
+            }
+
+            // With entry 0 live, a second miss's scan reads entry 0's
+            // address and still no idle entry's.
+            let (reads, writes) = check_writes_cover_changes(config, &|cpu| {
+                assert!(cpu.mhrs.allocate(0x4_0040));
+                assert!(cpu.mhrs.allocate(0x5_0080));
+            });
+            for w in [83u32, 84, 85] {
+                assert!(writes.contains(&(UnitId::ArchCtrl, w)), "missing write {w}: {writes:?}");
+            }
+            assert!(reads.contains(&(UnitId::ArchCtrl, 81)), "a valid entry's addr is read");
+            for e in 0..sizes::MHRS as u32 {
+                assert!(reads.contains(&(UnitId::ArchCtrl, 80 + 3 * e)), "valid of entry {e}");
+            }
+            for e in 1..sizes::MHRS as u32 {
+                assert!(!reads.contains(&(UnitId::ArchCtrl, 80 + 3 * e + 1)), "addr of entry {e}");
+            }
         }
     }
 

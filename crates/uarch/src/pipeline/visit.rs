@@ -8,16 +8,23 @@
 //! by). The brackets never affect bit numbering: census and injection
 //! visitors see the identical field order whether or not they observe
 //! `enter_unit`, so a trial's target index means the same thing with
-//! tracing on or off. Latch-dense units that
-//! plausibly change every cycle (`Front` … `ArchCtrl`) are stamped with the
-//! cycle counter — safe because all pipeline mutation happens inside
-//! `step()`, which advances it. The big shadow arrays (predictors, cache
-//! tags) are stamped with per-structure generation counters that only
-//! advance on a real content change; in steady state those units are clean
-//! for long stretches and dominate the fingerprint savings.
+//! tracing on or off.
+//!
+//! Latch-dense units that plausibly change every cycle (`Front` …
+//! `ArchCtrl`) are stamped with the cycle counter — safe because all
+//! pipeline mutation happens inside `step()`, which advances it — and
+//! rehashed word by word when it moves. The *shadow units* (predictors,
+//! BTB, RAS, cache tags, store sets) hold 89% of the machine's words but
+//! are never injected, so each structure maintains its own content digest
+//! (`UnitDigest`) inside the mutation methods that write it, and the walk
+//! hands that digest over as the unit's subhash: a cached engine reads it
+//! without visiting a word, while the flat `Fingerprint` recomputes it
+//! from the fields visited here and, in debug builds, asserts the two
+//! agree.
 
 use tfsim_bitstate::{
-    visit_bool, visit_pc, Category, FieldMeta, StateVisitor, StorageKind, UnitId, VisitState,
+    visit_bool, visit_pc, Category, FieldMeta, StateVisitor, StorageKind, UnitId, UnitStamp,
+    VisitState,
 };
 
 use super::Pipeline;
@@ -28,7 +35,7 @@ impl VisitState for Pipeline {
         let ctrl = FieldMeta::new(Category::Ctrl, latch);
         let parity_on = self.config.insn_parity;
         let ptr_ecc = self.config.pointer_ecc;
-        let cyc = self.cycles;
+        let cyc = UnitStamp::Gen(self.cycles);
 
         if v.enter_unit(UnitId::Front, cyc) {
             // Fetch control.
@@ -115,28 +122,29 @@ impl VisitState for Pipeline {
 
         // Shadow state: prediction and cache tag arrays (fingerprinted for
         // the µArch Match comparison, excluded from injection), each with
-        // its own content-change generation stamp.
-        if v.enter_unit(UnitId::Bpred, self.bpred.state_gen()) {
+        // its maintained content digest.
+        let digest = |d: tfsim_bitstate::UnitDigest| UnitStamp::Digest(d.value());
+        if v.enter_unit(UnitId::Bpred, digest(self.bpred.digest())) {
             self.bpred.visit_state(v);
             v.exit_unit(UnitId::Bpred);
         }
-        if v.enter_unit(UnitId::Btb, self.btb.state_gen()) {
+        if v.enter_unit(UnitId::Btb, digest(self.btb.digest())) {
             self.btb.visit_state(v);
             v.exit_unit(UnitId::Btb);
         }
-        if v.enter_unit(UnitId::Ras, self.ras.state_gen()) {
+        if v.enter_unit(UnitId::Ras, digest(self.ras.digest())) {
             self.ras.visit_state(v);
             v.exit_unit(UnitId::Ras);
         }
-        if v.enter_unit(UnitId::Icache, self.icache.state_gen()) {
+        if v.enter_unit(UnitId::Icache, digest(self.icache.digest())) {
             self.icache.visit_state(v);
             v.exit_unit(UnitId::Icache);
         }
-        if v.enter_unit(UnitId::Dcache, self.dcache.state_gen()) {
+        if v.enter_unit(UnitId::Dcache, digest(self.dcache.digest())) {
             self.dcache.visit_state(v);
             v.exit_unit(UnitId::Dcache);
         }
-        if v.enter_unit(UnitId::StoreSets, self.storesets.state_gen()) {
+        if v.enter_unit(UnitId::StoreSets, digest(self.storesets.digest())) {
             self.storesets.visit_state(v);
             v.exit_unit(UnitId::StoreSets);
         }

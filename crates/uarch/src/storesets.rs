@@ -11,10 +11,15 @@
 //! shadow (fingerprinted, not injectable) per the paper's exclusion of
 //! prediction structures.
 
-use tfsim_bitstate::{Category, FieldMeta, StateVisitor, StorageKind, VisitState};
+use tfsim_bitstate::{Category, FieldMeta, StateVisitor, StorageKind, UnitDigest, VisitState};
 
 const SSIT_ENTRIES: usize = 1024;
 const LFST_ENTRIES: usize = 64;
+
+// Digest ordinals: each table's first word in the predictor's visit order.
+const ORD_SSIT_ID: usize = SSIT_ENTRIES;
+const ORD_LFST_VALID: usize = 2 * SSIT_ENTRIES;
+const ORD_LFST_SQ: usize = 2 * SSIT_ENTRIES + LFST_ENTRIES;
 
 fn ssit_index(pc: u64) -> usize {
     ((pc >> 2) as usize) & (SSIT_ENTRIES - 1)
@@ -28,27 +33,28 @@ pub struct StoreSets {
     ssit_id: Vec<u64>, // 6-bit set ids
     lfst_valid: Vec<u64>,
     lfst_sq: Vec<u64>, // store queue slot of the last fetched store
-    gen: u64, // generation stamp: advances on every content change
+    digest: UnitDigest, // maintained content digest of the four tables
 }
 
 impl StoreSets {
     /// Creates an empty predictor.
     pub fn new() -> StoreSets {
-        StoreSets {
+        let mut ss = StoreSets {
             ssit_valid: vec![0; SSIT_ENTRIES],
             ssit_id: vec![0; SSIT_ENTRIES],
             lfst_valid: vec![0; LFST_ENTRIES],
             lfst_sq: vec![0; LFST_ENTRIES],
-            gen: 0,
-        }
+            digest: UnitDigest::default(),
+        };
+        ss.digest = UnitDigest::of(&mut ss);
+        ss
     }
 
-    /// Generation stamp for cached fingerprinting: unchanged stamp ⇒
-    /// unchanged SSIT/LFST content. Writes that restate the stored value
-    /// (retraining an existing association, clearing an empty LFST) do not
-    /// advance it.
-    pub fn state_gen(&self) -> u64 {
-        self.gen
+    /// The maintained content digest: the predictor's fingerprint subhash.
+    /// Writes that restate the stored value (retraining an existing
+    /// association, clearing an empty LFST) leave it unchanged.
+    pub fn digest(&self) -> UnitDigest {
+        self.digest
     }
 
     fn set_of(&self, pc: u64) -> Option<u64> {
@@ -61,12 +67,10 @@ impl StoreSets {
     /// (in a full implementation) order behind; we only track the table.
     pub fn store_dispatched(&mut self, pc: u64, sq: u64) -> Option<u64> {
         let set = self.set_of(pc)?;
-        let prev = (self.lfst_valid[set as usize] == 1).then(|| self.lfst_sq[set as usize]);
-        if self.lfst_valid[set as usize] != 1 || self.lfst_sq[set as usize] != sq & 0xf {
-            self.lfst_valid[set as usize] = 1;
-            self.lfst_sq[set as usize] = sq & 0xf;
-            self.gen += 1;
-        }
+        let set = set as usize;
+        let prev = (self.lfst_valid[set] == 1).then(|| self.lfst_sq[set]);
+        self.digest.store(ORD_LFST_VALID + set, &mut self.lfst_valid[set], 1);
+        self.digest.store(ORD_LFST_SQ + set, &mut self.lfst_sq[set], sq & 0xf);
         prev
     }
 
@@ -82,14 +86,11 @@ impl StoreSets {
     /// dependence is now resolvable through forwarding): clears matching
     /// LFST entries.
     pub fn store_resolved(&mut self, sq: u64) {
-        let mut changed = false;
         for i in 0..LFST_ENTRIES {
             if self.lfst_valid[i] == 1 && self.lfst_sq[i] == (sq & 0xf) {
-                self.lfst_valid[i] = 0;
-                changed = true;
+                self.digest.store(ORD_LFST_VALID + i, &mut self.lfst_valid[i], 0);
             }
         }
-        self.gen += changed as u64;
     }
 
     /// Trains the predictor after a memory-order violation between the
@@ -106,25 +107,17 @@ impl StoreSets {
             // Allocate: hash the store PC into a set id.
             (store_pc >> 2) & 0x3f
         };
-        let mut changed = false;
         for i in [li, si] {
-            if self.ssit_valid[i] != 1 || self.ssit_id[i] != set & 0x3f {
-                self.ssit_valid[i] = 1;
-                self.ssit_id[i] = set & 0x3f;
-                changed = true;
-            }
+            self.digest.store(i, &mut self.ssit_valid[i], 1);
+            self.digest.store(ORD_SSIT_ID + i, &mut self.ssit_id[i], set & 0x3f);
         }
-        self.gen += changed as u64;
     }
 
     /// Clears the LFST (every squash invalidates its SQ slot references).
     pub fn clear_lfst(&mut self) {
-        let mut changed = false;
-        for v in self.lfst_valid.iter_mut() {
-            changed |= *v != 0;
-            *v = 0;
+        for (i, v) in self.lfst_valid.iter_mut().enumerate() {
+            self.digest.store(ORD_LFST_VALID + i, v, 0);
         }
-        self.gen += changed as u64;
     }
 }
 
@@ -188,6 +181,27 @@ mod tests {
         // The SSIT association persists.
         ss.store_dispatched(0x2000, 2);
         assert_eq!(ss.load_dispatched(0x1000), Some(2));
+    }
+
+    #[test]
+    fn maintained_digest_equals_the_recomputed_one() {
+        use tfsim_bitstate::UnitDigest;
+        let mut ss = StoreSets::new();
+        for k in 0..400u64 {
+            let pc = 0x1_0000 + ((k * 0x1234) & 0xfffc);
+            match k % 4 {
+                0 => ss.violation(pc, pc ^ 0x40),
+                1 => _ = ss.store_dispatched(pc ^ 0x40, k),
+                2 => ss.store_resolved(k / 3),
+                _ => {
+                    if k % 7 == 0 {
+                        ss.clear_lfst();
+                    }
+                }
+            }
+        }
+        assert_eq!(ss.digest(), UnitDigest::of(&mut ss));
+        assert_ne!(ss.digest(), StoreSets::new().digest());
     }
 
     #[test]

@@ -353,8 +353,8 @@ fn trace_and_journal_bytes_are_pinned_across_engines() {
 }
 
 /// The telemetry footer's work counters are exact: a fixed pruned campaign
-/// hashes the same golden rows and keeps the same access-footprint events
-/// at any worker count.
+/// hashes the same golden rows, mixes the same words into them, and keeps
+/// the same access-footprint events at any worker count.
 #[test]
 fn work_counters_are_exact_for_a_fixed_campaign() {
     let counters = |threads: usize| {
@@ -374,9 +374,13 @@ fn work_counters_are_exact_for_a_fixed_campaign() {
                 .parse()
                 .expect("counter value")
         };
-        (counter("golden/rows_hashed"), counter("footprint/events_kept"))
+        (
+            counter("golden/rows_hashed"),
+            counter("golden/words_hashed"),
+            counter("footprint/events_kept"),
+        )
     };
-    let pinned = (813, 25);
+    let pinned = (813, 2_647_941, 25);
     assert_eq!(counters(1), pinned, "one worker");
     assert_eq!(counters(2), pinned, "two workers");
 }
