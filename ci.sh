@@ -25,33 +25,28 @@ for filter in inject/ arch/; do
         cargo run --release --offline -q -p tfsim-bench --bin perf -- "$filter"
 done
 
-echo "==> ladder-vs-pruned census and journal diff (gating)"
-# A short campaign through the analytic masking pruner must print the
-# byte-identical census of the same campaign on the snapshot ladder, the
-# engine the pruner delegates to and the one the equivalence suite pins
-# to the naive per-trial oracle: `--pruned` is an execution strategy,
-# never an experiment knob. Timings here are non-gating (a 12-trial
-# campaign proves correctness, not speed; throughput lives in bench.sh /
-# BENCH_campaign.json where medians over real sample counts are recorded).
+echo "==> pinned smoke campaign census and journal (gating)"
+# A short campaign must print the census and write the journal checked in
+# under tests/data, byte for byte. Both files were recorded when the
+# snapshot ladder alone and the pruner in front of it were still two
+# campaign engines and wrote identical bytes, so the pin keeps that
+# comparison's strength and also catches a drift both engines would have
+# shared. Timings here are non-gating (a 12-trial campaign proves
+# correctness, not speed; throughput lives in bench.sh / BENCH_campaign.json
+# and perfbench).
 run_tfsim="cargo run --release --offline -q -p tfsim-bench --bin tfsim-run --"
-engine_args="campaign --quick --seed 7 --start-points 1 --trials 12 --monitor 1200 \
+smoke_args="campaign --quick --seed 7 --start-points 1 --trials 12 --monitor 1200 \
     --scale 1 --workloads gzip-like,twolf-like"
-$run_tfsim $engine_args > target/ci_census_ladder.txt 2>/dev/null
-$run_tfsim $engine_args --pruned > target/ci_census_pruned.txt 2>/dev/null
-diff target/ci_census_ladder.txt target/ci_census_pruned.txt
+$run_tfsim $smoke_args > target/ci_census.txt 2>/dev/null
+diff tests/data/ci_census.txt target/ci_census.txt
 # The journal carries every trial's trace (decision cycle, first observed
-# divergence and its unit), so both engines' journals of one campaign must
-# be identical too. One worker keeps the task order fixed, and a monitor
-# off the 8-cycle golden-row grid puts decision cycles between the rows
-# the start point hashes.
-for engine in ladder pruned; do
-    engine_flag=""
-    [ "$engine" != ladder ] && engine_flag="--$engine"
-    rm -f "target/ci_journal_$engine.jsonl"
-    $run_tfsim $engine_args --monitor 1203 --threads 1 $engine_flag \
-        --journal "target/ci_journal_$engine.jsonl" >/dev/null 2>&1
-done
-diff target/ci_journal_ladder.jsonl target/ci_journal_pruned.jsonl
+# divergence and its unit). One worker keeps the task order fixed, and a
+# monitor off the 8-cycle golden-row grid puts decision cycles between the
+# rows the start point hashes.
+rm -f target/ci_journal_pinned.jsonl
+$run_tfsim $smoke_args --monitor 1203 --threads 1 \
+    --journal target/ci_journal_pinned.jsonl >/dev/null 2>&1
+diff tests/data/ci_journal.jsonl target/ci_journal_pinned.jsonl
 
 echo "==> telemetry report smoke (gating)"
 # A tiny traced campaign must produce a JSONL trace that the report

@@ -6,14 +6,14 @@
 //!           [--max-cycles N] [--disasm] [--trace N] [--dump N] [--arch-only]
 //! tfsim-run campaign [--quick|--default-scale|--paper] [--seed N]
 //!           [--threads N] [--scale N] [--start-points N] [--trials N]
-//!           [--monitor N] [--workloads a,b,...] [--pruned]
+//!           [--monitor N] [--workloads a,b,...]
 //!           [--trace PATH [--deep-trace]] [--profile PATH]
 //!           [--journal PATH [--resume]]
 //! tfsim-run report PATH [--top N] [--propagation]
 //! tfsim-run serve [campaign flags] [--addr HOST] [--port N]
 //!           [--lease-ms N] [--heartbeat-ms N] [--idle-timeout-ms N]
 //!           [--ops-trace PATH]
-//! tfsim-run worker --connect HOST:PORT [--pruned]
+//! tfsim-run worker --connect HOST:PORT
 //!           [--shard PATH] [--chaos SPEC] [--max-retries N]
 //! tfsim-run merge SHARD.jsonl... [--trace PATH]
 //! ```
@@ -23,15 +23,13 @@
 //! completion and a summary (exit code, output, IPC, stats) is printed.
 //!
 //! `campaign` runs a fault-injection campaign and prints the outcome
-//! census. `--pruned` puts the analytic masking pruner in front of the
-//! default snapshot-ladder engine: dead-window proofs discharge most sites
-//! without simulating, the rest run on the ladder, and the telemetry
-//! footer reports the per-site disposition tally. It is an execution
-//! strategy, not an experiment parameter: the census, trace, and journal
-//! are byte-identical to the ladder's, just faster. With `--trace PATH` it
-//! streams the per-trial JSONL event stream to `PATH` (plus metrics and a
-//! live progress meter on stderr); without it the campaign takes the
-//! untraced zero-overhead path. The census is rendered through the same
+//! census. Every campaign runs the analytic masking pruner in front of the
+//! snapshot ladder: dead-window proofs discharge most sites without
+//! simulating them, and the rest run on the ladder. With `--trace PATH` it
+//! streams the per-trial JSONL event stream to `PATH` (plus metrics, a live
+//! progress meter on stderr, and the pruner's per-site disposition tally
+//! in the footer); without it the campaign takes the untraced
+//! zero-overhead path. The census is rendered through the same
 //! `tfsim_stats::census_rows` builder either way, so traced and untraced
 //! runs of the same seed print byte-identical censuses.
 //!
@@ -277,7 +275,6 @@ fn cmd_campaign(args: &[String]) {
     let mut threads = None::<usize>;
     let mut deep_trace = false;
     let mut profile = None::<PathBuf>;
-    let mut pruned = false;
     let mut flags = parse_campaign_flags("campaign", args, |args, i| match args[i].as_str() {
         "--threads" => {
             threads = Some(parse_num(args, i, "--threads"));
@@ -291,16 +288,11 @@ fn cmd_campaign(args: &[String]) {
             profile = Some(path_arg(args, i, "--profile"));
             Some(i + 2)
         }
-        "--pruned" => {
-            pruned = true;
-            Some(i + 1)
-        }
         _ => None,
     });
     if let Some(n) = threads {
         flags.config.threads = n;
     }
-    flags.config.pruned = pruned;
     flags.config.deep_trace = deep_trace;
     if deep_trace && flags.trace.is_none() {
         die(EXIT_USAGE, "--deep-trace needs --trace PATH (timelines stream into the trace)");
@@ -559,7 +551,6 @@ fn cmd_serve(args: &[String]) {
 
 fn cmd_worker(args: &[String]) {
     let mut connect = None::<String>;
-    let mut pruned = false;
     let mut shard = None::<PathBuf>;
     let mut chaos = Chaos::off();
     let mut backoff_base_ms = None::<u64>;
@@ -575,10 +566,6 @@ fn cmd_worker(args: &[String]) {
                         .unwrap_or_else(|| die(EXIT_USAGE, "--connect needs HOST:PORT")),
                 );
                 i += 2;
-            }
-            "--pruned" => {
-                pruned = true;
-                i += 1;
             }
             "--shard" => {
                 shard = Some(path_arg(args, i, "--shard"));
@@ -611,7 +598,6 @@ fn cmd_worker(args: &[String]) {
     let addr =
         connect.unwrap_or_else(|| die(EXIT_USAGE, "worker: --connect HOST:PORT is required"));
     let mut wc = WorkerConfig::new(addr);
-    wc.pruned = pruned;
     wc.shard = shard;
     wc.chaos = chaos;
     if let Some(n) = backoff_base_ms {

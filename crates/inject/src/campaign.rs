@@ -77,22 +77,20 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads (0 = all available).
     pub threads: usize,
-    /// Run the analytic masking pruner before any trial: dead-window
-    /// proofs discharge most sites without a machine, and the remainder
-    /// runs on the snapshot ladder. An execution strategy like `threads`:
-    /// censuses, records, traces, and journals are byte-identical either
-    /// way, so the flag is deliberately *not* part of the journal
-    /// identity.
+    /// Ignored. Every campaign runs the analytic masking pruner in front of
+    /// the snapshot ladder; the field remains only because the benchmark
+    /// harness (`perfbench`) still assigns it, and goes when it stops.
+    #[doc(hidden)]
     pub pruned: bool,
     /// Record each trial's full divergence timeline (which units held
     /// faulty state, per µArch check) and emit it as
     /// [`Event::Propagation`] after the trial's event. A trace *level*,
     /// not an experiment parameter: censuses, records, traces, and
-    /// journals are byte-identical with or without it, so — like `pruned`
-    /// and `threads` — it is deliberately not part of the journal
-    /// identity. Timelines are not journaled either: tasks replayed from a
-    /// journal contribute no `Propagation` events. Only effective when
-    /// telemetry is on (an [`EventSink`] or metrics are attached).
+    /// journals are byte-identical with or without it, so — like
+    /// `threads` — it is deliberately not part of the journal identity.
+    /// Timelines are not journaled either: tasks replayed from a journal
+    /// contribute no `Propagation` events. Only effective when telemetry
+    /// is on (an [`EventSink`] or metrics are attached).
     pub deep_trace: bool,
     /// Test hook: force the trial at `(benchmark, start_point, trial)` to
     /// panic mid-run, exercising the containment/quarantine machinery
@@ -318,9 +316,11 @@ pub struct CampaignResult {
     /// (benchmark, start point, trial) order. Empty unless the hardened
     /// model has an escape (or the test shim forced one).
     pub quarantined: Vec<CampaignQuarantine>,
-    /// Pruner disposition totals over the live-executed tasks. `None`
-    /// unless the campaign ran with `pruned` (journal-replayed tasks
-    /// contribute nothing: their trials were not re-pruned).
+    /// Pruner disposition totals over the live-executed tasks of an
+    /// observed run (a sink, metrics, spans, or a journal attached).
+    /// `None` on an unobserved run, and when no task ran live:
+    /// journal-replayed tasks contribute nothing, since their trials were
+    /// not re-pruned.
     pub prune: Option<PruneDispositions>,
 }
 
@@ -365,9 +365,12 @@ pub struct CampaignMetrics {
     /// visited. Exact and machine-independent.
     words_hashed: CounterId,
     /// First accesses the live tasks' access footprints kept: fault sites
-    /// whose word the golden run reads or overwrites inside their window
-    /// (zero on the snapshot ladder, which builds no footprint).
+    /// whose word the golden run reads or overwrites inside their window.
     footprint_events: CounterId,
+    /// Cycles the live tasks' faulted trial machines stepped: the sites
+    /// the pruner could not prove dead, each from its injection to its
+    /// decision. Exact and machine-independent.
+    cycles_stepped: CounterId,
     fail_latency: HistogramId,
     match_latency: HistogramId,
 }
@@ -388,6 +391,7 @@ impl CampaignMetrics {
             rows_hashed: registry.counter("golden/rows_hashed"),
             words_hashed: registry.counter("golden/words_hashed"),
             footprint_events: registry.counter("footprint/events_kept"),
+            cycles_stepped: registry.counter("trials/cycles_stepped"),
             fail_latency: registry.histogram("cycles-to-failure-detection"),
             match_latency: registry.histogram("cycles-to-reconvergence"),
             registry,
@@ -467,8 +471,8 @@ struct TaskOutput {
     scatter: ScatterPoint,
     eligible_bits: u64,
     faults: Vec<TrialFault>,
-    /// Pruner disposition tally (`None` unless the task ran pruned;
-    /// journal-replayed tasks report none — no pruning was re-done).
+    /// Pruner disposition tally (`None` on the untraced path and for
+    /// journal-replayed tasks — no pruning was re-done).
     prune: Option<PruneDispositions>,
     // Telemetry (empty / zero on the untraced path).
     specs: Vec<TrialSpec>,
@@ -504,11 +508,13 @@ fn scatter_of(bench: usize, records: &[TrialRecord]) -> ScatterPoint {
     }
 }
 
-/// Dispatches one task's drawn trial plan to the configured engine
-/// (snapshot ladder or pruned) at the requested trace level. The single
-/// definition keeps the in-process pool and the distributed worker on the
-/// same machine code, so a worker's results are byte-identical to the
-/// local run's by construction.
+/// Runs one task's drawn trial plan through the engine — the analytic
+/// pruner, which hands what it cannot prove dead to the snapshot ladder —
+/// at the requested trace level. The single definition keeps the
+/// in-process pool and the distributed worker on the same machine code, so
+/// a worker's results are byte-identical to the local run's by
+/// construction. The disposition tally is telemetry: it is returned only
+/// on the traced path.
 fn run_engine(
     config: &CampaignConfig,
     sp: &StartPoint,
@@ -518,17 +524,11 @@ fn run_engine(
     deep: bool,
 ) -> (crate::trial::TracedBatch, Option<PruneDispositions>) {
     let (mask, monitor) = (config.mask, config.monitor_cycles);
-    match (traced, config.pruned) {
-        (true, true) => {
-            let (batch, d) = sp.run_trials_pruned_core::<true>(mask, specs, monitor, shim, deep);
-            (batch, Some(d))
-        }
-        (false, true) => {
-            let (batch, d) = sp.run_trials_pruned_core::<false>(mask, specs, monitor, shim, false);
-            (batch, Some(d))
-        }
-        (true, false) => (sp.run_trials_core::<true>(mask, specs, monitor, shim, deep), None),
-        (false, false) => (sp.run_trials_core::<false>(mask, specs, monitor, shim, false), None),
+    if traced {
+        let (batch, d) = sp.run_trials_pruned_core::<true>(mask, specs, monitor, shim, deep);
+        (batch, Some(d))
+    } else {
+        (sp.run_trials_pruned_core::<false>(mask, specs, monitor, shim, false).0, None)
     }
 }
 
@@ -787,7 +787,7 @@ fn run_campaign_core(
                 // Draw the whole trial plan first (target then cycle per
                 // trial — the exact draw order of the historical per-trial
                 // loop, so seeds reproduce the same campaigns), then run it
-                // through the batched snapshot-ladder path.
+                // through the engine as one batch.
                 let specs: Vec<TrialSpec> = (0..config.trials_per_start_point)
                     .map(|_| TrialSpec {
                         target: rng.gen_range(0..sp.bit_count()),
@@ -817,6 +817,7 @@ fn run_campaign_core(
                 let rows_hashed = sp.rows_hashed + batch.rows_hashed;
                 let words_hashed = sp.words_hashed + batch.words_hashed;
                 let footprint_events = batch.footprint_events;
+                let cycles_stepped = batch.cycles_stepped;
                 let (records, traces, deeps, faults, advance_ns, monitor_ns) = (
                     batch.records,
                     batch.traces,
@@ -846,6 +847,7 @@ fn run_campaign_core(
                     local.add(metrics.rows_hashed, rows_hashed);
                     local.add(metrics.words_hashed, words_hashed);
                     local.add(metrics.footprint_events, footprint_events);
+                    local.add(metrics.cycles_stepped, cycles_stepped);
                     for (rec, tr) in records.iter().zip(traces.iter()) {
                         let latency = tr.detect_cycle - rec.inject_cycle;
                         match rec.outcome {

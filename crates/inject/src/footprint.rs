@@ -54,15 +54,21 @@ pub(crate) struct Footprint {
 }
 
 impl Footprint {
-    /// Replays the golden run once with access tracking on, resolving for
-    /// every site `(unit, ord, inject)` the first access to that word in
+    /// Replays the golden run once with access tracking on, from `golden`,
+    /// a fresh clone of the start point's checkpoint, resolving for every
+    /// site `(unit, ord, inject)` the first access to that word in
     /// `(inject, min(horizon, inject + monitor)]`. The first access of a
     /// cycle decides, so read-before-write inside one cycle counts as a
     /// read. Only units with unresolved sites log, and the replay ends at
     /// the last site's window (or when every site is resolved, or the
     /// golden machine halts — stepping a halted machine is a no-op and
     /// logs nothing).
-    pub(crate) fn build(sp: &StartPoint, sites: &[(UnitId, u32, u64)], monitor: u64) -> Footprint {
+    pub(crate) fn build(
+        sp: &StartPoint,
+        mut golden: Pipeline,
+        sites: &[(UnitId, u32, u64)],
+        monitor: u64,
+    ) -> Footprint {
         let mut keyed: Vec<(usize, u32, u64)> =
             sites.iter().map(|&(unit, ord, c)| (unit.index(), ord, c)).collect();
         keyed.sort_unstable();
@@ -92,7 +98,6 @@ impl Footprint {
         }
         let mut kept = 0u64;
         let last = sites.iter().map(|s| s.2).max().map_or(0, |c| sp.horizon.min(c + monitor));
-        let mut golden = sp.checkpoint.clone();
         golden.set_access_tracking(UnitId::ALL.into_iter().filter(|u| open[u.index()] > 0));
         for step in 1..=last {
             if !golden.running() || open.iter().all(|&n| n == 0) {
@@ -158,10 +163,6 @@ impl Footprint {
 /// attribution and to look the word up in the footprint.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Span {
-    /// First eligible-bit index of this field under the mask.
-    pub(crate) start: u64,
-    /// Field width in bits.
-    pub(crate) width: u32,
     pub(crate) category: Category,
     pub(crate) kind: StorageKind,
     /// Enclosing fingerprint unit, if any.
@@ -171,30 +172,37 @@ pub(crate) struct Span {
     pub(crate) unit_ord: u32,
 }
 
-/// Collects the eligible-bit spans of a machine in visit order. The
-/// within-unit ordinal counts *every* visited field (eligible or not),
-/// matching the drain ordinal space — pinned by the `access_ordinals`
-/// tests in the pipeline crate.
-struct SpanCollector {
+/// Finds the eligible-bit spans holding a set of targets in one walk of a
+/// machine, in visit order. The within-unit ordinal counts *every* visited
+/// field (eligible or not), matching the drain ordinal space — pinned by
+/// the `access_ordinals` tests in the pipeline crate.
+struct SpanCollector<'a> {
     mask: InjectionMask,
     pos: u64,
     unit: Option<UnitId>,
     ord: u32,
-    spans: Vec<Span>,
+    targets: &'a [u64],
+    /// Indices into `targets`, ascending by target; `next` is the first
+    /// one not yet resolved.
+    order: Vec<usize>,
+    next: usize,
+    spans: Vec<Option<Span>>,
 }
 
-impl StateVisitor for SpanCollector {
+impl StateVisitor for SpanCollector<'_> {
     fn field(&mut self, meta: FieldMeta, width: u32, _bits: &mut u64) {
         if self.mask.eligible(meta) {
-            self.spans.push(Span {
-                start: self.pos,
-                width,
-                category: meta.category,
-                kind: meta.kind,
-                unit: self.unit,
-                unit_ord: self.ord,
-            });
-            self.pos += width as u64;
+            let end = self.pos + width as u64;
+            while let Some(&i) = self.order.get(self.next).filter(|&&i| self.targets[i] < end) {
+                self.spans[i] = Some(Span {
+                    category: meta.category,
+                    kind: meta.kind,
+                    unit: self.unit,
+                    unit_ord: self.ord,
+                });
+                self.next += 1;
+            }
+            self.pos = end;
         }
         self.ord += 1;
     }
@@ -213,27 +221,30 @@ impl StateVisitor for SpanCollector {
     }
 }
 
-/// Maps eligible-bit indices to [`Span`]s by binary search. Rebuilt per
-/// batch call (one checkpoint clone + one visit walk).
-pub(crate) struct Resolver {
-    spans: Vec<Span>,
-}
-
-impl Resolver {
-    pub(crate) fn build(checkpoint: &Pipeline, mask: InjectionMask) -> Resolver {
-        let mut probe = checkpoint.clone();
-        let mut c = SpanCollector { mask, pos: 0, unit: None, ord: 0, spans: Vec::new() };
-        probe.visit_state(&mut c);
-        Resolver { spans: c.spans }
-    }
-
-    /// The span containing eligible bit `target`, or `None` when the
-    /// target is out of range (the scalar path then reproduces the naive
-    /// path's behaviour for such targets).
-    pub(crate) fn resolve(&self, target: u64) -> Option<&Span> {
-        let i = self.spans.partition_point(|s| s.start + s.width as u64 <= target);
-        self.spans.get(i).filter(|s| s.start <= target)
-    }
+/// The spans holding eligible bits `targets` under `mask`, from one walk of
+/// `machine`: entry `i` is the span containing `targets[i]`, or `None` when
+/// that target is out of range (the scalar path then reproduces the naive
+/// path's behaviour for such targets). The walk only observes: it leaves
+/// the machine as it found it.
+pub(crate) fn resolve_spans(
+    machine: &mut Pipeline,
+    mask: InjectionMask,
+    targets: &[u64],
+) -> Vec<Option<Span>> {
+    let mut order: Vec<usize> = (0..targets.len()).collect();
+    order.sort_unstable_by_key(|&i| targets[i]);
+    let mut c = SpanCollector {
+        mask,
+        pos: 0,
+        unit: None,
+        ord: 0,
+        targets,
+        order,
+        next: 0,
+        spans: vec![None; targets.len()],
+    };
+    machine.visit_state(&mut c);
+    c.spans
 }
 
 /// Reference for tests: every word's whole-run access timeline (first
@@ -304,7 +315,7 @@ mod tests {
                 })
                 .expect("an idle register-file word");
             sites.push((UnitId::Regfile, idle, 10));
-            let fp = Footprint::build(&sp, &sites, monitor);
+            let fp = Footprint::build(&sp, sp.checkpoint.clone(), &sites, monitor);
             let mut kept = 0;
             for &(unit, ord, inject) in &sites {
                 let window_end = sp.horizon.min(inject + monitor);
@@ -329,17 +340,26 @@ mod tests {
     }
 
     #[test]
-    fn resolver_maps_targets_to_spans_exhaustively() {
+    fn spans_resolve_every_target_in_one_walk() {
         let sp = start_point(PipelineConfig::baseline());
-        let r = Resolver::build(&sp.checkpoint, InjectionMask::LatchesAndRams);
-        // Every eligible bit resolves to a span containing it; the bit one
-        // past the end resolves to nothing.
+        // Each target, in any order and repeated, resolves to the field the
+        // flip lands in; the bit one past the end resolves to nothing.
         let bits = sp.bit_count();
-        for target in (0..bits).step_by(97) {
-            let s = r.resolve(target).expect("in-range target must resolve");
-            assert!(s.start <= target && target < s.start + s.width as u64);
+        let mut targets: Vec<u64> = (0..bits).step_by(331).flat_map(|t| [t + 1, t]).collect();
+        targets.push(targets[3]);
+        targets.push(bits);
+        let mask = InjectionMask::LatchesAndRams;
+        let spans = resolve_spans(&mut sp.checkpoint.clone(), mask, &targets);
+        for (&target, span) in targets.iter().zip(&spans) {
+            let mut flip = tfsim_bitstate::FlipBit::new(mask, target);
+            sp.checkpoint.clone().visit_state(&mut flip);
+            assert_eq!(
+                span.map(|s| (s.category, s.kind, s.unit)),
+                flip.flipped.map(|h| (h.category, h.kind, h.unit)),
+                "target {target} of {bits}"
+            );
         }
-        assert!(r.resolve(bits).is_none());
+        assert!(spans.last().is_some_and(Option::is_none));
     }
 
     #[test]

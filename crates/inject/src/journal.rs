@@ -34,10 +34,13 @@ use std::sync::Mutex;
 
 use tfsim_bitstate::{Category, InjectionMask, StorageKind, UnitId};
 use tfsim_obs::json::{self, obj, Json};
+use tfsim_uarch::PipelineConfig;
 use tfsim_workloads::Workload;
 
 use crate::campaign::CampaignConfig;
-use crate::trial::{FailureMode, Outcome, TrialFault, TrialRecord, TrialSpec, TrialTrace};
+use crate::trial::{
+    eligible_bits, FailureMode, Outcome, TrialFault, TrialRecord, TrialSpec, TrialTrace,
+};
 
 /// Format marker on the header line.
 const MAGIC: &str = "tfsim-campaign";
@@ -54,13 +57,13 @@ const VERSION: u64 = 2;
 /// task into a campaign with a different seed, mask, scale, workload set,
 /// or protection config would silently corrupt the census.
 ///
-/// `CampaignConfig::threads`, `pruned`, and `deep_trace` are
-/// deliberately *not* part of the identity (they are execution strategies
-/// or observation levels and results are byte-identical across them), and
-/// neither is the trace level of the run (traced or not) or the hidden
-/// `panic_shim` test hook. Divergence timelines are likewise not
-/// journaled: a deep-traced campaign resumed from a journal emits no
-/// `propagation` events for the replayed tasks.
+/// `CampaignConfig::threads` and `deep_trace` are deliberately *not* part
+/// of the identity (they are an execution strategy and an observation
+/// level, and results are byte-identical across them), and neither is the
+/// trace level of the run (traced or not) or the hidden `panic_shim` test
+/// hook. Divergence timelines are likewise not journaled: a deep-traced
+/// campaign resumed from a journal emits no `propagation` events for the
+/// replayed tasks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalMeta {
     seed: u64,
@@ -78,6 +81,9 @@ pub struct JournalMeta {
     inject_window: u64,
     monitor_cycles: u64,
     benchmarks: Vec<String>,
+    /// The eligible-bit count every task of the campaign must carry,
+    /// derived from the pipeline config and mask (not rendered).
+    eligible_bits: u64,
 }
 
 impl JournalMeta {
@@ -103,6 +109,7 @@ impl JournalMeta {
             inject_window: config.inject_window,
             monitor_cycles: config.monitor_cycles,
             benchmarks: workloads.iter().map(|w| w.name.to_string()).collect(),
+            eligible_bits: eligible_bits(config.pipeline, config.mask),
         }
     }
 
@@ -152,7 +159,7 @@ impl JournalMeta {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("header missing array \"benchmarks\"".to_string()),
         };
-        Ok(JournalMeta {
+        let mut meta = JournalMeta {
             seed: num("seed")?,
             mask,
             timeout_counter: flag("timeout_counter")?,
@@ -171,15 +178,27 @@ impl JournalMeta {
             inject_window: num("inject_window")?,
             monitor_cycles: num("monitor_cycles")?,
             benchmarks,
-        })
+            eligible_bits: 0,
+        };
+        meta.eligible_bits = eligible_bits(meta.pipeline(), meta.mask);
+        Ok(meta)
+    }
+
+    fn pipeline(&self) -> PipelineConfig {
+        PipelineConfig {
+            timeout_counter: self.timeout_counter,
+            timeout_threshold: self.timeout_threshold,
+            regfile_ecc: self.regfile_ecc,
+            pointer_ecc: self.pointer_ecc,
+            insn_parity: self.insn_parity,
+        }
     }
 
     /// Reconstructs the campaign this identity describes: the config
-    /// (execution-strategy fields — `threads`, `pruned`, `deep_trace` —
-    /// at their defaults, for the caller to choose) and the
-    /// workload list, resolved by name against the standard set.
-    /// Round-trips with [`JournalMeta::new`]: the rebuilt pair produces an
-    /// equal `JournalMeta`.
+    /// (`threads` and `deep_trace` at their defaults, for the caller to
+    /// choose) and the workload list, resolved by name against the
+    /// standard set. Round-trips with [`JournalMeta::new`]: the rebuilt
+    /// pair produces an equal `JournalMeta`.
     pub fn to_campaign(&self) -> Result<(CampaignConfig, Vec<Workload>), String> {
         let all = tfsim_workloads::all();
         let workloads = self
@@ -194,13 +213,7 @@ impl JournalMeta {
             .collect::<Result<Vec<_>, _>>()?;
         let mut config = CampaignConfig::quick(self.seed);
         config.mask = self.mask;
-        config.pipeline = tfsim_uarch::PipelineConfig {
-            timeout_counter: self.timeout_counter,
-            timeout_threshold: self.timeout_threshold,
-            regfile_ecc: self.regfile_ecc,
-            pointer_ecc: self.pointer_ecc,
-            insn_parity: self.insn_parity,
-        };
+        config.pipeline = self.pipeline();
         config.scale = self.scale;
         config.start_points = self.start_points;
         config.trials_per_start_point = self.trials_per_start_point;
@@ -217,7 +230,8 @@ impl JournalMeta {
     /// * its benchmark and start point lie inside the campaign grid;
     /// * it carries the campaign's number of drawn specs;
     /// * its quarantined trials name distinct specs, in ascending order;
-    /// * no trace decides before its trial's injection.
+    /// * no trace decides before its trial's injection;
+    /// * it counts the campaign's eligible bits.
     pub(crate) fn check_task(&self, task: &JournaledTask) -> Result<(), String> {
         let (bench, sp) = (task.bench, task.start_point);
         if bench >= self.benchmarks.len() || sp >= self.start_points {
@@ -248,6 +262,12 @@ impl JournalMeta {
                     tr.detect_cycle, rec.inject_cycle
                 ));
             }
+        }
+        if task.eligible_bits != self.eligible_bits {
+            return Err(format!(
+                "task ({bench}, {sp}) counts {} eligible bits, the campaign's machine has {}",
+                task.eligible_bits, self.eligible_bits
+            ));
         }
         Ok(())
     }
@@ -732,10 +752,11 @@ mod tests {
     }
 
     fn sample_task(sp: u32) -> JournaledTask {
+        static BITS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
         JournaledTask {
             bench: 1,
             start_point: sp,
-            eligible_bits: 11_000,
+            eligible_bits: *BITS.get_or_init(|| meta().eligible_bits),
             specs: vec![
                 TrialSpec { target: 4_242, inject_cycle: 17 },
                 TrialSpec { target: 99, inject_cycle: 180 },
@@ -773,15 +794,14 @@ mod tests {
         let mut config = CampaignConfig::paper_scale(0xBEEF);
         config.mask = InjectionMask::LatchesOnly;
         config.pipeline = tfsim_uarch::PipelineConfig::protected();
-        config.threads = 3; // execution strategies: not part of the identity
-        config.pruned = true;
+        config.threads = 3; // an execution strategy: not part of the identity
         let workloads = tfsim_workloads::all();
         let m = JournalMeta::new(&config, &workloads);
         let back = JournalMeta::parse(&m.render()).unwrap();
         assert_eq!(back, m);
         let (rebuilt_config, rebuilt_workloads) = back.to_campaign().unwrap();
         assert_eq!(JournalMeta::new(&rebuilt_config, &rebuilt_workloads), m);
-        assert!(!rebuilt_config.pruned, "strategy fields reset to defaults");
+        assert_eq!(rebuilt_config.threads, 0, "strategy fields reset to defaults");
     }
 
     #[test]
@@ -932,6 +952,8 @@ mod tests {
         fault_order.records.truncate(1);
         fault_order.faults.insert(0, fault_order.faults[0].clone());
         fault_order.faults[1].index = 0;
+        let mut bits = sample_task(0);
+        bits.eligible_bits = 47_000;
         vec![
             ("outside the campaign grid", bench),
             ("outside the campaign grid", sp),
@@ -939,6 +961,7 @@ mod tests {
             ("quarantines spec 99 out of order or range", fault_range),
             ("quarantines spec 0 out of order or range", fault_order),
             ("decided at cycle 179 before its injection at 180", traced_task([17, 179])),
+            ("counts 47000 eligible bits", bits),
         ]
     }
 
@@ -990,7 +1013,7 @@ mod tests {
             let j = CampaignJournal::create(&path, &m).unwrap();
             j.append_task(&sample_task(0)).unwrap();
             let mut dup = sample_task(0);
-            dup.eligible_bits = 1; // distinguishable from the original
+            dup.records[0].valid_instructions += 1; // distinguishable from the original
             j.append_task(&dup).unwrap();
         }
         let j = CampaignJournal::resume(&path, &m).unwrap();

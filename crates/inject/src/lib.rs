@@ -28,15 +28,14 @@
 //! flushes land in the Gray Area rather than being counted as failures —
 //! matching the paper's semantics.
 //!
-//! Trials of one start point run as a batch on the snapshot ladder
-//! ([`StartPoint::run_trials`]): one fault-free walker advanced through
-//! the injection window, one clone per trial. With
-//! [`CampaignConfig::pruned`], the analytic masking pruner runs in front of
-//! it ([`StartPoint::run_trials_pruned`]): sites whose faulted word the
-//! golden run never reads before the trial is decided get their records
-//! analytically, and the rest run on the ladder. Both paths produce
-//! byte-identical records; [`StartPoint::run_trial`] is the per-trial
-//! oracle they are tested against.
+//! Trials of one start point run as one batch through the analytic
+//! masking pruner ([`StartPoint::run_trials_pruned`]): sites whose faulted
+//! word the golden run never reads before the trial is decided get their
+//! records analytically, and the rest run on the snapshot ladder
+//! ([`StartPoint::run_trials`]): one fault-free walker advanced through the
+//! injection window, one clone per trial. Both produce byte-identical
+//! records; [`StartPoint::run_trial`] is the per-trial oracle they are
+//! tested against.
 //!
 //! Campaigns are observable via [`run_campaign_observed`]: per-trial events
 //! into a `tfsim_obs::EventSink` (JSONL traces for the `tfsim-run report`

@@ -60,7 +60,7 @@ use std::time::Instant;
 use tfsim_bitstate::{InjectionMask, UnitId};
 use tfsim_obs::{DeepTrace, PruneDispositions};
 
-use crate::footprint::{Footprint, Resolver, Span};
+use crate::footprint::{resolve_spans, Footprint, Span};
 use crate::trial::{
     keep_classified, FailureMode, Outcome, StartPoint, TracedBatch, TrialFault, TrialObservers,
     TrialRecord, TrialSpec, TrialTrace, DENSE, SPARSE,
@@ -160,16 +160,20 @@ impl StartPoint {
         deep: bool,
     ) -> (TracedBatch, PruneDispositions) {
         let deep = TRACED && deep;
-        let resolver = Resolver::build(&self.checkpoint, mask);
+        // One clone of the checkpoint serves the span walk, which leaves it
+        // unchanged, and then the footprint's golden replay.
+        let mut golden = self.checkpoint.clone();
+        let targets: Vec<u64> = specs.iter().map(|s| s.target).collect();
         // Sites on a tracked word, the ones the footprint can speak for.
-        let sites: Vec<Option<(Span, UnitId)>> = specs
-            .iter()
+        let sites: Vec<Option<(Span, UnitId)>> = resolve_spans(&mut golden, mask, &targets)
+            .into_iter()
+            .zip(specs)
             .enumerate()
-            .map(|(i, spec)| {
+            .map(|(i, (span, spec))| {
                 if panic_shim == Some(i) || spec.inject_cycle > self.horizon {
                     return None;
                 }
-                let span = *resolver.resolve(spec.target)?;
+                let span = span?;
                 let unit =
                     span.unit.filter(|&u| self.checkpoint.access_tracked(u, span.unit_ord))?;
                 Some((span, unit))
@@ -181,7 +185,7 @@ impl StartPoint {
             .zip(specs)
             .filter_map(|(site, spec)| site.map(|(s, u)| (u, s.unit_ord, spec.inject_cycle)))
             .collect();
-        let fp = Footprint::build(self, &watched, monitor);
+        let fp = Footprint::build(self, golden, &watched, monitor);
         let footprint_ns = footprint_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
         // The dispositions are the pruner's own analysis time, attributed

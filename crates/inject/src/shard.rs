@@ -107,15 +107,52 @@ fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 }
 
 fn read_frame(r: &mut impl Read) -> io::Result<String> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(invalid(format!("frame of {len} bytes exceeds the cap")));
+    FrameReader::default().read(r)
+}
+
+/// Reassembles frames from a stream whose reads may time out mid-frame:
+/// the bytes read before a `WouldBlock` or `TimedOut` stay buffered, and
+/// the next [`FrameReader::read`] resumes the same frame where the last
+/// one stopped. It never reads past the frame it is assembling.
+#[derive(Default)]
+struct FrameReader {
+    buf: Vec<u8>,
+}
+
+impl FrameReader {
+    fn read(&mut self, r: &mut impl Read) -> io::Result<String> {
+        self.fill(r, 4)?;
+        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("four bytes")) as usize;
+        if len > MAX_FRAME {
+            return Err(invalid(format!("frame of {len} bytes exceeds the cap")));
+        }
+        self.fill(r, 4 + len)?;
+        let payload = self.buf.split_off(4);
+        self.buf.clear();
+        String::from_utf8(payload).map_err(|e| invalid(format!("frame is not UTF-8: {e}")))
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|e| invalid(format!("frame is not UTF-8: {e}")))
+
+    /// Reads until the buffer holds `want` bytes.
+    fn fill(&mut self, r: &mut impl Read, want: usize) -> io::Result<()> {
+        while self.buf.len() < want {
+            let have = self.buf.len();
+            self.buf.resize(want, 0);
+            match r.read(&mut self.buf[have..]) {
+                Ok(0) => {
+                    self.buf.truncate(have);
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                Ok(n) => self.buf.truncate(have + n),
+                Err(e) => {
+                    self.buf.truncate(have);
+                    if e.kind() != io::ErrorKind::Interrupted {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -419,7 +456,8 @@ pub fn serve_campaign(
 
 /// One coordinator connection: strict request→response over the framed
 /// protocol, ticking on a short read timeout so the done flag and worker
-/// disconnects are noticed promptly.
+/// disconnects are noticed promptly. A tick that lands inside a frame
+/// keeps the bytes read so far in the connection's [`FrameReader`].
 fn handle_conn(
     mut stream: TcpStream,
     coord: &Mutex<Coord<'_>>,
@@ -433,8 +471,9 @@ fn handle_conn(
     }
     let mut worker_id: u64 = 0;
     let mut idle_ticks_after_done: u32 = 0;
+    let mut frames = FrameReader::default();
     loop {
-        let frame = match read_frame(&mut stream) {
+        let frame = match frames.read(&mut stream) {
             Ok(f) => f,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
@@ -576,9 +615,6 @@ fn handle_conn(
 pub struct WorkerConfig {
     /// Coordinator address, e.g. `127.0.0.1:7400`.
     pub addr: String,
-    /// Run this worker's trials through the analytic pruner (execution
-    /// strategy; results are byte-identical either way).
-    pub pruned: bool,
     /// Journal shard this worker appends completed tasks to, if any.
     pub shard: Option<PathBuf>,
     /// Deterministic failure schedule ([`Chaos::off`] in production).
@@ -596,7 +632,6 @@ impl WorkerConfig {
     pub fn new(addr: impl Into<String>) -> WorkerConfig {
         WorkerConfig {
             addr: addr.into(),
-            pruned: false,
             shard: None,
             chaos: Chaos::off(),
             backoff_base_ms: 50,
@@ -742,8 +777,7 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
 
     if state.campaign.is_none() {
         let meta = JournalMeta::parse(&meta_line).map_err(invalid)?;
-        let (mut config, workloads) = meta.to_campaign().map_err(invalid)?;
-        config.pruned = wc.pruned;
+        let (config, workloads) = meta.to_campaign().map_err(invalid)?;
         if let Some(path) = &wc.shard {
             state.shard = Some(CampaignJournal::create(path, &meta)?);
         }
@@ -968,6 +1002,62 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), "{\"m\":\"hello\"}");
         assert_eq!(read_frame(&mut r).unwrap(), "{\"m\":\"request\"}");
         assert!(read_frame(&mut r).is_err()); // clean EOF is an error, not a frame
+    }
+
+    /// A stream that serves its chunks in order and times out (as a socket
+    /// read timeout does) at each `None`.
+    struct Stuttering(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Stuttering {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(out.len());
+                    out[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// The coordinator's read tick can fire between a frame's length and
+    /// its body, or inside the body: the frame must still arrive intact,
+    /// and the one after it too.
+    #[test]
+    fn a_frame_split_by_read_timeouts_arrives_intact() {
+        let (first, second) = ("{\"m\":\"heartbeat\",\"token\":7}", "{\"m\":\"request\"}");
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, first).unwrap();
+        write_frame(&mut bytes, second).unwrap();
+        let body_mid = 4 + first.len() / 2;
+        let mut stream = Stuttering(
+            [
+                Some(bytes[..4].to_vec()),
+                None,
+                Some(bytes[4..body_mid].to_vec()),
+                None,
+                Some(bytes[body_mid..].to_vec()),
+            ]
+            .into(),
+        );
+        // The connection handler's loop: a timeout is a tick, not an error.
+        let mut frames = FrameReader::default();
+        let mut ticks = 0;
+        let mut next = || loop {
+            match frames.read(&mut stream) {
+                Ok(frame) => return frame,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => ticks += 1,
+                Err(e) => panic!("frame lost after {ticks} ticks: {e}"),
+            }
+        };
+        assert_eq!(next(), first);
+        assert_eq!(next(), second);
+        assert_eq!(ticks, 2);
     }
 
     #[test]

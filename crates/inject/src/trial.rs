@@ -6,13 +6,14 @@
 //!   replay fault-free to the injection cycle, flip, monitor with flat
 //!   whole-machine fingerprints. Deliberately simple; the baseline every
 //!   optimization is measured and verified against.
-//! * [`StartPoint::run_trials`] — the campaign fast path: trials of one
-//!   start point are sorted by injection cycle and served from a single
-//!   fault-free *walker* advanced monotonically through the injection
-//!   window (one clone per trial instead of a replay per trial), and
-//!   µArch-Match checks use a [`CachedFingerprint`] that only rehashes
-//!   dirty units. Produces bit-identical [`TrialRecord`]s — pinned by a
-//!   property test.
+//! * [`StartPoint::run_trials`] — the snapshot ladder, to which the
+//!   campaign engine (the analytic pruner, `crate::pruner`) hands every
+//!   site it cannot prove dead: trials of one start point are sorted by
+//!   injection cycle and served from a single fault-free *walker*
+//!   advanced monotonically through the injection window (one clone per
+//!   trial instead of a replay per trial), and µArch-Match checks use a
+//!   [`CachedFingerprint`] that only rehashes dirty units. Produces
+//!   bit-identical [`TrialRecord`]s — pinned by a property test.
 //!
 //! # Golden rows
 //!
@@ -29,6 +30,7 @@
 
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 use std::time::Instant;
@@ -38,9 +40,9 @@ use tfsim_bitstate::{
     fingerprint_of, BitCount, CachedFingerprint, Category, Fingerprint, FlipBit, InjectionMask,
     StorageKind, UnitId, VisitState,
 };
-use tfsim_isa::{decode, Program};
+use tfsim_isa::{decode, Asm, Program};
 use tfsim_obs::DeepTrace;
-use tfsim_uarch::{ExcCode, FlowEvent, Pipeline, RetireEvent};
+use tfsim_uarch::{ExcCode, FlowEvent, Pipeline, PipelineConfig, RetireEvent};
 
 /// The paper's seven failure modes (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -245,6 +247,10 @@ pub struct TracedBatch {
     /// First accesses the batch's access footprint kept: fault sites whose
     /// word the golden run reads or overwrites inside their window.
     pub footprint_events: u64,
+    /// Cycles the classified trials' faulted machines stepped (zero for
+    /// sites the pruner's analytic rider settles). Exact and
+    /// machine-independent.
+    pub cycles_stepped: u64,
 }
 
 impl TracedBatch {
@@ -261,6 +267,7 @@ impl TracedBatch {
         self.rows_hashed += other.rows_hashed;
         self.words_hashed += other.words_hashed;
         self.footprint_events += other.footprint_events;
+        self.cycles_stepped += other.cycles_stepped;
     }
 }
 
@@ -355,9 +362,16 @@ impl StartPoint {
     ///
     /// Panics if the fault-free continuation raises an exception.
     pub fn prepare(warmed: &Pipeline, horizon: u64, mask: InjectionMask) -> StartPoint {
-        let mut checkpoint = warmed.clone();
-        checkpoint.disable_flow_log();
+        // Figure 6's valid counts fold the flow events as the golden run
+        // logs them (the warm-up's first), so the log never holds more than
+        // one cycle's events: a whole run's events would be most of a
+        // campaign task's peak memory.
         let mut golden = warmed.clone();
+        let mut valid = ValidCounts::new(warmed.cycles(), horizon);
+        golden.take_flow_events().into_iter().for_each(|ev| valid.feed(ev));
+        golden.enable_flow_log();
+        let mut checkpoint = golden.clone();
+        checkpoint.disable_flow_log();
 
         let mut sparse = Vec::with_capacity((horizon / SPARSE) as usize + 1);
         let mut instret = Vec::with_capacity(horizon as usize + 1);
@@ -374,6 +388,7 @@ impl StartPoint {
         instret.push(0);
         for step in 1..=horizon {
             let report = golden.step();
+            golden.drain_flow_events(|ev| valid.feed(ev));
             for ev in report.events {
                 match ev {
                     RetireEvent::Retired(r) => records.push(r),
@@ -407,9 +422,7 @@ impl StartPoint {
             }
         }
 
-        // Flow events use absolute cycle numbers; the checkpoint sits at
-        // `warmed.cycles()`.
-        let valid_counts = valid_counts(&golden.take_flow_events(), warmed.cycles(), horizon);
+        let valid_counts = valid.finish();
 
         let mut count = BitCount::new(mask);
         checkpoint.visit_state(&mut count);
@@ -454,7 +467,9 @@ impl StartPoint {
     ///
     /// This is the naive reference path: it replays fault-free from the
     /// checkpoint and hashes the whole machine at every µArch-Match check.
-    /// Campaigns use the equivalent-but-fast [`StartPoint::run_trials`].
+    /// Campaigns use the equivalent-but-fast pruned batch
+    /// ([`StartPoint::run_trials_pruned`]), which hands the sites it cannot
+    /// prove dead to [`StartPoint::run_trials`].
     pub fn run_trial(
         &self,
         mask: InjectionMask,
@@ -589,6 +604,7 @@ impl StartPoint {
         let mut faults = Vec::new();
         let mut advance_ns = 0u64;
         let mut monitor_ns = 0u64;
+        let mut cycles_stepped = 0u64;
         for i in order {
             let spec = specs[i];
             let t0 = TRACED.then(Instant::now);
@@ -622,9 +638,10 @@ impl StartPoint {
             }));
             CONTAINED.with(|c| c.set(false));
             match classified {
-                Ok((rec, closing)) => {
+                Ok((rec, closing, stepped)) => {
                     out[i] = Some(rec);
                     closings.extend(closing.map(|c| (i, c)));
+                    cycles_stepped += stepped;
                 }
                 Err(payload) => {
                     faults.push(TrialFault { index: i, spec, panic_msg: panic_message(payload) })
@@ -646,6 +663,7 @@ impl StartPoint {
         batch.attribute_ns = attribute_ns;
         batch.rows_hashed = rows.hashed();
         batch.words_hashed = rows.words_hashed();
+        batch.cycles_stepped = cycles_stepped;
         batch
     }
 
@@ -669,10 +687,10 @@ impl StartPoint {
     /// `diverged_unit` attribution and must stay byte-identical to the
     /// non-deep run.
     ///
-    /// Returns the record and, when an observer still needs the
+    /// Returns the record; when an observer still needs the
     /// decision-cycle comparison against golden, the [`Closing`] the
     /// caller resolves with [`Rows::close`] once every trial of the batch
-    /// is classified.
+    /// is classified; and the cycles the faulted machine stepped.
     #[allow(clippy::too_many_arguments)]
     fn classify(
         &self,
@@ -683,7 +701,7 @@ impl StartPoint {
         monitor: u64,
         cached_fp: bool,
         obs: TrialObservers<'_>,
-    ) -> (TrialRecord, Option<Closing>) {
+    ) -> (TrialRecord, Option<Closing>, u64) {
         let TrialObservers { trace, mut deep } = obs;
         let TrialSpec { target, inject_cycle } = spec;
         let traced = trace.is_some();
@@ -905,7 +923,7 @@ impl StartPoint {
                     attribute,
                 }
             });
-        (make(outcome), closing)
+        (make(outcome), closing, last_step - inject_cycle)
     }
 }
 
@@ -1062,56 +1080,80 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Figure 6 instrumentation: for each cycle `0..=horizon` after the
-/// checkpoint at absolute cycle `base_cycle`, how many in-flight
-/// instructions eventually commit. An instruction counts from its fetch
-/// cycle up to (not including) its commit cycle; the last flow event of a
-/// sequence number wins.
-fn valid_counts(events: &[FlowEvent], base_cycle: u64, horizon: u64) -> Vec<u32> {
-    let seq_of = |ev: &FlowEvent| match *ev {
-        FlowEvent::Fetch { seq, .. }
-        | FlowEvent::Commit { seq, .. }
-        | FlowEvent::Squash { seq, .. } => seq,
-    };
-    let first = events.iter().map(seq_of).min().unwrap_or(0);
-    let last = events.iter().map(seq_of).max().unwrap_or(0);
-    // Per sequence number (dense: fetch numbers them consecutively):
-    // fetch cycle, end cycle, committed.
-    let mut spans = vec![(0u64, 0u64, false); (last - first + 1) as usize];
-    for ev in events {
-        let span = &mut spans[(seq_of(ev) - first) as usize];
-        match *ev {
-            FlowEvent::Fetch { cycle, .. } => span.0 = cycle,
-            FlowEvent::Commit { cycle, .. } => (span.1, span.2) = (cycle, true),
-            FlowEvent::Squash { cycle, .. } => span.1 = cycle,
+/// Figure 6 instrumentation, folded from a golden run's flow events in
+/// order: for each cycle `0..=horizon` after the checkpoint at absolute
+/// cycle `base_cycle` (flow events carry absolute cycles), how many
+/// in-flight instructions eventually commit. An instruction counts from
+/// its fetch cycle up to (not including) its commit cycle. Each sequence
+/// number is fetched once and then committed or squashed at most once
+/// (the pipeline's `flow_log_conservation` test).
+struct ValidCounts {
+    base_cycle: u64,
+    horizon: u64,
+    /// Fetch cycle of each instruction fetched and not yet committed or
+    /// squashed, by sequence number.
+    in_flight: BTreeMap<u64, u64>,
+    /// A difference array over the window: +1 where a committed lifetime
+    /// starts, −1 where it ends.
+    delta: Vec<i64>,
+}
+
+impl ValidCounts {
+    fn new(base_cycle: u64, horizon: u64) -> ValidCounts {
+        let delta = vec![0; horizon as usize + 2];
+        ValidCounts { base_cycle, horizon, in_flight: BTreeMap::new(), delta }
+    }
+
+    fn feed(&mut self, ev: FlowEvent) {
+        match ev {
+            FlowEvent::Fetch { seq, cycle } => {
+                self.in_flight.insert(seq, cycle);
+            }
+            FlowEvent::Squash { seq, .. } => {
+                self.in_flight.remove(&seq);
+            }
+            FlowEvent::Commit { seq, cycle } => {
+                let fetch = self.in_flight.remove(&seq).unwrap_or(0);
+                let lo = fetch.saturating_sub(self.base_cycle);
+                let hi = cycle.saturating_sub(self.base_cycle).min(self.horizon);
+                if lo < hi {
+                    self.delta[lo as usize] += 1;
+                    self.delta[hi as usize] -= 1;
+                }
+            }
         }
     }
-    // A difference array over the window: +1 where a committed lifetime
-    // starts, −1 where it ends, then one prefix sum.
-    let mut delta = vec![0i64; horizon as usize + 2];
-    for &(fetch, end, committed) in &spans {
-        let lo = fetch.saturating_sub(base_cycle);
-        let hi = end.saturating_sub(base_cycle).min(horizon);
-        if committed && lo < hi {
-            delta[lo as usize] += 1;
-            delta[hi as usize] -= 1;
-        }
+
+    /// The counts: one prefix sum over the difference array.
+    fn finish(self) -> Vec<u32> {
+        let mut live = 0i64;
+        self.delta[..=self.horizon as usize]
+            .iter()
+            .map(|d| {
+                live += d;
+                live as u32
+            })
+            .collect()
     }
-    let mut live = 0i64;
-    delta[..=horizon as usize]
-        .iter()
-        .map(|d| {
-            live += d;
-            live as u32
-        })
-        .collect()
+}
+
+/// The eligible-bit count of every start point under `config` and `mask`.
+/// The state walk visits field widths, never contents, so a fresh machine
+/// on an empty program counts what any warmed one does.
+pub(crate) fn eligible_bits(config: PipelineConfig, mask: InjectionMask) -> u64 {
+    let mut a = Asm::new(0x1_0000);
+    a.halt();
+    let mut cpu = Pipeline::new(&Program::new("bit-count", a), config);
+    let mut count = BitCount::new(mask);
+    cpu.visit_state(&mut count);
+    count.count
 }
 
 /// Warm-up helper: builds a flow-logged pipeline, runs it `cycles`, and
 /// returns it (TLBs preloaded from a fault-free functional run).
 pub(crate) fn warm_pipeline(
     program: &Program,
-    config: tfsim_uarch::PipelineConfig,
+    config: PipelineConfig,
     cycles: u64,
 ) -> Pipeline {
     let mut probe = tfsim_arch::FuncSim::new(program);
@@ -1131,8 +1173,7 @@ pub(crate) fn warm_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfsim_isa::{Asm, Reg};
-    use tfsim_uarch::PipelineConfig;
+    use tfsim_isa::Reg;
 
     /// Cycles the stepping audit checks per workload and config.
     const AUDIT_CYCLES: u64 = 500;
@@ -1281,7 +1322,9 @@ mod tests {
                     golden.step();
                 }
                 let events = golden.take_flow_events();
-                let fast = valid_counts(&events, warmed.cycles(), horizon);
+                let mut folded = ValidCounts::new(warmed.cycles(), horizon);
+                events.iter().for_each(|&ev| folded.feed(ev));
+                let fast = folded.finish();
                 assert_eq!(fast, valid_counts_per_cycle(&events, warmed.cycles(), horizon));
                 let sp = StartPoint::prepare(&warmed, horizon, InjectionMask::LatchesAndRams);
                 assert!((0..=horizon).all(|c| sp.valid_at(c) == fast[c as usize]));
@@ -1290,13 +1333,14 @@ mod tests {
                 }
             }
         }
-        assert!(valid_counts(&[], 0, 4).iter().all(|&n| n == 0));
+        assert!(ValidCounts::new(0, 4).finish().iter().all(|&n| n == 0));
     }
 
     /// Every workload at scale 1, warmed 300 cycles, under both pipeline
     /// configs.
-    fn warmed_workloads() -> &'static [(String, Pipeline)] {
-        static WARMED: std::sync::OnceLock<Vec<(String, Pipeline)>> = std::sync::OnceLock::new();
+    fn warmed_workloads() -> &'static [(String, PipelineConfig, Pipeline)] {
+        static WARMED: std::sync::OnceLock<Vec<(String, PipelineConfig, Pipeline)>> =
+            std::sync::OnceLock::new();
         WARMED.get_or_init(|| {
             let mut out = Vec::new();
             for w in tfsim_workloads::all() {
@@ -1307,7 +1351,7 @@ mod tests {
                 ];
                 for (label, config) in configs {
                     let name = format!("{} ({label})", w.name);
-                    out.push((name, warm_pipeline(&program, config, 300)));
+                    out.push((name, config, warm_pipeline(&program, config, 300)));
                 }
             }
             out
@@ -1315,11 +1359,21 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_machine_counts_every_start_points_eligible_bits() {
+        for (name, config, warmed) in warmed_workloads() {
+            for mask in [InjectionMask::LatchesAndRams, InjectionMask::LatchesOnly] {
+                let sp = StartPoint::prepare(warmed, 8, mask);
+                assert_eq!(eligible_bits(*config, mask), sp.bit_count(), "{name}, {mask:?}");
+            }
+        }
+    }
+
+    #[test]
     fn golden_rows_hash_only_the_latch_words() {
         // The shadow units contribute their maintained digests without a
         // word visited, so a row costs the latch units' words alone (3,257
         // on the baseline machine, a few more with protection).
-        for (name, warmed) in warmed_workloads() {
+        for (name, _, warmed) in warmed_workloads() {
             let sp = StartPoint::prepare(warmed, 64, InjectionMask::LatchesAndRams);
             assert_eq!(sp.rows_hashed, 9, "{name}");
             let per_row = sp.words_hashed / sp.rows_hashed;
@@ -1333,7 +1387,7 @@ mod tests {
         // words and, in debug builds, asserts it equals the maintained one:
         // stepping each workload and checking every cycle audits every
         // digest write site the workloads reach.
-        for (name, warmed) in warmed_workloads() {
+        for (name, _, warmed) in warmed_workloads() {
             let mut cpu = warmed.clone();
             let mut engine = CachedFingerprint::new();
             for cycle in 0..AUDIT_CYCLES {

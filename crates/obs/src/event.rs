@@ -30,10 +30,11 @@ pub const SCHEMA_VERSION: u64 = 3;
 pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// Per-site disposition counts from the analytic masking pruner: how each
-/// planned trial of a pruned campaign was discharged. Carried as `None` on
-/// unpruned campaigns — the fields are then absent from the serialized
-/// footer, so unpruned traces stay byte-identical to pre-pruner writers
-/// (and pre-pruner readers simply ignore the extra keys).
+/// planned trial of the campaign's live-executed tasks was discharged.
+/// Carried as `None` when no task ran live (every task replayed from a
+/// journal or worker shards) — the fields are then absent from the
+/// serialized footer, as in traces written before the pruner existed (and
+/// such older readers simply ignore the extra keys).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneDispositions {
     /// Sites proved masked analytically from the golden access footprint
@@ -234,9 +235,9 @@ pub enum Event {
         eligible_bits: u64,
         /// Campaign wall-clock nanoseconds (zeroed by [`strip_wall_clock`]).
         wall_ns: u64,
-        /// Pruner disposition counts; `None` on unpruned campaigns (the
-        /// keys are then absent from the serialized footer, keeping it
-        /// byte-identical to pre-pruner traces).
+        /// Pruner disposition counts; `None` when no task ran live (the
+        /// keys are then absent from the serialized footer, as in
+        /// pre-pruner traces).
         prune: Option<PruneDispositions>,
     },
 }
@@ -542,8 +543,8 @@ impl Event {
                 quarantined: opt_field("quarantined")?.unwrap_or(0),
                 eligible_bits: field("eligible_bits")?,
                 wall_ns: field("wall_ns")?,
-                // All three keys absent on unpruned campaigns and in
-                // pre-pruner traces; any present key implies a pruned run.
+                // All three keys absent when no task ran live and in
+                // pre-pruner traces; any present key implies a tally.
                 prune: match (
                     opt_field("proved_dead")?,
                     opt_field("class_collapsed")?,

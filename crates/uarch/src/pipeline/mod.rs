@@ -322,6 +322,14 @@ impl Pipeline {
         self.flow_log.take().unwrap_or_default()
     }
 
+    /// Hands the flow events recorded since the last drain to `f`, in
+    /// order, and keeps recording.
+    pub fn drain_flow_events(&mut self, f: impl FnMut(FlowEvent)) {
+        if let Some(log) = self.flow_log.as_mut() {
+            log.drain(..).for_each(f);
+        }
+    }
+
     /// Instrumentation counters accumulated since reset.
     pub fn stats(&self) -> PipeStats {
         self.stats

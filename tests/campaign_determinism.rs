@@ -80,108 +80,104 @@ fn outcome_counts_identical_across_1_2_and_n_threads() {
     assert_eq!(one.totals().total(), 2 * 2 * 12);
 }
 
+/// The campaign engine against the per-trial oracle: each task's plan,
+/// redrawn from its PRNG substream and run spec by spec through the naive
+/// `StartPoint::run_trial`, must give the campaign's census, its journaled
+/// per-trial records, and its single quarantine of the shimmed trial.
 #[test]
-fn pruned_campaign_is_byte_identical_to_the_unpruned_engines() {
+fn campaign_engine_equals_the_per_trial_oracle() {
+    use tfsim::arch::FuncSim;
+    use tfsim::check::Rng;
     use tfsim::inject::{
-        run_campaign_journaled, run_campaign_observed, CampaignJournal, CampaignObs, JournalMeta,
+        run_campaign_journaled, CampaignJournal, CampaignObs, JournalMeta, StartPoint, TrialSpec,
     };
-    use tfsim::obs::{strip_wall_clock, Event, RingSink};
+    use tfsim::uarch::Pipeline;
 
     let workloads: Vec<_> = workloads::all()
         .into_iter()
         .filter(|w| w.name == "gzip-like" || w.name == "vpr-like")
         .collect();
+    let shim = (1usize, 1u32, 5u32); // (benchmark, start point, trial)
+    let mut cfg = config(2);
+    cfg.panic_shim = Some(shim);
 
-    // The full per-trial event stream must agree with the ladder's
-    // everywhere except the footer, which additionally carries the
-    // pruner's disposition tally.
-    let run_traced = |pruned: bool| {
-        let mut cfg = config(2);
-        cfg.pruned = pruned;
-        let sink = RingSink::new(1 << 16);
-        let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
-        let r = run_campaign_observed(&cfg, &workloads, &obs);
-        (outcome_census(&r), strip_wall_clock(&sink.events()), r.prune)
-    };
-    let (ladder_census, ladder_events, ladder_prune) = run_traced(false);
-    let (pruned_census, pruned_events, pruned_prune) = run_traced(true);
-
-    assert_eq!(ladder_census, pruned_census, "pruned campaign census diverged");
-    assert!(ladder_prune.is_none(), "unpruned runs carry no tally");
-
-    let (pruned_footer, pruned_rest) = pruned_events.split_last().unwrap();
-    let (ladder_footer, ladder_rest) = ladder_events.split_last().unwrap();
-    assert_eq!(ladder_rest, pruned_rest, "pruned campaign event stream diverged");
-    match (ladder_footer, pruned_footer) {
-        (
-            Event::CampaignEnd {
-                trials,
-                matched,
-                gray,
-                failed,
-                quarantined,
-                eligible_bits,
-                wall_ns,
-                prune: None,
-            },
-            Event::CampaignEnd {
-                trials: pt,
-                matched: pm,
-                gray: pg,
-                failed: pf,
-                quarantined: pq,
-                eligible_bits: pe,
-                wall_ns: pw,
-                prune: Some(p),
-            },
-        ) => {
-            assert_eq!(
-                (trials, matched, gray, failed, quarantined, eligible_bits, wall_ns),
-                (pt, pm, pg, pf, pq, pe, pw),
-                "footer counts diverged"
-            );
-            assert_eq!(p.total(), *pt, "every trial gets exactly one disposition");
-            assert_eq!(Some(*p), pruned_prune, "footer tally must match the result's");
-        }
-        other => panic!("footers have the wrong shape: {other:?}"),
-    }
-
-    // Journal files: `pruned` is an execution strategy, not experiment
-    // identity — a journal written by the pruner resumes under any engine,
-    // byte for byte.
-    let journal_bytes = |pruned: bool| {
-        let mut cfg = config(1);
-        cfg.pruned = pruned;
-        let path = std::env::temp_dir()
-            .join(format!("tfsim-pruned-journal-{}-{pruned}.jsonl", std::process::id()));
-        let meta = JournalMeta::new(&cfg, &workloads);
+    // The engine, untraced, and journaled (which traces) so that its
+    // per-trial records can be read back.
+    let untraced = run_campaign_on(&cfg, &workloads);
+    let path = std::env::temp_dir()
+        .join(format!("tfsim-oracle-journal-{}.jsonl", std::process::id()));
+    let meta = JournalMeta::new(&cfg, &workloads);
+    let journaled = {
         let j = CampaignJournal::create(&path, &meta).unwrap();
-        run_campaign_journaled(&cfg, &workloads, &CampaignObs::disabled(), Some(&j));
-        drop(j);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        bytes
+        run_campaign_journaled(&cfg, &workloads, &CampaignObs::disabled(), Some(&j))
     };
-    assert_eq!(
-        journal_bytes(false),
-        journal_bytes(true),
-        "pruned campaign journal diverged from the ladder"
-    );
+    let mut tasks = CampaignJournal::resume(&path, &meta).unwrap().completed().to_vec();
+    std::fs::remove_file(&path).unwrap();
+    tasks.sort_by_key(|t| (t.bench, t.start_point));
+    let mut tasks = tasks.into_iter();
 
-    // A forced mid-trial panic flows through the pruner's delegate
-    // remapping into the same quarantine record.
-    let shim = (1usize, 1u32, 5u32);
-    let run_shimmed = |pruned: bool| {
-        let mut cfg = config(2);
-        cfg.pruned = pruned;
-        cfg.panic_shim = Some(shim);
-        run_campaign_on(&cfg, &workloads)
-    };
-    let ladder_q = run_shimmed(false);
-    let pruned_q = run_shimmed(true);
-    assert_eq!(outcome_census(&ladder_q), outcome_census(&pruned_q));
-    assert_eq!(ladder_q.quarantined, pruned_q.quarantined);
-    assert_eq!(pruned_q.quarantined.len(), 1);
+    let mut census: Census = (
+        workloads.iter().map(|w| (w.name.to_string(), OutcomeCounts::default())).collect(),
+        BTreeMap::new(),
+        BTreeMap::new(),
+    );
+    let mut quarantined = Vec::new();
+    for (b, w) in workloads.iter().enumerate() {
+        let program = w.build(cfg.scale);
+        let mut probe = FuncSim::new(&program);
+        probe.run(50_000_000);
+        for s in 0..cfg.start_points {
+            // The campaign's warm-up, golden continuation and plan draw.
+            let mut cpu = Pipeline::new(&program, cfg.pipeline);
+            cpu.set_tlbs(probe.code_pages().clone(), probe.data_pages().clone());
+            cpu.enable_flow_log();
+            for _ in 0..cfg.warmup_cycles + cfg.spacing_cycles * s as u64 {
+                if !cpu.running() {
+                    break;
+                }
+                cpu.step();
+            }
+            let sp = StartPoint::prepare(&cpu, cfg.inject_window + cfg.monitor_cycles, cfg.mask);
+            let mut rng = Rng::from_seed_stream(cfg.seed, (b as u64) << 32 | s as u64);
+            let specs: Vec<TrialSpec> = (0..cfg.trials_per_start_point)
+                .map(|_| TrialSpec {
+                    target: rng.gen_range(0..sp.bit_count()),
+                    inject_cycle: rng.gen_range(0..cfg.inject_window),
+                })
+                .collect();
+
+            let mut records = Vec::new();
+            for (t, spec) in specs.iter().enumerate() {
+                if (b, s, t as u32) == shim {
+                    quarantined.push((b, s, t, *spec));
+                    continue;
+                }
+                let rec =
+                    sp.run_trial(cfg.mask, spec.target, spec.inject_cycle, cfg.monitor_cycles);
+                census.0[b].1.add(rec.outcome);
+                census.1.entry(rec.category).or_default().add(rec.outcome);
+                census.2.entry((rec.category, rec.kind)).or_default().add(rec.outcome);
+                records.push(rec);
+            }
+            let task = tasks.next().expect("a journaled task per start point");
+            assert_eq!((task.bench, task.start_point), (b, s));
+            assert_eq!(task.specs, specs, "task ({b}, {s}) drew another plan");
+            assert_eq!(task.eligible_bits, sp.bit_count());
+            assert_eq!(task.records, records, "task ({b}, {s}) records diverged from the oracle");
+        }
+    }
+    assert!(tasks.next().is_none());
+
+    assert_eq!(quarantined.len(), 1);
+    for result in [&untraced, &journaled] {
+        assert_eq!(outcome_census(result), census, "census diverged from the oracle");
+        let q: Vec<_> = result
+            .quarantined
+            .iter()
+            .map(|q| (q.benchmark, q.start_point, q.trial, q.spec))
+            .collect();
+        assert_eq!(q, quarantined, "exactly the shimmed trial is quarantined");
+    }
 }
 
 #[test]

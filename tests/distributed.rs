@@ -1,7 +1,7 @@
 //! Distributed-execution property: a lease-based coordinator/worker
-//! campaign — under any number of workers, any engine mix, and any seeded
-//! chaos schedule (worker kills, stalled heartbeats, torn shard tails,
-//! dropped and duplicated frames) — must converge to the byte-identical
+//! campaign — under any number of workers and any seeded chaos schedule
+//! (worker kills, stalled heartbeats, torn shard tails, dropped and
+//! duplicated frames) — must converge to the byte-identical
 //! census and (wall-clock-stripped) event stream of a single-process run.
 //! When every worker dies the campaign must still complete via `--resume`
 //! from the coordinator's journal.
@@ -53,15 +53,14 @@ fn tmp(name: &str) -> PathBuf {
 struct Spawn {
     chaos: &'static str,
     shard: Option<PathBuf>,
-    pruned: bool,
 }
 
 impl Spawn {
     fn clean() -> Spawn {
-        Spawn { chaos: "", shard: None, pruned: false }
+        Spawn { chaos: "", shard: None }
     }
     fn chaotic(spec: &'static str) -> Spawn {
-        Spawn { chaos: spec, shard: None, pruned: false }
+        Spawn { chaos: spec, shard: None }
     }
 }
 
@@ -86,7 +85,6 @@ fn cluster(
                 let addr = addr.clone();
                 scope.spawn(move || {
                     let mut wc = WorkerConfig::new(addr);
-                    wc.pruned = spawn.pruned;
                     wc.shard = spawn.shard;
                     if !spawn.chaos.is_empty() {
                         wc.chaos = Chaos::parse(spawn.chaos).expect("chaos spec");
@@ -129,13 +127,20 @@ fn distributed_census_and_event_stream_match_single_process() {
     let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
     let reference = run_campaign_observed(&cfg, &wl, &obs);
     let ref_census = census_of(&reference);
-    let ref_events = strip_wall_clock(&sink.events());
+    let mut ref_events = strip_wall_clock(&sink.events());
+    // The live run's footer carries the pruner's disposition tally; tasks
+    // replayed from workers carry none, since their trials were not
+    // re-pruned here.
+    match ref_events.last_mut() {
+        Some(Event::CampaignEnd { prune, .. }) => {
+            assert!(prune.is_some(), "an observed live run reports its tally");
+            *prune = None;
+        }
+        other => panic!("the reference stream must end in its footer, got {other:?}"),
+    }
 
-    // Two clean workers, one running the pruner: the engine mix is an
-    // execution strategy, invisible in the merged results.
-    let mixed = Spawn { pruned: true, ..Spawn::clean() };
     let (report, results) =
-        cluster(&cfg, &wl, &short_leases(), None, vec![Spawn::clean(), mixed]);
+        cluster(&cfg, &wl, &short_leases(), None, vec![Spawn::clean(), Spawn::clean()]);
     for r in results {
         r.expect("clean workers must succeed");
     }
@@ -216,8 +221,8 @@ fn torn_and_duplicated_shards_merge_first_wins() {
     // task; the clean worker (journaling to its own shard) finishes the
     // campaign, re-executing the torn worker's reassigned tasks.
     let workers = vec![
-        Spawn { chaos: "seed=7,tear=n2", shard: Some(torn.clone()), pruned: false },
-        Spawn { chaos: "", shard: Some(clean.clone()), pruned: false },
+        Spawn { chaos: "seed=7,tear=n2", shard: Some(torn.clone()) },
+        Spawn { chaos: "", shard: Some(clean.clone()) },
     ];
     let (report, _) = cluster(&cfg, &wl, &short_leases(), None, workers);
     let (census, _) = replay(&cfg, &wl, report);

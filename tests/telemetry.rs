@@ -311,55 +311,47 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// Pins what the engines journal and stream — traces, divergence cycles,
-/// attributed units and deep timelines, not just the census — to fixed
-/// digests, so an engine change that moves any of them shows here. The
-/// injection window and monitor are not multiples of 8, so decision
-/// cycles fall off the sparse golden-row grid; the campaign is journaled
-/// (journals carry traces) and deep-traced (every non-matching trial
-/// closes its timeline at its decision cycle). Re-pin only for a change
-/// that alters the science on purpose.
+/// Pins what the engine journals and streams — traces, divergence cycles,
+/// attributed units, deep timelines and the footer's disposition tally,
+/// not just the census — to fixed digests, so an engine change that moves
+/// any of them shows here. The injection window and monitor are not
+/// multiples of 8, so decision cycles fall off the sparse golden-row grid;
+/// the campaign is journaled (journals carry traces) and deep-traced
+/// (every non-matching trial closes its timeline at its decision cycle).
+/// Re-pin only for a change that alters the science on purpose.
 #[test]
-fn trace_and_journal_bytes_are_pinned_across_engines() {
-    let run = |tag: &str, pruned: bool| {
-        let mut cfg = tiny_config(9, 1);
-        cfg.start_points = 2;
-        cfg.trials_per_start_point = 32;
-        cfg.inject_window = 203;
-        cfg.monitor_cycles = 1_203;
-        cfg.deep_trace = true;
-        cfg.pruned = pruned;
-        let workloads = tiny_workloads();
-        let path = std::env::temp_dir()
-            .join(format!("tfsim-pinned-journal-{}-{tag}.jsonl", std::process::id()));
-        let j = CampaignJournal::create(&path, &JournalMeta::new(&cfg, &workloads)).unwrap();
-        let sink = RingSink::new(1 << 18);
-        let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
-        run_campaign_journaled(&cfg, &workloads, &obs, Some(&j));
-        drop(j);
-        let journal = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        let stream: String =
-            strip_wall_clock(&sink.events()).iter().map(|e| e.to_json() + "\n").collect();
-        (fnv1a(&journal), fnv1a(stream.as_bytes()))
-    };
-    // The journal leaves the engine out of its identity; the pruned
-    // stream differs only in its footer's disposition tally.
+fn trace_and_journal_bytes_are_pinned() {
+    let mut cfg = tiny_config(9, 1);
+    cfg.start_points = 2;
+    cfg.trials_per_start_point = 32;
+    cfg.inject_window = 203;
+    cfg.monitor_cycles = 1_203;
+    cfg.deep_trace = true;
+    let workloads = tiny_workloads();
+    let path = std::env::temp_dir()
+        .join(format!("tfsim-pinned-journal-{}.jsonl", std::process::id()));
+    let j = CampaignJournal::create(&path, &JournalMeta::new(&cfg, &workloads)).unwrap();
+    let sink = RingSink::new(1 << 18);
+    let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
+    run_campaign_journaled(&cfg, &workloads, &obs, Some(&j));
+    drop(j);
+    let journal = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let stream: String =
+        strip_wall_clock(&sink.events()).iter().map(|e| e.to_json() + "\n").collect();
     const JOURNAL: u64 = 0x59c3_ed54_83bc_77c1;
-    const STREAM: u64 = 0xb047_163e_2ace_fc21;
     const PRUNED_STREAM: u64 = 0x7222_520a_8dd3_0a42;
-    assert_eq!(run("ladder", false), (JOURNAL, STREAM), "ladder");
-    assert_eq!(run("pruned", true), (JOURNAL, PRUNED_STREAM), "pruned");
+    assert_eq!((fnv1a(&journal), fnv1a(stream.as_bytes())), (JOURNAL, PRUNED_STREAM));
 }
 
-/// The telemetry footer's work counters are exact: a fixed pruned campaign
-/// hashes the same golden rows, mixes the same words into them, and keeps
-/// the same access-footprint events at any worker count.
+/// The telemetry footer's work counters are exact: a fixed campaign hashes
+/// the same golden rows, mixes the same words into them, keeps the same
+/// access-footprint events, and steps its simulated trials through the
+/// same cycles at any worker count.
 #[test]
 fn work_counters_are_exact_for_a_fixed_campaign() {
     let counters = |threads: usize| {
-        let mut cfg = tiny_config(13, threads);
-        cfg.pruned = true;
+        let cfg = tiny_config(13, threads);
         let sink = RingSink::new(1 << 12);
         let metrics = CampaignMetrics::new();
         let obs = CampaignObs { sink: &sink, metrics: Some(&metrics), progress: None, spans: None };
@@ -378,9 +370,10 @@ fn work_counters_are_exact_for_a_fixed_campaign() {
             counter("golden/rows_hashed"),
             counter("golden/words_hashed"),
             counter("footprint/events_kept"),
+            counter("trials/cycles_stepped"),
         )
     };
-    let pinned = (813, 2_647_941, 25);
+    let pinned = (813, 2_647_941, 25, 519);
     assert_eq!(counters(1), pinned, "one worker");
     assert_eq!(counters(2), pinned, "two workers");
 }
