@@ -47,6 +47,17 @@ rm -f target/ci_journal_pinned.jsonl
 $run_tfsim $smoke_args --monitor 1203 --threads 1 \
     --journal target/ci_journal_pinned.jsonl >/dev/null 2>&1
 diff tests/data/ci_journal.jsonl target/ci_journal_pinned.jsonl
+# Three start points at the default spacing share one golden walk per
+# benchmark (its rows on two grids, its footprint resolved for all three),
+# so this pin sees what the one-start-point pins cannot. One worker
+# appends a benchmark's start points together, so the journal is compared
+# as a set of lines: only their order may move.
+rm -f target/ci_journal_3sp.jsonl
+$run_tfsim campaign --default-scale --seed 7 --start-points 3 --trials 12 --monitor 1203 \
+    --scale 1 --workloads gzip-like,twolf-like --threads 1 \
+    --journal target/ci_journal_3sp.jsonl > target/ci_census_3sp.txt 2>/dev/null
+diff tests/data/ci_census_3sp.txt target/ci_census_3sp.txt
+diff <(sort tests/data/ci_journal_3sp.jsonl) <(sort target/ci_journal_3sp.jsonl)
 
 echo "==> telemetry report smoke (gating)"
 # A tiny traced campaign must produce a JSONL trace that the report
@@ -63,13 +74,17 @@ echo "==> deep-trace propagation smoke (gating)"
 # A deep-traced campaign streams per-trial divergence timelines into the
 # trace; the propagation report must render non-empty chains, the
 # residency heatmap, the machine-readable aggregates, and the span
-# profiler must account for (>=95% of) the start-point wall time.
+# profiler must account for (>=95% of) the wall time of every benchmark
+# (depth 1: its spine and start points) and of every spine and start point
+# (depth 2: warm-up and walk; trials and journal).
 deep_trace=target/ci_deep_trace.jsonl
 cargo run --release --offline -q -p tfsim-bench --bin tfsim-run -- \
     campaign --quick --seed 7 --start-points 1 --trials 10 --monitor 1500 \
     --scale 1 --workloads gzip-like,twolf-like --trace "$deep_trace" --deep-trace \
     --profile target/ci_profile.collapsed > target/ci_deep_campaign.txt 2>/dev/null
-grep -q "phase coverage: 9[5-9]\|phase coverage: 100" target/ci_deep_campaign.txt
+for depth in 1 2; do
+    grep -q "span coverage at depth $depth: \(9[5-9]\|100\)\." target/ci_deep_campaign.txt
+done
 test -s target/ci_profile.collapsed
 cargo run --release --offline -q -p tfsim-bench --bin tfsim-run -- \
     report "$deep_trace" --propagation > target/ci_propagation.txt

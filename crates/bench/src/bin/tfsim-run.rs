@@ -45,8 +45,9 @@
 //! by cycle) as `propagation` events in the trace — the census and
 //! journal stay byte-identical to the shallower runs. `--profile PATH`
 //! turns on the hierarchical span profiler, prints a wall-time footer
-//! (campaign → benchmark → start point → phases), and writes a
-//! collapsed-stack file flamegraph tooling reads directly.
+//! (campaign → benchmark → {golden spine, start points → phases}) with the
+//! coverage of every depth that has children, and writes a collapsed-stack
+//! file flamegraph tooling reads directly.
 //!
 //! `serve` runs the distributed coordinator: it binds a TCP listener
 //! (port 0 picks an ephemeral port, printed to stderr), hands (benchmark,
@@ -364,13 +365,14 @@ fn cmd_campaign(args: &[String]) {
         let tree = p.snapshot();
         println!("\nspan profile (wall time, summed across workers)");
         print!("{}", tree.render());
-        // Depth 2 is the start-point layer; its children are the
-        // {warmup, golden, trials, journal} phases. The engine's own
-        // counters must explain (nearly) all of the time the harness
-        // measured around them.
-        if let Some(cov) = tree.coverage_at_depth(2) {
+        // campaign → benchmark → {spine → {warmup, walk}, spN → {trials →
+        // engine phases, journal}}: at every depth, the spans that are
+        // broken down must be broken down (nearly) completely, down to the
+        // engine's own counters.
+        for (depth, cov) in (0..).map_while(|d| tree.child_coverage_at_depth(d).map(|c| (d, c))) {
             println!(
-                "phase coverage: {:.1}% of start-point wall time attributed to phases",
+                "span coverage at depth {depth}: {:.1}% of its spans' wall time attributed to \
+                 their children",
                 100.0 * cov
             );
         }
@@ -611,8 +613,8 @@ fn cmd_worker(args: &[String]) {
     }
     match run_worker(&wc) {
         Ok(rep) => eprintln!(
-            "worker done: {} tasks accepted, {} duplicates, {} reconnects",
-            rep.accepted, rep.duplicates, rep.reconnects
+            "worker done: {} tasks accepted, {} duplicates, {} reconnects, {} spines walked",
+            rep.accepted, rep.duplicates, rep.reconnects, rep.spines
         ),
         Err(e) => die(EXIT_RUNTIME, format!("worker: {e}")),
     }

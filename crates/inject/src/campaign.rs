@@ -2,6 +2,12 @@
 //! points, executed on a thread pool, aggregated per benchmark and per
 //! state category.
 //!
+//! A pool task is one benchmark's pending start points: it builds and
+//! probes the program once, warms once, and serves every start point from
+//! one golden walk ([`BenchSpine`]). Results stay per (benchmark, start
+//! point): each start point keeps its own PRNG substream, journal line,
+//! `Phase` events and scatter point.
+//!
 //! # Telemetry
 //!
 //! [`run_campaign_observed`] threads a [`CampaignObs`] through the run:
@@ -32,9 +38,12 @@ use tfsim_obs::{
 use tfsim_uarch::PipelineConfig;
 use tfsim_workloads::Workload;
 
+use crate::footprint::Footprint;
 use crate::journal::{CampaignJournal, JournaledTask};
+use crate::pruner::{fault_sites, watch_list, Sites};
 use crate::trial::{
-    warm_pipeline, FailureMode, Outcome, StartPoint, TrialFault, TrialRecord, TrialSpec, TrialTrace,
+    eligible_bits, walk, warm_pipeline, FailureMode, Outcome, StartPoint, Stops, TracedBatch,
+    TrialFault, TrialRecord, TrialSpec, TrialTrace,
 };
 
 /// Locks a mutex, recovering from poisoning.
@@ -356,9 +365,9 @@ pub struct CampaignMetrics {
     prepare_ns: CounterId,
     advance_ns: CounterId,
     monitor_ns: CounterId,
-    /// Golden fingerprint rows hashed: each live task's sparse grid in
-    /// `StartPoint::prepare` plus its batch's dense and deferred
-    /// attribution rows. Exact and machine-independent.
+    /// Golden fingerprint rows hashed: each live benchmark's golden walk
+    /// (the union of its start points' sparse grids) plus each batch's
+    /// dense and deferred attribution rows. Exact and machine-independent.
     rows_hashed: CounterId,
     /// Words mixed into those rows: the latch units' words, since the
     /// shadow units contribute their maintained digests without a word
@@ -371,6 +380,10 @@ pub struct CampaignMetrics {
     /// the pruner could not prove dead, each from its injection to its
     /// decision. Exact and machine-independent.
     cycles_stepped: CounterId,
+    /// Cycles the live tasks' fault-free machines stepped: each benchmark's
+    /// warm-up and golden walk, and each batch's dense-row and closing
+    /// replay. Exact and machine-independent.
+    golden_cycles: CounterId,
     fail_latency: HistogramId,
     match_latency: HistogramId,
 }
@@ -392,6 +405,7 @@ impl CampaignMetrics {
             words_hashed: registry.counter("golden/words_hashed"),
             footprint_events: registry.counter("footprint/events_kept"),
             cycles_stepped: registry.counter("trials/cycles_stepped"),
+            golden_cycles: registry.counter("golden/cycles_stepped"),
             fail_latency: registry.histogram("cycles-to-failure-detection"),
             match_latency: registry.histogram("cycles-to-reconvergence"),
             registry,
@@ -508,67 +522,197 @@ fn scatter_of(bench: usize, records: &[TrialRecord]) -> ScatterPoint {
     }
 }
 
-/// Runs one task's drawn trial plan through the engine — the analytic
-/// pruner, which hands what it cannot prove dead to the snapshot ladder —
-/// at the requested trace level. The single definition keeps the
-/// in-process pool and the distributed worker on the same machine code, so
-/// a worker's results are byte-identical to the local run's by
-/// construction. The disposition tally is telemetry: it is returned only
-/// on the traced path.
-fn run_engine(
-    config: &CampaignConfig,
-    sp: &StartPoint,
-    specs: &[TrialSpec],
+/// One start point of a [`BenchSpine`]: its view of the golden walk, its
+/// drawn trial plan, and that plan's fault sites.
+struct SpinePoint {
+    start_point: u32,
+    sp: StartPoint,
+    specs: Vec<TrialSpec>,
+    sites: Sites,
     shim: Option<usize>,
-    traced: bool,
-    deep: bool,
-) -> (crate::trial::TracedBatch, Option<PruneDispositions>) {
-    let (mask, monitor) = (config.mask, config.monitor_cycles);
-    if traced {
-        let (batch, d) = sp.run_trials_pruned_core::<true>(mask, specs, monitor, shim, deep);
-        (batch, Some(d))
-    } else {
-        (sp.run_trials_pruned_core::<false>(mask, specs, monitor, shim, false).0, None)
+}
+
+/// One benchmark's start points, served by one golden walk: the program is
+/// built and probed once, one warm-up from reset reaches the first start
+/// point, and one walk from there reaches the last one's horizon, cloning
+/// every checkpoint, hashing every start point's sparse rows, and resolving
+/// every start point's footprint on the way. The trial plans are drawn
+/// before the walk: the eligible-bit count depends only on the pipeline
+/// config and the mask.
+pub(crate) struct BenchSpine {
+    bench: usize,
+    points: Vec<SpinePoint>,
+    footprint: Footprint,
+    /// Wall time of the warm-up (program build and probe included) and of
+    /// the walk (plan draws included); zero untraced.
+    warmup_ns: u64,
+    walk_ns: u64,
+    /// Cycles the warm-up and the walk stepped. Exact and
+    /// machine-independent.
+    golden_cycles: u64,
+    /// Golden rows the walk hashed, and the words mixed into them.
+    rows_hashed: u64,
+    words_hashed: u64,
+}
+
+impl BenchSpine {
+    /// Walks benchmark `bench`'s spine over `start_points` (ascending, not
+    /// empty), timing it when `traced` and charging it to `spans`' open
+    /// span as `spine` → {`warmup`, `walk`}.
+    fn walk(
+        config: &CampaignConfig,
+        workload: &Workload,
+        bench: usize,
+        start_points: &[u32],
+        traced: bool,
+        mut spans: Option<&mut LocalSpans>,
+    ) -> BenchSpine {
+        let warm = |s: u32| config.warmup_cycles + config.spacing_cycles * s as u64;
+        let first = warm(start_points[0]);
+        if let Some(ls) = spans.as_deref_mut() {
+            ls.enter("spine");
+            ls.enter("warmup");
+        }
+        let t0 = traced.then(Instant::now);
+        let program: Program = workload.build(config.scale);
+        let mut warmed = warm_pipeline(&program, config.pipeline, first);
+        let warmup_cycles = warmed.cycles();
+        let t1 = traced.then(Instant::now);
+        if let Some(ls) = spans.as_deref_mut() {
+            ls.exit();
+            ls.enter("walk");
+        }
+
+        let (horizon, mask) = (config.horizon(), config.mask);
+        let bits = eligible_bits(config.pipeline, mask);
+        let offsets: Vec<u64> = start_points.iter().map(|&s| warm(s) - first).collect();
+        let mut watched = Vec::new();
+        let plans: Vec<(u32, Vec<TrialSpec>, Sites, Option<usize>)> = start_points
+            .iter()
+            .zip(&offsets)
+            .map(|(&s, &offset)| {
+                // Every (benchmark, start point) owns PRNG substream
+                // `bench << 32 | start_point` of the campaign seed, so the
+                // trial sequence is a pure function of the config — not of
+                // thread count, work-stealing order, or which start points
+                // share a walk. The whole plan is drawn first (target then
+                // cycle per trial — the exact draw order of the historical
+                // per-trial loop, so seeds reproduce the same campaigns).
+                let mut rng = Rng::from_seed_stream(config.seed, (bench as u64) << 32 | s as u64);
+                let specs: Vec<TrialSpec> = (0..config.trials_per_start_point)
+                    .map(|_| TrialSpec {
+                        target: rng.gen_range(0..bits),
+                        inject_cycle: rng.gen_range(0..config.inject_window),
+                    })
+                    .collect();
+                let shim = config
+                    .panic_shim
+                    .and_then(|(b, p, t)| (b == bench && p == s).then_some(t as usize));
+                let sites = fault_sites(&mut warmed, horizon, mask, &specs, shim);
+                watched.extend(watch_list(&sites, &specs, offset, horizon, config.monitor_cycles));
+                (s, specs, sites, shim)
+            })
+            .collect();
+        let mut footprint = Footprint::new(&watched);
+        let walked = walk(warmed, Some(Stops { offsets: &offsets, horizon, mask }), &mut footprint);
+        let t2 = traced.then(Instant::now);
+        if let Some(ls) = spans {
+            ls.exit(); // walk
+            ls.exit(); // spine
+        }
+        let points = plans
+            .into_iter()
+            .zip(walked.points)
+            .map(|((start_point, specs, sites, shim), sp)| SpinePoint {
+                start_point,
+                sp,
+                specs,
+                sites,
+                shim,
+            })
+            .collect();
+        let between = |a: Option<Instant>, b: Option<Instant>| match (a, b) {
+            (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
+            _ => 0,
+        };
+        BenchSpine {
+            bench,
+            points,
+            footprint,
+            warmup_ns: between(t0, t1),
+            walk_ns: between(t1, t2),
+            golden_cycles: warmup_cycles + walked.stepped,
+            rows_hashed: walked.rows_hashed,
+            words_hashed: walked.words_hashed,
+        }
+    }
+
+    /// Runs one start point's drawn trial plan through the engine — the
+    /// analytic pruner on the walk's footprint, which hands what it cannot
+    /// prove dead to the snapshot ladder — at the requested trace level.
+    /// The single definition keeps the in-process pool and the distributed
+    /// worker on the same machine code, so a worker's results are
+    /// byte-identical to the local run's by construction. The disposition
+    /// tally is telemetry: it is returned only on the traced path.
+    fn run(
+        &self,
+        config: &CampaignConfig,
+        point: &SpinePoint,
+        traced: bool,
+        deep: bool,
+    ) -> (TracedBatch, Option<PruneDispositions>) {
+        let (mask, monitor) = (config.mask, config.monitor_cycles);
+        let walked = Some((&point.sites, &self.footprint));
+        let (sp, specs, shim) = (&point.sp, &point.specs, point.shim);
+        if traced {
+            let (batch, d) =
+                sp.run_trials_pruned_core::<true>(mask, specs, monitor, shim, deep, walked);
+            (batch, Some(d))
+        } else {
+            (sp.run_trials_pruned_core::<false>(mask, specs, monitor, shim, false, walked).0, None)
+        }
     }
 }
 
-/// Executes one (benchmark, start point) task from scratch — warm-up,
-/// golden precomputation, the full drawn trial plan — and returns it in
-/// journal form. This is the distributed worker's unit of work: the
-/// setup and draw order are the same as the in-process pool's, and the
-/// engine dispatch *is* the in-process pool's ([`run_engine`]), so the
+/// Executes one (benchmark, start point) task and returns it in journal
+/// form: the distributed worker's unit of work. The worker keeps the spine
+/// of the benchmark it last worked on in `spine`; a task of another
+/// benchmark walks that benchmark's spine over all of its start points
+/// first (returned `true`). The plan draws are the in-process pool's and
+/// the engine *is* the in-process pool's ([`BenchSpine::run`]), so the
 /// returned task is byte-identical to what a local run would journal.
 /// Always traced (the wire carries traces, like the journal does).
 pub(crate) fn execute_task(
     config: &CampaignConfig,
-    workload: &Workload,
+    workloads: &[Workload],
     bench: usize,
     start_point: u32,
-) -> JournaledTask {
-    let program: Program = workload.build(config.scale);
-    let warm = config.warmup_cycles + config.spacing_cycles * start_point as u64;
-    let pipeline = warm_pipeline(&program, config.pipeline, warm);
-    let sp = StartPoint::prepare(&pipeline, config.horizon(), config.mask);
-    let mut rng = Rng::from_seed_stream(config.seed, (bench as u64) << 32 | start_point as u64);
-    let specs: Vec<TrialSpec> = (0..config.trials_per_start_point)
-        .map(|_| TrialSpec {
-            target: rng.gen_range(0..sp.bit_count()),
-            inject_cycle: rng.gen_range(0..config.inject_window),
-        })
-        .collect();
-    let shim = config
-        .panic_shim
-        .and_then(|(b, s, t)| (b == bench && s == start_point).then_some(t as usize));
-    let (batch, _prune) = run_engine(config, &sp, &specs, shim, true, false);
-    JournaledTask {
+    spine: &mut Option<BenchSpine>,
+) -> (JournaledTask, bool) {
+    let walked = spine.as_ref().is_none_or(|s| s.bench != bench);
+    if walked {
+        // Drop the old spine before walking the next: one at a time.
+        *spine = None;
+        let all: Vec<u32> = (0..config.start_points).collect();
+        *spine = Some(BenchSpine::walk(config, &workloads[bench], bench, &all, false, None));
+    }
+    let spine = spine.as_ref().expect("walked above");
+    let point = spine
+        .points
+        .iter()
+        .find(|p| p.start_point == start_point)
+        .expect("the spine covers every start point");
+    let (batch, _prune) = spine.run(config, point, true, false);
+    let task = JournaledTask {
         bench,
         start_point,
-        eligible_bits: sp.bit_count(),
-        specs,
+        eligible_bits: point.sp.bit_count(),
+        specs: point.specs.clone(),
         records: batch.records,
         traces: batch.traces,
         faults: batch.faults,
-    }
+    };
+    (task, walked)
 }
 
 /// Runs a campaign over the ten standard workloads.
@@ -640,23 +784,21 @@ fn run_campaign_core(
     journal: Option<&CampaignJournal>,
     replayed: Vec<JournaledTask>,
 ) -> CampaignResult {
-    struct Task {
-        bench: usize,
-        start_point: u32,
-    }
     let done: std::collections::BTreeSet<(usize, u32)> =
         replayed.iter().map(|t| (t.bench, t.start_point)).collect();
-    let mut tasks: Vec<Task> = (0..workloads.len())
-        .flat_map(|b| (0..config.start_points).map(move |s| Task { bench: b, start_point: s }))
-        .filter(|t| !done.contains(&(t.bench, t.start_point)))
+    // One task per benchmark: its pending start points, served by one
+    // golden walk (journal-replayed start points are left out of it).
+    // Workers take tasks with `pop()`, so the list is reversed to serve
+    // benchmarks in campaign order, the order a campaign of one start point
+    // per benchmark has always journaled in. Aggregation is
+    // order-independent, so schedules cannot change results.
+    let tasks: Vec<(usize, Vec<u32>)> = (0..workloads.len())
+        .rev()
+        .map(|b| (b, (0..config.start_points).filter(|&s| !done.contains(&(b, s))).collect()))
+        .filter(|(_, pending): &(usize, Vec<u32>)| !pending.is_empty())
         .collect();
-    // Workers take tasks with `pop()`, so order the list to serve the
-    // longest warm-ups (highest start point) first: scheduling the most
-    // expensive tasks early keeps the pool from stranding one worker on
-    // them at the tail. Aggregation is order-independent, so schedules
-    // cannot change results.
-    tasks.sort_by_key(|t| (t.start_point, std::cmp::Reverse(t.bench)));
-    let task_count = (tasks.len() + replayed.len()) as u64;
+    let pending: usize = tasks.iter().map(|(_, p)| p.len()).sum();
+    let task_count = (pending + replayed.len()) as u64;
     let work = Mutex::new(tasks);
 
     // Trace collection is active if anything downstream consumes it; the
@@ -740,183 +882,146 @@ fn run_campaign_core(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let task = {
+                let (bench, start_points) = {
                     let mut q = lock_recover(&work);
                     match q.pop() {
                         Some(t) => t,
                         None => return,
                     }
                 };
-                let w = &workloads[task.bench];
-                let program: Program = w.build(config.scale);
-                let warm = config.warmup_cycles + config.spacing_cycles * task.start_point as u64;
-                // Per-task span scratchpad: campaign → benchmark → spN →
-                // {warmup, golden, trials, journal}, merged into the shared
-                // profiler once, after the task.
+                let w = &workloads[bench];
+                // Per-task span scratchpad: campaign → benchmark → {spine →
+                // {warmup, walk}, spN → {trials, journal}}, merged into the
+                // shared profiler once, after the task.
                 let mut spans = obs.spans.map(|_| {
                     let mut ls = LocalSpans::new();
                     ls.enter("campaign");
                     ls.enter(w.name);
-                    ls.enter(&format!("sp{}", task.start_point));
                     ls
                 });
-                if let Some(ls) = spans.as_mut() {
-                    ls.enter("warmup");
-                }
-                let t0 = traced.then(Instant::now);
-                let pipeline = warm_pipeline(&program, config.pipeline, warm);
-                let t1 = traced.then(Instant::now);
-                if let Some(ls) = spans.as_mut() {
-                    ls.exit();
-                    ls.enter("golden");
-                }
-                let sp = StartPoint::prepare(&pipeline, config.horizon(), config.mask);
-                let t2 = traced.then(Instant::now);
-                if let Some(ls) = spans.as_mut() {
-                    ls.exit();
-                }
-
-                // Every (benchmark, start point) task owns PRNG substream
-                // `bench << 32 | start_point` of the campaign seed, so the
-                // trial sequence is a pure function of the config — not of
-                // thread count or work-stealing order.
-                let mut rng = Rng::from_seed_stream(
-                    config.seed,
-                    (task.bench as u64) << 32 | task.start_point as u64,
-                );
-                // Draw the whole trial plan first (target then cycle per
-                // trial — the exact draw order of the historical per-trial
-                // loop, so seeds reproduce the same campaigns), then run it
-                // through the engine as one batch.
-                let specs: Vec<TrialSpec> = (0..config.trials_per_start_point)
-                    .map(|_| TrialSpec {
-                        target: rng.gen_range(0..sp.bit_count()),
-                        inject_cycle: rng.gen_range(0..config.inject_window),
-                    })
-                    .collect();
-                let shim = config.panic_shim.and_then(|(b, s, t)| {
-                    (b == task.bench && s == task.start_point).then_some(t as usize)
-                });
-                if let Some(ls) = spans.as_mut() {
-                    ls.enter("trials");
-                }
-                let (batch, prune) = run_engine(config, &sp, &specs, shim, traced, deep);
-                if let Some(ls) = spans.as_mut() {
-                    // Engine-internal phase attribution: counted by the
-                    // batch itself (no extra clocks here), charged as
-                    // children of the open `trials` span.
-                    ls.record("advance", batch.advance_ns, batch.records.len() as u64);
-                    ls.record("ride", batch.ride_ns, 1);
-                    ls.record("classify", batch.classify_ns, 1);
-                    ls.record("prune", batch.prune_ns, 1);
-                    ls.record("rows", batch.rows_ns, 1);
-                    ls.record("footprint", batch.footprint_ns, 1);
-                    ls.record("attribute", batch.attribute_ns, 1);
-                    ls.exit();
-                }
-                let rows_hashed = sp.rows_hashed + batch.rows_hashed;
-                let words_hashed = sp.words_hashed + batch.words_hashed;
-                let footprint_events = batch.footprint_events;
-                let cycles_stepped = batch.cycles_stepped;
-                let (records, traces, deeps, faults, advance_ns, monitor_ns) = (
-                    batch.records,
-                    batch.traces,
-                    batch.deeps,
-                    batch.faults,
-                    batch.advance_ns,
-                    batch.monitor_ns,
-                );
-                let warmup_ns = match (t0, t1) {
-                    (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
-                    _ => 0,
-                };
-                let prepare_ns = match (t1, t2) {
-                    (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
-                    _ => 0,
-                };
-
+                let spine =
+                    BenchSpine::walk(config, w, bench, &start_points, traced, spans.as_mut());
                 if let Some(metrics) = obs.metrics {
-                    // One scratchpad per task, merged under one short lock:
-                    // the per-trial recording below is lock- and atomic-free.
+                    // The spine's work, charged once per benchmark.
                     let mut local = metrics.registry.local();
-                    local.add(metrics.trials, records.len() as u64);
-                    local.add(metrics.warmup_ns, warmup_ns);
-                    local.add(metrics.prepare_ns, prepare_ns);
-                    local.add(metrics.advance_ns, advance_ns);
-                    local.add(metrics.monitor_ns, monitor_ns);
-                    local.add(metrics.rows_hashed, rows_hashed);
-                    local.add(metrics.words_hashed, words_hashed);
-                    local.add(metrics.footprint_events, footprint_events);
-                    local.add(metrics.cycles_stepped, cycles_stepped);
-                    for (rec, tr) in records.iter().zip(traces.iter()) {
-                        let latency = tr.detect_cycle - rec.inject_cycle;
-                        match rec.outcome {
-                            Outcome::MicroArchMatch => {
-                                local.add(metrics.matched, 1);
-                                local.observe(metrics.match_latency, latency);
-                            }
-                            Outcome::GrayArea => local.add(metrics.gray, 1),
-                            Outcome::Failure(_) => {
-                                local.add(metrics.failed, 1);
-                                local.observe(metrics.fail_latency, latency);
-                            }
-                        }
-                    }
+                    local.add(metrics.warmup_ns, spine.warmup_ns);
+                    local.add(metrics.prepare_ns, spine.walk_ns);
+                    local.add(metrics.rows_hashed, spine.rows_hashed);
+                    local.add(metrics.words_hashed, spine.words_hashed);
+                    local.add(metrics.golden_cycles, spine.golden_cycles);
                     metrics.registry.absorb(&local);
                 }
-                if let Some(p) = obs.progress {
-                    p.add(1);
-                }
 
-                let scatter = scatter_of(task.bench, &records);
-                if let Some(ls) = spans.as_mut() {
-                    ls.enter("journal");
-                }
-                if let Some(j) = journal {
-                    // Durability before visibility: the task joins the
-                    // in-memory aggregation only after its journal line is
-                    // on disk (a crash between the two re-runs the task,
-                    // which is idempotent). Append failures must not kill
-                    // a campaign that can still finish in memory.
-                    let entry = JournaledTask {
-                        bench: task.bench,
-                        start_point: task.start_point,
-                        eligible_bits: sp.bit_count(),
-                        specs: specs.clone(),
-                        records: records.clone(),
-                        traces: traces.clone(),
-                        faults: faults.clone(),
-                    };
-                    if let Err(e) = j.append_task(&entry) {
-                        eprintln!(
-                            "warning: journal append failed for task ({}, {}): {e}",
-                            task.bench, task.start_point
-                        );
+                for (k, point) in spine.points.iter().enumerate() {
+                    if let Some(ls) = spans.as_mut() {
+                        ls.enter(&format!("sp{}", point.start_point));
+                        ls.enter("trials");
                     }
+                    let (batch, prune) = spine.run(config, point, traced, deep);
+                    if let Some(ls) = spans.as_mut() {
+                        // Engine-internal phase attribution: counted by the
+                        // batch itself (no extra clocks here), charged as
+                        // children of the open `trials` span.
+                        ls.record("advance", batch.advance_ns, batch.records.len() as u64);
+                        ls.record("ride", batch.ride_ns, 1);
+                        ls.record("classify", batch.classify_ns, 1);
+                        ls.record("prune", batch.prune_ns, 1);
+                        ls.record("rows", batch.rows_ns, 1);
+                        ls.record("attribute", batch.attribute_ns, 1);
+                        ls.exit();
+                    }
+                    let (records, traces, deeps, faults) =
+                        (batch.records, batch.traces, batch.deeps, batch.faults);
+
+                    if let Some(metrics) = obs.metrics {
+                        // One scratchpad per start point, merged under one
+                        // short lock: the per-trial recording below is
+                        // lock- and atomic-free.
+                        let mut local = metrics.registry.local();
+                        local.add(metrics.trials, records.len() as u64);
+                        local.add(metrics.advance_ns, batch.advance_ns);
+                        local.add(metrics.monitor_ns, batch.monitor_ns);
+                        local.add(metrics.rows_hashed, batch.rows_hashed);
+                        local.add(metrics.words_hashed, batch.words_hashed);
+                        local.add(metrics.footprint_events, batch.footprint_events);
+                        local.add(metrics.cycles_stepped, batch.cycles_stepped);
+                        local.add(metrics.golden_cycles, batch.golden_cycles);
+                        for (rec, tr) in records.iter().zip(traces.iter()) {
+                            let latency = tr.detect_cycle - rec.inject_cycle;
+                            match rec.outcome {
+                                Outcome::MicroArchMatch => {
+                                    local.add(metrics.matched, 1);
+                                    local.observe(metrics.match_latency, latency);
+                                }
+                                Outcome::GrayArea => local.add(metrics.gray, 1),
+                                Outcome::Failure(_) => {
+                                    local.add(metrics.failed, 1);
+                                    local.observe(metrics.fail_latency, latency);
+                                }
+                            }
+                        }
+                        metrics.registry.absorb(&local);
+                    }
+                    if let Some(p) = obs.progress {
+                        p.add(1);
+                    }
+
+                    let scatter = scatter_of(bench, &records);
+                    if let Some(ls) = spans.as_mut() {
+                        ls.enter("journal");
+                    }
+                    if let Some(j) = journal {
+                        // Durability before visibility: the start point
+                        // joins the in-memory aggregation only after its
+                        // journal line is on disk (a crash between the two
+                        // re-runs it, which is idempotent). Append failures
+                        // must not kill a campaign that can still finish in
+                        // memory.
+                        let entry = JournaledTask {
+                            bench,
+                            start_point: point.start_point,
+                            eligible_bits: point.sp.bit_count(),
+                            specs: point.specs.clone(),
+                            records: records.clone(),
+                            traces: traces.clone(),
+                            faults: faults.clone(),
+                        };
+                        if let Err(e) = j.append_task(&entry) {
+                            eprintln!(
+                                "warning: journal append failed for task ({}, {}): {e}",
+                                bench, point.start_point
+                            );
+                        }
+                    }
+                    if let Some(ls) = spans.as_mut() {
+                        ls.exit(); // journal
+                        ls.exit(); // spN
+                    }
+                    // The spine's time is charged once, to the phase events
+                    // of its first start point.
+                    let first = k == 0;
+                    lock_recover(&outputs).push(TaskOutput {
+                        bench,
+                        start_point: point.start_point,
+                        records,
+                        scatter,
+                        eligible_bits: point.sp.bit_count(),
+                        faults,
+                        prune,
+                        specs: point.specs.clone(),
+                        traces,
+                        deeps,
+                        warmup_ns: if first { spine.warmup_ns } else { 0 },
+                        prepare_ns: if first { spine.walk_ns } else { 0 },
+                        advance_ns: batch.advance_ns,
+                        monitor_ns: batch.monitor_ns,
+                    });
                 }
                 if let Some((ls, profiler)) = spans.as_mut().zip(obs.spans) {
-                    ls.exit(); // journal
-                    ls.exit(); // spN
                     ls.exit(); // benchmark
                     ls.exit(); // campaign
                     profiler.absorb(ls);
                 }
-                lock_recover(&outputs).push(TaskOutput {
-                    bench: task.bench,
-                    start_point: task.start_point,
-                    records,
-                    scatter,
-                    eligible_bits: sp.bit_count(),
-                    faults,
-                    prune,
-                    specs,
-                    traces,
-                    deeps,
-                    warmup_ns,
-                    prepare_ns,
-                    advance_ns,
-                    monitor_ns,
-                });
             });
         }
     });

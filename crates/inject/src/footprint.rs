@@ -1,15 +1,15 @@
-//! The per-batch golden access footprint: one tracked replay of the
-//! fault-free run, read by the analytic masking pruner.
+//! The golden access footprint the analytic masking pruner reads, resolved
+//! inside the golden walk (`crate::trial::walk`).
 //!
 //! The pruner asks one question per fault site: what is the first access
 //! to the faulted word strictly after the injection cycle, inside the
 //! site's monitoring window? A read consumes the fault, a
 //! content-independent overwrite erases it, and no access at all leaves the
-//! word dead for the whole window. A batch holds at most a few hundred
-//! sites, so the replay keeps exactly those answers rather than whole-run
-//! timelines of every word: it watches only the words the sites hit,
-//! resolves each site at the first access after its injection cycle, and
-//! runs no further than the last site's window.
+//! word dead for the whole window. A campaign task holds a few hundred
+//! sites per start point, so the walk keeps exactly those answers rather
+//! than whole-run timelines of every word: it watches only the words the
+//! sites hit, resolves each site at the first access after its injection
+//! cycle, and tracks no further than the last site's window.
 //!
 //! Words of the units declaring [`Loggability::Core`] (load/store queues,
 //! physical register file, miss handling registers) obey an exact write
@@ -29,9 +29,7 @@ use tfsim_bitstate::{
 };
 use tfsim_uarch::Pipeline;
 
-use crate::trial::StartPoint;
-
-/// Marks an unwatched word in [`Footprint::build`]'s lookup tables.
+/// Marks an unwatched word in [`Footprint`]'s lookup tables.
 const UNWATCHED: u32 = u32::MAX;
 
 /// One watched word and its sites.
@@ -39,38 +37,35 @@ const UNWATCHED: u32 = u32::MAX;
 struct Word {
     unit: UnitId,
     ord: u32,
-    /// `(inject cycle, first access)` per distinct injection cycle,
-    /// ascending; the access is `(cycle, is_write)`.
+    /// `(inject step, first access)` per distinct injection step,
+    /// ascending; the access is `(step, is_write)`.
     sites: Vec<(u64, Option<(u64, bool)>)>,
 }
 
-/// The first golden access to each fault site's word inside the site's
-/// window, from one tracked replay per batch.
-#[derive(Debug)]
+/// The first golden access to each fault site's word after its injection,
+/// resolved by the walk that [`Footprint::observe`]s each step.
+#[derive(Debug, Default)]
 pub(crate) struct Footprint {
     /// Ascending by `(unit, ord)`.
     words: Vec<Word>,
-    kept: u64,
+    /// Per unit, the word index of each watched ordinal.
+    watch: [Vec<u32>; UnitId::COUNT],
+    /// Per word, the first site not yet resolved.
+    next: Vec<usize>,
+    /// Per unit, the words with sites still open. A unit whose words are
+    /// all resolved stops logging.
+    open: [usize; UnitId::COUNT],
+    /// The last step any site's window reaches.
+    last: u64,
 }
 
 impl Footprint {
-    /// Replays the golden run once with access tracking on, from `golden`,
-    /// a fresh clone of the start point's checkpoint, resolving for every
-    /// site `(unit, ord, inject)` the first access to that word in
-    /// `(inject, min(horizon, inject + monitor)]`. The first access of a
-    /// cycle decides, so read-before-write inside one cycle counts as a
-    /// read. Only units with unresolved sites log, and the replay ends at
-    /// the last site's window (or when every site is resolved, or the
-    /// golden machine halts — stepping a halted machine is a no-op and
-    /// logs nothing).
-    pub(crate) fn build(
-        sp: &StartPoint,
-        mut golden: Pipeline,
-        sites: &[(UnitId, u32, u64)],
-        monitor: u64,
-    ) -> Footprint {
+    /// Watches `sites`, each `(unit, ord, inject, end)`: the word
+    /// `(unit, ord)` faulted after walk step `inject`, monitored through
+    /// step `end`.
+    pub(crate) fn new(sites: &[(UnitId, u32, u64, u64)]) -> Footprint {
         let mut keyed: Vec<(usize, u32, u64)> =
-            sites.iter().map(|&(unit, ord, c)| (unit.index(), ord, c)).collect();
+            sites.iter().map(|&(unit, ord, c, _)| (unit.index(), ord, c)).collect();
         keyed.sort_unstable();
         keyed.dedup();
         let mut words: Vec<Word> = Vec::new();
@@ -81,81 +76,96 @@ impl Footprint {
             }
         }
         let mut watch: [Vec<u32>; UnitId::COUNT] = Default::default();
+        let mut open = [0usize; UnitId::COUNT];
         for (w, word) in words.iter().enumerate() {
             let table = &mut watch[word.unit.index()];
             if table.len() <= word.ord as usize {
                 table.resize(word.ord as usize + 1, UNWATCHED);
             }
             table[word.ord as usize] = w as u32;
-        }
-        // Per word, the first site not yet resolved; per unit, the words
-        // with sites still open. A unit whose words are all resolved stops
-        // logging.
-        let mut next = vec![0usize; words.len()];
-        let mut open = [0usize; UnitId::COUNT];
-        for word in &words {
             open[word.unit.index()] += 1;
         }
-        let mut kept = 0u64;
-        let last = sites.iter().map(|s| s.2).max().map_or(0, |c| sp.horizon.min(c + monitor));
-        golden.set_access_tracking(UnitId::ALL.into_iter().filter(|u| open[u.index()] > 0));
-        for step in 1..=last {
-            if !golden.running() || open.iter().all(|&n| n == 0) {
-                break;
-            }
-            golden.step();
-            let mut closed = false;
-            golden.drain_accesses(|unit: UnitId, ord: u32, is_write: bool| {
-                let Some(&w) = watch[unit.index()].get(ord as usize) else { return };
-                if w == UNWATCHED {
-                    return;
-                }
-                let (word, n) = (&mut words[w as usize], &mut next[w as usize]);
-                // Every site injected before this step sees this as its
-                // first access; later accesses in the same step find no
-                // such site left.
-                while let Some((c, first)) = word.sites.get_mut(*n).filter(|s| s.0 < step) {
-                    if step <= sp.horizon.min(*c + monitor) {
-                        *first = Some((step, is_write));
-                        kept += 1;
-                    }
-                    *n += 1;
-                }
-                if *n == word.sites.len() {
-                    watch[unit.index()][ord as usize] = UNWATCHED;
-                    open[unit.index()] -= 1;
-                    closed |= open[unit.index()] == 0;
-                }
-            });
-            if closed {
-                golden.set_access_tracking(UnitId::ALL.into_iter().filter(|u| open[u.index()] > 0));
-            }
-        }
-        Footprint { words, kept }
+        let last = sites.iter().map(|s| s.3).max().unwrap_or(0);
+        Footprint { next: vec![0; words.len()], words, watch, open, last }
     }
 
-    /// The first access to `(unit, ord)` in the window of a site injected
-    /// at `inject`, as `(cycle, is_write)`; `None` when the word is dead
-    /// for the whole window.
+    /// The units a walk must track: those with sites still open.
+    pub(crate) fn tracked(&self) -> impl Iterator<Item = UnitId> + '_ {
+        UnitId::ALL.into_iter().filter(|u| self.open[u.index()] > 0)
+    }
+
+    /// Whether every site is resolved (or its window is over).
+    pub(crate) fn done(&self) -> bool {
+        self.open.iter().all(|&n| n == 0)
+    }
+
+    /// The last step any site's window reaches.
+    pub(crate) fn last(&self) -> u64 {
+        self.last
+    }
+
+    /// Resolves the sites that the accesses of walk step `step` reach:
+    /// every site injected before the step whose word it accesses. The
+    /// first access of a step decides, so read-before-write inside one
+    /// step counts as a read. Retunes `golden`'s tracking as units close,
+    /// and turns it off once the last window is over.
+    pub(crate) fn observe(&mut self, golden: &mut Pipeline, step: u64) {
+        if self.done() {
+            return;
+        }
+        let Footprint { words, watch, next, open, last } = self;
+        let mut closed = false;
+        golden.drain_accesses(|unit: UnitId, ord: u32, is_write: bool| {
+            let Some(&w) = watch[unit.index()].get(ord as usize) else { return };
+            if w == UNWATCHED {
+                return;
+            }
+            let (word, n) = (&mut words[w as usize], &mut next[w as usize]);
+            // Every site injected before this step sees this as its first
+            // access; later accesses in the same step find no such site
+            // left.
+            while let Some((_, first)) = word.sites.get_mut(*n).filter(|s| s.0 < step) {
+                *first = Some((step, is_write));
+                *n += 1;
+            }
+            if *n == word.sites.len() {
+                watch[unit.index()][ord as usize] = UNWATCHED;
+                open[unit.index()] -= 1;
+                closed |= open[unit.index()] == 0;
+            }
+        });
+        if step >= *last {
+            *open = [0; UnitId::COUNT];
+            closed = true;
+        }
+        if closed {
+            golden.set_access_tracking(self.tracked());
+        }
+    }
+
+    /// The first access to `(unit, ord)` in `(inject, end]`, the window of
+    /// a site injected at walk step `inject`, as `(step, is_write)`; `None`
+    /// when the word is dead for the whole window.
     ///
     /// # Panics
     ///
-    /// Panics if the site was not among those the footprint was built for.
-    pub(crate) fn first_access(&self, unit: UnitId, ord: u32, inject: u64) -> Option<(u64, bool)> {
+    /// Panics if the site was not among those the footprint watched.
+    pub(crate) fn first_access(
+        &self,
+        unit: UnitId,
+        ord: u32,
+        inject: u64,
+        end: u64,
+    ) -> Option<(u64, bool)> {
         let w = self
             .words
             .binary_search_by_key(&(unit.index(), ord), |w| (w.unit.index(), w.ord))
-            .expect("site word watched by the batch footprint");
+            .expect("site word watched by the footprint");
         let sites = &self.words[w].sites;
         let k = sites
             .binary_search_by_key(&inject, |s| s.0)
-            .expect("site cycle watched by the batch footprint");
-        sites[k].1
-    }
-
-    /// Sites whose word the golden run accessed inside their window.
-    pub(crate) fn kept(&self) -> u64 {
-        self.kept
+            .expect("site cycle watched by the footprint");
+        sites[k].1.filter(|&(c, _)| c <= end)
     }
 }
 
@@ -250,8 +260,8 @@ pub(crate) fn resolve_spans(
 /// Reference for tests: every word's whole-run access timeline (first
 /// access per cycle, `(cycle, is_write)`), from a plain tracked replay.
 #[cfg(test)]
-fn timelines(
-    sp: &StartPoint,
+pub(crate) fn timelines(
+    sp: &crate::trial::StartPoint,
 ) -> std::collections::BTreeMap<(UnitId, u32), Vec<(u64, bool)>> {
     let mut golden = sp.checkpoint.clone();
     golden.set_access_tracking(UnitId::ALL);
@@ -271,7 +281,7 @@ fn timelines(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::warm_pipeline;
+    use crate::trial::{walk, warm_pipeline, StartPoint};
     use tfsim_bitstate::Loggability;
     use tfsim_isa::{Asm, Reg};
     use tfsim_uarch::PipelineConfig;
@@ -315,15 +325,20 @@ mod tests {
                 })
                 .expect("an idle register-file word");
             sites.push((UnitId::Regfile, idle, 10));
-            let fp = Footprint::build(&sp, sp.checkpoint.clone(), &sites, monitor);
-            let mut kept = 0;
+            let window_end = |inject: u64| sp.horizon.min(inject + monitor);
+            let watched: Vec<_> =
+                sites.iter().map(|&(u, o, c)| (u, o, c, window_end(c))).collect();
+            let mut fp = Footprint::new(&watched);
+            walk(sp.checkpoint.clone(), None, &mut fp);
             for &(unit, ord, inject) in &sites {
-                let window_end = sp.horizon.min(inject + monitor);
                 let expected = reference.get(&(unit, ord)).and_then(|tl| {
-                    tl.iter().copied().find(|&(c, _)| c > inject).filter(|&(c, _)| c <= window_end)
+                    tl.iter()
+                        .copied()
+                        .find(|&(c, _)| c > inject)
+                        .filter(|&(c, _)| c <= window_end(inject))
                 });
                 assert_eq!(
-                    fp.first_access(unit, ord, inject),
+                    fp.first_access(unit, ord, inject, window_end(inject)),
                     expected,
                     "{unit:?} ord {ord} inject {inject} ({config:?})"
                 );
@@ -331,11 +346,11 @@ mod tests {
             let mut distinct = sites.clone();
             distinct.sort_by_key(|&(u, o, c)| (u.index(), o, c));
             distinct.dedup();
-            for &(unit, ord, inject) in &distinct {
-                kept += fp.first_access(unit, ord, inject).is_some() as u64;
-            }
-            assert_eq!(fp.kept(), kept);
-            assert!(kept > 0 && kept < distinct.len() as u64, "{kept} of {}", distinct.len());
+            let kept = distinct
+                .iter()
+                .filter(|&&(u, o, c)| fp.first_access(u, o, c, window_end(c)).is_some())
+                .count();
+            assert!(kept > 0 && kept < distinct.len(), "{kept} of {}", distinct.len());
         }
     }
 

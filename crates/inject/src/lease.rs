@@ -81,6 +81,9 @@ pub struct LeaseTable {
     /// Tasks that have been granted at least once (expired grants land
     /// back in `pending`; a re-grant of one of these counts `regranted`).
     ever_granted: BTreeSet<TaskId>,
+    /// The benchmark each worker was last granted: a worker keeps that
+    /// benchmark's golden walk, so its next grant prefers it.
+    last_bench: BTreeMap<u64, usize>,
     next_token: u64,
     lease_ms: u64,
     stats: LeaseStats,
@@ -96,6 +99,7 @@ impl LeaseTable {
             leases: BTreeMap::new(),
             done: BTreeSet::new(),
             ever_granted: BTreeSet::new(),
+            last_bench: BTreeMap::new(),
             next_token: 1,
             lease_ms,
             stats: LeaseStats::default(),
@@ -103,9 +107,28 @@ impl LeaseTable {
     }
 
     /// Grants the next pending task to `worker`, or `None` if nothing is
-    /// currently grantable (all tasks leased or done).
+    /// currently grantable (all tasks leased or done, or contested).
+    ///
+    /// A worker keeps the golden walk of the benchmark it was last granted,
+    /// so that benchmark's next pending task goes to it first. Otherwise
+    /// the next task in grant order goes, unless it is *contested*: the
+    /// only pending task of a benchmark another worker holds a live lease
+    /// on. That worker will take it next from the walk it already has, so
+    /// granting it elsewhere would walk the benchmark twice; once the lease
+    /// completes or expires, the task is free to anyone.
     pub fn grant(&mut self, worker: u64, now_ms: u64) -> Option<(TaskId, u64)> {
-        let task = self.pending.pop()?;
+        let own = self.last_bench.get(&worker).copied();
+        let contested = |bench: usize| {
+            self.leases.values().any(|l| l.worker != worker && l.task.0 == bench)
+                && self.pending.iter().filter(|t| t.0 == bench).count() == 1
+        };
+        let pick = self
+            .pending
+            .iter()
+            .rposition(|t| Some(t.0) == own)
+            .or_else(|| self.pending.iter().rposition(|t| !contested(t.0)))?;
+        let task = self.pending.remove(pick);
+        self.last_bench.insert(worker, task.0);
         let token = self.next_token;
         self.next_token += 1;
         self.leases.insert(token, Lease { task, worker, deadline_ms: now_ms + self.lease_ms });
@@ -223,6 +246,55 @@ mod tests {
         assert!(t.all_done());
         assert_eq!(t.stats().completed, 3);
         assert_eq!(t.stats().expired, 0);
+    }
+
+    #[test]
+    fn grants_prefer_the_workers_last_benchmark() {
+        // Two benchmarks x two start points, in the campaign's grant order
+        // (highest start point first, benchmarks ascending).
+        let mut t = LeaseTable::new(vec![(1, 0), (0, 0), (1, 1), (0, 1)], 100);
+        let mut grant = |worker| t.grant(worker, 0).map(|(task, _)| task);
+        assert_eq!(grant(1), Some((0, 1)));
+        assert_eq!(grant(2), Some((1, 1)));
+        // Each worker stays on its benchmark while it has pending work...
+        assert_eq!(grant(2), Some((1, 0)));
+        assert_eq!(grant(1), Some((0, 0)));
+        assert_eq!(grant(3), None);
+        // ...and otherwise takes the next task in grant order.
+        let mut t = LeaseTable::new(vec![(1, 0), (0, 0)], 100);
+        assert_eq!(t.grant(1, 0).map(|g| g.0), Some((0, 0)));
+        assert_eq!(t.grant(1, 0).map(|g| g.0), Some((1, 0)));
+    }
+
+    #[test]
+    fn a_benchmarks_last_task_waits_for_the_worker_holding_it() {
+        let mut t = LeaseTable::new(vec![(1, 0), (0, 0), (1, 1), (0, 1)], 100);
+        let (held, token) = t.grant(1, 0).unwrap();
+        assert_eq!(held, (0, 1));
+        assert_eq!(t.grant(2, 0).map(|g| g.0), Some((1, 1)));
+        assert_eq!(t.grant(2, 0).map(|g| g.0), Some((1, 0)));
+        // (0, 0) is benchmark 0's last pending task and worker 1 holds a
+        // lease on benchmark 0: worker 2 waits for it rather than walk
+        // benchmark 0 again...
+        assert_eq!(t.grant(2, 0), None);
+        assert!(t.work_remaining());
+        // ...and it goes to worker 1 once that lease completes.
+        assert_eq!(t.complete(held, token), CompleteOutcome::Accepted);
+        assert_eq!(t.grant(1, 0).map(|g| g.0), Some((0, 0)));
+
+        // A holder that dies frees its benchmark when its lease expires.
+        let mut t = LeaseTable::new(vec![(0, 0), (0, 1)], 100);
+        assert_eq!(t.grant(1, 0).map(|g| g.0), Some((0, 1)));
+        assert_eq!(t.grant(2, 0), None);
+        t.expire(100);
+        assert_eq!(t.grant(2, 100).map(|g| g.0), Some((0, 1)));
+        assert_eq!(t.grant(2, 100).map(|g| g.0), Some((0, 0)));
+
+        // A benchmark with more pending work than its holder's next task
+        // is shared.
+        let mut t = LeaseTable::new(vec![(0, 0), (0, 1), (0, 2)], 100);
+        assert_eq!(t.grant(1, 0).map(|g| g.0), Some((0, 2)));
+        assert_eq!(t.grant(2, 0).map(|g| g.0), Some((0, 1)));
     }
 
     #[test]

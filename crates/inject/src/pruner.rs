@@ -9,10 +9,12 @@
 //! idle words of the big RAMs, and simulating them grinds a full
 //! monitoring window to conclude nothing happened.
 //!
-//! The pruner runs once per batch, before any trial, on the batch's access
-//! footprint (`crate::footprint`: one tracked golden replay that finds
-//! each site's first access to its word after injection, for every
-//! loggable structure). Every site gets exactly one of two dispositions:
+//! The pruner runs once per batch, before any trial, on the access
+//! footprint of the batch's sites (`crate::footprint`: each site's first
+//! access to its word after injection, for every loggable structure). A
+//! campaign resolves the footprints of all its start points on one
+//! benchmark inside the golden walk that prepares them; a standalone batch
+//! walks its own. Every site gets exactly one of two dispositions:
 //!
 //! * **Proved dead** — the fault provably never alters the classification
 //!   relative to the analytic rider:
@@ -59,12 +61,63 @@ use std::time::Instant;
 
 use tfsim_bitstate::{InjectionMask, UnitId};
 use tfsim_obs::{DeepTrace, PruneDispositions};
+use tfsim_uarch::Pipeline;
 
 use crate::footprint::{resolve_spans, Footprint, Span};
 use crate::trial::{
-    keep_classified, FailureMode, Outcome, StartPoint, TracedBatch, TrialFault, TrialObservers,
-    TrialRecord, TrialSpec, TrialTrace, DENSE, SPARSE,
+    keep_classified, walk, FailureMode, Outcome, StartPoint, TracedBatch, TrialFault,
+    TrialObservers, TrialRecord, TrialSpec, TrialTrace, DENSE, SPARSE,
 };
+
+/// A batch's fault sites, one per spec: the span the target lands in and
+/// the unit whose tracked word the footprint speaks for, or `None` for a
+/// site the footprint cannot speak for (it is simulated).
+pub(crate) type Sites = Vec<Option<(Span, UnitId)>>;
+
+/// The sites of `specs` against a start point of `horizon` cycles, from
+/// one state walk of `machine` (any machine of the campaign's pipeline
+/// config: the walk reads the layout, never the contents). Excluded, and
+/// so simulated: the `panic_shim` trial, injections past the horizon,
+/// targets outside any unit, and untracked words.
+pub(crate) fn fault_sites(
+    machine: &mut Pipeline,
+    horizon: u64,
+    mask: InjectionMask,
+    specs: &[TrialSpec],
+    panic_shim: Option<usize>,
+) -> Sites {
+    let targets: Vec<u64> = specs.iter().map(|s| s.target).collect();
+    resolve_spans(machine, mask, &targets)
+        .into_iter()
+        .zip(specs)
+        .enumerate()
+        .map(|(i, (span, spec))| {
+            if panic_shim == Some(i) || spec.inject_cycle > horizon {
+                return None;
+            }
+            let span = span?;
+            let unit = span.unit.filter(|&u| machine.access_tracked(u, span.unit_ord))?;
+            Some((span, unit))
+        })
+        .collect()
+}
+
+/// What the footprint must watch for `sites` of a start point `offset`
+/// steps into the walk: `(unit, ord, inject, end)` in walk steps, where
+/// `end` closes the site's window at the start point's horizon.
+pub(crate) fn watch_list<'a>(
+    sites: &'a Sites,
+    specs: &'a [TrialSpec],
+    offset: u64,
+    horizon: u64,
+    monitor: u64,
+) -> impl Iterator<Item = (UnitId, u32, u64, u64)> + 'a {
+    sites.iter().zip(specs).filter_map(move |(site, spec)| {
+        let (span, unit) = (*site)?;
+        let c = spec.inject_cycle;
+        Some((unit, span.unit_ord, offset + c, offset + horizon.min(c + monitor)))
+    })
+}
 
 impl StartPoint {
     /// Whether a golden-aggregate decision (lock, halt, ran-ahead) of
@@ -76,7 +129,8 @@ impl StartPoint {
         if !running_at(inject) {
             return true;
         }
-        let mut matched = self.instret[inject as usize] as usize;
+        let records = self.records().len();
+        let mut matched = self.instret(inject) as usize;
         let mut last_retire = inject;
         let mut flushes = 0u32;
         for step in (inject + 1)..=end {
@@ -93,7 +147,7 @@ impl StartPoint {
                 last_retire = step;
             }
             for _ in 0..retired {
-                if matched >= self.records.len() {
+                if matched >= records {
                     return true;
                 }
                 matched += 1;
@@ -122,7 +176,7 @@ impl StartPoint {
         monitor: u64,
     ) -> (Vec<TrialRecord>, PruneDispositions) {
         let (batch, dispo) =
-            self.run_trials_pruned_core::<false>(mask, specs, monitor, None, false);
+            self.run_trials_pruned_core::<false>(mask, specs, monitor, None, false, None);
         (batch.records, dispo)
     }
 
@@ -133,7 +187,7 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> (TracedBatch, PruneDispositions) {
-        self.run_trials_pruned_core::<true>(mask, specs, monitor, None, false)
+        self.run_trials_pruned_core::<true>(mask, specs, monitor, None, false, None)
     }
 
     /// [`StartPoint::run_trials_deep_traced`] semantics with analytic
@@ -145,12 +199,17 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> (TracedBatch, PruneDispositions) {
-        self.run_trials_pruned_core::<true>(mask, specs, monitor, None, true)
+        self.run_trials_pruned_core::<true>(mask, specs, monitor, None, true, None)
     }
 
     /// The pruning pass plus delegation. Mirrors the contracts of
     /// `run_trials_core`: input-order records, quarantined panics under
     /// their original spec indices.
+    ///
+    /// `walked` carries the batch's sites ([`fault_sites`]) and the
+    /// footprint the start point's golden walk resolved for them; without
+    /// it the batch resolves its sites and walks its own footprint from the
+    /// checkpoint.
     pub(crate) fn run_trials_pruned_core<const TRACED: bool>(
         &self,
         mask: InjectionMask,
@@ -158,47 +217,50 @@ impl StartPoint {
         monitor: u64,
         panic_shim: Option<usize>,
         deep: bool,
+        walked: Option<(&Sites, &Footprint)>,
     ) -> (TracedBatch, PruneDispositions) {
         let deep = TRACED && deep;
-        // One clone of the checkpoint serves the span walk, which leaves it
-        // unchanged, and then the footprint's golden replay.
-        let mut golden = self.checkpoint.clone();
-        let targets: Vec<u64> = specs.iter().map(|s| s.target).collect();
-        // Sites on a tracked word, the ones the footprint can speak for.
-        let sites: Vec<Option<(Span, UnitId)>> = resolve_spans(&mut golden, mask, &targets)
-            .into_iter()
-            .zip(specs)
-            .enumerate()
-            .map(|(i, (span, spec))| {
-                if panic_shim == Some(i) || spec.inject_cycle > self.horizon {
-                    return None;
-                }
-                let span = span?;
-                let unit =
-                    span.unit.filter(|&u| self.checkpoint.access_tracked(u, span.unit_ord))?;
-                Some((span, unit))
-            })
-            .collect();
         let footprint_t0 = TRACED.then(Instant::now);
-        let watched: Vec<(UnitId, u32, u64)> = sites
-            .iter()
-            .zip(specs)
-            .filter_map(|(site, spec)| site.map(|(s, u)| (u, s.unit_ord, spec.inject_cycle)))
-            .collect();
-        let fp = Footprint::build(self, golden, &watched, monitor);
+        let own;
+        let mut golden_cycles = 0;
+        // Footprint steps are walk steps: the start point sits `offset`
+        // steps into the walk that resolved it.
+        let (sites, fp, offset) = match walked {
+            Some((sites, fp)) => (sites, fp, self.offset),
+            None => {
+                // One clone of the checkpoint serves the span walk, which
+                // leaves it unchanged, and then the footprint's walk.
+                let mut golden = self.checkpoint.clone();
+                let sites = fault_sites(&mut golden, self.horizon, mask, specs, panic_shim);
+                let watched: Vec<_> = watch_list(&sites, specs, 0, self.horizon, monitor).collect();
+                let mut fp = Footprint::new(&watched);
+                golden_cycles = walk(golden, None, &mut fp).stepped;
+                own = (sites, fp);
+                (&own.0, &own.1, 0)
+            }
+        };
         let footprint_ns = footprint_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let first_access = |unit: UnitId, ord: u32, c: u64| {
+            let end = offset + self.horizon.min(c + monitor);
+            fp.first_access(unit, ord, offset + c, end).map(|(a, w)| (a - offset, w))
+        };
 
         // The dispositions are the pruner's own analysis time, attributed
         // to `prune_ns` — they run before any trial, outside the monitor
         // bracket. `Some((span, heal))` is proved dead.
         let prune_t0 = TRACED.then(Instant::now);
+        let mut kept = Vec::new();
         let proved: Vec<Option<(Span, Option<u64>)>> = specs
             .iter()
-            .zip(&sites)
+            .zip(sites)
             .map(|(spec, site)| {
                 let (span, unit) = (*site)?;
                 let c = spec.inject_cycle;
-                match fp.first_access(unit, span.unit_ord, c) {
+                let first = first_access(unit, span.unit_ord, c);
+                if first.is_some() {
+                    kept.push((unit.index(), span.unit_ord, c));
+                }
+                match first {
                     // Dead window: never accessed again inside the window.
                     None => Some((span, None)),
                     // Dead window: overwritten before its next read.
@@ -209,6 +271,8 @@ impl StartPoint {
                 }
             })
             .collect();
+        kept.sort_unstable();
+        kept.dedup();
         let prune_ns = prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
 
         // Everything not proved dead runs on the ladder in one batch.
@@ -265,7 +329,8 @@ impl StartPoint {
         batch.add_costs(&sub);
         batch.prune_ns += prune_ns;
         batch.footprint_ns += footprint_ns;
-        batch.footprint_events += fp.kept();
+        batch.footprint_events += kept.len() as u64;
+        batch.golden_cycles += golden_cycles;
         batch.monitor_ns += ride_ns;
         batch.ride_ns += ride_ns;
         (batch, dispo)
@@ -299,6 +364,7 @@ impl StartPoint {
         // ends it — and the site replays golden.
         let running_at = |c: u64| self.halted_at.is_none_or(|(hc, _)| c < hc);
 
+        let records = self.records().len();
         let make = |outcome| TrialRecord {
             outcome,
             category: span.category,
@@ -316,7 +382,7 @@ impl StartPoint {
                 break 'decide (Outcome::MicroArchMatch, inject_cycle);
             }
 
-            let mut matched = self.instret[inject_cycle as usize] as usize;
+            let mut matched = self.instret(inject_cycle) as usize;
             let mut last_retire_cycle = inject_cycle;
             let mut flushes_without_retire = 0u32;
             let horizon = self.horizon.min(inject_cycle + monitor);
@@ -340,7 +406,7 @@ impl StartPoint {
                     // verbatim: the per-record architectural comparisons
                     // pass by identity, and the ran-ahead guard below is
                     // provably dead (kept for literal parity).
-                    if matched >= self.records.len() {
+                    if matched >= records {
                         break 'decide (Outcome::GrayArea, step);
                     }
                     matched += 1;
@@ -349,7 +415,7 @@ impl StartPoint {
                     if hc == step {
                         // The site halts with the golden exit code; correct
                         // iff the full golden stream was retired.
-                        let outcome = if matched == self.records.len() {
+                        let outcome = if matched == records {
                             Outcome::MicroArchMatch
                         } else {
                             Outcome::Failure(FailureMode::Ctrl)
@@ -361,7 +427,7 @@ impl StartPoint {
                     break 'decide (Outcome::Failure(FailureMode::Locked), step);
                 }
                 let dense = step - inject_cycle <= DENSE;
-                if (dense || step % SPARSE == 0) && self.instret[step as usize] == matched as u64 {
+                if (dense || step % SPARSE == 0) && self.instret(step) == matched as u64 {
                     // Fingerprint check: the site equals golden except for
                     // the δ, so equality holds exactly once healed.
                     if heal_cycle.is_some_and(|hc| step >= hc) {
@@ -637,7 +703,7 @@ mod tests {
             .collect();
         let shim = 13usize;
         let (batch, dispo) =
-            sp.run_trials_pruned_core::<false>(MASK, &specs, 1_000, Some(shim), false);
+            sp.run_trials_pruned_core::<false>(MASK, &specs, 1_000, Some(shim), false, None);
         assert_eq!(batch.faults.len(), 1);
         assert_eq!(batch.faults[0].index, shim);
         assert_eq!(batch.faults[0].spec, specs[shim]);

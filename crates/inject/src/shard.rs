@@ -18,6 +18,14 @@
 //! failure-schedule-determinism are the thread-count-determinism argument
 //! applied to a coarser scheduler.
 //!
+//! A worker keeps the golden walk (the spine) of the benchmark it last
+//! worked on, which serves all of that benchmark's start points, and the
+//! coordinator grants each worker its last benchmark's pending tasks
+//! first and keeps a benchmark's last pending task for the worker holding
+//! that benchmark ([`LeaseTable::grant`]), so a benchmark's golden run is
+//! walked about once however its start points are leased. Neither changes
+//! the wire format.
+//!
 //! # Protocol
 //!
 //! Frames are a 4-byte little-endian length followed by one JSON object
@@ -69,7 +77,7 @@ use tfsim_obs::json::{self, obj, Json};
 use tfsim_obs::{Event, EventSink};
 use tfsim_workloads::Workload;
 
-use crate::campaign::{execute_task, CampaignConfig};
+use crate::campaign::{execute_task, BenchSpine, CampaignConfig};
 use crate::journal::{task_from_json, task_to_json, CampaignJournal, JournalMeta};
 use crate::lease::{CompleteOutcome, LeaseStats, LeaseTable, TaskId};
 use crate::JournaledTask;
@@ -650,6 +658,10 @@ pub struct WorkerReport {
     pub duplicates: u64,
     /// Reconnects performed (0 for an undisturbed run).
     pub reconnects: u64,
+    /// Benchmark spines walked: the worker keeps the golden walk of the
+    /// benchmark it last worked on and walks another only when a task of
+    /// another benchmark arrives.
+    pub spines: u64,
 }
 
 /// A task computed (and journaled) but not yet acknowledged: survives
@@ -661,6 +673,8 @@ struct Pending {
 
 struct WorkerState {
     campaign: Option<(CampaignConfig, Vec<Workload>, String)>,
+    /// The golden walk of the benchmark this worker last worked on.
+    spine: Option<BenchSpine>,
     shard: Option<CampaignJournal>,
     pending: Option<Pending>,
     stashed: Option<(u64, u64, u64)>, // (bench, sp, token) from a dup'd request
@@ -682,6 +696,7 @@ enum Want {
 pub fn run_worker(wc: &WorkerConfig) -> io::Result<WorkerReport> {
     let mut state = WorkerState {
         campaign: None,
+        spine: None,
         shard: None,
         pending: None,
         stashed: None,
@@ -856,8 +871,10 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
                         }
                     });
                 }
-                let task = execute_task(config, &workloads[bench], bench, sp as u32);
+                let (task, walked) =
+                    execute_task(config, workloads, bench, sp as u32, &mut state.spine);
                 stop.store(true, Ordering::Relaxed);
+                state.report.spines += walked as u64;
                 task
             })
         };

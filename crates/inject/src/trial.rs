@@ -15,24 +15,38 @@
 //!   [`CachedFingerprint`] that only rehashes dirty units. Produces
 //!   bit-identical [`TrialRecord`]s — pinned by a property test.
 //!
+//! # The golden walk
+//!
+//! Everything the classifier and the pruner read from the fault-free run
+//! comes from one routine, [`walk`]. A campaign walks each benchmark's run
+//! once (its *spine*) from its first pending start point's checkpoint to
+//! its last one's horizon, and every start point is a [`StartPoint`] view
+//! of it, clipped to its own window: its checkpoint, its part of the one
+//! copy of the retire records and per-cycle aggregates, its valid counts,
+//! and its sparse rows. [`StartPoint::prepare`] is the one-start-point
+//! case; a batch with no footprint from a walk walks its own.
+//!
 //! # Golden rows
 //!
 //! A µArch-Match check compares the trial machine against the golden
 //! fingerprint *row* of the same cycle (root hash plus per-unit
 //! subhashes). Checks run at every cycle of the dense window
-//! `(inject, inject + 64]` and at every eighth cycle after it, so
-//! [`StartPoint::prepare`] hashes only the sparse grid (cycle 0 and every
-//! eighth cycle) and each batch hashes the dense rows of its own injection
-//! windows in one golden walk ([`Rows`]). The traced paths' post-decision
-//! attribution reads a row at the decision cycle, which may lie on neither;
-//! those reads are deferred to one forward golden walk after the batch's
-//! trials ([`Rows::close`]), so untraced batches never pay for them.
+//! `(inject, inject + 64]` and at every eighth cycle after it, so the walk
+//! hashes only each start point's sparse grid (its checkpoint and every
+//! eighth cycle after it; start points whose offsets differ modulo 8 lie on
+//! different grids, and a row on several is hashed once) and each batch
+//! hashes the dense rows of its own injection windows in one golden replay
+//! ([`Rows`]). The traced paths' post-decision attribution reads a row at
+//! the decision cycle, which may lie on neither; those reads are deferred
+//! to one forward replay after the batch's trials ([`Rows::close`]), so
+//! untraced batches never pay for them.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::time::Instant;
 
 use tfsim_arch::RetireRecord;
@@ -43,6 +57,8 @@ use tfsim_bitstate::{
 use tfsim_isa::{decode, Asm, Program};
 use tfsim_obs::DeepTrace;
 use tfsim_uarch::{ExcCode, FlowEvent, Pipeline, PipelineConfig, RetireEvent};
+
+use crate::footprint::Footprint;
 
 /// The paper's seven failure modes (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -251,6 +267,10 @@ pub struct TracedBatch {
     /// sites the pruner's analytic rider settles). Exact and
     /// machine-independent.
     pub cycles_stepped: u64,
+    /// Cycles the batch's fault-free machines stepped: its dense-row and
+    /// closing replay, and a footprint walk of its own when none was
+    /// supplied. Exact and machine-independent.
+    pub golden_cycles: u64,
 }
 
 impl TracedBatch {
@@ -268,6 +288,7 @@ impl TracedBatch {
         self.words_hashed += other.words_hashed;
         self.footprint_events += other.footprint_events;
         self.cycles_stepped += other.cycles_stepped;
+        self.golden_cycles += other.golden_cycles;
     }
 }
 
@@ -310,40 +331,61 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 pub(crate) type Row = (u128, [u128; UnitId::COUNT]);
 
 /// Past its dense post-injection window, the classifier checks µArch Match
-/// on every `SPARSE`th cycle; [`StartPoint::prepare`] keeps golden rows on
-/// exactly that grid.
+/// on every `SPARSE`th cycle; each start point keeps golden rows on exactly
+/// that grid, counted from its own checkpoint.
 pub(crate) const SPARSE: u64 = 8;
 
 /// Length of the classifier's dense check window after each injection.
 pub(crate) const DENSE: u64 = 64;
 
-/// A prepared start point: a warmed checkpoint plus everything the
-/// classifier needs from the fault-free continuation.
+/// One benchmark's fault-free run, stepped once by [`walk`] from its first
+/// start point's checkpoint to its last start point's horizon. Every start
+/// point on the walk is a [`StartPoint`] view of this one copy of the retire
+/// records and per-cycle aggregates, which are indexed by walk step.
+struct Spine {
+    /// The machine's retirement count after `t` steps.
+    instret: Vec<u64>,
+    /// Whether step `t` performed a protective (watchdog) flush; entry 0
+    /// (the first checkpoint itself) is unused.
+    pflush: Vec<bool>,
+    /// The golden retirement trace, in commit order.
+    records: Vec<RetireRecord>,
+    /// Golden rows on the union of the start points' check grids: one grid
+    /// per residue of their offsets modulo [`SPARSE`].
+    grids: Vec<Grid>,
+    /// Eligible bit count under the walk's mask.
+    bit_count: u64,
+}
+
+/// Golden rows every [`SPARSE`] steps: `rows[j]` is the state after
+/// `first + j * SPARSE` steps.
+struct Grid {
+    first: u64,
+    rows: Vec<Row>,
+}
+
+/// A prepared start point: a warmed checkpoint plus its view of the golden
+/// continuation the classifier compares against, clipped to its own window
+/// `(0, horizon]` of the walk that produced it.
 pub struct StartPoint {
     pub(crate) checkpoint: Pipeline,
-    /// Last cycle of the golden continuation (`prepare`'s horizon).
+    /// Last cycle of the golden continuation.
     pub(crate) horizon: u64,
-    /// Golden rows on the sparse grid: `sparse[k]` is the state after
-    /// `k * SPARSE` steps.
-    sparse: Vec<Row>,
-    /// Cumulative retirements after `i` steps.
-    pub(crate) instret: Vec<u64>,
-    /// Whether golden step `i` performed a protective (watchdog) flush;
-    /// entry 0 (the checkpoint itself) is unused.
-    pflush: Vec<bool>,
-    /// The golden retirement trace (index = commit number since the
-    /// checkpoint).
-    pub(crate) records: Vec<RetireRecord>,
+    spine: Arc<Spine>,
+    /// Walk step of the checkpoint.
+    pub(crate) offset: u64,
+    /// The checkpoint's retirement count.
+    base_instret: u64,
+    /// `spine.grids[grid].rows[row0 + k]` is the state `k * SPARSE` steps
+    /// after the checkpoint.
+    grid: usize,
+    row0: usize,
+    /// This window's part of the spine's retirement trace.
+    records: Range<usize>,
     /// Cycle (steps after checkpoint) at which the golden run halted.
     pub(crate) halted_at: Option<(u64, u64)>, // (step, exit code)
     /// Golden in-flight valid-instruction count per cycle.
     valid_counts: Vec<u32>,
-    /// Eligible bit count for the campaign's mask.
-    bit_count: u64,
-    /// Golden rows `prepare` hashed.
-    pub(crate) rows_hashed: u64,
-    /// Words `prepare` mixed into those rows.
-    pub(crate) words_hashed: u64,
 }
 
 /// Hashes `cpu` into a golden row with `engine`.
@@ -352,99 +394,243 @@ fn hash_row(engine: &mut CachedFingerprint, cpu: &mut Pipeline) -> Row {
     (root, *engine.unit_hashes())
 }
 
+/// The start points a [`walk`] records: their checkpoints' offsets from the
+/// walk's first step (ascending), their common horizon, and the mask whose
+/// eligible bits they count.
+pub(crate) struct Stops<'a> {
+    pub(crate) offsets: &'a [u64],
+    pub(crate) horizon: u64,
+    pub(crate) mask: InjectionMask,
+}
+
+/// What one [`walk`] produced.
+pub(crate) struct Walked {
+    /// One start point per offset, in offset order (none for a
+    /// footprint-only walk).
+    pub(crate) points: Vec<StartPoint>,
+    /// Cycles the fault-free machine stepped. Exact and
+    /// machine-independent.
+    pub(crate) stepped: u64,
+    /// Golden rows hashed.
+    pub(crate) rows_hashed: u64,
+    /// Words mixed into those rows.
+    pub(crate) words_hashed: u64,
+}
+
+/// The golden walk: the one fault-free pass that everything the classifier
+/// and the pruner read from the golden run comes from. `golden` sits at the
+/// first start point's checkpoint; with `stops`, it is stepped to the last
+/// start point's horizon, and on the way the walk:
+///
+/// * clones each start point's checkpoint as the walk reaches it (without
+///   the walk's flow log and access tracking);
+/// * hashes the golden rows of the union of the start points' check grids,
+///   each row once, however many grids it lies on;
+/// * keeps one copy of the retire records, retirement counts and flush
+///   bits, which every start point views through its own window;
+/// * folds the flow events (the warm-up's first, which `golden` must have
+///   logged) into each start point's Figure 6 valid counts, each fold
+///   stopping at its own horizon.
+///
+/// Throughout, it resolves `footprint`'s sites, tracking accesses only in
+/// the units with sites still open. Without `stops` the walk does nothing
+/// else, and ends once every site is resolved or the last window closes.
+/// Either way it ends early when the machine halts: a halted machine never
+/// changes again, so every later row, count and checkpoint is the terminal
+/// one.
+///
+/// # Panics
+///
+/// Panics if the fault-free run raises an exception.
+pub(crate) fn walk(
+    mut golden: Pipeline,
+    stops: Option<Stops<'_>>,
+    footprint: &mut Footprint,
+) -> Walked {
+    golden.set_access_tracking(footprint.tracked());
+    let Some(Stops { offsets, horizon, mask }) = stops else {
+        let mut stepped = 0;
+        while stepped < footprint.last() && golden.running() && !footprint.done() {
+            golden.step();
+            stepped += 1;
+            footprint.observe(&mut golden, stepped);
+        }
+        return Walked { points: Vec::new(), stepped, rows_hashed: 0, words_hashed: 0 };
+    };
+    let end = offsets.last().map_or(0, |o| o + horizon);
+
+    // One grid per residue: the union of the grids of the start points
+    // whose offsets share it. Offsets ascend, so a grid's first row is its
+    // first start point's and its last row its last start point's.
+    let mut grid_of = [usize::MAX; SPARSE as usize];
+    let mut grids: Vec<Grid> = Vec::new();
+    let mut grid_end: Vec<u64> = Vec::new();
+    for &o in offsets {
+        let last = o + horizon / SPARSE * SPARSE;
+        match grid_of[(o % SPARSE) as usize] {
+            usize::MAX => {
+                grid_of[(o % SPARSE) as usize] = grids.len();
+                grids.push(Grid { first: o, rows: Vec::new() });
+                grid_end.push(last);
+            }
+            g => grid_end[g] = last,
+        }
+    }
+    let grid_at = |t: u64, grids: &[Grid]| {
+        let g = grid_of[(t % SPARSE) as usize];
+        (g != usize::MAX && grids[g].first <= t && t <= grid_end[g]).then_some(g)
+    };
+
+    // Figure 6's valid counts fold the flow events as the golden run logs
+    // them, so the log never holds more than one cycle's events: a whole
+    // run's events would be most of a campaign task's peak memory.
+    let mut flow = Flow::default();
+    golden.take_flow_events().into_iter().for_each(|ev| flow.feed(ev, &mut []));
+    golden.enable_flow_log();
+
+    // A start point opens when the walk reaches its offset: its checkpoint,
+    // its first retirement, and its valid-count fold.
+    struct Open {
+        checkpoint: Pipeline,
+        offset: u64,
+        records: Range<usize>,
+    }
+    let open = |golden: &Pipeline, offset: u64, retired: usize| {
+        let mut checkpoint = golden.clone();
+        checkpoint.disable_flow_log();
+        checkpoint.set_access_tracking([]);
+        let valid = ValidCounts::new(golden.cycles(), horizon);
+        (Open { checkpoint, offset, records: retired..retired }, valid)
+    };
+    let mut points: Vec<Open> = Vec::with_capacity(offsets.len());
+    let mut folds: Vec<ValidCounts> = Vec::with_capacity(offsets.len());
+    // Start points before `closed` are past their horizon: their folds
+    // take no more events and their records end.
+    let mut closed = 0;
+
+    let mut instret = Vec::with_capacity(end as usize + 1);
+    let mut pflush = vec![false; end as usize + 1];
+    let mut records = Vec::new();
+    let mut halted_at = None;
+    // The golden rows are hashed with the cached engine: the golden machine
+    // mutates only through `step()`, so unit stamps are exact, and the
+    // shadow units' maintained digests cost nothing to read.
+    let mut engine = CachedFingerprint::new();
+    let mut rows_hashed = 0;
+    let mut t = 0;
+    instret.push(golden.instret());
+    loop {
+        while points.len() < offsets.len() && offsets[points.len()] == t {
+            let (point, valid) = open(&golden, t, records.len());
+            points.push(point);
+            folds.push(valid);
+        }
+        while closed < points.len() && points[closed].offset + horizon == t {
+            points[closed].records.end = records.len();
+            closed += 1;
+        }
+        if let Some(g) = grid_at(t, &grids) {
+            rows_hashed += 1;
+            grids[g].rows.push(hash_row(&mut engine, &mut golden));
+        }
+        if t == end || !golden.running() {
+            break;
+        }
+        let report = golden.step();
+        t += 1;
+        golden.drain_flow_events(|ev| flow.feed(ev, &mut folds[closed..]));
+        for ev in report.events {
+            match ev {
+                RetireEvent::Retired(r) => records.push(r),
+                RetireEvent::Halted { code } => {
+                    halted_at.get_or_insert((t, code));
+                }
+                RetireEvent::Exception(e) => panic!("golden run raised {e:?} at step {t}"),
+            }
+        }
+        pflush[t as usize] = report.protective_flush;
+        instret.push(golden.instret());
+        footprint.observe(&mut golden, t);
+    }
+    let stepped = t;
+    if t < end {
+        // Halted: freeze every later row, count and checkpoint.
+        let frozen = match grid_at(t, &grids) {
+            Some(g) => *grids[g].rows.last().expect("the row just hashed"),
+            None => {
+                rows_hashed += 1;
+                hash_row(&mut engine, &mut golden)
+            }
+        };
+        for (grid, &last) in grids.iter_mut().zip(&grid_end) {
+            grid.rows.resize(((last - grid.first) / SPARSE) as usize + 1, frozen);
+        }
+        instret.resize(end as usize + 1, golden.instret());
+        while points.len() < offsets.len() {
+            let (point, valid) = open(&golden, offsets[points.len()], records.len());
+            points.push(point);
+            folds.push(valid);
+        }
+        for point in &mut points[closed..] {
+            point.records.end = records.len();
+        }
+    }
+
+    let mut count = BitCount::new(mask);
+    if let Some(first) = points.first_mut() {
+        first.checkpoint.visit_state(&mut count);
+    }
+    let spine = Arc::new(Spine {
+        instret,
+        pflush,
+        records,
+        grids,
+        bit_count: count.count,
+    });
+    let points = points
+        .into_iter()
+        .zip(folds)
+        .map(|(point, valid)| {
+            let offset = point.offset;
+            let grid = grid_of[(offset % SPARSE) as usize];
+            StartPoint {
+                base_instret: spine.instret[offset as usize],
+                row0: ((offset - spine.grids[grid].first) / SPARSE) as usize,
+                grid,
+                halted_at: halted_at
+                    .filter(|&(h, _)| offset < h && h <= offset + horizon)
+                    .map(|(h, code)| (h - offset, code)),
+                checkpoint: point.checkpoint,
+                horizon,
+                spine: Arc::clone(&spine),
+                offset,
+                records: point.records,
+                valid_counts: valid.finish(),
+            }
+        })
+        .collect();
+    Walked { points, stepped, rows_hashed, words_hashed: engine.words() }
+}
+
 impl StartPoint {
     /// Prepares a start point from a *warmed* pipeline whose flow log has
-    /// been enabled since reset. Runs the golden continuation for
-    /// `horizon` cycles, keeping per-cycle retirement aggregates and the
-    /// golden rows of the sparse grid.
+    /// been enabled since reset: the one-start-point case of the golden
+    /// walk. Runs the golden continuation for `horizon` cycles, keeping
+    /// per-cycle retirement aggregates and the golden rows of the sparse
+    /// grid.
     ///
     /// # Panics
     ///
     /// Panics if the fault-free continuation raises an exception.
     pub fn prepare(warmed: &Pipeline, horizon: u64, mask: InjectionMask) -> StartPoint {
-        // Figure 6's valid counts fold the flow events as the golden run
-        // logs them (the warm-up's first), so the log never holds more than
-        // one cycle's events: a whole run's events would be most of a
-        // campaign task's peak memory.
-        let mut golden = warmed.clone();
-        let mut valid = ValidCounts::new(warmed.cycles(), horizon);
-        golden.take_flow_events().into_iter().for_each(|ev| valid.feed(ev));
-        golden.enable_flow_log();
-        let mut checkpoint = golden.clone();
-        checkpoint.disable_flow_log();
-
-        let mut sparse = Vec::with_capacity((horizon / SPARSE) as usize + 1);
-        let mut instret = Vec::with_capacity(horizon as usize + 1);
-        let mut pflush = vec![false; horizon as usize + 1];
-        let mut records = Vec::new();
-        let mut halted_at = None;
-        let base_instret = golden.instret();
-        // The golden rows are hashed with the cached engine: the golden
-        // machine mutates only through `step()`, so unit stamps are exact,
-        // and the shadow units' maintained digests cost nothing to read.
-        let mut engine = CachedFingerprint::new();
-        let mut rows_hashed = 1;
-        sparse.push(hash_row(&mut engine, &mut golden));
-        instret.push(0);
-        for step in 1..=horizon {
-            let report = golden.step();
-            golden.drain_flow_events(|ev| valid.feed(ev));
-            for ev in report.events {
-                match ev {
-                    RetireEvent::Retired(r) => records.push(r),
-                    RetireEvent::Halted { code } => {
-                        halted_at.get_or_insert((step, code));
-                    }
-                    RetireEvent::Exception(e) => {
-                        panic!("golden run raised {e:?} at step {step}")
-                    }
-                }
-            }
-            pflush[step as usize] = report.protective_flush;
-            instret.push(golden.instret() - base_instret);
-            if step % SPARSE == 0 {
-                rows_hashed += 1;
-                sparse.push(hash_row(&mut engine, &mut golden));
-            }
-            if !golden.running() && halted_at.is_some() {
-                // Freeze: a halted machine never changes again, so every
-                // later row and retirement count is the terminal one.
-                let frozen = if step % SPARSE == 0 {
-                    *sparse.last().expect("nonempty")
-                } else {
-                    rows_hashed += 1;
-                    hash_row(&mut engine, &mut golden)
-                };
-                sparse.resize((horizon / SPARSE) as usize + 1, frozen);
-                let last_ir = *instret.last().expect("nonempty");
-                instret.resize(horizon as usize + 1, last_ir);
-                break;
-            }
-        }
-
-        let valid_counts = valid.finish();
-
-        let mut count = BitCount::new(mask);
-        checkpoint.visit_state(&mut count);
-
-        StartPoint {
-            checkpoint,
-            horizon,
-            sparse,
-            instret,
-            pflush,
-            records,
-            halted_at,
-            valid_counts,
-            bit_count: count.count,
-            rows_hashed,
-            words_hashed: engine.words(),
-        }
+        let stops = Stops { offsets: &[0], horizon, mask };
+        let walked = walk(warmed.clone(), Some(stops), &mut Footprint::default());
+        walked.points.into_iter().next().expect("one start point")
     }
 
     /// Number of eligible bits under the campaign mask.
     pub fn bit_count(&self) -> u64 {
-        self.bit_count
+        self.spine.bit_count
     }
 
     /// The golden valid-instruction count at a relative cycle.
@@ -452,14 +638,33 @@ impl StartPoint {
         self.valid_counts.get(cycle as usize).copied().unwrap_or(0)
     }
 
+    /// The golden retirement trace of this window (index = commit number
+    /// since the checkpoint).
+    pub(crate) fn records(&self) -> &[RetireRecord] {
+        &self.spine.records[self.records.clone()]
+    }
+
+    /// Instructions the golden run retired in its first `step` steps.
+    pub(crate) fn instret(&self, step: u64) -> u64 {
+        self.spine.instret[(self.offset + step) as usize] - self.base_instret
+    }
+
     /// Instructions the golden run retired in step `step` (≥ 1).
     pub(crate) fn retired_at(&self, step: u64) -> u64 {
-        self.instret[step as usize] - self.instret[step as usize - 1]
+        let t = (self.offset + step) as usize;
+        self.spine.instret[t] - self.spine.instret[t - 1]
     }
 
     /// Whether golden step `step` (≥ 1) performed a protective flush.
     pub(crate) fn pflush_at(&self, step: u64) -> bool {
-        self.pflush[step as usize]
+        self.spine.pflush[(self.offset + step) as usize]
+    }
+
+    /// The golden row `cycle` steps after the checkpoint, if `cycle` lies
+    /// on this start point's sparse grid.
+    pub(crate) fn grid_row(&self, cycle: u64) -> Option<&Row> {
+        (cycle.is_multiple_of(SPARSE) && cycle <= self.horizon)
+            .then(|| &self.spine.grids[self.grid].rows[self.row0 + (cycle / SPARSE) as usize])
     }
 
     /// Runs one trial: flip eligible bit number `target` at `inject_cycle`
@@ -664,6 +869,7 @@ impl StartPoint {
         batch.rows_hashed = rows.hashed();
         batch.words_hashed = rows.words_hashed();
         batch.cycles_stepped = cycles_stepped;
+        batch.golden_cycles = rows.stepped();
         batch
     }
 
@@ -706,6 +912,7 @@ impl StartPoint {
         let TrialSpec { target, inject_cycle } = spec;
         let traced = trace.is_some();
         let base_instret = self.checkpoint.instret();
+        let records = self.records();
 
         // Flip the bit.
         let mut flip = FlipBit::new(mask, target);
@@ -770,7 +977,7 @@ impl StartPoint {
                 for ev in report.events {
                     match ev {
                         RetireEvent::Retired(rec) => {
-                            match self.records.get(matched_records) {
+                            match records.get(matched_records) {
                                 Some(g) => {
                                     // Architectural-state comparison. The
                                     // record's `pc`/`raw` fields (and the
@@ -813,7 +1020,7 @@ impl StartPoint {
                         RetireEvent::Halted { code } => {
                             // Correct only if the golden run also halts
                             // having retired exactly the same stream.
-                            let golden_total = self.records.len();
+                            let golden_total = records.len();
                             let outcome = match self.halted_at {
                                 Some((_, gcode))
                                     if gcode == code && matched_records == golden_total =>
@@ -847,7 +1054,7 @@ impl StartPoint {
                 // after an initial dense window loses nothing.
                 let dense = step - inject_cycle <= DENSE;
                 if (dense || step % SPARSE == 0)
-                    && self.instret[step as usize] == cpu.instret() - base_instret
+                    && self.instret(step) == cpu.instret() - base_instret
                     && matched_records as u64 == cpu.instret() - base_instret
                 {
                     let (golden_root, golden_units) =
@@ -976,6 +1183,8 @@ struct GoldenWalk {
     at: u64,
     engine: CachedFingerprint,
     hashed: u64,
+    /// Cycles the replay stepped (a halted machine steps no more).
+    stepped: u64,
 }
 
 impl GoldenWalk {
@@ -985,6 +1194,7 @@ impl GoldenWalk {
             at: 0,
             engine: CachedFingerprint::new(),
             hashed: 0,
+            stepped: 0,
         }
     }
 
@@ -996,6 +1206,7 @@ impl GoldenWalk {
         while self.at < cycle && self.cpu.running() {
             self.cpu.step();
             self.at += 1;
+            self.stepped += 1;
         }
         self.at = cycle;
         self.hashed += 1;
@@ -1024,7 +1235,7 @@ impl<'a> Rows<'a> {
         let mut walk = GoldenWalk::new(sp);
         let dense = (lo..=hi)
             .map(|c| match c % SPARSE {
-                0 => sp.sparse[(c / SPARSE) as usize],
+                0 => *sp.grid_row(c).expect("a grid row inside the horizon"),
                 _ => walk.row(c),
             })
             .collect();
@@ -1035,8 +1246,7 @@ impl<'a> Rows<'a> {
     pub(crate) fn get(&self, cycle: u64) -> Option<&Row> {
         match cycle.checked_sub(self.lo).and_then(|k| self.dense.get(k as usize)) {
             Some(row) => Some(row),
-            None if cycle.is_multiple_of(SPARSE) => self.sp.sparse.get((cycle / SPARSE) as usize),
-            None => None,
+            None => self.sp.grid_row(cycle),
         }
     }
 
@@ -1048,6 +1258,11 @@ impl<'a> Rows<'a> {
     /// Words mixed into those rows.
     pub(crate) fn words_hashed(&self) -> u64 {
         self.walk.engine.words()
+    }
+
+    /// Cycles the batch's golden replay stepped.
+    pub(crate) fn stepped(&self) -> u64 {
+        self.walk.stepped
     }
 
     /// Resolves the batch's deferred closings, in ascending decision
@@ -1080,31 +1295,19 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Figure 6 instrumentation, folded from a golden run's flow events in
-/// order: for each cycle `0..=horizon` after the checkpoint at absolute
-/// cycle `base_cycle` (flow events carry absolute cycles), how many
-/// in-flight instructions eventually commit. An instruction counts from
-/// its fetch cycle up to (not including) its commit cycle. Each sequence
-/// number is fetched once and then committed or squashed at most once
-/// (the pipeline's `flow_log_conservation` test).
-struct ValidCounts {
-    base_cycle: u64,
-    horizon: u64,
-    /// Fetch cycle of each instruction fetched and not yet committed or
-    /// squashed, by sequence number.
+/// The instructions a golden run has fetched and not yet committed or
+/// squashed, by sequence number, with their fetch cycles: the state every
+/// start point's [`ValidCounts`] fold shares. Each sequence number is
+/// fetched once and then committed or squashed at most once (the pipeline's
+/// `flow_log_conservation` test).
+#[derive(Default)]
+struct Flow {
     in_flight: BTreeMap<u64, u64>,
-    /// A difference array over the window: +1 where a committed lifetime
-    /// starts, −1 where it ends.
-    delta: Vec<i64>,
 }
 
-impl ValidCounts {
-    fn new(base_cycle: u64, horizon: u64) -> ValidCounts {
-        let delta = vec![0; horizon as usize + 2];
-        ValidCounts { base_cycle, horizon, in_flight: BTreeMap::new(), delta }
-    }
-
-    fn feed(&mut self, ev: FlowEvent) {
+impl Flow {
+    /// Folds one flow event, in log order, into the `open` folds.
+    fn feed(&mut self, ev: FlowEvent, open: &mut [ValidCounts]) {
         match ev {
             FlowEvent::Fetch { seq, cycle } => {
                 self.in_flight.insert(seq, cycle);
@@ -1114,13 +1317,39 @@ impl ValidCounts {
             }
             FlowEvent::Commit { seq, cycle } => {
                 let fetch = self.in_flight.remove(&seq).unwrap_or(0);
-                let lo = fetch.saturating_sub(self.base_cycle);
-                let hi = cycle.saturating_sub(self.base_cycle).min(self.horizon);
-                if lo < hi {
-                    self.delta[lo as usize] += 1;
-                    self.delta[hi as usize] -= 1;
-                }
+                open.iter_mut().for_each(|v| v.commit(fetch, cycle));
             }
+        }
+    }
+}
+
+/// Figure 6 instrumentation for one start point: for each cycle
+/// `0..=horizon` after the checkpoint at absolute cycle `base_cycle` (flow
+/// events carry absolute cycles), how many in-flight instructions
+/// eventually commit. An instruction counts from its fetch cycle up to (not
+/// including) its commit cycle; one committing after the horizon is not
+/// counted, so a fold takes no events from later steps.
+struct ValidCounts {
+    base_cycle: u64,
+    horizon: u64,
+    /// A difference array over the window: +1 where a committed lifetime
+    /// starts, −1 where it ends.
+    delta: Vec<i64>,
+}
+
+impl ValidCounts {
+    fn new(base_cycle: u64, horizon: u64) -> ValidCounts {
+        let delta = vec![0; horizon as usize + 2];
+        ValidCounts { base_cycle, horizon, delta }
+    }
+
+    /// Counts an instruction fetched at `fetch` and committed at `commit`.
+    fn commit(&mut self, fetch: u64, commit: u64) {
+        let lo = fetch.saturating_sub(self.base_cycle);
+        let hi = commit.saturating_sub(self.base_cycle).min(self.horizon);
+        if lo < hi {
+            self.delta[lo as usize] += 1;
+            self.delta[hi as usize] -= 1;
         }
     }
 
@@ -1149,8 +1378,9 @@ pub(crate) fn eligible_bits(config: PipelineConfig, mask: InjectionMask) -> u64 
     count.count
 }
 
-/// Warm-up helper: builds a flow-logged pipeline, runs it `cycles`, and
-/// returns it (TLBs preloaded from a fault-free functional run).
+/// Warm-up helper: builds a flow-logged pipeline, runs it `cycles` (fewer
+/// if it halts first; its `cycles()` counts the steps), and returns it
+/// (TLBs preloaded from a fault-free functional run).
 pub(crate) fn warm_pipeline(
     program: &Program,
     config: PipelineConfig,
@@ -1208,7 +1438,7 @@ mod tests {
     fn golden_precompute_is_sane() {
         let sp = start_point();
         assert!(sp.bit_count() > 40_000, "bit count {}", sp.bit_count());
-        assert!(sp.records.len() > 1_000);
+        assert!(sp.records().len() > 1_000);
         assert!(sp.halted_at.is_none(), "workload must outlast the horizon");
         assert!(sp.valid_at(100) > 0, "pipeline should hold valid instructions");
         assert!(sp.valid_at(100) <= 132);
@@ -1322,8 +1552,10 @@ mod tests {
                     golden.step();
                 }
                 let events = golden.take_flow_events();
-                let mut folded = ValidCounts::new(warmed.cycles(), horizon);
-                events.iter().for_each(|&ev| folded.feed(ev));
+                let mut folded = [ValidCounts::new(warmed.cycles(), horizon)];
+                let mut flow = Flow::default();
+                events.iter().for_each(|&ev| flow.feed(ev, &mut folded));
+                let [folded] = folded;
                 let fast = folded.finish();
                 assert_eq!(fast, valid_counts_per_cycle(&events, warmed.cycles(), horizon));
                 let sp = StartPoint::prepare(&warmed, horizon, InjectionMask::LatchesAndRams);
@@ -1374,9 +1606,10 @@ mod tests {
         // word visited, so a row costs the latch units' words alone (3,257
         // on the baseline machine, a few more with protection).
         for (name, _, warmed) in warmed_workloads() {
-            let sp = StartPoint::prepare(warmed, 64, InjectionMask::LatchesAndRams);
-            assert_eq!(sp.rows_hashed, 9, "{name}");
-            let per_row = sp.words_hashed / sp.rows_hashed;
+            let stops = Stops { offsets: &[0], horizon: 64, mask: InjectionMask::LatchesAndRams };
+            let walked = walk(warmed.clone(), Some(stops), &mut Footprint::default());
+            assert_eq!(walked.rows_hashed, 9, "{name}");
+            let per_row = walked.words_hashed / walked.rows_hashed;
             assert!(per_row <= 5_000, "{name}: {per_row} words per golden row");
         }
     }
@@ -1572,6 +1805,125 @@ mod tests {
                 let dc = tr.divergence_cycle.expect("timeline without attributed divergence");
                 assert!(dc <= first, "deep sample before divergence: {tr:?} {samples:?}");
             }
+        }
+    }
+
+    /// Walks one spine over the start points warmed `starts` cycles from
+    /// reset (ascending) and checks every view against a standalone
+    /// `prepare` of that start point, field by field, and the footprint
+    /// the spine resolved against a standalone footprint walk of each.
+    /// Returns whether each start point's window saw the run halt.
+    fn assert_spine_equals_standalone(
+        name: &str,
+        program: &Program,
+        config: PipelineConfig,
+        starts: &[u64],
+        horizon: u64,
+    ) -> Vec<bool> {
+        use crate::pruner::{fault_sites, watch_list};
+        const MASK: InjectionMask = InjectionMask::LatchesAndRams;
+        const MONITOR: u64 = 700;
+        // Sites are resolved on the machine the walk then steps, as a
+        // campaign resolves them.
+        let mut warmed = warm_pipeline(program, config, starts[0]);
+        let offsets: Vec<u64> = starts.iter().map(|s| s - starts[0]).collect();
+        let bits = eligible_bits(config, MASK);
+        let plans: Vec<_> = (0..starts.len() as u64)
+            .map(|k| {
+                let specs: Vec<TrialSpec> = (0..48u64)
+                    .map(|t| TrialSpec {
+                        target: (t * 7_919 + k * 104_729) % bits,
+                        inject_cycle: (t * 37 + k * 11) % 250,
+                    })
+                    .collect();
+                let sites = fault_sites(&mut warmed, horizon, MASK, &specs, None);
+                (specs, sites)
+            })
+            .collect();
+        let watched: Vec<_> = plans
+            .iter()
+            .zip(&offsets)
+            .flat_map(|((specs, sites), &o)| watch_list(sites, specs, o, horizon, MONITOR))
+            .collect();
+        let mut spine_fp = Footprint::new(&watched);
+        let stops = Stops { offsets: &offsets, horizon, mask: MASK };
+        let walked = walk(warmed, Some(stops), &mut spine_fp);
+        assert_eq!(walked.points.len(), starts.len());
+        for ((&start, view), (specs, sites)) in starts.iter().zip(&walked.points).zip(&plans) {
+            let at = format!("{name}, start point at {start}");
+            let alone = StartPoint::prepare(&warm_pipeline(program, config, start), horizon, MASK);
+            let (a, b) = (&view.checkpoint, &alone.checkpoint);
+            assert_eq!((a.cycles(), a.instret()), (b.cycles(), b.instret()), "{at}");
+            assert_eq!(fingerprint_of(&mut a.clone()), fingerprint_of(&mut b.clone()), "{at}");
+            for c in (0..=horizon).step_by(SPARSE as usize) {
+                assert_eq!(view.grid_row(c), alone.grid_row(c), "{at}: row {c}");
+            }
+            assert!(view.grid_row(horizon / SPARSE * SPARSE + SPARSE).is_none(), "{at}");
+            for step in 1..=horizon {
+                assert_eq!(view.instret(step), alone.instret(step), "{at}: step {step}");
+                assert_eq!(view.pflush_at(step), alone.pflush_at(step), "{at}: step {step}");
+            }
+            assert_eq!(view.records(), alone.records(), "{at}");
+            assert_eq!(view.halted_at, alone.halted_at, "{at}");
+            assert_eq!(view.valid_counts, alone.valid_counts, "{at}");
+            assert_eq!(view.bit_count(), alone.bit_count(), "{at}");
+
+            let own: Vec<_> = watch_list(sites, specs, 0, horizon, MONITOR).collect();
+            let mut own_fp = Footprint::new(&own);
+            walk(alone.checkpoint.clone(), None, &mut own_fp);
+            let o = view.offset;
+            for (unit, ord, c, end) in own {
+                assert_eq!(
+                    spine_fp.first_access(unit, ord, o + c, o + end).map(|(s, w)| (s - o, w)),
+                    own_fp.first_access(unit, ord, c, end),
+                    "{at}: {unit:?} ord {ord} inject {c}"
+                );
+            }
+        }
+        walked.points.iter().map(|p| p.halted_at.is_some()).collect()
+    }
+
+    #[test]
+    fn spine_views_equal_standalone_start_points() {
+        for w in tfsim_workloads::all() {
+            let program = w.build(1);
+            for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
+                let name = format!("{} ({config:?})", w.name);
+                // Spacing 500 puts the grids on two residues, 600 on one.
+                assert_spine_equals_standalone(&name, &program, config, &[300, 800, 1_300], 1_200);
+                assert_spine_equals_standalone(&name, &program, config, &[300, 900], 1_200);
+            }
+        }
+        // A subset of a schedule's start points (a resumed campaign's).
+        let program = tfsim_workloads::all()[0].build(1);
+        let config = PipelineConfig::baseline();
+        assert_spine_equals_standalone("subset", &program, config, &[800, 1_800], 1_200);
+    }
+
+    #[test]
+    fn spine_views_equal_standalone_start_points_around_a_halt() {
+        let mut a = Asm::new(0x1_0000);
+        a.li(Reg::R1, 0x10_0000);
+        a.li(Reg::R7, 3_000);
+        let top = a.here_label();
+        a.stq(Reg::R7, Reg::R1, 0);
+        a.ldq(Reg::R6, Reg::R1, 0);
+        a.subq_i(Reg::R7, 1, Reg::R7);
+        a.bne(Reg::R7, top);
+        a.halt();
+        let p = tfsim_isa::Program::new("halt-bed", a).with_data(0x10_0000, vec![0u8; 64]);
+        for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
+            let halt = warm_pipeline(&p, config, 1_000_000).cycles();
+            assert!(halt > 1_000, "the program must outlast the first window ({halt})");
+            // The run halts after the first window, inside the second and
+            // third, and before the fourth (whose warm-up ends halted).
+            let starts = [halt - 900, halt - 300, halt - 299, halt + 50];
+            let halts = assert_spine_equals_standalone("halt-bed", &p, config, &starts, 400);
+            assert_eq!(halts, [false, true, true, false]);
+            // A walk whose first start point is already halted.
+            let starts = [halt + 5, halt + 505];
+            let halts = assert_spine_equals_standalone("halt-bed", &p, config, &starts, 400);
+            assert_eq!(halts, [false, false]);
         }
     }
 

@@ -181,6 +181,24 @@ impl SpanTree {
         }
     }
 
+    /// Fraction of the wall time of the spans at tree depth `depth` that
+    /// have children which those children account for, or `None` if no
+    /// span at that depth has children with recorded time. Unlike
+    /// [`SpanTree::coverage_at_depth`], leaf spans at the depth do not
+    /// count against it: it asks whether every span that is broken down is
+    /// broken down completely.
+    pub fn child_coverage_at_depth(&self, depth: usize) -> Option<f64> {
+        let mut total = 0u64;
+        let mut covered = 0u64;
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !node.children.is_empty() && self.depth_of(i) == depth {
+                total += node.wall_ns;
+                covered += node.children.iter().map(|&c| self.nodes[c].wall_ns).sum::<u64>();
+            }
+        }
+        (total > 0).then(|| covered as f64 / total as f64)
+    }
+
     fn render_node(&self, idx: usize, scale: u64, out: &mut String) {
         let node = &self.nodes[idx];
         let depth = self.depth_of(idx);
@@ -434,6 +452,16 @@ mod tests {
         assert!((t.coverage_at_depth(1).unwrap() - 45.0 / 98.0).abs() < 1e-9);
         assert_eq!(t.coverage_at_depth(5), None);
         assert_eq!(SpanTree::new().coverage_at_depth(0), None);
+    }
+
+    #[test]
+    fn child_coverage_skips_leaves() {
+        let t = tree(&[("c", 100, 1), ("c;x", 90, 1), ("c;y", 8, 1), ("c;x;k", 45, 1)]);
+        assert!((t.child_coverage_at_depth(0).unwrap() - 0.98).abs() < 1e-9);
+        // `c;y` has no children, so only `c;x` is judged.
+        assert!((t.child_coverage_at_depth(1).unwrap() - 0.5).abs() < 1e-9);
+        assert_eq!(t.child_coverage_at_depth(2), None);
+        assert_eq!(SpanTree::new().child_coverage_at_depth(0), None);
     }
 
     #[test]

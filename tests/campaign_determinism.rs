@@ -82,8 +82,11 @@ fn outcome_counts_identical_across_1_2_and_n_threads() {
 
 /// The campaign engine against the per-trial oracle: each task's plan,
 /// redrawn from its PRNG substream and run spec by spec through the naive
-/// `StartPoint::run_trial`, must give the campaign's census, its journaled
-/// per-trial records, and its single quarantine of the shimmed trial.
+/// `StartPoint::run_trial` on a start point prepared on its own, must give
+/// the campaign's census, its journaled per-trial records, and its single
+/// quarantine of the shimmed trial. Three start points at spacing 500 make
+/// the campaign serve an interior start point from a shared golden walk
+/// whose row grids fall on two residues modulo 8.
 #[test]
 fn campaign_engine_equals_the_per_trial_oracle() {
     use tfsim::arch::FuncSim;
@@ -99,6 +102,8 @@ fn campaign_engine_equals_the_per_trial_oracle() {
         .collect();
     let shim = (1usize, 1u32, 5u32); // (benchmark, start point, trial)
     let mut cfg = config(2);
+    cfg.start_points = 3;
+    cfg.spacing_cycles = 500;
     cfg.panic_shim = Some(shim);
 
     // The engine, untraced, and journaled (which traces) so that its

@@ -150,6 +150,26 @@ fn distributed_census_and_event_stream_match_single_process() {
     assert_eq!(events, ref_events, "event streams diverged after strip_wall_clock");
 }
 
+/// A worker keeps the golden walk (the spine) of the benchmark it last
+/// worked on, and the coordinator grants it that benchmark's start points
+/// first: one worker on two benchmarks walks two spines, however many
+/// start points each has, and merges to the in-process census.
+#[test]
+fn one_worker_walks_one_spine_per_benchmark() {
+    let mut cfg = config();
+    cfg.start_points = 3;
+    let wl = two_workloads();
+    let obs = CampaignObs { sink: &NoopSink, metrics: None, progress: None, spans: None };
+    let reference = census_of(&run_campaign_observed(&cfg, &wl, &obs));
+
+    let (report, results) = cluster(&cfg, &wl, &short_leases(), None, vec![Spawn::clean()]);
+    let worker = results.into_iter().next().expect("one worker").expect("clean worker");
+    assert_eq!(worker.accepted, 6);
+    assert_eq!(worker.spines, 2, "one spine per benchmark");
+    let (census, _) = replay(&cfg, &wl, report);
+    assert_eq!(census, reference);
+}
+
 #[test]
 fn chaos_schedules_converge_to_the_reference_census() {
     let cfg = config();
