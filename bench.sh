@@ -19,36 +19,32 @@
 #
 # TFSIM_BENCH_SAMPLES / TFSIM_BENCH_SAMPLE_MS tune the measurement (see
 # crates/check/src/bench.rs). The headline number is the ratio of the
-# `inject/snapshot-ladder-vs-naive/{naive,ladder}` medians: both run the
-# same 25-trial plan, so naive_median_ns / ladder_median_ns is the
-# fast-path speedup in trials/sec.
+# `inject/engine-vs-naive/{naive,engine}` medians: both run the same
+# 25-trial plan, so naive_median_ns / engine_median_ns is the trial
+# engine's speedup in trials/sec over the per-trial oracle.
 #
 # The default filter also records the telemetry-overhead pair:
-# `inject/trials-per-sec` (untraced, the zero-overhead contract's pinned
-# number) vs `inject/trials-per-sec-traced` (per-trial spans on), both
-# over the identical 100-trial plan.
+# `inject/trials-per-sec` (the engine at `Trace::Off`, the zero-overhead
+# contract's pinned number) vs `inject/trials-per-sec-traced` (the same
+# engine at `Trace::On`: per-trial traces and phase timings), both over
+# the identical 100-trial plan. Both pay the batch's own footprint replay
+# and dense golden rows.
 #
 # The deep-trace pair extends the telemetry-overhead story:
-# `inject/trials-per-sec-deep-traced` runs the identical plan with full
-# divergence timelines on (per-unit diverged-set samples on divergent
-# check cycles — dense just after injection, every eighth check once
-# sparse — from a dedicated incremental fingerprint engine). After
-# recording, the default filter gates two ratios from the fresh medians:
-# deep-traced must stay within 25% of traced (timelines sample only
-# already-divergent cycles, at bounded cadence), and traced must stay
-# within 15% of untraced (the longstanding within-noise telemetry
-# contract, now enforced where the numbers are produced).
+# `inject/trials-per-sec-deep-traced` runs the identical plan at
+# `Trace::Deep` (per-unit diverged-set samples on divergent check cycles —
+# dense just after injection, every eighth check once sparse — from a
+# dedicated incremental fingerprint engine; proved-dead sites synthesize
+# theirs analytically). After recording, the default filter gates two
+# ratios from the fresh medians: deep-traced must stay within 25% of
+# traced (timelines sample only already-divergent cycles, at bounded
+# cadence), and traced must stay within 15% of untraced (the longstanding
+# within-noise telemetry contract, now enforced where the numbers are
+# produced).
 #
-# The analytic-pruner pair rides the same plan:
-# `inject/trials-per-sec-pruned` runs it through the masking pruner
-# (dead-window proofs on the batch's access footprint, remainder run on
-# the snapshot ladder) — the untraced/pruned median ratio is the pruner's
-# gain per batch, footprint replay included — and
 # `inject/pruner-overhead` runs a 100-site batch the pruner discharges
 # entirely without simulating, so its median is the pure per-batch
-# analysis cost. Pruned records are byte-identical to the ladder's
-# (pinned by the equivalence suite), so the ratio is pure
-# execution-strategy gain.
+# analysis cost (footprint replay and analytic rides).
 # `inject/prepare` times one cold golden pass of the same start point.
 #
 # The distributed pair `inject/distributed-overhead/{in-process,

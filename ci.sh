@@ -11,6 +11,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+# The benchmark is a workspace of its own that calls the engine's public
+# API, so an API change that would break it must fail here, not when the
+# benchmark next runs.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

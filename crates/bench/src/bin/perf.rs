@@ -23,7 +23,8 @@ use tfsim_bitstate::{
 use tfsim_check::{Bench, Rng};
 use tfsim_inject::{
     run_campaign_journaled, run_campaign_with_tasks, run_worker, serve_campaign, CampaignConfig,
-    CampaignJournal, CampaignObs, JournalMeta, ServeConfig, StartPoint, TrialSpec, WorkerConfig,
+    CampaignJournal, CampaignObs, JournalMeta, ServeConfig, StartPoint, Trace, TrialSpec,
+    WorkerConfig,
 };
 use tfsim_isa::decode;
 use tfsim_obs::NoopSink;
@@ -175,40 +176,38 @@ fn untouched_bits(cpu: &Pipeline, mask: InjectionMask, cycles: u64) -> Vec<u64> 
 
 /// Campaign-throughput benches at the `default_scale` shape (warm-up 2,000
 /// cycles, injection window 250, monitor 10,000). Every batch pays its own
-/// golden rows and access footprint, as each campaign start point does:
+/// dense golden rows and access-footprint walk (a campaign start point
+/// shares its benchmark's walk for the footprint):
 ///
 /// * `inject/prepare` — one cold `StartPoint::prepare` of the 10,250-cycle
 ///   golden continuation (stepping, retirement aggregates, and the sparse
 ///   golden rows); ns per golden cycle = median_ns / 10,250.
 /// * `inject/trials-per-sec` — one full start-point batch (100 trials)
-///   through the fast path; trials/sec = 100e9 / median_ns.
-/// * `inject/trials-per-sec-traced` — the identical batch through the
-///   traced path (per-trial spans + phase timing). The median ratio to
-///   the untraced bench is the telemetry overhead; the untraced bench
-///   itself must not move, which is the zero-overhead-when-disabled
-///   contract pinned by `BENCH_campaign.json`.
-/// * `inject/trials-per-sec-deep-traced` — the identical batch through
-///   the deep-traced path: on top of tracing, µArch-divergent checks
-///   sample the per-unit diverged set into the trial's divergence
-///   timeline (dense just after injection, every eighth check once
-///   sparse, via a dedicated incremental fingerprint engine). The
-///   deep/traced median ratio is the timeline cost; it is bounded even
-///   for faults that stay diverged across the whole monitor window.
-/// * `inject/trials-per-sec-pruned` — the identical 100-trial batch
-///   through the analytic masking pruner: dead-window proofs discharge
-///   most sites without a trial, and the remainder runs on the snapshot
-///   ladder. The untraced/pruned median ratio is the pruner's gain per
-///   batch, footprint replay included.
+///   through the engine (`run_trials`: dead-window proofs discharge most
+///   sites without a trial, the rest step on the snapshot ladder, footprint
+///   replay included); trials/sec = 100e9 / median_ns.
+/// * `inject/trials-per-sec-traced` — the identical batch at `Trace::On`
+///   (per-trial traces + phase timing). The median ratio to the untraced
+///   bench is the telemetry overhead; the untraced bench itself must not
+///   move, which is the zero-overhead-when-disabled contract pinned by
+///   `BENCH_campaign.json`.
+/// * `inject/trials-per-sec-deep-traced` — the identical batch at
+///   `Trace::Deep`: on top of tracing, µArch-divergent checks sample the
+///   per-unit diverged set into the trial's divergence timeline (dense
+///   just after injection, every eighth check once sparse, via a dedicated
+///   incremental fingerprint engine). The deep/traced median ratio is the
+///   timeline cost; it is bounded even for faults that stay diverged
+///   across the whole monitor window.
 /// * `inject/pruner-overhead` — a 100-site batch the pruner proves dead
 ///   in its entirety (sites in words the golden run never accesses,
 ///   screened by one tracked replay beforehand): no trial ever simulates,
 ///   so the median is the pure per-batch cost of the pruning analysis
 ///   (footprint replay, analytic classification), with every site keeping
 ///   the replay running to the end of its window.
-/// * `inject/snapshot-ladder-vs-naive/{naive,ladder}` — the same 25-trial
-///   plan through per-trial `run_trial` (replay + flat fingerprints) and
-///   batched `run_trials` (snapshot ladder + cached fingerprints). The
-///   naive/ladder median ratio is the fast-path speedup.
+/// * `inject/engine-vs-naive/{naive,engine}` — the same 25-trial plan
+///   through per-trial `run_trial` (replay + flat fingerprints) and the
+///   batched engine `run_trials`. The naive/engine median ratio is the
+///   fast-path speedup.
 fn bench_campaign(b: &mut Bench) {
     const WINDOW: u64 = 250;
     const MONITOR: u64 = 10_000;
@@ -217,9 +216,8 @@ fn bench_campaign(b: &mut Bench) {
         && !wants(b, "inject/trials-per-sec")
         && !wants(b, "inject/trials-per-sec-traced")
         && !wants(b, "inject/trials-per-sec-deep-traced")
-        && !wants(b, "inject/trials-per-sec-pruned")
         && !wants(b, "inject/pruner-overhead")
-        && !wants(b, "inject/snapshot-ladder-vs-naive")
+        && !wants(b, "inject/engine-vs-naive")
     {
         return;
     }
@@ -229,11 +227,10 @@ fn bench_campaign(b: &mut Bench) {
 
     let plan = campaign_plan(&sp, 100, WINDOW);
     b.bench("inject/trials-per-sec", || sp.run_trials(MASK, &plan, MONITOR));
-    b.bench("inject/trials-per-sec-traced", || sp.run_trials_traced(MASK, &plan, MONITOR));
+    b.bench("inject/trials-per-sec-traced", || sp.run_batch(MASK, &plan, MONITOR, Trace::On));
     b.bench("inject/trials-per-sec-deep-traced", || {
-        sp.run_trials_deep_traced(MASK, &plan, MONITOR)
+        sp.run_batch(MASK, &plan, MONITOR, Trace::Deep)
     });
-    b.bench("inject/trials-per-sec-pruned", || sp.run_trials_pruned(MASK, &plan, MONITOR));
     if wants(b, "inject/pruner-overhead") {
         let untouched = untouched_bits(&cpu, MASK, WINDOW + MONITOR);
         assert!(untouched.len() >= 100, "only {} untouched sites", untouched.len());
@@ -244,18 +241,18 @@ fn bench_campaign(b: &mut Bench) {
                 inject_cycle: i.wrapping_mul(53) % WINDOW,
             })
             .collect();
-        let (_, dispositions) = sp.run_trials_pruned(MASK, &dead, MONITOR);
+        let (_, dispositions) = sp.run_batch(MASK, &dead, MONITOR, Trace::Off);
         assert_eq!(dispositions.proved_dead, 100, "the pruner must prove every site dead");
-        b.bench("inject/pruner-overhead", || sp.run_trials_pruned(MASK, &dead, MONITOR));
+        b.bench("inject/pruner-overhead", || sp.run_trials(MASK, &dead, MONITOR));
     }
 
     let duel = campaign_plan(&sp, 25, WINDOW);
-    b.bench("inject/snapshot-ladder-vs-naive/naive", || {
+    b.bench("inject/engine-vs-naive/naive", || {
         duel.iter()
             .map(|s| sp.run_trial(MASK, s.target, s.inject_cycle, MONITOR))
             .collect::<Vec<_>>()
     });
-    b.bench("inject/snapshot-ladder-vs-naive/ladder", || sp.run_trials(MASK, &duel, MONITOR));
+    b.bench("inject/engine-vs-naive/engine", || sp.run_trials(MASK, &duel, MONITOR));
 }
 
 /// `arch/sw-ladder-vs-naive/{naive,ladder}` — the same 40-trial

@@ -249,6 +249,9 @@ fn parse_campaign_flags(
     if resume && journal_path.is_none() {
         die(EXIT_USAGE, "--resume needs --journal PATH");
     }
+    if config.scale == 0 {
+        die(EXIT_USAGE, "--scale must be at least 1");
+    }
     CampaignFlags { config, workloads, trace, journal_path, resume }
 }
 
@@ -683,8 +686,11 @@ fn load_program(spec: &str) -> Program {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: tfsim-run <file.s | workload> [--config baseline|protected] [--max-cycles N] [--disasm] [--trace N] [--arch-only]");
-        std::process::exit(2);
+        die(
+            EXIT_USAGE,
+            "usage: tfsim-run <file.s | workload> [--config baseline|protected] \
+             [--max-cycles N] [--disasm] [--trace N] [--dump N] [--arch-only]",
+        );
     }
     let spec = &args[0];
     if spec == "campaign" {
@@ -720,15 +726,12 @@ fn main() {
                 config = match args.get(i + 1).map(String::as_str) {
                     Some("baseline") => PipelineConfig::baseline(),
                     Some("protected") => PipelineConfig::protected(),
-                    other => {
-                        eprintln!("unknown config {other:?}");
-                        std::process::exit(2);
-                    }
+                    other => die(EXIT_USAGE, format!("unknown config {other:?}")),
                 };
                 i += 2;
             }
             "--max-cycles" => {
-                max_cycles = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(max_cycles);
+                max_cycles = parse_num(&args, i, "--max-cycles");
                 i += 2;
             }
             "--disasm" => {
@@ -736,21 +739,18 @@ fn main() {
                 i += 1;
             }
             "--trace" => {
-                trace = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(50);
+                trace = parse_num(&args, i, "--trace");
                 i += 2;
             }
             "--dump" => {
-                dump_at = Some(args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(100));
+                dump_at = Some(parse_num(&args, i, "--dump"));
                 i += 2;
             }
             "--arch-only" => {
                 arch_only = true;
                 i += 1;
             }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            other => die(EXIT_USAGE, format!("unknown argument {other:?}")),
         }
     }
 

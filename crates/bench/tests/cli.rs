@@ -1,0 +1,70 @@
+//! `tfsim-run` refuses what it cannot use: a malformed argument or input
+//! ends the run with one `tfsim-run:` line on stderr and a nonzero exit
+//! (2 for usage, 1 for damaged files), never a silent default or a crash.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn tfsim_run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tfsim-run")).args(args).output().expect("start tfsim-run")
+}
+
+/// Runs `args` and checks the exit code and the single diagnostic line.
+fn assert_refused(args: &[&str], code: i32, needle: &str) {
+    let out = tfsim_run(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: one line expected, got {stderr}");
+    assert!(stderr.starts_with("tfsim-run: "), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr:?} lacks {needle:?}");
+}
+
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("tfsim-cli-{}-{name}", std::process::id()))
+}
+
+#[test]
+fn run_mode_rejects_malformed_arguments() {
+    assert_refused(&["gzip-like", "--max-cycles", "abc"], 2, "--max-cycles needs a numeric");
+    assert_refused(&["gzip-like", "--trace", "abc"], 2, "--trace needs a numeric");
+    assert_refused(&["gzip-like", "--dump"], 2, "--dump needs a numeric");
+    assert_refused(&["gzip-like", "--config", "fast"], 2, "unknown config");
+    assert_refused(&["gzip-like", "--bogus"], 2, "unknown argument");
+    assert_refused(&[], 2, "usage");
+}
+
+#[test]
+fn campaigns_reject_scale_zero() {
+    // Every program halts within about 50 cycles at scale 0, inside the
+    // warm-up, so no start point would see a running machine.
+    assert_refused(&["campaign", "--scale", "0"], 2, "--scale must be at least 1");
+    assert_refused(&["serve", "--scale", "0"], 2, "--scale must be at least 1");
+}
+
+#[test]
+fn deeply_nested_json_is_refused_not_a_crash() {
+    let nested = "[".repeat(200_000);
+
+    let trace = tmp("nested-trace.jsonl");
+    std::fs::write(&trace, format!("{nested}\n")).unwrap();
+    assert_refused(&["report", trace.to_str().unwrap()], 1, "nested deeper than");
+    std::fs::remove_file(&trace).unwrap();
+
+    // A real journal with the line spliced in after its header, so the
+    // damage sits mid-file rather than in a torn tail.
+    let journal = tmp("nested-journal.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let campaign = [
+        "campaign", "--quick", "--seed", "7", "--start-points", "1", "--trials", "1",
+        "--monitor", "50", "--scale", "1", "--workloads", "gzip-like", "--threads", "1",
+        "--journal", journal.to_str().unwrap(),
+    ];
+    let out = tfsim_run(&campaign);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let (header, tasks) = text.split_once('\n').unwrap();
+    std::fs::write(&journal, format!("{header}\n{nested}\n{tasks}")).unwrap();
+    let resume: Vec<&str> = campaign.iter().copied().chain(["--resume"]).collect();
+    assert_refused(&resume, 1, "nested deeper than");
+    std::fs::remove_file(&journal).unwrap();
+}

@@ -14,8 +14,8 @@
 //! per-trial events into an [`EventSink`], counters and latency histograms
 //! into a [`CampaignMetrics`], and task completions into a
 //! [`tfsim_obs::Progress`] gauge. With [`CampaignObs::disabled`] (what
-//! [`run_campaign`] / [`run_campaign_on`] use) the workers take the exact
-//! pre-telemetry code path — no timing calls, no trace slots.
+//! [`run_campaign`] / [`run_campaign_on`] use) the workers run the engine
+//! at [`Trace::Off`] — no timing calls, no trace slots.
 //!
 //! Event streams are deterministic: workers buffer per-task results, and
 //! events are emitted *after* the thread pool drains, in canonical
@@ -25,15 +25,14 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
 
 use tfsim_check::Rng;
 
 use tfsim_bitstate::{Category, InjectionMask, StorageKind, UnitId};
 use tfsim_isa::Program;
 use tfsim_obs::{
-    CounterId, DeepTrace, Event, EventSink, HistogramId, LocalSpans, MetricsRegistry, NoopSink,
-    Progress, PruneDispositions, SpanProfiler, SCHEMA_VERSION,
+    CounterId, DeepTrace, Event, EventSink, HistogramId, LocalMetrics, LocalSpans,
+    MetricsRegistry, NoopSink, Progress, PruneDispositions, SpanProfiler, SCHEMA_VERSION,
 };
 use tfsim_uarch::PipelineConfig;
 use tfsim_workloads::Workload;
@@ -42,8 +41,8 @@ use crate::footprint::Footprint;
 use crate::journal::{CampaignJournal, JournaledTask};
 use crate::pruner::{fault_sites, watch_list, Sites};
 use crate::trial::{
-    eligible_bits, walk, warm_pipeline, FailureMode, Outcome, StartPoint, Stops, TracedBatch,
-    TrialFault, TrialRecord, TrialSpec, TrialTrace,
+    between, eligible_bits, walk, warm_pipeline, FailureMode, Outcome, StartPoint, Stops, Trace,
+    TracedBatch, TrialRecord, TrialSpec,
 };
 
 /// Locks a mutex, recovering from poisoning.
@@ -86,9 +85,10 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads (0 = all available).
     pub threads: usize,
-    /// Ignored. Every campaign runs the analytic masking pruner in front of
-    /// the snapshot ladder; the field remains only because the benchmark
-    /// harness (`perfbench`) still assigns it, and goes when it stops.
+    /// Ignored. Every campaign runs the one trial engine (the analytic
+    /// masking pruner with the snapshot ladder for what it cannot prove);
+    /// the field remains only because the benchmark harness (`perfbench`)
+    /// still assigns it, and goes when it stops.
     #[doc(hidden)]
     pub pruned: bool,
     /// Record each trial's full divergence timeline (which units held
@@ -288,7 +288,8 @@ pub struct BenchmarkResult {
     pub counts: OutcomeCounts,
 }
 
-/// One quarantined trial: a [`TrialFault`] located within the campaign.
+/// One quarantined trial: a [`TrialFault`](crate::TrialFault) located within
+/// the campaign.
 ///
 /// Harness bookkeeping, not science: quarantined trials never enter the
 /// outcome census (`CampaignResult::totals` and friends), they are
@@ -432,6 +433,26 @@ impl CampaignMetrics {
     pub fn render(&self) -> String {
         self.registry.render()
     }
+
+    /// Folds one task's trials into `local`: the trial and outcome counters,
+    /// and the decision latencies of the trials that carry a trace.
+    fn fold_trials(&self, local: &mut LocalMetrics, task: &JournaledTask) {
+        local.add(self.trials, task.records.len() as u64);
+        for (rec, tr) in task.records.iter().zip(&task.traces) {
+            let latency = tr.detect_cycle - rec.inject_cycle;
+            match rec.outcome {
+                Outcome::MicroArchMatch => {
+                    local.add(self.matched, 1);
+                    local.observe(self.match_latency, latency);
+                }
+                Outcome::GrayArea => local.add(self.gray, 1),
+                Outcome::Failure(_) => {
+                    local.add(self.failed, 1);
+                    local.observe(self.fail_latency, latency);
+                }
+            }
+        }
+    }
 }
 
 impl Default for CampaignMetrics {
@@ -443,7 +464,7 @@ impl Default for CampaignMetrics {
 /// Observability hooks for one campaign run.
 ///
 /// All three channels are optional in effect: [`CampaignObs::disabled`]
-/// yields a run whose workers execute the pre-telemetry code path (no
+/// yields a run whose workers run the engine at [`Trace::Off`] (no
 /// per-trial trace collection, no timing syscalls) — the zero-overhead-
 /// when-disabled contract, pinned by the `inject/trials-per-sec` bench.
 pub struct CampaignObs<'a> {
@@ -477,29 +498,24 @@ fn outcome_strings(outcome: Outcome) -> (&'static str, Option<&'static str>) {
     }
 }
 
-/// One task's buffered results, live-executed or replayed.
+/// One task's buffered results, live-executed or replayed: the journal
+/// form, plus what only a live run has.
 struct TaskOutput {
-    bench: usize,
-    start_point: u32,
-    records: Vec<TrialRecord>,
-    scatter: ScatterPoint,
-    eligible_bits: u64,
-    faults: Vec<TrialFault>,
-    /// Pruner disposition tally (`None` on the untraced path and for
+    task: JournaledTask,
+    /// Pruner disposition tally (`None` on an unobserved run and for
     /// journal-replayed tasks — no pruning was re-done).
     prune: Option<PruneDispositions>,
-    // Telemetry (empty / zero on the untraced path).
-    specs: Vec<TrialSpec>,
-    traces: Vec<TrialTrace>,
-    /// Divergence timelines, aligned with `records` (empty unless the
-    /// campaign ran deep-traced; replayed tasks have none — timelines
-    /// are not journaled).
+    /// Divergence timelines, aligned with `task.records` (empty unless the
+    /// campaign ran deep-traced; replayed tasks have none — timelines are
+    /// not journaled).
     deeps: Vec<DeepTrace>,
-    warmup_ns: u64,
-    prepare_ns: u64,
-    advance_ns: u64,
-    monitor_ns: u64,
+    /// Wall time of the [`PHASES`], in nanoseconds (zero untraced and for
+    /// replayed tasks).
+    phase_ns: [u64; 4],
 }
+
+/// The phases a task's `Phase` events time.
+const PHASES: [&str; 4] = ["warmup", "prepare", "advance", "monitor"];
 
 /// The Figure 6 scatter point of one task (classified records only; the
 /// same arithmetic whether the task ran live or was replayed from a
@@ -544,7 +560,7 @@ pub(crate) struct BenchSpine {
     points: Vec<SpinePoint>,
     footprint: Footprint,
     /// Wall time of the warm-up (program build and probe included) and of
-    /// the walk (plan draws included); zero untraced.
+    /// the walk (plan draws included); zero at [`Trace::Off`].
     warmup_ns: u64,
     walk_ns: u64,
     /// Cycles the warm-up and the walk stepped. Exact and
@@ -557,14 +573,14 @@ pub(crate) struct BenchSpine {
 
 impl BenchSpine {
     /// Walks benchmark `bench`'s spine over `start_points` (ascending, not
-    /// empty), timing it when `traced` and charging it to `spans`' open
-    /// span as `spine` → {`warmup`, `walk`}.
+    /// empty), timing it when `trace` is on and charging it to `spans`'
+    /// open span as `spine` → {`warmup`, `walk`}.
     fn walk(
         config: &CampaignConfig,
         workload: &Workload,
         bench: usize,
         start_points: &[u32],
-        traced: bool,
+        trace: Trace,
         mut spans: Option<&mut LocalSpans>,
     ) -> BenchSpine {
         let warm = |s: u32| config.warmup_cycles + config.spacing_cycles * s as u64;
@@ -573,11 +589,11 @@ impl BenchSpine {
             ls.enter("spine");
             ls.enter("warmup");
         }
-        let t0 = traced.then(Instant::now);
+        let t0 = trace.clock();
         let program: Program = workload.build(config.scale);
         let mut warmed = warm_pipeline(&program, config.pipeline, first);
         let warmup_cycles = warmed.cycles();
-        let t1 = traced.then(Instant::now);
+        let t1 = trace.clock();
         if let Some(ls) = spans.as_deref_mut() {
             ls.exit();
             ls.enter("walk");
@@ -615,7 +631,7 @@ impl BenchSpine {
             .collect();
         let mut footprint = Footprint::new(&watched);
         let walked = walk(warmed, Some(Stops { offsets: &offsets, horizon, mask }), &mut footprint);
-        let t2 = traced.then(Instant::now);
+        let t2 = trace.clock();
         if let Some(ls) = spans {
             ls.exit(); // walk
             ls.exit(); // spine
@@ -631,10 +647,6 @@ impl BenchSpine {
                 shim,
             })
             .collect();
-        let between = |a: Option<Instant>, b: Option<Instant>| match (a, b) {
-            (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
-            _ => 0,
-        };
         BenchSpine {
             bench,
             points,
@@ -647,30 +659,38 @@ impl BenchSpine {
         }
     }
 
-    /// Runs one start point's drawn trial plan through the engine — the
-    /// analytic pruner on the walk's footprint, which hands what it cannot
-    /// prove dead to the snapshot ladder — at the requested trace level.
-    /// The single definition keeps the in-process pool and the distributed
-    /// worker on the same machine code, so a worker's results are
-    /// byte-identical to the local run's by construction. The disposition
-    /// tally is telemetry: it is returned only on the traced path.
+    /// Runs one start point's drawn trial plan through the engine on the
+    /// walk's footprint at trace level `trace`, and returns it in journal
+    /// form, with the rest of the batch (timings, counters, timelines) and
+    /// the disposition tally. The single definition keeps the in-process
+    /// pool and the distributed worker on the same machine code, so a
+    /// worker's results are byte-identical to the local run's by
+    /// construction.
     fn run(
         &self,
         config: &CampaignConfig,
         point: &SpinePoint,
-        traced: bool,
-        deep: bool,
-    ) -> (TracedBatch, Option<PruneDispositions>) {
-        let (mask, monitor) = (config.mask, config.monitor_cycles);
+        trace: Trace,
+    ) -> (JournaledTask, TracedBatch, PruneDispositions) {
         let walked = Some((&point.sites, &self.footprint));
-        let (sp, specs, shim) = (&point.sp, &point.specs, point.shim);
-        if traced {
-            let (batch, d) =
-                sp.run_trials_pruned_core::<true>(mask, specs, monitor, shim, deep, walked);
-            (batch, Some(d))
-        } else {
-            (sp.run_trials_pruned_core::<false>(mask, specs, monitor, shim, false, walked).0, None)
-        }
+        let (mut batch, dispo) = point.sp.batch(
+            config.mask,
+            &point.specs,
+            config.monitor_cycles,
+            trace,
+            point.shim,
+            walked,
+        );
+        let task = JournaledTask {
+            bench: self.bench,
+            start_point: point.start_point,
+            eligible_bits: point.sp.bit_count(),
+            specs: point.specs.clone(),
+            records: std::mem::take(&mut batch.records),
+            traces: std::mem::take(&mut batch.traces),
+            faults: std::mem::take(&mut batch.faults),
+        };
+        (task, batch, dispo)
     }
 }
 
@@ -681,7 +701,8 @@ impl BenchSpine {
 /// first (returned `true`). The plan draws are the in-process pool's and
 /// the engine *is* the in-process pool's ([`BenchSpine::run`]), so the
 /// returned task is byte-identical to what a local run would journal.
-/// Always traced (the wire carries traces, like the journal does).
+/// Always at [`Trace::On`] (the wire carries traces, like the journal
+/// does).
 pub(crate) fn execute_task(
     config: &CampaignConfig,
     workloads: &[Workload],
@@ -694,7 +715,8 @@ pub(crate) fn execute_task(
         // Drop the old spine before walking the next: one at a time.
         *spine = None;
         let all: Vec<u32> = (0..config.start_points).collect();
-        *spine = Some(BenchSpine::walk(config, &workloads[bench], bench, &all, false, None));
+        let w = &workloads[bench];
+        *spine = Some(BenchSpine::walk(config, w, bench, &all, Trace::Off, None));
     }
     let spine = spine.as_ref().expect("walked above");
     let point = spine
@@ -702,17 +724,7 @@ pub(crate) fn execute_task(
         .iter()
         .find(|p| p.start_point == start_point)
         .expect("the spine covers every start point");
-    let (batch, _prune) = spine.run(config, point, true, false);
-    let task = JournaledTask {
-        bench,
-        start_point,
-        eligible_bits: point.sp.bit_count(),
-        specs: point.specs.clone(),
-        records: batch.records,
-        traces: batch.traces,
-        faults: batch.faults,
-    };
-    (task, walked)
+    (spine.run(config, point, Trace::On).0, walked)
 }
 
 /// Runs a campaign over the ten standard workloads.
@@ -801,17 +813,21 @@ fn run_campaign_core(
     let task_count = (pending + replayed.len()) as u64;
     let work = Mutex::new(tasks);
 
-    // Trace collection is active if anything downstream consumes it; the
-    // untraced path must stay byte-for-byte the pre-telemetry machine code.
-    // A journal is such a consumer: journaled runs always compute (and
-    // journal) traces so the file's bytes are independent of trace level
-    // and a resume replays full trial fidelity.
-    let traced =
+    // Trace collection is active if anything downstream consumes it; an
+    // unobserved run keeps no trace slots and takes no timings. A journal
+    // is such a consumer: journaled runs always compute (and journal)
+    // traces so the file's bytes are independent of trace level and a
+    // resume replays full trial fidelity. Deep tracing is a refinement of
+    // tracing: without a consumer the timelines would be dropped on the
+    // floor, so the flag is inert.
+    let observed =
         obs.sink.enabled() || obs.metrics.is_some() || obs.spans.is_some() || journal.is_some();
-    // Deep tracing is a refinement of tracing: without a consumer the
-    // timelines would be dropped on the floor, so the flag is inert.
-    let deep = traced && config.deep_trace;
-    let campaign_t0 = traced.then(Instant::now);
+    let trace = match (observed, config.deep_trace) {
+        (false, _) => Trace::Off,
+        (true, false) => Trace::On,
+        (true, true) => Trace::Deep,
+    };
+    let campaign_t0 = trace.clock();
     if let Some(p) = obs.progress {
         p.set_total(task_count);
     }
@@ -834,42 +850,13 @@ fn run_campaign_core(
     for t in replayed {
         if let Some(metrics) = obs.metrics {
             let mut local = metrics.registry.local();
-            local.add(metrics.trials, t.records.len() as u64);
-            for (rec, tr) in t.records.iter().zip(t.traces.iter()) {
-                let latency = tr.detect_cycle - rec.inject_cycle;
-                match rec.outcome {
-                    Outcome::MicroArchMatch => {
-                        local.add(metrics.matched, 1);
-                        local.observe(metrics.match_latency, latency);
-                    }
-                    Outcome::GrayArea => local.add(metrics.gray, 1),
-                    Outcome::Failure(_) => {
-                        local.add(metrics.failed, 1);
-                        local.observe(metrics.fail_latency, latency);
-                    }
-                }
-            }
+            metrics.fold_trials(&mut local, &t);
             metrics.registry.absorb(&local);
         }
         if let Some(p) = obs.progress {
             p.add(1);
         }
-        restored.push(TaskOutput {
-            bench: t.bench,
-            start_point: t.start_point,
-            scatter: scatter_of(t.bench, &t.records),
-            records: t.records,
-            eligible_bits: t.eligible_bits,
-            faults: t.faults,
-            prune: None,
-            specs: t.specs,
-            traces: t.traces,
-            deeps: Vec::new(),
-            warmup_ns: 0,
-            prepare_ns: 0,
-            advance_ns: 0,
-            monitor_ns: 0,
-        });
+        restored.push(TaskOutput { task: t, prune: None, deeps: Vec::new(), phase_ns: [0; 4] });
     }
     let outputs: Mutex<Vec<TaskOutput>> = Mutex::new(restored);
 
@@ -900,7 +887,7 @@ fn run_campaign_core(
                     ls
                 });
                 let spine =
-                    BenchSpine::walk(config, w, bench, &start_points, traced, spans.as_mut());
+                    BenchSpine::walk(config, w, bench, &start_points, trace, spans.as_mut());
                 if let Some(metrics) = obs.metrics {
                     // The spine's work, charged once per benchmark.
                     let mut local = metrics.registry.local();
@@ -917,12 +904,12 @@ fn run_campaign_core(
                         ls.enter(&format!("sp{}", point.start_point));
                         ls.enter("trials");
                     }
-                    let (batch, prune) = spine.run(config, point, traced, deep);
+                    let (task, batch, prune) = spine.run(config, point, trace);
                     if let Some(ls) = spans.as_mut() {
                         // Engine-internal phase attribution: counted by the
                         // batch itself (no extra clocks here), charged as
                         // children of the open `trials` span.
-                        ls.record("advance", batch.advance_ns, batch.records.len() as u64);
+                        ls.record("advance", batch.advance_ns, task.records.len() as u64);
                         ls.record("ride", batch.ride_ns, 1);
                         ls.record("classify", batch.classify_ns, 1);
                         ls.record("prune", batch.prune_ns, 1);
@@ -930,15 +917,12 @@ fn run_campaign_core(
                         ls.record("attribute", batch.attribute_ns, 1);
                         ls.exit();
                     }
-                    let (records, traces, deeps, faults) =
-                        (batch.records, batch.traces, batch.deeps, batch.faults);
-
                     if let Some(metrics) = obs.metrics {
                         // One scratchpad per start point, merged under one
-                        // short lock: the per-trial recording below is
-                        // lock- and atomic-free.
+                        // short lock: the per-trial recording is lock- and
+                        // atomic-free.
                         let mut local = metrics.registry.local();
-                        local.add(metrics.trials, records.len() as u64);
+                        metrics.fold_trials(&mut local, &task);
                         local.add(metrics.advance_ns, batch.advance_ns);
                         local.add(metrics.monitor_ns, batch.monitor_ns);
                         local.add(metrics.rows_hashed, batch.rows_hashed);
@@ -946,27 +930,12 @@ fn run_campaign_core(
                         local.add(metrics.footprint_events, batch.footprint_events);
                         local.add(metrics.cycles_stepped, batch.cycles_stepped);
                         local.add(metrics.golden_cycles, batch.golden_cycles);
-                        for (rec, tr) in records.iter().zip(traces.iter()) {
-                            let latency = tr.detect_cycle - rec.inject_cycle;
-                            match rec.outcome {
-                                Outcome::MicroArchMatch => {
-                                    local.add(metrics.matched, 1);
-                                    local.observe(metrics.match_latency, latency);
-                                }
-                                Outcome::GrayArea => local.add(metrics.gray, 1),
-                                Outcome::Failure(_) => {
-                                    local.add(metrics.failed, 1);
-                                    local.observe(metrics.fail_latency, latency);
-                                }
-                            }
-                        }
                         metrics.registry.absorb(&local);
                     }
                     if let Some(p) = obs.progress {
                         p.add(1);
                     }
 
-                    let scatter = scatter_of(bench, &records);
                     if let Some(ls) = spans.as_mut() {
                         ls.enter("journal");
                     }
@@ -977,16 +946,7 @@ fn run_campaign_core(
                         // re-runs it, which is idempotent). Append failures
                         // must not kill a campaign that can still finish in
                         // memory.
-                        let entry = JournaledTask {
-                            bench,
-                            start_point: point.start_point,
-                            eligible_bits: point.sp.bit_count(),
-                            specs: point.specs.clone(),
-                            records: records.clone(),
-                            traces: traces.clone(),
-                            faults: faults.clone(),
-                        };
-                        if let Err(e) = j.append_task(&entry) {
+                        if let Err(e) = j.append_task(&task) {
                             eprintln!(
                                 "warning: journal append failed for task ({}, {}): {e}",
                                 bench, point.start_point
@@ -999,22 +959,14 @@ fn run_campaign_core(
                     }
                     // The spine's time is charged once, to the phase events
                     // of its first start point.
-                    let first = k == 0;
+                    let (warmup_ns, walk_ns) =
+                        if k == 0 { (spine.warmup_ns, spine.walk_ns) } else { (0, 0) };
                     lock_recover(&outputs).push(TaskOutput {
-                        bench,
-                        start_point: point.start_point,
-                        records,
-                        scatter,
-                        eligible_bits: point.sp.bit_count(),
-                        faults,
-                        prune,
-                        specs: point.specs.clone(),
-                        traces,
-                        deeps,
-                        warmup_ns: if first { spine.warmup_ns } else { 0 },
-                        prepare_ns: if first { spine.walk_ns } else { 0 },
-                        advance_ns: batch.advance_ns,
-                        monitor_ns: batch.monitor_ns,
+                        task,
+                        // The tally is telemetry: kept on observed runs only.
+                        prune: trace.on().then_some(prune),
+                        deeps: batch.deeps,
+                        phase_ns: [warmup_ns, walk_ns, batch.advance_ns, batch.monitor_ns],
                     });
                 }
                 if let Some((ls, profiler)) = spans.as_mut().zip(obs.spans) {
@@ -1028,7 +980,7 @@ fn run_campaign_core(
 
     // Canonical task order: events must not depend on worker scheduling.
     let mut outputs = outputs.into_inner().unwrap_or_else(|e| e.into_inner());
-    outputs.sort_by_key(|o| (o.bench, o.start_point));
+    outputs.sort_by_key(|o| (o.task.bench, o.task.start_point));
 
     // Aggregate.
     let mut benchmarks: Vec<BenchmarkResult> = workloads
@@ -1041,8 +993,8 @@ fn run_campaign_core(
     let mut eligible_bits = 0;
     let mut quarantined = Vec::new();
     let mut prune_totals: Option<PruneDispositions> = None;
-    for out in &outputs {
-        if let Some(p) = &out.prune {
+    for TaskOutput { task: out, prune, .. } in &outputs {
+        if let Some(p) = prune {
             prune_totals.get_or_insert_with(PruneDispositions::default).merge(p);
         }
         for rec in &out.records {
@@ -1059,7 +1011,7 @@ fn run_campaign_core(
                 panic_msg: f.panic_msg.clone(),
             });
         }
-        scatter.push(out.scatter);
+        scatter.push(scatter_of(out.bench, &out.records));
         // Same mask + same machine model ⇒ every task must count the same
         // eligible-bit population. A mismatch means the model diverged
         // between tasks (e.g. configuration-dependent state walk) and the
@@ -1092,13 +1044,9 @@ fn run_campaign_core(
 
     if obs.sink.enabled() {
         for out in &outputs {
-            let (bench, sp) = (out.bench as u64, out.start_point as u64);
-            for (phase, ns) in [
-                ("warmup", out.warmup_ns),
-                ("prepare", out.prepare_ns),
-                ("advance", out.advance_ns),
-                ("monitor", out.monitor_ns),
-            ] {
+            let task = &out.task;
+            let (bench, sp) = (task.bench as u64, task.start_point as u64);
+            for (phase, ns) in PHASES.into_iter().zip(out.phase_ns) {
                 obs.sink.emit(&Event::Phase {
                     benchmark: bench,
                     start_point: sp,
@@ -1110,10 +1058,10 @@ fn run_campaign_core(
             // quarantined trial keeps its slot — it becomes a `Quarantine`
             // event — and every surviving trial's number is unchanged vs.
             // a run without the panic.
-            let mut fault_iter = out.faults.iter().peekable();
-            let mut classified = out.records.iter().zip(out.traces.iter());
+            let mut fault_iter = task.faults.iter().peekable();
+            let mut classified = task.records.iter().zip(task.traces.iter());
             let mut deep_iter = out.deeps.iter();
-            for (i, spec) in out.specs.iter().enumerate() {
+            for (i, spec) in task.specs.iter().enumerate() {
                 if fault_iter.peek().is_some_and(|f| f.index == i) {
                     let f = fault_iter.next().expect("peeked");
                     obs.sink.emit(&Event::Quarantine {

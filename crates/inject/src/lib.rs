@@ -28,21 +28,22 @@
 //! flushes land in the Gray Area rather than being counted as failures —
 //! matching the paper's semantics.
 //!
-//! Trials of one start point run as one batch through the analytic
-//! masking pruner ([`StartPoint::run_trials_pruned`]): sites whose faulted
-//! word the golden run never reads before the trial is decided get their
-//! records analytically, and the rest run on the snapshot ladder
-//! ([`StartPoint::run_trials`]): one fault-free walker advanced through the
-//! injection window, one clone per trial. Both produce byte-identical
-//! records; [`StartPoint::run_trial`] is the per-trial oracle they are
-//! tested against.
+//! Trials of one start point run as one batch through one engine
+//! ([`StartPoint::run_trials`] for records, [`StartPoint::run_batch`] at a
+//! [`Trace`] level, and every campaign): the analytic masking pruner gives
+//! the sites whose faulted word the golden run never reads before the
+//! trial is decided their records without building a machine, and the rest
+//! are stepped on the snapshot ladder, one fault-free walker advanced
+//! through the injection window and one clone per trial.
+//! [`StartPoint::run_trial`] is the per-trial oracle the engine is tested
+//! against, record for record.
 //!
 //! Campaigns are observable via [`run_campaign_observed`]: per-trial events
 //! into a `tfsim_obs::EventSink` (JSONL traces for the `tfsim-run report`
 //! subcommand), counters and latency histograms into [`CampaignMetrics`],
 //! and a live progress gauge. Telemetry is strictly pay-for-what-you-use:
-//! [`run_campaign`] uses [`CampaignObs::disabled`] and runs the
-//! pre-telemetry code path.
+//! [`run_campaign`] uses [`CampaignObs::disabled`] and runs the engine at
+//! [`Trace::Off`]: no trace slots, no timing calls.
 //!
 //! ```no_run
 //! use tfsim_inject::{run_campaign, run_campaign_observed, CampaignConfig, CampaignObs};
@@ -83,5 +84,6 @@ pub use shard::{
 };
 pub use tfsim_obs::PruneDispositions;
 pub use trial::{
-    FailureMode, Outcome, StartPoint, TracedBatch, TrialFault, TrialRecord, TrialSpec, TrialTrace,
+    FailureMode, Outcome, StartPoint, Trace, TracedBatch, TrialFault, TrialRecord, TrialSpec,
+    TrialTrace,
 };

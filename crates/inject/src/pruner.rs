@@ -1,5 +1,6 @@
 //! The analytic masking pruner: dead-window proofs over the batch's golden
-//! access footprint, in front of the snapshot ladder.
+//! access footprint, the half of the trial engine (`StartPoint::batch`)
+//! that settles sites without stepping them.
 //!
 //! A single-bit fault is a difference δ against the golden run. As long as
 //! no computation consumes the faulted word, the trial's observable
@@ -31,14 +32,13 @@
 //!   machine.
 //! * **Simulated** — everything else (sites on untracked words, targets
 //!   outside any unit, faults the golden run reads before any decision)
-//!   goes to the snapshot ladder ([`StartPoint::run_trials`]) in one
-//!   batch, at the caller's trace level, so its records are the ladder's
-//!   by construction.
+//!   is stepped on the snapshot ladder in the same batch, at the same
+//!   trace level.
 //!
 //! # Proof obligations
 //!
 //! The dispositions are sound because (enforced by the `access_ordinals`
-//! pipeline tests and the pruned property tests):
+//! pipeline tests and the engine's property tests):
 //!
 //! 1. *Reads are never under-logged* in any structure: a word with no read
 //!    event in a window really was not consumed there, so the machine
@@ -57,16 +57,12 @@
 //!    the same collision exposure the root-fingerprint equality check
 //!    always had.
 
-use std::time::Instant;
-
 use tfsim_bitstate::{InjectionMask, UnitId};
-use tfsim_obs::{DeepTrace, PruneDispositions};
 use tfsim_uarch::Pipeline;
 
 use crate::footprint::{resolve_spans, Footprint, Span};
 use crate::trial::{
-    keep_classified, walk, FailureMode, Outcome, StartPoint, TracedBatch, TrialFault,
-    TrialObservers, TrialRecord, TrialSpec, TrialTrace, DENSE, SPARSE,
+    FailureMode, Outcome, StartPoint, TrialObservers, TrialRecord, TrialSpec, DENSE, SPARSE,
 };
 
 /// A batch's fault sites, one per spec: the span the target lands in and
@@ -101,6 +97,10 @@ pub(crate) fn fault_sites(
         })
         .collect()
 }
+
+/// A site's disposition: `Some((span, heal))` when proved dead (with the
+/// cycle an overwrite heals it, if any), `None` when it must be simulated.
+pub(crate) type Proof = Option<(Span, Option<u64>)>;
 
 /// What the footprint must watch for `sites` of a start point `offset`
 /// steps into the walk: `(unit, ord, inject, end)` in walk steps, where
@@ -165,98 +165,29 @@ impl StartPoint {
         false
     }
 
-    /// [`StartPoint::run_trials`] semantics with analytic pruning: the
-    /// records are the ladder's records for every site the pruner could
-    /// not discharge, and the analytic rider's everywhere else. Returns the
-    /// per-site disposition tally alongside.
-    pub fn run_trials_pruned(
+    /// The disposition of each spec's site. `footprint` holds the sites'
+    /// first accesses in walk steps, this start point sitting `offset`
+    /// steps into that walk. Also returns the number of distinct first
+    /// accesses the footprint kept.
+    pub(crate) fn prove(
         &self,
-        mask: InjectionMask,
         specs: &[TrialSpec],
+        sites: &Sites,
+        footprint: &Footprint,
+        offset: u64,
         monitor: u64,
-    ) -> (Vec<TrialRecord>, PruneDispositions) {
-        let (batch, dispo) =
-            self.run_trials_pruned_core::<false>(mask, specs, monitor, None, false, None);
-        (batch.records, dispo)
-    }
-
-    /// [`StartPoint::run_trials_traced`] semantics with analytic pruning.
-    pub fn run_trials_pruned_traced(
-        &self,
-        mask: InjectionMask,
-        specs: &[TrialSpec],
-        monitor: u64,
-    ) -> (TracedBatch, PruneDispositions) {
-        self.run_trials_pruned_core::<true>(mask, specs, monitor, None, false, None)
-    }
-
-    /// [`StartPoint::run_trials_deep_traced`] semantics with analytic
-    /// pruning: proved-dead sites synthesize their divergence timelines
-    /// analytically (the δ diverges exactly its own unit until healed).
-    pub fn run_trials_pruned_deep_traced(
-        &self,
-        mask: InjectionMask,
-        specs: &[TrialSpec],
-        monitor: u64,
-    ) -> (TracedBatch, PruneDispositions) {
-        self.run_trials_pruned_core::<true>(mask, specs, monitor, None, true, None)
-    }
-
-    /// The pruning pass plus delegation. Mirrors the contracts of
-    /// `run_trials_core`: input-order records, quarantined panics under
-    /// their original spec indices.
-    ///
-    /// `walked` carries the batch's sites ([`fault_sites`]) and the
-    /// footprint the start point's golden walk resolved for them; without
-    /// it the batch resolves its sites and walks its own footprint from the
-    /// checkpoint.
-    pub(crate) fn run_trials_pruned_core<const TRACED: bool>(
-        &self,
-        mask: InjectionMask,
-        specs: &[TrialSpec],
-        monitor: u64,
-        panic_shim: Option<usize>,
-        deep: bool,
-        walked: Option<(&Sites, &Footprint)>,
-    ) -> (TracedBatch, PruneDispositions) {
-        let deep = TRACED && deep;
-        let footprint_t0 = TRACED.then(Instant::now);
-        let own;
-        let mut golden_cycles = 0;
-        // Footprint steps are walk steps: the start point sits `offset`
-        // steps into the walk that resolved it.
-        let (sites, fp, offset) = match walked {
-            Some((sites, fp)) => (sites, fp, self.offset),
-            None => {
-                // One clone of the checkpoint serves the span walk, which
-                // leaves it unchanged, and then the footprint's walk.
-                let mut golden = self.checkpoint.clone();
-                let sites = fault_sites(&mut golden, self.horizon, mask, specs, panic_shim);
-                let watched: Vec<_> = watch_list(&sites, specs, 0, self.horizon, monitor).collect();
-                let mut fp = Footprint::new(&watched);
-                golden_cycles = walk(golden, None, &mut fp).stepped;
-                own = (sites, fp);
-                (&own.0, &own.1, 0)
-            }
-        };
-        let footprint_ns = footprint_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let first_access = |unit: UnitId, ord: u32, c: u64| {
-            let end = offset + self.horizon.min(c + monitor);
-            fp.first_access(unit, ord, offset + c, end).map(|(a, w)| (a - offset, w))
-        };
-
-        // The dispositions are the pruner's own analysis time, attributed
-        // to `prune_ns` — they run before any trial, outside the monitor
-        // bracket. `Some((span, heal))` is proved dead.
-        let prune_t0 = TRACED.then(Instant::now);
+    ) -> (Vec<Proof>, u64) {
         let mut kept = Vec::new();
-        let proved: Vec<Option<(Span, Option<u64>)>> = specs
+        let proved = specs
             .iter()
             .zip(sites)
             .map(|(spec, site)| {
                 let (span, unit) = (*site)?;
                 let c = spec.inject_cycle;
-                let first = first_access(unit, span.unit_ord, c);
+                let end = offset + self.horizon.min(c + monitor);
+                let first = footprint
+                    .first_access(unit, span.unit_ord, offset + c, end)
+                    .map(|(a, w)| (a - offset, w));
                 if first.is_some() {
                     kept.push((unit.index(), span.unit_ord, c));
                 }
@@ -273,67 +204,7 @@ impl StartPoint {
             .collect();
         kept.sort_unstable();
         kept.dedup();
-        let prune_ns = prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-
-        // Everything not proved dead runs on the ladder in one batch.
-        let delegated: Vec<usize> = (0..specs.len()).filter(|&i| proved[i].is_none()).collect();
-        let sub_specs: Vec<TrialSpec> = delegated.iter().map(|&i| specs[i]).collect();
-        let sub_shim = panic_shim.and_then(|s| delegated.binary_search(&s).ok());
-        let mut sub = self.run_trials_core::<TRACED>(mask, &sub_specs, monitor, sub_shim, deep);
-
-        let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
-        let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
-        let mut deeps = vec![DeepTrace::new(); if deep { specs.len() } else { 0 }];
-        // The sub-batch holds its classified trials in delegate order; the
-        // quarantined ones left gaps.
-        let mut sub_records = std::mem::take(&mut sub.records).into_iter();
-        let mut sub_traces = std::mem::take(&mut sub.traces).into_iter();
-        let mut sub_deeps = std::mem::take(&mut sub.deeps).into_iter();
-        let mut faulted = sub.faults.iter().map(|f| f.index).peekable();
-        for (k, &i) in delegated.iter().enumerate() {
-            if faulted.next_if_eq(&k).is_some() {
-                continue;
-            }
-            out[i] = sub_records.next();
-            if TRACED {
-                traces[i] = sub_traces.next().expect("trace per classified trial");
-            }
-            if deep {
-                deeps[i] = sub_deeps.next().expect("timeline per classified trial");
-            }
-        }
-        let faults: Vec<TrialFault> = std::mem::take(&mut sub.faults)
-            .into_iter()
-            .map(|f| TrialFault { index: delegated[f.index], ..f })
-            .collect();
-
-        let ride_t0 = TRACED.then(Instant::now);
-        for (i, site) in proved.iter().enumerate() {
-            if let Some((span, heal)) = site {
-                let obs = TrialObservers {
-                    trace: if TRACED { Some(&mut traces[i]) } else { None },
-                    deep: if deep { Some(&mut deeps[i]) } else { None },
-                };
-                out[i] = Some(self.ride_lane(span, *heal, specs[i], monitor, obs));
-            }
-        }
-        let ride_ns = ride_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-
-        let simulated = delegated.len() as u64;
-        let dispo = PruneDispositions {
-            proved_dead: specs.len() as u64 - simulated,
-            class_collapsed: 0,
-            simulated,
-        };
-        let mut batch = keep_classified(out, traces, deeps, faults, TRACED, deep);
-        batch.add_costs(&sub);
-        batch.prune_ns += prune_ns;
-        batch.footprint_ns += footprint_ns;
-        batch.footprint_events += kept.len() as u64;
-        batch.golden_cycles += golden_cycles;
-        batch.monitor_ns += ride_ns;
-        batch.ride_ns += ride_ns;
-        (batch, dispo)
+        (proved, kept.len() as u64)
     }
 
     /// The analytic classifier for a proved-dead site: a literal mirror of
@@ -481,7 +352,7 @@ impl StartPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::warm_pipeline;
+    use crate::trial::{warm_pipeline, Trace, TracedBatch};
     use tfsim_isa::{Asm, Reg};
     use tfsim_uarch::PipelineConfig;
 
@@ -514,6 +385,32 @@ mod tests {
         StartPoint::prepare(&warmed, 3_000, MASK)
     }
 
+    /// The batch with every site simulated: the snapshot ladder alone, which
+    /// the analytic rider must reproduce.
+    fn ladder(sp: &StartPoint, specs: &[TrialSpec], monitor: u64, trace: Trace) -> TracedBatch {
+        let none: Sites = vec![None; specs.len()];
+        let walked = Some((&none, &Footprint::default()));
+        let (batch, dispo) = sp.batch(MASK, specs, monitor, trace, None, walked);
+        assert_eq!(dispo.simulated, specs.len() as u64, "no site is provable");
+        batch
+    }
+
+    /// The engine against its ladder alone at `trace`: records, traces,
+    /// timelines and quarantines equal, with some sites proved dead.
+    fn assert_rider_equals_ladder(sp: &StartPoint, specs: &[TrialSpec], monitor: u64, trace: Trace) {
+        let (engine, dispo) = sp.run_batch(MASK, specs, monitor, trace);
+        let ladder = ladder(sp, specs, monitor, trace);
+        for (i, (e, l)) in engine.records.iter().zip(&ladder.records).enumerate() {
+            assert_eq!(e, l, "spec {i} ({:?}) diverged", specs[i]);
+        }
+        assert_eq!(engine.records, ladder.records);
+        assert_eq!(engine.traces, ladder.traces, "traces must match cycle-for-cycle");
+        assert_eq!(engine.deeps, ladder.deeps, "timelines must match sample-for-sample");
+        assert_eq!(engine.faults, ladder.faults);
+        assert_eq!(dispo.total(), specs.len() as u64, "every site gets one disposition");
+        assert!(dispo.proved_dead > 0, "the sweep should prove some sites dead: {dispo:?}");
+    }
+
     #[test]
     fn pruned_matches_the_ladder_on_a_dense_sweep() {
         let sp = hash_start_point(PipelineConfig::baseline());
@@ -523,14 +420,7 @@ mod tests {
                 inject_cycle: [40, 3, 117, 3, 0, 249, 60, 117][t as usize % 8] + (t / 8),
             })
             .collect();
-        let ladder = sp.run_trials(MASK, &specs, 1_200);
-        let (pruned, dispo) = sp.run_trials_pruned(MASK, &specs, 1_200);
-        assert_eq!(pruned.len(), ladder.len());
-        for (i, (p, l)) in pruned.iter().zip(ladder.iter()).enumerate() {
-            assert_eq!(p, l, "spec {i} ({:?}) diverged", specs[i]);
-        }
-        assert_eq!(dispo.total(), specs.len() as u64, "every site gets one disposition");
-        assert!(dispo.proved_dead > 0, "the sweep should prove some sites dead: {dispo:?}");
+        assert_rider_equals_ladder(&sp, &specs, 1_200, Trace::Off);
     }
 
     #[test]
@@ -542,12 +432,7 @@ mod tests {
                 inject_cycle: (t * 31) % 180,
             })
             .collect();
-        let ladder = sp.run_trials_traced(MASK, &specs, 1_500);
-        let (pruned, dispo) = sp.run_trials_pruned_traced(MASK, &specs, 1_500);
-        assert_eq!(pruned.records, ladder.records);
-        assert_eq!(pruned.traces, ladder.traces, "traces must match cycle-for-cycle");
-        assert_eq!(pruned.faults, ladder.faults);
-        assert_eq!(dispo.total(), specs.len() as u64);
+        assert_rider_equals_ladder(&sp, &specs, 1_500, Trace::On);
     }
 
     #[test]
@@ -559,10 +444,7 @@ mod tests {
                 inject_cycle: (t * 13) % 150,
             })
             .collect();
-        let ladder = sp.run_trials(MASK, &specs, 1_000);
-        let (pruned, dispo) = sp.run_trials_pruned(MASK, &specs, 1_000);
-        assert_eq!(pruned, ladder);
-        assert_eq!(dispo.total(), specs.len() as u64);
+        assert_rider_equals_ladder(&sp, &specs, 1_000, Trace::Off);
     }
 
     #[test]
@@ -574,13 +456,9 @@ mod tests {
                 inject_cycle: (t * 31) % 180,
             })
             .collect();
-        let ladder = sp.run_trials_deep_traced(MASK, &specs, 1_500);
-        let (pruned, dispo) = sp.run_trials_pruned_deep_traced(MASK, &specs, 1_500);
-        assert_eq!(pruned.records, ladder.records);
-        assert_eq!(pruned.traces, ladder.traces);
-        assert_eq!(pruned.deeps, ladder.deeps, "timelines must match sample-for-sample");
-        assert!(pruned.deeps.iter().any(|d| !d.is_empty()), "sweep should see divergence");
-        assert_eq!(dispo.total(), specs.len() as u64);
+        assert_rider_equals_ladder(&sp, &specs, 1_500, Trace::Deep);
+        let (deep, _) = sp.run_batch(MASK, &specs, 1_500, Trace::Deep);
+        assert!(deep.deeps.iter().any(|d| !d.is_empty()), "sweep should see divergence");
     }
 
     /// Every eligible field of `cpu` in visit order: `(unit, ordinal within
@@ -668,9 +546,11 @@ mod tests {
 
         let classify = |target: u64, monitor: u64| {
             let spec = TrialSpec { target, inject_cycle: inject };
-            let (pruned, dispo) = sp.run_trials_pruned(MASK, &[spec], monitor);
-            assert_eq!(pruned, sp.run_trials(MASK, &[spec], monitor), "target {target}");
-            assert_eq!(pruned[0], sp.run_trial(MASK, target, inject, monitor), "target {target}");
+            let (pruned, dispo) = sp.run_batch(MASK, &[spec], monitor, Trace::Off);
+            let alone = ladder(&sp, &[spec], monitor, Trace::Off);
+            assert_eq!(pruned.records, alone.records, "target {target}");
+            let naive = sp.run_trial(MASK, target, inject, monitor);
+            assert_eq!(pruned.records, [naive], "target {target}");
             dispo
         };
         // The live entry's address is read by the next load's scan, before
@@ -689,9 +569,9 @@ mod tests {
         }
     }
 
-    /// The forced-panic shim flows through the delegate remapping: the
-    /// quarantined fault surfaces under its original spec index and every
-    /// other record is unperturbed.
+    /// The forced-panic shim's spec is stepped, never proved: its fault
+    /// surfaces under its input index and every other record is
+    /// unperturbed.
     #[test]
     fn pruned_panic_shim_quarantines_the_original_index() {
         let sp = hash_start_point(PipelineConfig::baseline());
@@ -702,8 +582,7 @@ mod tests {
             })
             .collect();
         let shim = 13usize;
-        let (batch, dispo) =
-            sp.run_trials_pruned_core::<false>(MASK, &specs, 1_000, Some(shim), false, None);
+        let (batch, dispo) = sp.batch(MASK, &specs, 1_000, Trace::Off, Some(shim), None);
         assert_eq!(batch.faults.len(), 1);
         assert_eq!(batch.faults[0].index, shim);
         assert_eq!(batch.faults[0].spec, specs[shim]);

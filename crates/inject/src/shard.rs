@@ -1010,6 +1010,39 @@ mod tests {
         });
     }
 
+    /// A frame nested past the JSON parser's cap is answered with a
+    /// rejection on its own connection; the coordinator lives on and a
+    /// worker then completes the campaign.
+    #[test]
+    fn a_deeply_nested_frame_does_not_kill_the_coordinator() {
+        let mut config = CampaignConfig::quick(5);
+        config.start_points = 1;
+        config.trials_per_start_point = 2;
+        config.monitor_cycles = 200;
+        config.scale = 1;
+        let workloads = &tfsim_workloads::all()[..1];
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let serve = ServeConfig { lease_ms: 5_000, heartbeat_ms: 100, idle_timeout_ms: 10_000 };
+        std::thread::scope(|scope| {
+            let coordinator = scope.spawn(|| {
+                serve_campaign(listener, &config, workloads, None, &tfsim_obs::NoopSink, &serve)
+            });
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            write_frame(&mut stream, &"[".repeat(200_000)).expect("send");
+            match Msg::parse(&read_frame(&mut stream).expect("response")) {
+                Ok(Msg::Reject { reason }) => assert!(reason.contains("nested"), "{reason}"),
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+            drop(stream);
+            let report = run_worker(&WorkerConfig::new(addr.to_string())).expect("worker");
+            assert_eq!(report.accepted, 1, "{report:?}");
+            let report = coordinator.join().expect("coordinator thread").expect("serve");
+            assert!(report.complete, "{report:?}");
+        });
+    }
+
     #[test]
     fn frames_round_trip() {
         let mut buf: Vec<u8> = Vec::new();

@@ -4,16 +4,17 @@
 //!
 //! * [`StartPoint::run_trial`] — the naive reference: clone the checkpoint,
 //!   replay fault-free to the injection cycle, flip, monitor with flat
-//!   whole-machine fingerprints. Deliberately simple; the baseline every
+//!   whole-machine fingerprints. Deliberately simple; the oracle every
 //!   optimization is measured and verified against.
-//! * [`StartPoint::run_trials`] — the snapshot ladder, to which the
-//!   campaign engine (the analytic pruner, `crate::pruner`) hands every
-//!   site it cannot prove dead: trials of one start point are sorted by
+//! * The engine ([`StartPoint::run_trials`], [`StartPoint::run_batch`] and
+//!   every campaign): one batch per start point. The analytic pruner
+//!   (`crate::pruner`) proves most sites dead and rides them against the
+//!   golden aggregates; the rest run on the snapshot ladder, sorted by
 //!   injection cycle and served from a single fault-free *walker*
 //!   advanced monotonically through the injection window (one clone per
-//!   trial instead of a replay per trial), and µArch-Match checks use a
+//!   trial instead of a replay per trial), with µArch-Match checks on a
 //!   [`CachedFingerprint`] that only rehashes dirty units. Produces
-//!   bit-identical [`TrialRecord`]s — pinned by a property test.
+//!   bit-identical [`TrialRecord`]s — pinned by property tests.
 //!
 //! # The golden walk
 //!
@@ -35,11 +36,11 @@
 //! hashes only each start point's sparse grid (its checkpoint and every
 //! eighth cycle after it; start points whose offsets differ modulo 8 lie on
 //! different grids, and a row on several is hashed once) and each batch
-//! hashes the dense rows of its own injection windows in one golden replay
-//! ([`Rows`]). The traced paths' post-decision attribution reads a row at
-//! the decision cycle, which may lie on neither; those reads are deferred
-//! to one forward replay after the batch's trials ([`Rows::close`]), so
-//! untraced batches never pay for them.
+//! hashes the dense rows of its simulated trials' injection windows in one
+//! golden replay ([`Rows`]). Traced batches' post-decision attribution
+//! reads a row at the decision cycle, which may lie on neither; those reads
+//! are deferred to one forward replay after the batch's trials
+//! ([`Rows::close`]), so untraced batches never pay for them.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -55,10 +56,11 @@ use tfsim_bitstate::{
     StorageKind, UnitId, VisitState,
 };
 use tfsim_isa::{decode, Asm, Program};
-use tfsim_obs::DeepTrace;
+use tfsim_obs::{DeepTrace, PruneDispositions};
 use tfsim_uarch::{ExcCode, FlowEvent, Pipeline, PipelineConfig, RetireEvent};
 
 use crate::footprint::Footprint;
+use crate::pruner::{fault_sites, watch_list, Sites};
 
 /// The paper's seven failure modes (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,42 +217,81 @@ pub struct TrialFault {
     pub panic_msg: String,
 }
 
-/// Output of [`StartPoint::run_trials_traced`]: records plus per-trial
-/// traces and the batch's phase timing.
+/// How much a batch observes of its trials. Observation never changes a
+/// record: the decisions are the same at every level, and the extra work
+/// happens off the decision path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trace {
+    /// Records only: no trace slots, no timing calls.
+    Off,
+    /// Adds a [`TrialTrace`] per trial (decision cycle, first observed
+    /// divergence and its unit) and the batch's phase timings.
+    On,
+    /// Adds each trial's change-only divergence timeline: the set of
+    /// diverged units at every µArch check, from the per-unit
+    /// fingerprints.
+    Deep,
+}
+
+impl Trace {
+    /// Whether per-trial traces and timings are kept.
+    pub(crate) fn on(self) -> bool {
+        self != Trace::Off
+    }
+
+    /// Whether divergence timelines are kept.
+    pub(crate) fn deep(self) -> bool {
+        self == Trace::Deep
+    }
+
+    /// The current time when traced; phase timings start from it.
+    pub(crate) fn clock(self) -> Option<Instant> {
+        self.on().then(Instant::now)
+    }
+}
+
+/// Nanoseconds since `t0` (zero untraced).
+pub(crate) fn since(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+/// Nanoseconds from `a` to `b` (zero untraced).
+pub(crate) fn between(a: Option<Instant>, b: Option<Instant>) -> u64 {
+    a.zip(b).map_or(0, |(a, b)| b.duration_since(a).as_nanos() as u64)
+}
+
+/// Output of [`StartPoint::run_batch`]: records plus, when traced,
+/// per-trial traces and the batch's phase timing.
 #[derive(Debug, Clone, Default)]
 pub struct TracedBatch {
     /// One record per *classified* input spec, in input order (identical
     /// to what [`StartPoint::run_trials`] returns for the same specs).
     /// Quarantined trials (see `faults`) have no record.
     pub records: Vec<TrialRecord>,
-    /// One trace per classified input spec, aligned with `records`.
+    /// One trace per classified input spec, aligned with `records`. Empty
+    /// untraced.
     pub traces: Vec<TrialTrace>,
     /// Trials whose faulted run panicked, contained by the per-trial
     /// `catch_unwind` supervisor. Empty on every fault-free-harness run;
     /// `faults[k].index` names the input spec each one came from.
     pub faults: Vec<TrialFault>,
     /// One divergence timeline per classified input spec, aligned with
-    /// `records`. Empty unless the batch ran in deep-trace mode.
+    /// `records`. Empty unless the batch ran at [`Trace::Deep`].
     pub deeps: Vec<DeepTrace>,
     /// Wall-clock time spent advancing the fault-free walker.
     pub advance_ns: u64,
     /// Wall-clock time spent flipping, monitoring, and classifying.
     pub monitor_ns: u64,
-    /// Portion of `monitor_ns` spent in the pruner's analytic rider (zero
-    /// on the scalar ladder).
+    /// Portion of `monitor_ns` spent in the pruner's analytic rider.
     pub ride_ns: u64,
-    /// Portion of `monitor_ns` spent in scalar classification.
+    /// Portion of `monitor_ns` spent stepping the simulated sites.
     pub classify_ns: u64,
-    /// Wall-clock time spent in the pruner's disposition proofs. Zero
-    /// outside the pruned path; *not* part of `monitor_ns` — the analysis
-    /// runs before any trial.
+    /// Wall-clock time spent in the pruner's disposition proofs; *not*
+    /// part of `monitor_ns`, since the analysis runs before any trial.
     pub prune_ns: u64,
     /// Wall-clock time spent hashing the batch's dense golden rows (the
     /// post-injection windows of its simulated trials).
     pub rows_ns: u64,
-    /// Wall-clock time spent in the batch's tracked golden replay (the
-    /// pruner's access footprint).
-    pub footprint_ns: u64,
     /// Wall-clock time spent resolving post-decision attributions whose
     /// golden rows the batch did not already hold.
     pub attribute_ns: u64,
@@ -271,25 +312,6 @@ pub struct TracedBatch {
     /// closing replay, and a footprint walk of its own when none was
     /// supplied. Exact and machine-independent.
     pub golden_cycles: u64,
-}
-
-impl TracedBatch {
-    /// Adds another batch's timings and counters to this one's.
-    pub(crate) fn add_costs(&mut self, other: &TracedBatch) {
-        self.advance_ns += other.advance_ns;
-        self.monitor_ns += other.monitor_ns;
-        self.ride_ns += other.ride_ns;
-        self.classify_ns += other.classify_ns;
-        self.prune_ns += other.prune_ns;
-        self.rows_ns += other.rows_ns;
-        self.footprint_ns += other.footprint_ns;
-        self.attribute_ns += other.attribute_ns;
-        self.rows_hashed += other.rows_hashed;
-        self.words_hashed += other.words_hashed;
-        self.footprint_events += other.footprint_events;
-        self.cycles_stepped += other.cycles_stepped;
-        self.golden_cycles += other.golden_cycles;
-    }
 }
 
 thread_local! {
@@ -382,7 +404,8 @@ pub struct StartPoint {
     row0: usize,
     /// This window's part of the spine's retirement trace.
     records: Range<usize>,
-    /// Cycle (steps after checkpoint) at which the golden run halted.
+    /// Cycle (steps after checkpoint) at which the golden run halted: 0
+    /// when the checkpoint itself is halted.
     pub(crate) halted_at: Option<(u64, u64)>, // (step, exit code)
     /// Golden in-flight valid-instruction count per cycle.
     valid_counts: Vec<u32>,
@@ -511,7 +534,9 @@ pub(crate) fn walk(
     let mut instret = Vec::with_capacity(end as usize + 1);
     let mut pflush = vec![false; end as usize + 1];
     let mut records = Vec::new();
-    let mut halted_at = None;
+    // A walk that starts on a halted machine (its warm-up halted) sees no
+    // halt event: the run halted at step 0.
+    let mut halted_at = golden.halted().map(|code| (0, code));
     // The golden rows are hashed with the cached engine: the golden machine
     // mutates only through `step()`, so unit stamps are exact, and the
     // shadow units' maintained digests cost nothing to read.
@@ -597,9 +622,11 @@ pub(crate) fn walk(
                 base_instret: spine.instret[offset as usize],
                 row0: ((offset - spine.grids[grid].first) / SPARSE) as usize,
                 grid,
+                // A start point opened on a halted machine halted at its
+                // step 0.
                 halted_at: halted_at
-                    .filter(|&(h, _)| offset < h && h <= offset + horizon)
-                    .map(|(h, code)| (h - offset, code)),
+                    .filter(|&(h, _)| h <= offset + horizon)
+                    .map(|(h, code)| (h.saturating_sub(offset), code)),
                 checkpoint: point.checkpoint,
                 horizon,
                 spine: Arc::clone(&spine),
@@ -672,9 +699,8 @@ impl StartPoint {
     ///
     /// This is the naive reference path: it replays fault-free from the
     /// checkpoint and hashes the whole machine at every µArch-Match check.
-    /// Campaigns use the equivalent-but-fast pruned batch
-    /// ([`StartPoint::run_trials_pruned`]), which hands the sites it cannot
-    /// prove dead to [`StartPoint::run_trials`].
+    /// The engine ([`StartPoint::run_trials`], [`StartPoint::run_batch`],
+    /// every campaign) must return the same record for every spec.
     pub fn run_trial(
         &self,
         mask: InjectionMask,
@@ -705,124 +731,140 @@ impl StartPoint {
         .0
     }
 
-    /// Runs a batch of trials against this start point, equivalent to
-    /// calling [`StartPoint::run_trial`] per spec (results are returned in
-    /// input order) but without the per-trial fault-free replay:
-    ///
-    /// * Trials are processed in ascending `inject_cycle` order while one
-    ///   *walker* clone of the checkpoint advances monotonically through
-    ///   the injection window — each trial costs one `Pipeline::clone`
-    ///   instead of an `inject_cycle`-step replay. Equivalence holds
-    ///   because the walker is deterministic, stepping a halted machine is
-    ///   a no-op, and cloning is exact.
-    /// * µArch-Match checks use a fresh per-trial [`CachedFingerprint`]
-    ///   (created after the flip, so the flip cannot stale the cache; the
-    ///   flip itself can only land in injectable state, which lives in the
-    ///   cycle-stamped units).
+    /// Runs a batch of trials against this start point through the engine,
+    /// equivalent to calling [`StartPoint::run_trial`] per spec (results
+    /// are returned in input order). Records only: [`StartPoint::run_batch`]
+    /// at [`Trace::Off`].
     pub fn run_trials(
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
         monitor: u64,
     ) -> Vec<TrialRecord> {
-        self.run_trials_core::<false>(mask, specs, monitor, None, false).records
+        self.batch(mask, specs, monitor, Trace::Off, None, None).0.records
     }
 
-    /// [`StartPoint::run_trials`] with telemetry: additionally returns a
-    /// [`TrialTrace`] per spec (detection cycle, first observed divergence
-    /// and its unit) and the batch's advance/monitor wall-clock split.
-    ///
-    /// Records are identical to the untraced path; the traced walk only
-    /// *observes* decisions the classifier already made, plus — for trials
-    /// that fail or gray out without any µArch check having seen the
-    /// divergence — one extra fingerprint walk at the decision state to
-    /// attribute the divergence to a unit. That walk happens after the
-    /// outcome is sealed, so it cannot perturb classification.
-    pub fn run_trials_traced(
+    /// Runs a batch of trials through the engine at trace level `trace`,
+    /// returning the batch and the pruner's per-site disposition tally.
+    /// The records are [`StartPoint::run_trials`]' at every level; see
+    /// [`Trace`] for what each level adds.
+    pub fn run_batch(
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
         monitor: u64,
-    ) -> TracedBatch {
-        self.run_trials_core::<true>(mask, specs, monitor, None, false)
+        trace: Trace,
+    ) -> (TracedBatch, PruneDispositions) {
+        self.batch(mask, specs, monitor, trace, None, None)
     }
 
-    /// [`StartPoint::run_trials_traced`] in deep-trace mode: additionally
-    /// fills [`TracedBatch::deeps`] with each trial's change-only
-    /// divergence timeline — the set of diverged units sampled at every
-    /// µArch check that ran, recovered from the hierarchical per-unit
-    /// fingerprints rather than per-cycle state diffs.
-    ///
-    /// Records and traces are byte-identical to the plain traced path:
-    /// deep sampling reads fingerprints the classifier computes anyway (or
-    /// performs its own walks after the relevant decision), never touching
-    /// the decision state.
-    pub fn run_trials_deep_traced(
+    /// [`StartPoint::run_batch`] at [`Trace::On`], under the name the
+    /// benchmark harness (`perfbench`) calls; it goes when that call does.
+    #[doc(hidden)]
+    pub fn run_trials_pruned_traced(
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
         monitor: u64,
-    ) -> TracedBatch {
-        self.run_trials_core::<true>(mask, specs, monitor, None, true)
+    ) -> (TracedBatch, PruneDispositions) {
+        self.run_batch(mask, specs, monitor, Trace::On)
     }
 
-    /// The shared batched ladder. `TRACED` is a compile-time switch: the
-    /// `false` instantiation contains no timing calls and passes no trace
-    /// slots, so the campaign hot path is the pre-telemetry machine code.
+    /// The engine: one pass over a batch of specs that
     ///
-    /// Every trial's flip-and-monitor run executes under a `catch_unwind`
+    /// * takes each spec's fault site and the golden run's first access to
+    ///   its word from `walked` (a campaign's golden walk resolved them,
+    ///   and footprint steps are walk steps); without it, the batch
+    ///   resolves its sites and walks its own footprint from the
+    ///   checkpoint;
+    /// * proves the sites' dispositions (`crate::pruner`) and rides every
+    ///   proved-dead site against the golden aggregates
+    ///   ([`StartPoint::ride_lane`]), building no machine;
+    /// * steps every other site on the snapshot ladder: in ascending
+    ///   injection cycle, one fault-free *walker* clone of the checkpoint
+    ///   advances monotonically through the injection window and each
+    ///   trial classifies a clone of it, with µArch-Match checks on a fresh
+    ///   per-trial [`CachedFingerprint`] (created after the flip, so the
+    ///   flip cannot stale the cache). Equivalence with the per-trial
+    ///   replay holds because the walker is deterministic, stepping a
+    ///   halted machine is a no-op, and cloning is exact.
+    ///
+    /// Every record, trace, timeline and quarantine goes straight into its
+    /// input-order slot. Each stepped trial runs under a `catch_unwind`
     /// supervisor: a panic out of the faulted model (a hardening escape)
     /// quarantines that one trial as a [`TrialFault`] and the batch
-    /// continues. The fault-free walker is never touched by a contained
-    /// unwind — the trial runs on a clone — so the surviving trials'
-    /// records are bit-identical to a batch without the panic.
+    /// continues. The walker is never touched by a contained unwind (the
+    /// trial runs on a clone), so the other records are bit-identical to a
+    /// batch without the panic.
     ///
-    /// `panic_shim` names an input spec index whose trial panics on
-    /// purpose before classification (campaign test hook: exercises the
-    /// quarantine machinery end-to-end without needing a real escape).
-    ///
-    /// `deep` (only meaningful with `TRACED`; the untraced instantiation
-    /// constant-folds `TRACED && deep` to `false`, so its machine code is
-    /// untouched) additionally records each trial's divergence timeline.
-    pub(crate) fn run_trials_core<const TRACED: bool>(
+    /// `panic_shim` names a spec whose trial panics on purpose before
+    /// classification (the campaign test hook that exercises quarantine
+    /// end to end); it is always stepped, never proved.
+    pub(crate) fn batch(
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
         monitor: u64,
+        trace: Trace,
         panic_shim: Option<usize>,
-        deep: bool,
-    ) -> TracedBatch {
-        let deep = TRACED && deep;
+        walked: Option<(&Sites, &Footprint)>,
+    ) -> (TracedBatch, PruneDispositions) {
         install_containment_hook();
-        let mut order: Vec<usize> = (0..specs.len()).collect();
-        order.sort_by_key(|&i| specs[i].inject_cycle);
+        let mut batch = TracedBatch::default();
+        let own;
+        let (sites, footprint, offset) = match walked {
+            Some((sites, footprint)) => (sites, footprint, self.offset),
+            None => {
+                // One clone of the checkpoint serves the span walk, which
+                // leaves it unchanged, and then the footprint's walk.
+                let mut golden = self.checkpoint.clone();
+                let sites = fault_sites(&mut golden, self.horizon, mask, specs, panic_shim);
+                let watched: Vec<_> = watch_list(&sites, specs, 0, self.horizon, monitor).collect();
+                let mut footprint = Footprint::new(&watched);
+                batch.golden_cycles = walk(golden, None, &mut footprint).stepped;
+                own = (sites, footprint);
+                (&own.0, &own.1, 0)
+            }
+        };
+        // The proofs are the pruner's own analysis time, outside the
+        // monitor bracket: they run before any trial.
+        let t0 = trace.clock();
+        let (proved, kept) = self.prove(specs, sites, footprint, offset, monitor);
+        batch.prune_ns = since(t0);
+        batch.footprint_events = kept;
 
-        let rows_t0 = TRACED.then(Instant::now);
-        let mut rows = Rows::new(self, specs.iter().map(|s| s.inject_cycle));
-        let rows_ns = rows_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let n = specs.len();
+        let mut out: Vec<Option<TrialRecord>> = vec![None; n];
+        let mut traces = vec![TrialTrace::default(); if trace.on() { n } else { 0 }];
+        let mut deeps = vec![DeepTrace::new(); if trace.deep() { n } else { 0 }];
+
+        let t0 = trace.clock();
+        for (i, site) in proved.iter().enumerate() {
+            if let Some((span, heal)) = site {
+                let obs = TrialObservers { trace: traces.get_mut(i), deep: deeps.get_mut(i) };
+                out[i] = Some(self.ride_lane(span, *heal, specs[i], monitor, obs));
+            }
+        }
+        batch.ride_ns = since(t0);
+
+        let mut order: Vec<usize> = (0..n).filter(|&i| proved[i].is_none()).collect();
+        order.sort_by_key(|&i| specs[i].inject_cycle);
+        let t0 = trace.clock();
+        let mut rows = Rows::new(self, order.iter().map(|&i| specs[i].inject_cycle));
+        batch.rows_ns = since(t0);
         let mut walker = self.checkpoint.clone();
         let mut walked = 0u64;
-        let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
-        let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
-        let mut deeps = vec![DeepTrace::new(); if deep { specs.len() } else { 0 }];
         let mut closings = Vec::new();
-        let mut faults = Vec::new();
-        let mut advance_ns = 0u64;
-        let mut monitor_ns = 0u64;
-        let mut cycles_stepped = 0u64;
-        for i in order {
+        for &i in &order {
             let spec = specs[i];
-            let t0 = TRACED.then(Instant::now);
+            let t0 = trace.clock();
             while walked < spec.inject_cycle && walker.running() {
                 walker.step();
                 walked += 1;
             }
-            let t1 = TRACED.then(Instant::now);
-            if let (Some(t0), Some(t1)) = (t0, t1) {
-                advance_ns += t1.duration_since(t0).as_nanos() as u64;
-            }
-            let trace_slot = if TRACED { Some(&mut traces[i]) } else { None };
-            let deep_slot = if deep { Some(&mut deeps[i]) } else { None };
+            let t1 = trace.clock();
+            batch.advance_ns += between(t0, t1);
+            let obs = TrialObservers { trace: traces.get_mut(i), deep: deeps.get_mut(i) };
             CONTAINED.with(|c| c.set(true));
             let classified = panic::catch_unwind(AssertUnwindSafe(|| {
                 if panic_shim == Some(i) {
@@ -831,46 +873,46 @@ impl StartPoint {
                         spec.target, spec.inject_cycle
                     );
                 }
-                self.classify(
-                    mask,
-                    &rows,
-                    walker.clone(),
-                    spec,
-                    monitor,
-                    true,
-                    TrialObservers { trace: trace_slot, deep: deep_slot },
-                )
+                self.classify(mask, &rows, walker.clone(), spec, monitor, true, obs)
             }));
             CONTAINED.with(|c| c.set(false));
             match classified {
                 Ok((rec, closing, stepped)) => {
                     out[i] = Some(rec);
                     closings.extend(closing.map(|c| (i, c)));
-                    cycles_stepped += stepped;
+                    batch.cycles_stepped += stepped;
                 }
-                Err(payload) => {
-                    faults.push(TrialFault { index: i, spec, panic_msg: panic_message(payload) })
-                }
+                Err(payload) => batch.faults.push(TrialFault {
+                    index: i,
+                    spec,
+                    panic_msg: panic_message(payload),
+                }),
             }
-            if let Some(t1) = t1 {
-                monitor_ns += t1.elapsed().as_nanos() as u64;
-            }
+            batch.classify_ns += since(t1);
         }
-        let attribute_t0 = TRACED.then(Instant::now);
+        let t0 = trace.clock();
         rows.close(closings, &mut traces, &mut deeps);
-        let attribute_ns = attribute_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        // On the scalar ladder all monitor time is classification time.
-        let mut batch = keep_classified(out, traces, deeps, faults, TRACED, deep);
-        batch.advance_ns = advance_ns;
-        batch.monitor_ns = monitor_ns;
-        batch.classify_ns = monitor_ns;
-        batch.rows_ns = rows_ns;
-        batch.attribute_ns = attribute_ns;
+        batch.attribute_ns = since(t0);
+        batch.monitor_ns = batch.ride_ns + batch.classify_ns;
         batch.rows_hashed = rows.hashed();
         batch.words_hashed = rows.words_hashed();
-        batch.cycles_stepped = cycles_stepped;
-        batch.golden_cycles = rows.stepped();
-        batch
+        batch.golden_cycles += rows.stepped();
+
+        // Quarantined trials have no record, trace or timeline.
+        fn classified<T>(slots: Vec<T>, out: &[Option<TrialRecord>]) -> Vec<T> {
+            slots.into_iter().zip(out).filter(|(_, r)| r.is_some()).map(|(t, _)| t).collect()
+        }
+        batch.faults.sort_by_key(|f| f.index);
+        batch.traces = classified(traces, &out);
+        batch.deeps = classified(deeps, &out);
+        batch.records = out.into_iter().flatten().collect();
+        let simulated = order.len() as u64;
+        let dispo = PruneDispositions {
+            proved_dead: n as u64 - simulated,
+            class_collapsed: 0,
+            simulated,
+        };
+        (batch, dispo)
     }
 
     /// The shared classification loop: takes a machine already advanced
@@ -1134,37 +1176,8 @@ impl StartPoint {
     }
 }
 
-/// Splits per-spec outputs into a [`TracedBatch`]: quarantined trials have
-/// no record, trace, or deep timeline; everything else stays in input
-/// order.
-pub(crate) fn keep_classified(
-    out: Vec<Option<TrialRecord>>,
-    traces: Vec<TrialTrace>,
-    mut deeps: Vec<DeepTrace>,
-    mut faults: Vec<TrialFault>,
-    traced: bool,
-    deep: bool,
-) -> TracedBatch {
-    faults.sort_by_key(|f| f.index);
-    let mut records = Vec::with_capacity(out.len());
-    let mut kept_traces = Vec::with_capacity(traces.len());
-    let mut kept_deeps = Vec::with_capacity(deeps.len());
-    for (i, rec) in out.into_iter().enumerate() {
-        if let Some(rec) = rec {
-            records.push(rec);
-            if traced {
-                kept_traces.push(traces[i]);
-            }
-            if deep {
-                kept_deeps.push(std::mem::take(&mut deeps[i]));
-            }
-        }
-    }
-    TracedBatch { records, traces: kept_traces, faults, deeps: kept_deeps, ..Default::default() }
-}
-
 /// A trial's decision-state fingerprint, waiting for the golden row of its
-/// decision cycle: what the traced paths' post-decision attribution and
+/// decision cycle: what traced batches' post-decision attribution and
 /// the deep timeline's closing sample compare.
 pub(crate) struct Closing {
     /// The decision cycle, clamped to the golden horizon.
@@ -1688,9 +1701,9 @@ mod tests {
 
     #[test]
     fn batched_trials_match_the_naive_path() {
-        // The snapshot ladder must reproduce run_trial record-for-record,
-        // including unsorted plans, duplicate injection cycles, and cycles
-        // at the window edges.
+        // The engine must reproduce run_trial record-for-record, including
+        // unsorted plans, duplicate injection cycles, and cycles at the
+        // window edges.
         let sp = start_point();
         let specs: Vec<TrialSpec> = (0..24u64)
             .map(|t| TrialSpec {
@@ -1738,7 +1751,7 @@ mod tests {
             })
             .collect();
         let plain = sp.run_trials(InjectionMask::LatchesAndRams, &specs, 1_500);
-        let traced = sp.run_trials_traced(InjectionMask::LatchesAndRams, &specs, 1_500);
+        let (traced, _) = sp.run_batch(InjectionMask::LatchesAndRams, &specs, 1_500, Trace::On);
         assert_eq!(traced.records, plain, "tracing must not change classification");
         assert_eq!(traced.traces.len(), specs.len());
         assert!(traced.advance_ns > 0 || traced.monitor_ns > 0, "timing was captured");
@@ -1784,8 +1797,9 @@ mod tests {
                 inject_cycle: (t * 31) % 180,
             })
             .collect();
-        let traced = sp.run_trials_traced(InjectionMask::LatchesAndRams, &specs, 1_500);
-        let deep = sp.run_trials_deep_traced(InjectionMask::LatchesAndRams, &specs, 1_500);
+        let mask = InjectionMask::LatchesAndRams;
+        let (traced, _) = sp.run_batch(mask, &specs, 1_500, Trace::On);
+        let (deep, _) = sp.run_batch(mask, &specs, 1_500, Trace::Deep);
         assert_eq!(deep.records, traced.records, "deep tracing must not change classification");
         assert_eq!(deep.traces, traced.traces, "deep tracing must not change attribution");
         assert!(traced.deeps.is_empty(), "plain traced path records no timelines");
@@ -1812,14 +1826,15 @@ mod tests {
     /// reset (ascending) and checks every view against a standalone
     /// `prepare` of that start point, field by field, and the footprint
     /// the spine resolved against a standalone footprint walk of each.
-    /// Returns whether each start point's window saw the run halt.
+    /// Returns the step of each start point's window at which the run
+    /// halted.
     fn assert_spine_equals_standalone(
         name: &str,
         program: &Program,
         config: PipelineConfig,
         starts: &[u64],
         horizon: u64,
-    ) -> Vec<bool> {
+    ) -> Vec<Option<u64>> {
         use crate::pruner::{fault_sites, watch_list};
         const MASK: InjectionMask = InjectionMask::LatchesAndRams;
         const MONITOR: u64 = 700;
@@ -1880,7 +1895,7 @@ mod tests {
                 );
             }
         }
-        walked.points.iter().map(|p| p.halted_at.is_some()).collect()
+        walked.points.iter().map(|p| p.halted_at.map(|(h, _)| h)).collect()
     }
 
     #[test]
@@ -1916,14 +1931,15 @@ mod tests {
             let halt = warm_pipeline(&p, config, 1_000_000).cycles();
             assert!(halt > 1_000, "the program must outlast the first window ({halt})");
             // The run halts after the first window, inside the second and
-            // third, and before the fourth (whose warm-up ends halted).
+            // third, and before the fourth, which opens on the halted
+            // machine (its warm-up ends halted) and so halted at step 0.
             let starts = [halt - 900, halt - 300, halt - 299, halt + 50];
             let halts = assert_spine_equals_standalone("halt-bed", &p, config, &starts, 400);
-            assert_eq!(halts, [false, true, true, false]);
+            assert_eq!(halts, [None, Some(300), Some(299), Some(0)]);
             // A walk whose first start point is already halted.
             let starts = [halt + 5, halt + 505];
             let halts = assert_spine_equals_standalone("halt-bed", &p, config, &starts, 400);
-            assert_eq!(halts, [false, false]);
+            assert_eq!(halts, [Some(0), Some(0)]);
         }
     }
 

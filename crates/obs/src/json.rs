@@ -121,9 +121,16 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Parses one JSON document, requiring it to span the whole input.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The schemas
+/// nest at most 4 levels; the cap keeps a hostile document (a line of
+/// `[`s in a trace, a journal or a wire frame) from recursing the parser
+/// off the end of its stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document, requiring it to span the whole input. A
+/// document nested deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -136,6 +143,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -164,11 +173,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nested deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -363,6 +383,17 @@ mod tests {
         assert!(parse("\"abc").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_to_a_crash() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper than"), "{err}");
+        // Far past any stack: a 200 KB line of `[`, and of `{"a":`.
+        assert!(parse(&"[".repeat(200_000)).unwrap_err().contains("nested deeper than"));
+        assert!(parse(&"{\"a\":".repeat(50_000)).unwrap_err().contains("nested deeper than"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use tfsim::bitstate::{Category, StorageKind};
 use tfsim::inject::{run_campaign_on, CampaignConfig, CampaignResult, OutcomeCounts};
-use tfsim::workloads;
+use tfsim::workloads::{self, Workload};
 
 fn config(threads: usize) -> CampaignConfig {
     let mut config = CampaignConfig::quick(0xD5_2004);
@@ -83,12 +83,10 @@ fn outcome_counts_identical_across_1_2_and_n_threads() {
 /// The campaign engine against the per-trial oracle: each task's plan,
 /// redrawn from its PRNG substream and run spec by spec through the naive
 /// `StartPoint::run_trial` on a start point prepared on its own, must give
-/// the campaign's census, its journaled per-trial records, and its single
-/// quarantine of the shimmed trial. Three start points at spacing 500 make
-/// the campaign serve an interior start point from a shared golden walk
-/// whose row grids fall on two residues modulo 8.
-#[test]
-fn campaign_engine_equals_the_per_trial_oracle() {
+/// the campaign's census, its journaled per-trial records, and its
+/// quarantine of the shimmed trial, if any. Returns how many start points
+/// open on a machine that has already halted.
+fn assert_engine_equals_oracle(cfg: &CampaignConfig, workloads: &[Workload]) -> usize {
     use tfsim::arch::FuncSim;
     use tfsim::check::Rng;
     use tfsim::inject::{
@@ -96,25 +94,15 @@ fn campaign_engine_equals_the_per_trial_oracle() {
     };
     use tfsim::uarch::Pipeline;
 
-    let workloads: Vec<_> = workloads::all()
-        .into_iter()
-        .filter(|w| w.name == "gzip-like" || w.name == "vpr-like")
-        .collect();
-    let shim = (1usize, 1u32, 5u32); // (benchmark, start point, trial)
-    let mut cfg = config(2);
-    cfg.start_points = 3;
-    cfg.spacing_cycles = 500;
-    cfg.panic_shim = Some(shim);
-
     // The engine, untraced, and journaled (which traces) so that its
     // per-trial records can be read back.
-    let untraced = run_campaign_on(&cfg, &workloads);
+    let untraced = run_campaign_on(cfg, workloads);
     let path = std::env::temp_dir()
-        .join(format!("tfsim-oracle-journal-{}.jsonl", std::process::id()));
-    let meta = JournalMeta::new(&cfg, &workloads);
+        .join(format!("tfsim-oracle-journal-{}-{}.jsonl", std::process::id(), workloads[0].name));
+    let meta = JournalMeta::new(cfg, workloads);
     let journaled = {
         let j = CampaignJournal::create(&path, &meta).unwrap();
-        run_campaign_journaled(&cfg, &workloads, &CampaignObs::disabled(), Some(&j))
+        run_campaign_journaled(cfg, workloads, &CampaignObs::disabled(), Some(&j))
     };
     let mut tasks = CampaignJournal::resume(&path, &meta).unwrap().completed().to_vec();
     std::fs::remove_file(&path).unwrap();
@@ -127,6 +115,7 @@ fn campaign_engine_equals_the_per_trial_oracle() {
         BTreeMap::new(),
     );
     let mut quarantined = Vec::new();
+    let mut opened_halted = 0;
     for (b, w) in workloads.iter().enumerate() {
         let program = w.build(cfg.scale);
         let mut probe = FuncSim::new(&program);
@@ -142,6 +131,7 @@ fn campaign_engine_equals_the_per_trial_oracle() {
                 }
                 cpu.step();
             }
+            opened_halted += !cpu.running() as usize;
             let sp = StartPoint::prepare(&cpu, cfg.inject_window + cfg.monitor_cycles, cfg.mask);
             let mut rng = Rng::from_seed_stream(cfg.seed, (b as u64) << 32 | s as u64);
             let specs: Vec<TrialSpec> = (0..cfg.trials_per_start_point)
@@ -153,7 +143,7 @@ fn campaign_engine_equals_the_per_trial_oracle() {
 
             let mut records = Vec::new();
             for (t, spec) in specs.iter().enumerate() {
-                if (b, s, t as u32) == shim {
+                if cfg.panic_shim == Some((b, s, t as u32)) {
                     quarantined.push((b, s, t, *spec));
                     continue;
                 }
@@ -173,7 +163,7 @@ fn campaign_engine_equals_the_per_trial_oracle() {
     }
     assert!(tasks.next().is_none());
 
-    assert_eq!(quarantined.len(), 1);
+    assert_eq!(quarantined.len(), cfg.panic_shim.is_some() as usize);
     for result in [&untraced, &journaled] {
         assert_eq!(outcome_census(result), census, "census diverged from the oracle");
         let q: Vec<_> = result
@@ -183,6 +173,31 @@ fn campaign_engine_equals_the_per_trial_oracle() {
             .collect();
         assert_eq!(q, quarantined, "exactly the shimmed trial is quarantined");
     }
+    opened_halted
+}
+
+/// Three start points at spacing 500 make the campaign serve an interior
+/// start point from a shared golden walk whose row grids fall on two
+/// residues modulo 8, with one trial shimmed to panic. bzip2-like halts at
+/// cycle 8,703 at scale 1, so start points at 8,200, 8,700 and 9,200 see
+/// the halt late in the first window, three cycles into the second, and
+/// before the third opens: its trials land in a halted machine.
+#[test]
+fn campaign_engine_equals_the_per_trial_oracle() {
+    let two: Vec<_> = workloads::all()
+        .into_iter()
+        .filter(|w| w.name == "gzip-like" || w.name == "vpr-like")
+        .collect();
+    let mut cfg = config(2);
+    cfg.start_points = 3;
+    cfg.spacing_cycles = 500;
+    cfg.panic_shim = Some((1, 1, 5)); // (benchmark, start point, trial)
+    assert_eq!(assert_engine_equals_oracle(&cfg, &two), 0);
+
+    let bzip2: Vec<_> = workloads::all().into_iter().filter(|w| w.name == "bzip2-like").collect();
+    cfg.warmup_cycles = 8_200;
+    cfg.panic_shim = None;
+    assert_eq!(assert_engine_equals_oracle(&cfg, &bzip2), 1, "one start point opens halted");
 }
 
 #[test]

@@ -1,18 +1,17 @@
-//! Property tests pinning the campaign fast path to the naive reference:
+//! Property tests pinning the trial engine to the naive reference:
 //!
-//! * `StartPoint::run_trials` (snapshot ladder + cached fingerprints) must
-//!   return exactly the same `TrialRecord` sequence as per-trial
-//!   `StartPoint::run_trial` over random trial plans.
+//! * The engine (`StartPoint::run_trials`, and `StartPoint::run_batch` at
+//!   every `Trace` level: analytic pruner plus snapshot ladder with cached
+//!   fingerprints) must return exactly the same `TrialRecord` sequence as
+//!   per-trial `StartPoint::run_trial` over random trial plans, windows,
+//!   and protection configs — and a site the pruner proves dead must
+//!   classify identically under a full scalar `run_trial` replay.
 //! * The hierarchical root fingerprint (`CachedFingerprint`) must equal
 //!   the flat `fingerprint_of` on a live pipeline after random bit flips
 //!   and random stepping.
-//! * The analytic masking pruner `run_trials_pruned` must return the same
-//!   records as the ladder and the naive path over random plans, windows,
-//!   and protection configs — and a site the pruner proves dead must
-//!   classify identically under a full scalar `run_trial` replay.
 //!
 //! Together these are the proof obligations that let the campaign use the
-//! fast path without ever changing an outcome census. A failing property
+//! engine without ever changing an outcome census. A failing property
 //! prints its `(seed, case)` pair; rerun with `TFSIM_PROP_SEED=<seed>`.
 
 use std::sync::OnceLock;
@@ -21,7 +20,7 @@ use tfsim::bitstate::{
     fingerprint_of, BitCount, CachedFingerprint, FlipBit, InjectionMask, VisitState,
 };
 use tfsim::check::prop::{self, any_u64, ints, vecs, Config};
-use tfsim::inject::{StartPoint, TrialSpec};
+use tfsim::inject::{StartPoint, Trace, TrialSpec};
 use tfsim::isa::{Asm, Program, Reg};
 use tfsim::uarch::{Pipeline, PipelineConfig};
 use tfsim_check::prop_assert_eq;
@@ -110,19 +109,19 @@ fn batched_run_trials_equals_per_trial_run_trial() {
 }
 
 #[test]
-fn pruned_equals_ladder_equals_naive() {
-    // Random plans through the analytic masking pruner against the ladder
-    // and the naive path, across random monitoring windows and protection
-    // configs. The pruner may discharge a site analytically or delegate it
-    // to the ladder — whatever it picks, the records must be bit-identical
-    // to the scalar walk, and every site must land in exactly one
-    // disposition bucket. Targets range over every eligible bit, so the
-    // sites reach the tail of the walk (miss handling registers, retire PC,
-    // watchdog) too.
+fn engine_equals_naive_at_every_trace_level() {
+    // Random plans through the engine at every trace level, across random
+    // monitoring windows and protection configs. The pruner may prove a
+    // site dead or step it on the ladder — whatever it picks, the records
+    // must be bit-identical to the scalar walk at every level, deep
+    // tracing must not move a trace, and every site must land in exactly
+    // one disposition bucket. Targets range over every eligible bit, so
+    // the sites reach the tail of the walk (miss handling registers,
+    // retire PC, watchdog) too.
     let mut cfg = Config::from_env();
     cfg.cases = cfg.cases.min(12);
     let gen = (vecs((any_u64(), ints(0u64..64)), 1..8), ints(120u64..500), ints(0u8..2));
-    prop::run(&cfg, "pruned_equals_ladder_equals_naive", &gen, |val| {
+    prop::run(&cfg, "engine_equals_naive_at_every_trace_level", &gen, |val| {
         let (plan, monitor, protected) = val.clone();
         let sp = if protected == 1 { protected_start_point() } else { start_point() };
         let specs: Vec<TrialSpec> = plan
@@ -132,14 +131,15 @@ fn pruned_equals_ladder_equals_naive() {
                 inject_cycle,
             })
             .collect();
-        let ladder = sp.run_trials(MASK, &specs, monitor);
-        let (pruned, dispo) = sp.run_trials_pruned(MASK, &specs, monitor);
-        prop_assert_eq!(&pruned, &ladder, "pruned != ladder");
+        let naive: Vec<_> =
+            specs.iter().map(|s| sp.run_trial(MASK, s.target, s.inject_cycle, monitor)).collect();
+        prop_assert_eq!(&sp.run_trials(MASK, &specs, monitor), &naive, "engine != naive");
+        let (traced, dispo) = sp.run_batch(MASK, &specs, monitor, Trace::On);
+        prop_assert_eq!(&traced.records, &naive, "traced engine != naive");
         prop_assert_eq!(dispo.total(), specs.len() as u64, "dispositions must cover every site");
-        for (i, s) in specs.iter().enumerate() {
-            let naive = sp.run_trial(MASK, s.target, s.inject_cycle, monitor);
-            prop_assert_eq!(pruned[i], naive, "pruned != naive at trial {}", i);
-        }
+        let (deep, _) = sp.run_batch(MASK, &specs, monitor, Trace::Deep);
+        prop_assert_eq!(&deep.records, &naive, "deep-traced engine != naive");
+        prop_assert_eq!(&deep.traces, &traced.traces, "deep tracing moved a trace");
         Ok(())
     });
 }
@@ -160,11 +160,11 @@ fn pruned_proved_dead_site_equals_the_scalar_trial() {
         let sp = if protected == 1 { protected_start_point() } else { start_point() };
         let target = target % sp.bit_count();
         let spec = TrialSpec { target, inject_cycle };
-        let (pruned, dispo) = sp.run_trials_pruned(MASK, &[spec], monitor);
+        let (pruned, dispo) = sp.run_batch(MASK, &[spec], monitor, Trace::Off);
         prop_assert_eq!(dispo.total(), 1);
-        prop_assert_eq!(pruned.len(), 1);
+        prop_assert_eq!(pruned.records.len(), 1);
         let naive = sp.run_trial(MASK, target, inject_cycle, monitor);
-        prop_assert_eq!(pruned[0], naive, "disposition {:?} changed the record", dispo);
+        prop_assert_eq!(pruned.records[0], naive, "disposition {:?} changed the record", dispo);
         proved.set(proved.get() + dispo.proved_dead);
         Ok(())
     });
@@ -174,11 +174,11 @@ fn pruned_proved_dead_site_equals_the_scalar_trial() {
 #[test]
 fn peel_off_stress_many_simultaneous_divergences() {
     // A dense burst of trials packed into three adjacent injection cycles
-    // through the pruner: every site the golden run reads must be
-    // delegated to the ladder, peeling off its own scalar clone of the
-    // shared monotonic walker, while its neighbours are proved dead
-    // analytically. Deliberate duplicate specs check that each trial lands
-    // in the census exactly once — never merged, never lost.
+    // through the engine: every site the golden run reads must be stepped
+    // on the ladder, peeling off its own scalar clone of the shared
+    // monotonic walker, while its neighbours are proved dead analytically.
+    // Deliberate duplicate specs check that each trial lands in the census
+    // exactly once — never merged, never lost.
     let sp = start_point();
     let monitor = 400;
     let mut specs = Vec::new();
@@ -204,10 +204,13 @@ fn peel_off_stress_many_simultaneous_divergences() {
         assert!(violations.is_empty(), "shared walker corrupt at cycle {c}: {violations:?}");
     }
 
-    let ladder = sp.run_trials(MASK, &specs, monitor);
-    let (pruned, dispo) = sp.run_trials_pruned(MASK, &specs, monitor);
+    let (batch, dispo) = sp.run_batch(MASK, &specs, monitor, Trace::Off);
+    let pruned = batch.records;
     assert_eq!(pruned.len(), specs.len(), "every trial must land in the census exactly once");
-    assert_eq!(pruned, ladder, "peel-off burst diverged from the ladder");
+    for (i, (r, s)) in pruned.iter().zip(&specs).enumerate() {
+        let naive = sp.run_trial(MASK, s.target, s.inject_cycle, monitor);
+        assert_eq!(*r, naive, "peel-off burst trial {i} diverged from the per-trial replay");
+    }
     assert_eq!(dispo.total(), specs.len() as u64, "one disposition per trial");
     assert!(
         dispo.proved_dead > 0 && dispo.simulated > 0,
