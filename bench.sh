@@ -72,35 +72,36 @@ for filter in "$@"; do
 done
 echo "wrote $out" >&2
 
-# Overhead gates (only when the run recorded the trio).
+# Gates, each evaluated only when the run recorded its rows. Every gate
+# prints its ratio and verdict; the script exits 1 after the last of them
+# if any failed, so one failure never hides the others' results.
 median() {
   sed -n "s/^{\"name\":\"$(printf '%s' "$1" | sed 's/\//\\\//g')\",\"median_ns\":\([0-9.]*\).*/\1/p" "$out"
+}
+failed=0
+# gate LABEL NUMERATOR DENOMINATOR LIMIT: fails when the ratio exceeds LIMIT.
+gate() {
+  awk -v label="$1" -v n="$2" -v d="$3" -v limit="$4" 'BEGIN {
+    bad = n > limit * d
+    printf "%s: %.3fx (gate <= %sx) %s\n", label, n / d, limit, bad ? "GATE FAIL" : "ok"
+    exit bad
+  }' >&2 || failed=1
 }
 untraced=$(median "inject/trials-per-sec")
 traced=$(median "inject/trials-per-sec-traced")
 deep=$(median "inject/trials-per-sec-deep-traced")
 if [ -n "$untraced" ] && [ -n "$traced" ] && [ -n "$deep" ]; then
-  awk -v u="$untraced" -v t="$traced" -v d="$deep" 'BEGIN {
-    printf "traced/untraced: %.3fx   deep/traced: %.3fx\n", t/u, d/t
-    bad = 0
-    if (t > 1.15 * u) { print "GATE FAIL: traced exceeds untraced by >15%"; bad = 1 }
-    if (d > 1.25 * t) { print "GATE FAIL: deep-traced exceeds traced by >25%"; bad = 1 }
-    exit bad
-  }' >&2
+  gate "traced/untraced" "$traced" "$untraced" 1.15
+  gate "deep/traced" "$deep" "$traced" 1.25
 fi
 inproc=$(median "inject/distributed-overhead/in-process")
 distrib=$(median "inject/distributed-overhead/two-workers")
 if [ -n "$inproc" ] && [ -n "$distrib" ]; then
-  awk -v i="$inproc" -v d="$distrib" 'BEGIN {
-    printf "two-workers/in-process: %.3fx\n", d/i
-    if (d > 1.15 * i) { print "GATE FAIL: distributed exceeds in-process by >15%"; exit 1 }
-  }' >&2
+  gate "two-workers/in-process" "$distrib" "$inproc" 1.15
 fi
 naive=$(median "arch/sw-ladder-vs-naive/naive")
 ladder=$(median "arch/sw-ladder-vs-naive/ladder")
 if [ -n "$naive" ] && [ -n "$ladder" ]; then
-  awk -v n="$naive" -v l="$ladder" 'BEGIN {
-    printf "sw ladder/naive: %.3fx\n", l/n
-    if (l > 0.5 * n) { print "GATE FAIL: Figure 11 ladder exceeds 0.5x naive"; exit 1 }
-  }' >&2
+  gate "sw ladder/naive" "$ladder" "$naive" 0.5
 fi
+exit "$failed"

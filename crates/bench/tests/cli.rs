@@ -68,3 +68,18 @@ fn deeply_nested_json_is_refused_not_a_crash() {
     assert_refused(&resume, 1, "nested deeper than");
     std::fs::remove_file(&journal).unwrap();
 }
+
+#[test]
+fn malformed_assembly_is_refused_not_a_crash() {
+    let listings = [
+        ("misaligned.s", ".org 0x10001\n halt\n", "line 1: code base 0x10001 is not 4-byte"),
+        ("huge-zero.s", " halt\n.data 0x20000\n.zero 0x1000000000000\n", "line 3: .zero"),
+        ("label-twice.s", "x: halt\nx: halt\n", "line 2: label \"x\" defined twice"),
+    ];
+    for (name, source, needle) in listings {
+        let path = tmp(name);
+        std::fs::write(&path, source).unwrap();
+        assert_refused(&[path.to_str().unwrap()], 1, needle);
+        std::fs::remove_file(&path).unwrap();
+    }
+}

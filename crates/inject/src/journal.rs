@@ -163,8 +163,11 @@ impl JournalMeta {
             seed: num("seed")?,
             mask,
             timeout_counter: flag("timeout_counter")?,
+            // The watchdog's counter is 10 bits wide.
             timeout_threshold: u32::try_from(num("timeout_threshold")?)
-                .map_err(|_| "timeout_threshold out of range")?,
+                .ok()
+                .filter(|t| (1..1024).contains(t))
+                .ok_or("timeout_threshold out of range")?,
             regfile_ecc: flag("regfile_ecc")?,
             pointer_ecc: flag("pointer_ecc")?,
             insn_parity: flag("insn_parity")?,
@@ -811,6 +814,14 @@ mod tests {
         assert!(JournalMeta::parse("not json").is_err());
         let wrong_version = m.render().replace("\"version\":2", "\"version\":99");
         assert!(JournalMeta::parse(&wrong_version).is_err());
+        // A watchdog threshold the 10-bit counter cannot hold is refused,
+        // not handed to the pipeline it would fail to build.
+        for t in [0, 1024] {
+            let field = format!("\"timeout_threshold\":{t}");
+            let header = m.render().replace("\"timeout_threshold\":100", &field);
+            assert_ne!(header, m.render());
+            assert!(JournalMeta::parse(&header).unwrap_err().contains("timeout_threshold"));
+        }
     }
 
     #[test]

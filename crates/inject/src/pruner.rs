@@ -1,6 +1,7 @@
 //! The analytic masking pruner: dead-window proofs over the batch's golden
-//! access footprint, the half of the trial engine (`StartPoint::batch`)
-//! that settles sites without stepping them.
+//! access footprint, and the golden view that lets the trial engine
+//! (`StartPoint::batch`) classify the proved-dead sites without stepping
+//! them.
 //!
 //! A single-bit fault is a difference δ against the golden run. As long as
 //! no computation consumes the faulted word, the trial's observable
@@ -17,19 +18,20 @@
 //! benchmark inside the golden walk that prepares them; a standalone batch
 //! walks its own. Every site gets exactly one of two dispositions:
 //!
-//! * **Proved dead** — the fault provably never alters the classification
-//!   relative to the analytic rider:
+//! * **Proved dead** — the site's machine would replay the golden run
+//!   until the trial is decided or the fault heals:
 //!   - no access to the word in `(inject, horizon]` (a *dead window*: the
 //!     word is never read again before the window closes),
 //!   - the first access is a content-independent full-word overwrite (the
 //!     word dies by being rewritten before its next read), or
-//!   - the first access is a read, but the golden aggregates decide the
-//!     trial (lock, halt) strictly before that read consumes the fault.
+//!   - the first access is a read, but the decision loop over the site's
+//!     golden view decides the trial (lock, halt) strictly before that
+//!     read consumes the fault.
 //!
-//!   These sites produce their records through the analytic rider
-//!   ([`StartPoint::ride_lane`]), a mirror of the classifier's decision
-//!   loop evaluated against the golden aggregates, and never build a
-//!   machine.
+//!   These sites are classified by the decision loop that steps the others
+//!   (`StartPoint::decide`), run over their [`Golden`] view: the golden
+//!   run's retirements, flushes and halt, and µArch checks that match from
+//!   the heal on. No machine is built.
 //! * **Simulated** — everything else (sites on untracked words, targets
 //!   outside any unit, faults the golden run reads before any decision)
 //!   is stepped on the snapshot ladder in the same batch, at the same
@@ -42,7 +44,7 @@
 //!
 //! 1. *Reads are never under-logged* in any structure: a word with no read
 //!    event in a window really was not consumed there, so the machine
-//!    replays the golden run and the analytic rider's record is exact. A
+//!    replays the golden run and the golden view's record is exact. A
 //!    spurious logged read only demotes a site to simulated.
 //! 2. *Logged writes are full-word and content-independent*: a heal event
 //!    restores the golden value no matter the δ. Read-modify-write sites
@@ -57,13 +59,11 @@
 //!    the same collision exposure the root-fingerprint equality check
 //!    always had.
 
-use tfsim_bitstate::{InjectionMask, UnitId};
+use tfsim_bitstate::{Category, InjectionMask, StorageKind, UnitId};
 use tfsim_uarch::Pipeline;
 
 use crate::footprint::{resolve_spans, Footprint, Span};
-use crate::trial::{
-    FailureMode, Outcome, StartPoint, TrialObservers, TrialRecord, TrialSpec, DENSE, SPARSE,
-};
+use crate::trial::{Run, Seen, StartPoint, Step, TrialSpec};
 
 /// A batch's fault sites, one per spec: the span the target lands in and
 /// the unit whose tracked word the footprint speaks for, or `None` for a
@@ -119,52 +119,77 @@ pub(crate) fn watch_list<'a>(
     })
 }
 
-impl StartPoint {
-    /// Whether a golden-aggregate decision (lock, halt, ran-ahead) of
-    /// [`StartPoint::ride_lane`]'s loop fires in the steps `(inject, end]`.
-    /// Fingerprint checks cannot decide there — the δ is still latent — so
-    /// they are irrelevant to the walk.
-    fn decided_by(&self, inject: u64, end: u64) -> bool {
-        let running_at = |c: u64| self.halted_at.is_none_or(|(hc, _)| c < hc);
-        if !running_at(inject) {
-            return true;
-        }
-        let records = self.records().len();
-        let mut matched = self.instret(inject) as usize;
-        let mut last_retire = inject;
-        let mut flushes = 0u32;
-        for step in (inject + 1)..=end {
-            let retired = self.retired_at(step);
-            if retired > 0 {
-                last_retire = step;
-                flushes = 0;
-            }
-            if self.pflush_at(step) {
-                flushes += 1;
-                if flushes >= 3 {
-                    return true;
-                }
-                last_retire = step;
-            }
-            for _ in 0..retired {
-                if matched >= records {
-                    return true;
-                }
-                matched += 1;
-            }
-            if self.halted_at.is_some_and(|(hc, _)| hc == step) {
-                return true;
-            }
-            if running_at(step) && step - last_retire >= 100 {
-                return true;
-            }
-            if !running_at(step) {
-                break;
-            }
-        }
-        false
+/// The golden view of a proved-dead site: the decision loop's view of a
+/// trial read off the golden run's aggregates instead of a stepped machine.
+/// Valid because the site's machine, were it stepped, would replay the
+/// golden run exactly (the δ sits in a word nothing reads before it is
+/// possibly overwritten at `heal`), so it retires the golden records
+/// verbatim and halts with the golden exit code, and its state differs from
+/// golden in the site's unit alone until it heals.
+pub(crate) struct Golden<'a> {
+    sp: &'a StartPoint,
+    span: &'a Span,
+    /// Steps since the checkpoint.
+    at: u64,
+    /// The step at which an overwrite heals the site, if one does.
+    heal: Option<u64>,
+}
+
+impl<'a> Golden<'a> {
+    /// The site at `span` injected at step `inject`, healed at `heal`.
+    pub(crate) fn new(sp: &'a StartPoint, span: &'a Span, inject: u64, heal: Option<u64>) -> Self {
+        Golden { sp, span, at: inject, heal }
     }
 
+    /// The units the site differs from golden in: its own until healed.
+    fn unit(&self) -> u16 {
+        match self.span.unit {
+            Some(u) if self.heal.is_none_or(|hc| self.at < hc) => 1 << u.index(),
+            _ => 0,
+        }
+    }
+}
+
+impl Run for Golden<'_> {
+    fn site(&self) -> (Category, StorageKind, Option<UnitId>) {
+        (self.span.category, self.span.kind, self.span.unit)
+    }
+
+    fn running(&self) -> bool {
+        // The golden run raises no exceptions (the walk forbids them), so
+        // only the halt ends it.
+        self.sp.halted_at.is_none_or(|(hc, _)| self.at < hc)
+    }
+
+    fn step(&mut self) -> Step<'_> {
+        let sp = self.sp;
+        let retired = sp.instret(self.at) as usize..sp.instret(self.at + 1) as usize;
+        self.at += 1;
+        Step {
+            retired: &sp.records()[retired],
+            protective_flush: sp.pflush_at(self.at),
+            stop: sp.halted_at.filter(|&(hc, _)| hc == self.at).map(|(_, code)| Ok(code)),
+        }
+    }
+
+    fn matches(&mut self, _step: u64) -> bool {
+        self.heal.is_some_and(|hc| self.at >= hc)
+    }
+
+    fn suspect(&self) -> Option<UnitId> {
+        self.span.unit
+    }
+
+    fn diverged(&mut self, _step: u64) -> u16 {
+        self.unit()
+    }
+
+    fn seen(&mut self) -> Seen {
+        Seen::Diverged(self.unit())
+    }
+}
+
+impl StartPoint {
     /// The disposition of each spec's site. `footprint` holds the sites'
     /// first accesses in walk steps, this start point sitting `offset`
     /// steps into that walk. Also returns the number of distinct first
@@ -196,156 +221,21 @@ impl StartPoint {
                     None => Some((span, None)),
                     // Dead window: overwritten before its next read.
                     Some((hc, true)) => Some((span, Some(hc))),
-                    // Locked/halted before the read: the analytic rider
-                    // reaches the identical decision.
-                    Some((r, false)) => self.decided_by(c, r - 1).then_some((span, None)),
+                    // Decided (locked or halted) strictly before the read
+                    // consumes the fault: the golden view's decision loop,
+                    // run up to the read, reaches it. Its checks cannot
+                    // decide there, since the δ is still latent.
+                    Some((r, false)) => {
+                        let mut golden = Golden::new(self, &span, c, None);
+                        let decided = self.decide(&mut golden, c, r - 1, None, None).decided;
+                        decided.then_some((span, None))
+                    }
                 }
             })
             .collect();
         kept.sort_unstable();
         kept.dedup();
         (proved, kept.len() as u64)
-    }
-
-    /// The analytic classifier for a proved-dead site: a literal mirror of
-    /// `classify`'s decision loop, evaluated against the golden aggregates
-    /// instead of a stepped machine. Valid because the site's machine, were
-    /// it stepped, would replay the golden run exactly — the δ sits in a
-    /// word nothing reads before it is (possibly) overwritten at
-    /// `heal_cycle`.
-    pub(crate) fn ride_lane(
-        &self,
-        span: &Span,
-        heal_cycle: Option<u64>,
-        spec: TrialSpec,
-        monitor: u64,
-        obs: TrialObservers<'_>,
-    ) -> TrialRecord {
-        let TrialObservers { trace, mut deep } = obs;
-        let inject_cycle = spec.inject_cycle;
-        let traced = trace.is_some();
-        // Deep-trace mirror: the site's state differs from golden in
-        // exactly its own unit until healed, so the diverged-unit set the
-        // scalar walk would sample is `{span.unit}` (or empty once healed).
-        // Change-only pushes at the same check cycles make the synthesized
-        // timeline byte-equal to the scalar one.
-        let unit_mask = span.unit.map(|u| 1u16 << u.index()).unwrap_or(0);
-        // Whether the machine is still running after `c` steps: the golden
-        // run raises no exceptions (prepare forbids it), so only the halt
-        // ends it — and the site replays golden.
-        let running_at = |c: u64| self.halted_at.is_none_or(|(hc, _)| c < hc);
-
-        let records = self.records().len();
-        let make = |outcome| TrialRecord {
-            outcome,
-            category: span.category,
-            kind: span.kind,
-            unit: span.unit,
-            inject_cycle,
-            valid_instructions: self.valid_at(inject_cycle),
-        };
-
-        let mut divergence: Option<(u64, Option<UnitId>)> = None;
-        let mut last_step = inject_cycle;
-
-        let (outcome, decided_at) = 'decide: {
-            if !running_at(inject_cycle) {
-                break 'decide (Outcome::MicroArchMatch, inject_cycle);
-            }
-
-            let mut matched = self.instret(inject_cycle) as usize;
-            let mut last_retire_cycle = inject_cycle;
-            let mut flushes_without_retire = 0u32;
-            let horizon = self.horizon.min(inject_cycle + monitor);
-
-            for step in (inject_cycle + 1)..=horizon {
-                last_step = step;
-                let retired = self.retired_at(step);
-                if retired > 0 {
-                    last_retire_cycle = step;
-                    flushes_without_retire = 0;
-                }
-                if self.pflush_at(step) {
-                    flushes_without_retire += 1;
-                    if flushes_without_retire >= 3 {
-                        break 'decide (Outcome::Failure(FailureMode::Locked), step);
-                    }
-                    last_retire_cycle = step;
-                }
-                for _ in 0..retired {
-                    // A golden-replaying site retires the golden records
-                    // verbatim: the per-record architectural comparisons
-                    // pass by identity, and the ran-ahead guard below is
-                    // provably dead (kept for literal parity).
-                    if matched >= records {
-                        break 'decide (Outcome::GrayArea, step);
-                    }
-                    matched += 1;
-                }
-                if let Some((hc, _code)) = self.halted_at {
-                    if hc == step {
-                        // The site halts with the golden exit code; correct
-                        // iff the full golden stream was retired.
-                        let outcome = if matched == records {
-                            Outcome::MicroArchMatch
-                        } else {
-                            Outcome::Failure(FailureMode::Ctrl)
-                        };
-                        break 'decide (outcome, step);
-                    }
-                }
-                if running_at(step) && step - last_retire_cycle >= 100 {
-                    break 'decide (Outcome::Failure(FailureMode::Locked), step);
-                }
-                let dense = step - inject_cycle <= DENSE;
-                if (dense || step % SPARSE == 0) && self.instret(step) == matched as u64 {
-                    // Fingerprint check: the site equals golden except for
-                    // the δ, so equality holds exactly once healed.
-                    if heal_cycle.is_some_and(|hc| step >= hc) {
-                        if let Some(d) = deep.as_deref_mut() {
-                            d.push(step, 0);
-                        }
-                        break 'decide (Outcome::MicroArchMatch, step);
-                    }
-                    if traced && divergence.is_none() {
-                        divergence = Some((step, span.unit));
-                    }
-                    if let Some(d) = deep.as_deref_mut() {
-                        // Mirror of `classify`'s deep-sampling cadence:
-                        // dense window, then every eighth check.
-                        if dense || step % 64 == 0 {
-                            d.push(step, unit_mask);
-                        }
-                    }
-                }
-                if !running_at(step) {
-                    break;
-                }
-            }
-            (Outcome::GrayArea, last_step)
-        };
-
-        if outcome != Outcome::MicroArchMatch && (traced || deep.is_some()) {
-            // Mirror of `classify`'s post-decision attribution walk:
-            // at the decision state the site differs from golden iff
-            // the δ is still unhealed, and then exactly in its unit.
-            let at = last_step.min(self.horizon);
-            let unhealed = heal_cycle.is_none_or(|hc| last_step < hc);
-            if traced && divergence.is_none() && unhealed {
-                divergence = Some((at, span.unit));
-            }
-            if let Some(d) = deep {
-                d.push(at, if unhealed { unit_mask } else { 0 });
-            }
-        }
-        if let Some(tr) = trace {
-            tr.detect_cycle = decided_at;
-            if let Some((cycle, unit)) = divergence {
-                tr.divergence_cycle = Some(cycle);
-                tr.diverged_unit = unit;
-            }
-        }
-        make(outcome)
     }
 }
 
@@ -404,11 +294,40 @@ mod tests {
             assert_eq!(e, l, "spec {i} ({:?}) diverged", specs[i]);
         }
         assert_eq!(engine.records, ladder.records);
-        assert_eq!(engine.traces, ladder.traces, "traces must match cycle-for-cycle");
-        assert_eq!(engine.deeps, ladder.deeps, "timelines must match sample-for-sample");
+        for (i, (e, l)) in engine.traces.iter().zip(&ladder.traces).enumerate() {
+            assert_eq!(e, l, "spec {i} ({:?}): traces must match cycle-for-cycle", specs[i]);
+        }
+        assert_eq!(engine.traces, ladder.traces);
+        for (i, (e, l)) in engine.deeps.iter().zip(&ladder.deeps).enumerate() {
+            assert_eq!(e, l, "spec {i} ({:?}): timelines must match sample-for-sample", specs[i]);
+        }
+        assert_eq!(engine.deeps, ladder.deeps);
         assert_eq!(engine.faults, ladder.faults);
         assert_eq!(dispo.total(), specs.len() as u64, "every site gets one disposition");
         assert!(dispo.proved_dead > 0, "the sweep should prove some sites dead: {dispo:?}");
+    }
+
+
+    /// The rider against stepping on every workload under both pipeline
+    /// configs, traced and deep-traced: 16 sites striding across the
+    /// eligible bits (a different phase per workload), injected over the
+    /// first 100 cycles, each ridden or stepped for up to 400.
+    #[test]
+    fn rider_matches_stepping_on_every_workload() {
+        const MONITOR: u64 = 400;
+        for (k, (_, _, warmed)) in crate::trial::tests::warmed_workloads().iter().enumerate() {
+            let sp = StartPoint::prepare(warmed, 100 + MONITOR, MASK);
+            let bits = sp.bit_count();
+            let specs: Vec<TrialSpec> = (0..16u64)
+                .map(|t| TrialSpec {
+                    target: (t * bits + k as u64 * 7_919) / 16 % bits,
+                    inject_cycle: (t * 37 + k as u64) % 100,
+                })
+                .collect();
+            for trace in [Trace::On, Trace::Deep] {
+                assert_rider_equals_ladder(&sp, &specs, MONITOR, trace);
+            }
+        }
     }
 
     #[test]

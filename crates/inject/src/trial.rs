@@ -1,15 +1,19 @@
 //! Start-point preparation and trial execution.
 //!
-//! Two equivalent execution paths classify trials:
+//! Every trial is classified by one decision loop, [`StartPoint::decide`],
+//! over one of two views of it ([`Run`]): a faulted machine the loop steps
+//! ([`Stepped`]), or a site the pruner proved dead, read off the golden
+//! run's aggregates (`crate::pruner::Golden`). Two equivalent execution
+//! paths drive it:
 //!
 //! * [`StartPoint::run_trial`] — the naive reference: clone the checkpoint,
-//!   replay fault-free to the injection cycle, flip, monitor with flat
-//!   whole-machine fingerprints. Deliberately simple; the oracle every
+//!   replay fault-free to the injection cycle, flip, and step the loop with
+//!   flat whole-machine fingerprints. Deliberately simple; the oracle every
 //!   optimization is measured and verified against.
 //! * The engine ([`StartPoint::run_trials`], [`StartPoint::run_batch`] and
 //!   every campaign): one batch per start point. The analytic pruner
-//!   (`crate::pruner`) proves most sites dead and rides them against the
-//!   golden aggregates; the rest run on the snapshot ladder, sorted by
+//!   (`crate::pruner`) proves most sites dead and the loop reads their
+//!   golden views; the rest are stepped on the snapshot ladder, sorted by
 //!   injection cycle and served from a single fault-free *walker*
 //!   advanced monotonically through the injection window (one clone per
 //!   trial instead of a replay per trial), with µArch-Match checks on a
@@ -60,7 +64,7 @@ use tfsim_obs::{DeepTrace, PruneDispositions};
 use tfsim_uarch::{ExcCode, FlowEvent, Pipeline, PipelineConfig, RetireEvent};
 
 use crate::footprint::Footprint;
-use crate::pruner::{fault_sites, watch_list, Sites};
+use crate::pruner::{fault_sites, watch_list, Golden, Sites};
 
 /// The paper's seven failure modes (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,16 +192,6 @@ pub struct TrialTrace {
     pub diverged_unit: Option<UnitId>,
 }
 
-/// The per-trial observer slots a classification writes into: `trace`
-/// receives the decision and first-divergence cycles, `deep` the full
-/// divergence timeline. Both are pure observability — a `None` slot costs
-/// nothing and never alters the outcome.
-#[derive(Default)]
-pub(crate) struct TrialObservers<'a> {
-    pub trace: Option<&'a mut TrialTrace>,
-    pub deep: Option<&'a mut DeepTrace>,
-}
-
 /// A trial whose faulted run escaped the hardened model and unwound.
 ///
 /// This is a *harness-level* record, kept strictly separate from the
@@ -282,7 +276,8 @@ pub struct TracedBatch {
     pub advance_ns: u64,
     /// Wall-clock time spent flipping, monitoring, and classifying.
     pub monitor_ns: u64,
-    /// Portion of `monitor_ns` spent in the pruner's analytic rider.
+    /// Portion of `monitor_ns` spent on the proved-dead sites' golden views
+    /// (the analytic rider).
     pub ride_ns: u64,
     /// Portion of `monitor_ns` spent stepping the simulated sites.
     pub classify_ns: u64,
@@ -676,12 +671,6 @@ impl StartPoint {
         self.spine.instret[(self.offset + step) as usize] - self.base_instret
     }
 
-    /// Instructions the golden run retired in step `step` (≥ 1).
-    pub(crate) fn retired_at(&self, step: u64) -> u64 {
-        let t = (self.offset + step) as usize;
-        self.spine.instret[t] - self.spine.instret[t - 1]
-    }
-
     /// Whether golden step `step` (≥ 1) performed a protective flush.
     pub(crate) fn pflush_at(&self, step: u64) -> bool {
         self.spine.pflush[(self.offset + step) as usize]
@@ -719,16 +708,9 @@ impl StartPoint {
             cpu.step();
         }
 
-        self.classify(
-            mask,
-            &rows,
-            cpu,
-            TrialSpec { target, inject_cycle },
-            monitor,
-            false,
-            TrialObservers::default(),
-        )
-        .0
+        let mut run = Stepped::flip(cpu, mask, target, &rows, false, false);
+        let end = self.horizon.min(inject_cycle + monitor);
+        self.decide(&mut run, inject_cycle, end, None, None).record
     }
 
     /// Runs a batch of trials against this start point through the engine,
@@ -777,9 +759,9 @@ impl StartPoint {
     ///   and footprint steps are walk steps); without it, the batch
     ///   resolves its sites and walks its own footprint from the
     ///   checkpoint;
-    /// * proves the sites' dispositions (`crate::pruner`) and rides every
-    ///   proved-dead site against the golden aggregates
-    ///   ([`StartPoint::ride_lane`]), building no machine;
+    /// * proves the sites' dispositions (`crate::pruner`) and classifies
+    ///   every proved-dead site by the decision loop over its golden view,
+    ///   building no machine;
     /// * steps every other site on the snapshot ladder: in ascending
     ///   injection cycle, one fault-free *walker* clone of the checkpoint
     ///   advances monotonically through the injection window and each
@@ -838,11 +820,16 @@ impl StartPoint {
         let mut traces = vec![TrialTrace::default(); if trace.on() { n } else { 0 }];
         let mut deeps = vec![DeepTrace::new(); if trace.deep() { n } else { 0 }];
 
+        let mut closings = Vec::new();
         let t0 = trace.clock();
         for (i, site) in proved.iter().enumerate() {
             if let Some((span, heal)) = site {
-                let obs = TrialObservers { trace: traces.get_mut(i), deep: deeps.get_mut(i) };
-                out[i] = Some(self.ride_lane(span, *heal, specs[i], monitor, obs));
+                let c = specs[i].inject_cycle;
+                let mut run = Golden::new(self, span, c, *heal);
+                let end = self.horizon.min(c + monitor);
+                let d = self.decide(&mut run, c, end, traces.get_mut(i), deeps.get_mut(i));
+                out[i] = Some(d.record);
+                closings.extend(d.closing.map(|c| (i, c)));
             }
         }
         batch.ride_ns = since(t0);
@@ -854,7 +841,6 @@ impl StartPoint {
         batch.rows_ns = since(t0);
         let mut walker = self.checkpoint.clone();
         let mut walked = 0u64;
-        let mut closings = Vec::new();
         for &i in &order {
             let spec = specs[i];
             let t0 = trace.clock();
@@ -864,7 +850,7 @@ impl StartPoint {
             }
             let t1 = trace.clock();
             batch.advance_ns += between(t0, t1);
-            let obs = TrialObservers { trace: traces.get_mut(i), deep: deeps.get_mut(i) };
+            let (trace, deep) = (traces.get_mut(i), deeps.get_mut(i));
             CONTAINED.with(|c| c.set(true));
             let classified = panic::catch_unwind(AssertUnwindSafe(|| {
                 if panic_shim == Some(i) {
@@ -873,14 +859,17 @@ impl StartPoint {
                         spec.target, spec.inject_cycle
                     );
                 }
-                self.classify(mask, &rows, walker.clone(), spec, monitor, true, obs)
+                let sample = deep.is_some();
+                let mut run = Stepped::flip(walker.clone(), mask, spec.target, &rows, true, sample);
+                let c = spec.inject_cycle;
+                self.decide(&mut run, c, self.horizon.min(c + monitor), trace, deep)
             }));
             CONTAINED.with(|c| c.set(false));
             match classified {
-                Ok((rec, closing, stepped)) => {
-                    out[i] = Some(rec);
-                    closings.extend(closing.map(|c| (i, c)));
-                    batch.cycles_stepped += stepped;
+                Ok(d) => {
+                    out[i] = Some(d.record);
+                    closings.extend(d.closing.map(|c| (i, c)));
+                    batch.cycles_stepped += d.last_step - spec.inject_cycle;
                 }
                 Err(payload) => batch.faults.push(TrialFault {
                     index: i,
@@ -915,96 +904,58 @@ impl StartPoint {
         (batch, dispo)
     }
 
-    /// The shared classification loop: takes a machine already advanced
-    /// fault-free to `spec.inject_cycle`, flips the bit, and monitors
-    /// against the golden rows in `rows`. With `cached_fp` the µArch-Match
-    /// checks run on a [`CachedFingerprint`] (fast path); without, on flat
-    /// [`fingerprint_of`] (reference path). Both hash definitions are
-    /// identical by construction.
+    /// The decision loop: the paper's one classification procedure, run
+    /// over either view of a trial ([`Run`]) from its injection at step
+    /// `inject` to step `end` at the latest.
     ///
-    /// With `obs.trace`, the decision cycle and first observed divergence
-    /// are recorded into it. Tracing never alters the classification: all
-    /// trace work happens off the decision path, after the outcome is
-    /// sealed.
+    /// * Every retired instruction is compared with the golden record of
+    ///   the same commit number (Ctrl, Regfile and Mem failures); one
+    ///   retired past the golden stream ends the trial in the Gray Area.
+    /// * An exception fails the trial. A halt is a µArch Match only with
+    ///   the golden exit code, after exactly the golden stream.
+    /// * 100 cycles without retirement, or three protective flushes without
+    ///   one, lock the trial.
+    /// * At every step of the dense window after injection and every
+    ///   [`SPARSE`]th after it, a run level with golden is checked for a
+    ///   full-machine µArch Match.
     ///
-    /// With `obs.deep`, divergent µArch checks additionally sample the
-    /// full diverged-unit set into the given [`DeepTrace`] — densely just
-    /// after injection, at every eighth check once sparse. The samples come
-    /// from a *dedicated* incremental [`CachedFingerprint`], never the
-    /// classifier's, whose suspect short-circuit feeds the journaled
-    /// `diverged_unit` attribution and must stay byte-identical to the
-    /// non-deep run.
-    ///
-    /// Returns the record; when an observer still needs the
-    /// decision-cycle comparison against golden, the [`Closing`] the
-    /// caller resolves with [`Rows::close`] once every trial of the batch
-    /// is classified; and the cycles the faulted machine stepped.
-    #[allow(clippy::too_many_arguments)]
-    fn classify(
+    /// What no rule decides by `end` is Gray Area. The observer slots are
+    /// pure observability: `trace` receives the decision step and the first
+    /// divergence a check observed, and into `deep` failing checks sample
+    /// the diverged-unit set, densely and then at every eighth check. They
+    /// read what the rules computed, and the post-decision comparison waits
+    /// in the returned [`Closing`], so they never alter the decision.
+    pub(crate) fn decide<R: Run>(
         &self,
-        mask: InjectionMask,
-        rows: &Rows<'_>,
-        mut cpu: Pipeline,
-        spec: TrialSpec,
-        monitor: u64,
-        cached_fp: bool,
-        obs: TrialObservers<'_>,
-    ) -> (TrialRecord, Option<Closing>, u64) {
-        let TrialObservers { trace, mut deep } = obs;
-        let TrialSpec { target, inject_cycle } = spec;
+        run: &mut R,
+        inject: u64,
+        end: u64,
+        trace: Option<&mut TrialTrace>,
+        mut deep: Option<&mut DeepTrace>,
+    ) -> Decision {
         let traced = trace.is_some();
-        let base_instret = self.checkpoint.instret();
         let records = self.records();
-
-        // Flip the bit.
-        let mut flip = FlipBit::new(mask, target);
-        cpu.visit_state(&mut flip);
-        let hit = flip.flipped.expect("target bit within eligible range");
-
-        let make = |outcome| TrialRecord {
-            outcome,
-            category: hit.category,
-            kind: hit.kind,
-            unit: hit.unit,
-            inject_cycle,
-            valid_instructions: self.valid_at(inject_cycle),
-        };
-
         // First divergence a µArch check observed: (cycle, unit).
         let mut divergence: Option<(u64, Option<UnitId>)> = None;
-        let mut last_step = inject_cycle;
+        let mut last_step = inject;
 
-        let (outcome, decided_at) = 'decide: {
-            // If the golden run halted before the injection point, the flip
-            // landed in a halted machine: architecturally invisible.
-            if !cpu.running() {
-                break 'decide (Outcome::MicroArchMatch, inject_cycle);
+        let decided = 'decide: {
+            // A flip into a halted machine is architecturally invisible.
+            if !run.running() {
+                break 'decide Some((Outcome::MicroArchMatch, inject));
             }
-
-            let mut matched_records = (cpu.instret() - base_instret) as usize;
-            let mut last_retire_cycle = inject_cycle;
+            // The machine replayed golden up to the flip.
+            let mut matched = self.instret(inject.min(end)) as usize;
+            let mut last_retire = inject;
             let mut flushes_without_retire = 0u32;
-            let horizon = self.horizon.min(inject_cycle + monitor);
-            // Created after the flip: the cache starts cold, so the flip
-            // (which bypasses generation stamps) can never be hidden by a
-            // stale entry.
-            let mut engine = cached_fp.then(CachedFingerprint::new);
-            // Deep sampling gets its own incremental engine: it must never
-            // touch the classifier's (whose suspect short-circuit feeds the
-            // journaled attribution), and a flat walk per divergent check
-            // would dominate the monitor loop on long-lived divergences.
-            // Also created post-flip, so its cold cache cannot hide the
-            // flipped word.
-            let mut deep_engine = deep.is_some().then(CachedFingerprint::new);
-
-            for step in (inject_cycle + 1)..=horizon {
+            for step in (inject + 1)..=end {
                 last_step = step;
-                let report = cpu.step();
-                if report.retired > 0 {
-                    last_retire_cycle = step;
+                let Step { retired, protective_flush, stop } = run.step();
+                if !retired.is_empty() {
+                    last_retire = step;
                     flushes_without_retire = 0;
                 }
-                if report.protective_flush {
+                if protective_flush {
                     // The timeout watchdog attempted a recovery: give it
                     // time to refill the pipeline before declaring deadlock
                     // — but a machine that keeps flushing without ever
@@ -1012,115 +963,75 @@ impl StartPoint {
                     // paper's store-buffer example).
                     flushes_without_retire += 1;
                     if flushes_without_retire >= 3 {
-                        break 'decide (Outcome::Failure(FailureMode::Locked), step);
+                        break 'decide Some((Outcome::Failure(FailureMode::Locked), step));
                     }
-                    last_retire_cycle = step;
+                    last_retire = step;
                 }
-                for ev in report.events {
-                    match ev {
-                        RetireEvent::Retired(rec) => {
-                            match records.get(matched_records) {
-                                Some(g) => {
-                                    // Architectural-state comparison. The
-                                    // record's `pc`/`raw` fields (and the
-                                    // next_pc of non-branches, which is
-                                    // pc+4 by wiring) are ROB metadata, not
-                                    // architectural state: flips there
-                                    // leave execution untouched. The
-                                    // checker compares the resolved flow of
-                                    // control transfers, register writes,
-                                    // and stores — any wrong-instruction
-                                    // commit diverges in those.
-                                    if decode(g.raw).is_control() && rec.next_pc != g.next_pc {
-                                        break 'decide (
-                                            Outcome::Failure(FailureMode::Ctrl),
-                                            step,
-                                        );
-                                    }
-                                    if rec.dst != g.dst {
-                                        break 'decide (
-                                            Outcome::Failure(FailureMode::Regfile),
-                                            step,
-                                        );
-                                    }
-                                    if rec.store != g.store {
-                                        break 'decide (
-                                            Outcome::Failure(FailureMode::Mem),
-                                            step,
-                                        );
-                                    }
-                                }
-                                None => {
-                                    // The injected machine ran ahead of the
-                                    // golden horizon; nothing left to
-                                    // verify.
-                                    break 'decide (Outcome::GrayArea, step);
-                                }
-                            }
-                            matched_records += 1;
+                for rec in retired {
+                    // Ran ahead of the golden horizon: nothing left to
+                    // verify.
+                    let Some(g) = records.get(matched) else {
+                        break 'decide Some((Outcome::GrayArea, step));
+                    };
+                    matched += 1;
+                    // Architectural-state comparison. The record's `pc`/`raw`
+                    // fields (and the next_pc of non-branches, which is pc+4
+                    // by wiring) are ROB metadata, not architectural state:
+                    // flips there leave execution untouched. The checker
+                    // compares the resolved flow of control transfers,
+                    // register writes, and stores — any wrong-instruction
+                    // commit diverges in those.
+                    let mode = if rec.next_pc != g.next_pc && decode(g.raw).is_control() {
+                        FailureMode::Ctrl
+                    } else if rec.dst != g.dst {
+                        FailureMode::Regfile
+                    } else if rec.store != g.store {
+                        FailureMode::Mem
+                    } else {
+                        continue;
+                    };
+                    break 'decide Some((Outcome::Failure(mode), step));
+                }
+                if let Some(stop) = stop {
+                    let mode = match stop {
+                        // Correct only if the golden run also halts with
+                        // this code, having retired exactly this stream.
+                        Ok(code)
+                            if self.halted_at.is_some_and(|(_, g)| g == code)
+                                && matched == records.len() =>
+                        {
+                            break 'decide Some((Outcome::MicroArchMatch, step));
                         }
-                        RetireEvent::Halted { code } => {
-                            // Correct only if the golden run also halts
-                            // having retired exactly the same stream.
-                            let golden_total = records.len();
-                            let outcome = match self.halted_at {
-                                Some((_, gcode))
-                                    if gcode == code && matched_records == golden_total =>
-                                {
-                                    Outcome::MicroArchMatch
-                                }
-                                _ => Outcome::Failure(FailureMode::Ctrl),
-                            };
-                            break 'decide (outcome, step);
-                        }
-                        RetireEvent::Exception(e) => {
-                            let mode = match e {
-                                ExcCode::Itlb => FailureMode::Itlb,
-                                ExcCode::Dtlb => FailureMode::Dtlb,
-                                _ => FailureMode::Except,
-                            };
-                            break 'decide (Outcome::Failure(mode), step);
-                        }
-                    }
+                        Ok(_) => FailureMode::Ctrl,
+                        Err(ExcCode::Itlb) => FailureMode::Itlb,
+                        Err(ExcCode::Dtlb) => FailureMode::Dtlb,
+                        Err(_) => FailureMode::Except,
+                    };
+                    break 'decide Some((Outcome::Failure(mode), step));
                 }
 
                 // Deadlock/livelock detection (Section 4.1: 100 cycles
                 // without retirement).
-                if cpu.running() && step - last_retire_cycle >= 100 {
-                    break 'decide (Outcome::Failure(FailureMode::Locked), step);
+                if run.running() && step - last_retire >= 100 {
+                    break 'decide Some((Outcome::Failure(FailureMode::Locked), step));
                 }
 
-                // µArch Match: full-state fingerprint equality at the same
-                // cycle with the same retirement count. Once equal, the two
+                // µArch Match: full-state equality at the same cycle with
+                // the same retirement count. Once equal, the two
                 // deterministic machines stay equal, so sparse checking
                 // after an initial dense window loses nothing.
-                let dense = step - inject_cycle <= DENSE;
-                if (dense || step % SPARSE == 0)
-                    && self.instret(step) == cpu.instret() - base_instret
-                    && matched_records as u64 == cpu.instret() - base_instret
-                {
-                    let (golden_root, golden_units) =
-                        rows.get(step).expect("the batch holds every check row");
-                    let eq = match engine.as_mut() {
-                        // Fast path: per-unit comparison against the golden
-                        // row, short-circuiting on the unit a latent fault
-                        // keeps diverged.
-                        Some(e) => e.matches(&mut cpu, *golden_root, golden_units),
-                        None => fingerprint_of(&mut cpu) == *golden_root,
-                    };
-                    if eq {
+                let dense = step - inject <= DENSE;
+                if (dense || step % SPARSE == 0) && self.instret(step) == matched as u64 {
+                    if run.matches(step) {
                         // A heal closes the divergence timeline (change-only
                         // push: a no-op unless divergence was ever sampled).
                         if let Some(d) = deep.as_deref_mut() {
                             d.push(step, 0);
                         }
-                        break 'decide (Outcome::MicroArchMatch, step);
+                        break 'decide Some((Outcome::MicroArchMatch, step));
                     }
                     if traced && divergence.is_none() {
-                        // The check already localized the mismatch while
-                        // short-circuiting: reading the suspect is free.
-                        divergence =
-                            Some((step, engine.as_ref().and_then(|e| e.suspect())));
+                        divergence = Some((step, run.suspect()));
                     }
                     if let Some(d) = deep.as_deref_mut() {
                         // Deep sample: which units hold faulty state right
@@ -1128,65 +1039,216 @@ impl StartPoint {
                         // every eighth check. Change-only encoding collapses
                         // repeats anyway, and the residency buckets the
                         // timeline feeds are far coarser than 64 cycles.
-                        // The sampling cadence is mirrored verbatim by
-                        // `ride_lane`'s synthesized timelines.
                         if dense || step % 64 == 0 {
-                            let e = deep_engine.as_mut().expect("deep sampling engine");
-                            e.fingerprint(&mut cpu);
-                            d.push(step, UnitId::diverged_mask(e.unit_hashes(), golden_units));
+                            d.push(step, run.diverged(step));
                         }
                     }
                 }
 
-                if !cpu.running() {
+                if !run.running() {
                     break;
                 }
             }
-            (Outcome::GrayArea, last_step)
+            None
         };
 
+        let (outcome, at) = decided.unwrap_or((Outcome::GrayArea, last_step));
         if let Some(tr) = trace {
-            tr.detect_cycle = decided_at;
+            tr.detect_cycle = at;
             if let Some((cycle, unit)) = divergence {
                 tr.divergence_cycle = Some(cycle);
                 tr.diverged_unit = unit;
             }
         }
+        // A trial decided without any check observing its divergence (e.g.
+        // an architectural mismatch in the retire stream) is attributed by
+        // comparing its decision state with golden, and the deep timeline
+        // closes on the same comparison.
         let attribute = traced && divergence.is_none();
         let closing = (outcome != Outcome::MicroArchMatch && (attribute || deep.is_some()))
-            .then(|| {
-                // The outcome was decided without any µArch check observing
-                // the divergence (e.g. an architectural mismatch in the
-                // retire stream): attribute it with one hierarchical walk
-                // at the decision state. Deep mode reuses the same walk to
-                // close the timeline with the final diverged-unit set. The
-                // comparison against golden waits for `Rows::close`; the
-                // outcome is already sealed, so it cannot perturb
-                // classification.
-                let mut fp = Fingerprint::new();
-                cpu.visit_state(&mut fp);
-                Closing {
-                    at: last_step.min(self.horizon),
-                    root: fp.value(),
-                    units: *fp.unit_hashes(),
-                    attribute,
-                }
-            });
-        (make(outcome), closing, last_step - inject_cycle)
+            .then(|| Closing { at: last_step.min(self.horizon), seen: run.seen() });
+        let (category, kind, unit) = run.site();
+        let valid_instructions = self.valid_at(inject);
+        let record =
+            TrialRecord { outcome, category, kind, unit, inject_cycle: inject, valid_instructions };
+        Decision { record, decided: decided.is_some(), last_step, closing }
     }
 }
 
-/// A trial's decision-state fingerprint, waiting for the golden row of its
-/// decision cycle: what traced batches' post-decision attribution and
-/// the deep timeline's closing sample compare.
+/// How [`StartPoint::decide`] ended.
+pub(crate) struct Decision {
+    record: TrialRecord,
+    /// Whether a rule decided the trial: false when the window ran out (a
+    /// Gray Area).
+    pub(crate) decided: bool,
+    /// The last step the loop ran.
+    last_step: u64,
+    closing: Option<Closing>,
+}
+
+/// What the decision loop ([`StartPoint::decide`]) reads of a trial, one
+/// step at a time. Two views supply it: [`Stepped`], a faulted machine the
+/// loop steps, and the pruner's golden view of a proved-dead site, read off
+/// the golden run's aggregates. The loop is generic over the view, so each
+/// is compiled into its own copy of it: no dispatch, and no allocation of
+/// the loop's own per step.
+pub(crate) trait Run {
+    /// The flipped bit's category, storage kind and unit.
+    fn site(&self) -> (Category, StorageKind, Option<UnitId>);
+
+    /// Whether the run has neither halted nor raised an exception.
+    fn running(&self) -> bool;
+
+    /// Steps once.
+    fn step(&mut self) -> Step<'_>;
+
+    /// The µArch check after `step` steps: whether the whole machine equals
+    /// golden.
+    fn matches(&mut self, step: u64) -> bool;
+
+    /// The unit a failed check found diverged, if it localized one.
+    fn suspect(&self) -> Option<UnitId>;
+
+    /// The diverged-unit set after `step` steps (a deep sample).
+    fn diverged(&mut self, step: u64) -> u16;
+
+    /// The run's state at its decision, for its [`Closing`].
+    fn seen(&mut self) -> Seen;
+}
+
+/// What one step of a [`Run`] did, as the decision loop reads it.
+pub(crate) struct Step<'a> {
+    /// The instructions retired, in commit order.
+    pub(crate) retired: &'a [RetireRecord],
+    /// Whether a protection mechanism flushed the pipeline.
+    pub(crate) protective_flush: bool,
+    /// How the step stopped the machine, if it did: `Ok` with a halt's exit
+    /// code, or `Err` with an exception. It follows the step's retirements.
+    pub(crate) stop: Option<Result<u64, ExcCode>>,
+}
+
+/// The stepped view: a faulted machine, checked against a batch's golden
+/// rows.
+struct Stepped<'a> {
+    cpu: Pipeline,
+    site: (Category, StorageKind, Option<UnitId>),
+    /// The last step's retirements, in a buffer kept across steps.
+    retired: Vec<RetireRecord>,
+    rows: &'a Rows<'a>,
+    /// The checks' cached engine, whose suspect short-circuit localizes a
+    /// divergence for free; flat walks without it.
+    engine: Option<CachedFingerprint>,
+    /// Deep sampling's own engine. It never touches the checks' engine
+    /// (whose suspect feeds the journaled attribution), and a flat walk per
+    /// divergent check would dominate the loop on long-lived divergences.
+    deep: Option<CachedFingerprint>,
+}
+
+impl<'a> Stepped<'a> {
+    /// Flips eligible bit `target` of `cpu`, a machine fault-free up to the
+    /// injection, and views it against the golden rows in `rows`. With
+    /// `cached` the checks run on a [`CachedFingerprint`] (the engine);
+    /// without, on flat [`fingerprint_of`] walks (the oracle). Both hash
+    /// definitions are identical by construction. With `deep`, failing
+    /// checks can sample the diverged units.
+    fn flip(
+        mut cpu: Pipeline,
+        mask: InjectionMask,
+        target: u64,
+        rows: &'a Rows<'a>,
+        cached: bool,
+        deep: bool,
+    ) -> Stepped<'a> {
+        let mut flip = FlipBit::new(mask, target);
+        cpu.visit_state(&mut flip);
+        let hit = flip.flipped.expect("target bit within eligible range");
+        // Both engines are created after the flip: their caches start cold,
+        // so the flip (which bypasses generation stamps) can never be hidden
+        // by a stale entry.
+        Stepped {
+            site: (hit.category, hit.kind, hit.unit),
+            retired: Vec::new(),
+            rows,
+            engine: cached.then(CachedFingerprint::new),
+            deep: deep.then(CachedFingerprint::new),
+            cpu,
+        }
+    }
+}
+
+impl Run for Stepped<'_> {
+    fn site(&self) -> (Category, StorageKind, Option<UnitId>) {
+        self.site
+    }
+
+    fn running(&self) -> bool {
+        self.cpu.running()
+    }
+
+    fn step(&mut self) -> Step<'_> {
+        let report = self.cpu.step();
+        self.retired.clear();
+        let mut stop = None;
+        // The retire stage reports its retirements first and a halt or an
+        // exception last.
+        for ev in report.events {
+            match ev {
+                RetireEvent::Retired(r) => self.retired.push(r),
+                RetireEvent::Halted { code } => stop = Some(Ok(code)),
+                RetireEvent::Exception(e) => stop = Some(Err(e)),
+            }
+        }
+        Step { retired: &self.retired, protective_flush: report.protective_flush, stop }
+    }
+
+    fn matches(&mut self, step: u64) -> bool {
+        let (root, units) = self.rows.get(step).expect("the batch holds every check row");
+        match self.engine.as_mut() {
+            // Per-unit comparison against the golden row, short-circuiting
+            // on the unit a latent fault keeps diverged.
+            Some(e) => e.matches(&mut self.cpu, *root, units),
+            None => fingerprint_of(&mut self.cpu) == *root,
+        }
+    }
+
+    fn suspect(&self) -> Option<UnitId> {
+        self.engine.as_ref().and_then(|e| e.suspect())
+    }
+
+    fn diverged(&mut self, step: u64) -> u16 {
+        let (_, units) = self.rows.get(step).expect("the batch holds every check row");
+        let e = self.deep.as_mut().expect("deep sampling engine");
+        e.fingerprint(&mut self.cpu);
+        UnitId::diverged_mask(e.unit_hashes(), units)
+    }
+
+    fn seen(&mut self) -> Seen {
+        // One hierarchical walk at the decision state; the golden row it is
+        // compared with may lie on no grid the batch holds.
+        let mut fp = Fingerprint::new();
+        self.cpu.visit_state(&mut fp);
+        Seen::State(Box::new((fp.value(), *fp.unit_hashes())))
+    }
+}
+
+/// A decided trial's state as its [`Closing`] compares it with golden.
+pub(crate) enum Seen {
+    /// A stepped machine's fingerprint, as a row: the root and per-unit
+    /// subhashes.
+    State(Box<Row>),
+    /// Already known without a golden row: the units that differ (a golden
+    /// view's site differs in its own unit until healed, nowhere after).
+    Diverged(u16),
+}
+
+/// A trial's decision state, waiting for the golden row of its decision
+/// cycle: what traced batches' post-decision attribution and the deep
+/// timeline's closing sample compare. [`Rows::close`] resolves a batch's
+/// closings after its trials, so untraced batches never pay for the rows.
 pub(crate) struct Closing {
     /// The decision cycle, clamped to the golden horizon.
     at: u64,
-    root: u128,
-    units: [u128; UnitId::COUNT],
-    /// Whether the trace still lacks a divergence: set it here if the
-    /// state differs from golden.
-    attribute: bool,
+    seen: Seen,
 }
 
 /// A fault-free replay of the golden continuation that hashes rows on
@@ -1290,16 +1352,22 @@ impl<'a> Rows<'a> {
     ) {
         closings.sort_by_key(|(_, c)| c.at);
         for (i, c) in closings {
-            let (root, units) = match self.get(c.at) {
-                Some(row) => *row,
-                None => self.walk.row(c.at),
-            };
-            let mask = UnitId::diverged_mask(&c.units, &units);
-            if c.attribute && c.root != root {
-                if let Some(tr) = traces.get_mut(i) {
-                    tr.divergence_cycle = Some(c.at);
-                    tr.diverged_unit = UnitId::from_mask(mask).next();
+            let (differs, mask) = match c.seen {
+                Seen::State(row) => {
+                    let (root, units) = *row;
+                    let (golden, golden_units) = match self.get(c.at) {
+                        Some(row) => *row,
+                        None => self.walk.row(c.at),
+                    };
+                    (root != golden, UnitId::diverged_mask(&units, &golden_units))
                 }
+                Seen::Diverged(mask) => (mask != 0, mask),
+            };
+            // A trace that still lacks a divergence takes it from here.
+            let trace = traces.get_mut(i).filter(|tr| tr.divergence_cycle.is_none());
+            if let Some(tr) = trace.filter(|_| differs) {
+                tr.divergence_cycle = Some(c.at);
+                tr.diverged_unit = UnitId::from_mask(mask).next();
             }
             if let Some(d) = deeps.get_mut(i) {
                 d.push(c.at, mask);
@@ -1414,12 +1482,14 @@ pub(crate) fn warm_pipeline(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tfsim_isa::Reg;
 
     /// Cycles the stepping audit checks per workload and config.
     const AUDIT_CYCLES: u64 = 500;
+
+    const MASK_ALL: InjectionMask = InjectionMask::LatchesAndRams;
 
     fn start_point() -> StartPoint {
         let mut a = Asm::new(0x1_0000);
@@ -1498,6 +1568,24 @@ mod tests {
         a.li(Reg::A0, 0);
         a.callsys();
         let p = tfsim_isa::Program::new("short", a);
+        let warmed = warm_pipeline(&p, PipelineConfig::baseline(), 10);
+        StartPoint::prepare(&warmed, 2_000, InjectionMask::LatchesAndRams)
+    }
+
+    /// [`halting_start_point`] with a store before the exit, so the
+    /// `callsys` waits for it to drain with the exit code already written.
+    fn store_before_exit_start_point() -> StartPoint {
+        let mut a = Asm::new(0x1_0000);
+        a.li(Reg::R7, 40);
+        let top = a.here_label();
+        a.subq_i(Reg::R7, 1, Reg::R7);
+        a.bne(Reg::R7, top);
+        a.li(Reg::R1, 0x10_0000);
+        a.stq(Reg::R7, Reg::R1, 0);
+        a.li(Reg::V0, tfsim_isa::syscall::EXIT);
+        a.li(Reg::A0, 0);
+        a.callsys();
+        let p = tfsim_isa::Program::new("short-store", a).with_data(0x10_0000, vec![0u8; 64]);
         let warmed = warm_pipeline(&p, PipelineConfig::baseline(), 10);
         StartPoint::prepare(&warmed, 2_000, InjectionMask::LatchesAndRams)
     }
@@ -1583,7 +1671,7 @@ mod tests {
 
     /// Every workload at scale 1, warmed 300 cycles, under both pipeline
     /// configs.
-    fn warmed_workloads() -> &'static [(String, PipelineConfig, Pipeline)] {
+    pub(crate) fn warmed_workloads() -> &'static [(String, PipelineConfig, Pipeline)] {
         static WARMED: std::sync::OnceLock<Vec<(String, PipelineConfig, Pipeline)>> =
             std::sync::OnceLock::new();
         WARMED.get_or_init(|| {
@@ -1697,6 +1785,64 @@ mod tests {
         assert!(terminated > 0, "no Terminated failure in sweep");
         // The paper's headline result at pipeline level: most flips mask.
         assert!(matched >= 60, "masking should dominate: {matched}/120");
+
+        // The engine and the oracle share the decision loop, so comparing
+        // them cannot show a rule changed inside it. These trials pin what
+        // the rules decide, each named by the rule it pins: the outcome,
+        // decision cycle, first observed divergence, timeline length and
+        // the timeline's last sample, through the engine at `Trace::Deep`.
+        type Pin = (Outcome, u64, Option<u64>, usize, Option<(u64, u16)>);
+        let decided = |sp: &StartPoint, monitor: u64, pins: &[((u64, u64), Pin, &str)]| {
+            let specs: Vec<TrialSpec> = pins
+                .iter()
+                .map(|&((target, inject_cycle), _, _)| TrialSpec { target, inject_cycle })
+                .collect();
+            let mask = InjectionMask::LatchesAndRams;
+            let (b, _) = sp.run_batch(mask, &specs, monitor, Trace::Deep);
+            for (k, (_, pin, rule)) in pins.iter().enumerate() {
+                let (tr, d) = (b.traces[k], b.deeps[k].samples());
+                let got = (b.records[k].outcome, tr.detect_cycle, tr.divergence_cycle, d.len());
+                assert_eq!((got, d.last().copied()), ((pin.0, pin.1, pin.2, pin.3), pin.4), "{rule}");
+            }
+        };
+        use FailureMode::*;
+        use Outcome::{Failure, GrayArea as Gray, MicroArchMatch as Match};
+        let prepared = |k: usize| StartPoint::prepare(&warmed_workloads()[k].2, 1_600, MASK_ALL);
+        // bzip2-like, baseline.
+        decided(&prepared(0), 1_500, &[
+            ((11_806, 50), (Failure(Locked), 257, Some(51), 21, Some((257, 4575))), "100 cycles idle"),
+            ((1_216, 85), (Failure(Ctrl), 172, Some(86), 13, Some((172, 2303))), "control flow"),
+            ((510, 74), (Failure(Regfile), 161, Some(75), 5, Some((161, 26))), "register write"),
+            ((16_277, 53), (Failure(Mem), 57, Some(54), 3, Some((56, 16))), "store"),
+            ((39, 0), (Failure(Itlb), 87, Some(1), 10, Some((62, 2175))), "exception mode"),
+            ((4_510, 3), (Failure(Regfile), 97, Some(4), 5, Some((97, 4351))), "check gate"),
+            ((745, 11), (Match, 104, Some(12), 3, Some((104, 0))), "sparse checks"),
+            ((5_452, 51), (Match, 52, None, 0, None), "heal cycle"),
+            ((1_451, 22), (Match, 184, Some(23), 2, Some((184, 0))), "healed site"),
+            ((3_804, 92), (Match, 224, Some(93), 18, Some((224, 0))), "deep cadence"),
+            ((41_223, 75), (Gray, 1575, Some(76), 1, Some((76, 64))), "closing mask"),
+        ]);
+        // bzip2-like and crafty-like, protected: the watchdog's flushes.
+        decided(&prepared(1), 1_500, &[
+            ((38_823, 27), (Failure(Locked), 416, Some(28), 12, Some((416, 4607))), "3 flushes"),
+        ]);
+        decided(&prepared(3), 1_500, &[
+            ((40_068, 57), (Gray, 1557, Some(58), 9, Some((1557, 495))), "flush restarts idle count"),
+        ]);
+        // The golden run halts inside the window.
+        decided(&halting_start_point(), 1_000, &[
+            ((2_891, 0), (Failure(Ctrl), 6, Some(1), 3, Some((6, 15))), "halt before the stream ends"),
+            ((11_767, 0), (Match, 78, Some(1), 1, Some((1, 2))), "golden halt"),
+            ((22_566, 75), (Gray, 78, Some(76), 2, Some((78, 136))), "ran ahead"),
+            ((22_538, 75), (Failure(Except), 78, Some(76), 1, Some((76, 8))), "read at the halt"),
+        ]);
+        // mcf-like, baseline: a site overwritten after its last check.
+        let sp = StartPoint::prepare(&warmed_workloads()[8].2, 201, MASK_ALL);
+        decided(&sp, 101, &[((32_143, 1), (Gray, 102, Some(2), 2, Some((102, 0))), "healed mask")]);
+        // A store drains while the exit code waits in its register.
+        decided(&store_before_exit_start_point(), 1_000, &[
+            ((45_440, 79), (Failure(Ctrl), 80, Some(80), 1, Some((80, 64))), "exit code"),
+        ]);
     }
 
     #[test]

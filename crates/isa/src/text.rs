@@ -101,6 +101,9 @@ fn parse_mem_operand(tok: &str, line: usize) -> Result<(i64, Reg), ParseError> {
     let close = tok
         .rfind(')')
         .ok_or_else(|| err(line, format!("missing ')' in {tok:?}")))?;
+    if close < open {
+        return Err(err(line, format!("expected disp(base), got {tok:?}")));
+    }
     let disp_str = tok[..open].trim();
     let disp = if disp_str.is_empty() { 0 } else { parse_u64(disp_str, line)? as i64 };
     let base = parse_reg(&tok[open + 1..close], line)?;
@@ -218,24 +221,29 @@ enum DataMode {
     Section { addr: u64, bytes: Vec<u8> },
 }
 
+/// Most words one source line emits (`exit code`: two `li` and a
+/// `callsys`).
+const MAX_WORDS_PER_LINE: u64 = 16;
+
 /// Parses an assembly listing into a [`Program`] named `name`.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for unknown
-/// mnemonics, malformed operands, duplicate or undefined labels, and
-/// misplaced directives.
+/// mnemonics, malformed operands, duplicate or undefined labels, branches
+/// out of range, misplaced directives, a misaligned code base, and code or
+/// data that would not fit in memory or the address space.
 pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
     let mut base: Option<u64> = None;
     let mut asm: Option<Asm> = None;
-    let mut labels: HashMap<String, Label> = HashMap::new();
+    // Each label and the address it is bound to once defined, so forward
+    // references resolve; every branch as (line, address, target label),
+    // checked once all labels are defined.
+    let mut labels: HashMap<String, (Label, Option<u64>)> = HashMap::new();
+    let mut branches: Vec<(usize, u64, String)> = Vec::new();
     let mut data_sections: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut data = DataMode::None;
-
-    // Pre-scan for labels so forward references resolve.
-    let get_label = |asm: &mut Asm, labels: &mut HashMap<String, Label>, name: &str| {
-        *labels.entry(name.to_string()).or_insert_with(|| asm.label())
-    };
+    let lines = source.lines().count() as u64;
 
     for (idx, raw_line) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -249,7 +257,14 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
             if asm.is_some() {
                 return Err(err(line_no, ".org must precede all instructions"));
             }
-            base = Some(parse_u64(rest.trim(), line_no)?);
+            let b = parse_u64(rest.trim(), line_no)?;
+            if b % 4 != 0 {
+                return Err(err(line_no, format!("code base {b:#x} is not 4-byte aligned")));
+            }
+            if b.checked_add(4 * MAX_WORDS_PER_LINE * lines).is_none() {
+                return Err(err(line_no, format!("code at {b:#x} runs past the address space")));
+            }
+            base = Some(b);
             continue;
         }
         if let Some(rest) = line.strip_prefix(".data") {
@@ -260,34 +275,36 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
             data = DataMode::Section { addr: parse_u64(rest.trim(), line_no)?, bytes: Vec::new() };
             continue;
         }
-        if let DataMode::Section { bytes, .. } = &mut data {
+        if let DataMode::Section { addr, bytes } = &mut data {
             if let Some(rest) = line.strip_prefix(".quad") {
                 for tok in split_operands(rest) {
                     bytes.extend_from_slice(&parse_u64(&tok, line_no)?.to_le_bytes());
                 }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix(".byte") {
+            } else if let Some(rest) = line.strip_prefix(".byte") {
                 for tok in split_operands(rest) {
                     bytes.push(parse_u64(&tok, line_no)? as u8);
                 }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix(".ascii") {
+            } else if let Some(rest) = line.strip_prefix(".ascii") {
                 let t = rest.trim();
                 let inner = t
                     .strip_prefix('"')
                     .and_then(|t| t.strip_suffix('"'))
                     .ok_or_else(|| err(line_no, "expected a double-quoted string"))?;
                 bytes.extend_from_slice(inner.as_bytes());
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix(".zero") {
+            } else if let Some(rest) = line.strip_prefix(".zero") {
                 let n = parse_u64(rest.trim(), line_no)?;
-                bytes.extend(std::iter::repeat_n(0u8, n as usize));
-                continue;
+                let n = usize::try_from(n)
+                    .ok()
+                    .filter(|&n| bytes.try_reserve(n).is_ok())
+                    .ok_or_else(|| err(line_no, format!(".zero {n} does not fit in memory")))?;
+                bytes.resize(bytes.len() + n, 0);
+            } else {
+                return Err(err(line_no, format!("unknown data directive {line:?}")));
             }
-            return Err(err(line_no, format!("unknown data directive {line:?}")));
+            if addr.checked_add(bytes.len() as u64).is_none() {
+                return Err(err(line_no, "data section runs past the address space"));
+            }
+            continue;
         }
 
         let a = asm.get_or_insert_with(|| Asm::new(base.unwrap_or(0x1_0000)));
@@ -300,16 +317,24 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
             if label_name.is_empty() || label_name.contains(char::is_whitespace) {
                 break;
             }
-            let l = get_label(a, &mut labels, label_name);
-            // Binding twice is a user error surfaced with the line number.
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.bind(l))).is_err() {
+            let (l, at) =
+                labels.entry(label_name.to_string()).or_insert_with(|| (a.label(), None));
+            if at.is_some() {
                 return Err(err(line_no, format!("label {label_name:?} defined twice")));
             }
+            *at = Some(a.here());
+            a.bind(*l);
             text = rest[1..].trim();
         }
         if text.is_empty() {
             continue;
         }
+
+        // The label a branch emitted next targets, noted for the check.
+        let mut target = |a: &mut Asm, label: &str| {
+            branches.push((line_no, a.here(), label.to_string()));
+            labels.entry(label.to_string()).or_insert_with(|| (a.label(), None)).0
+        };
 
         let (mn, rest) = match text.split_once(char::is_whitespace) {
             Some((m, r)) => (m.to_lowercase(), r.trim()),
@@ -415,7 +440,7 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
                     if ops.len() != 1 {
                         return Err(err(line_no, "br takes: br label"));
                     }
-                    let l = get_label(a, &mut labels, &ops[0]);
+                    let l = target(a, &ops[0]);
                     a.br(l);
                 }
                 Mnemonic::Bsr => {
@@ -423,7 +448,7 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
                         return Err(err(line_no, "bsr takes: bsr rLink, label"));
                     }
                     let ra = parse_reg(&ops[0], line_no)?;
-                    let l = get_label(a, &mut labels, &ops[1]);
+                    let l = target(a, &ops[1]);
                     a.bsr(ra, l);
                 }
                 _ => {
@@ -431,7 +456,7 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
                         return Err(err(line_no, format!("{mn} takes: {mn} rA, label")));
                     }
                     let ra = parse_reg(&ops[0], line_no)?;
-                    let l = get_label(a, &mut labels, &ops[1]);
+                    let l = target(a, &ops[1]);
                     match m {
                         Mnemonic::Beq => a.beq(ra, l),
                         Mnemonic::Bne => a.bne(ra, l),
@@ -455,12 +480,18 @@ pub fn parse_program(name: &str, source: &str) -> Result<Program, ParseError> {
         data_sections.push((addr, bytes));
     }
     let asm = asm.ok_or_else(|| err(source.lines().count().max(1), "no instructions"))?;
+    // What `Asm::finish` would otherwise panic on: an unbound label, or a
+    // displacement that does not fit the branch format's 21 bits.
+    for (line, pc, label) in branches {
+        let at = labels[&label].1;
+        let to = at.ok_or_else(|| err(line, format!("branch to undefined label {label:?}")))?;
+        let disp = (pc as i64).checked_add(4).and_then(|next| (to as i64).checked_sub(next));
+        if !disp.is_some_and(|d| (-(1 << 22)..(1 << 22)).contains(&d)) {
+            return Err(err(line, format!("branch to {label:?} out of range")));
+        }
+    }
 
-    // Catch branches to labels that were referenced but never bound:
-    // Asm::finish_words panics on unbound labels, so surface it as an error.
-    let program = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Program::new(name, asm)))
-        .map_err(|_| err(source.lines().count().max(1), "branch to undefined label"))?;
-    let mut program = program;
+    let mut program = Program::new(name, asm);
     for (addr, bytes) in data_sections {
         program = program.with_data(addr, bytes);
     }
@@ -561,10 +592,28 @@ loop:
         assert!(e.message.contains("8 bits"));
 
         let e = parse_program("bad", "x: halt\nx: halt\n").unwrap_err();
+        assert_eq!(e.line, 2);
         assert!(e.message.contains("twice"), "{e}");
 
         let e = parse_program("bad", "br nowhere\n").unwrap_err();
+        assert_eq!(e.line, 1);
         assert!(e.message.contains("undefined label"), "{e}");
+
+        // What the assembler cannot place is refused, not a panic or an
+        // abort.
+        let e = parse_program("bad", ".org 0x10001\n halt\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("not 4-byte aligned"), "{e}");
+        let e = parse_program("bad", ".org 0xfffffffffffffff0\n halt\n").unwrap_err();
+        assert!(e.message.contains("past the address space"), "{e}");
+        let e = parse_program("bad", "halt\n.data 0x20000\n.zero 0x1000000000000\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("does not fit in memory"), "{e}");
+        let e = parse_program("bad", "halt\n.data 0xfffffffffffffff8\n.quad 1, 2\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("past the address space"), "{e}");
+        let e = parse_program("bad", "ldq r1, 8)r2(\n").unwrap_err();
+        assert!(e.message.contains("disp(base)"), "{e}");
     }
 
     #[test]
