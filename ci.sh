@@ -65,6 +65,15 @@ $run_tfsim campaign --default-scale --seed 7 --start-points 3 --trials 12 --moni
 diff tests/data/ci_census_3sp.txt target/ci_census_3sp.txt
 diff <(sort tests/data/ci_journal_3sp.jsonl) <(sort target/ci_journal_3sp.jsonl)
 
+echo "==> paper-reproduction text (gating)"
+# The quick-scale figures must print the text checked in under tests/data
+# byte for byte: Figure 6's valid-instruction counts and Figure 11's
+# software fault models reach no other pin. Like the pins above, it only
+# changes with a change to the science.
+cargo run --release --offline -q -p tfsim-bench --bin figures -- --scale quick --seed 42 \
+    > target/ci_figures_quick.txt 2>/dev/null
+diff tests/data/figures_quick.txt target/ci_figures_quick.txt
+
 echo "==> telemetry report smoke (gating)"
 # A tiny traced campaign must produce a JSONL trace that the report
 # subcommand can parse, cross-check against its footer, and render.
@@ -133,6 +142,10 @@ dist_args="--quick --seed 7 --start-points 2 --trials 8 --monitor 1000 \
     --scale 1 --workloads gzip-like,twolf-like"
 $run_tfsim campaign $dist_args > target/ci_census_dist_ref.txt 2>/dev/null
 serve_log=target/ci_serve.err
+# Each coordinator's log is emptied before it starts: the polling below
+# may run before the backgrounded shell opens the log, and must find
+# neither a missing file (sed fails) nor the previous leg's port.
+: > "$serve_log"
 $run_tfsim serve $dist_args --port 0 --lease-ms 1000 --heartbeat-ms 100 \
     --idle-timeout-ms 60000 > target/ci_census_dist.txt 2> "$serve_log" &
 serve_pid=$!
@@ -153,6 +166,7 @@ diff target/ci_census_dist_ref.txt target/ci_census_dist.txt
 # (non-zero exit) with the accepted task journaled; --resume finishes.
 dist_journal=target/ci_dist_journal.jsonl
 rm -f "$dist_journal"
+: > "$serve_log"
 $run_tfsim serve $dist_args --port 0 --lease-ms 500 --heartbeat-ms 100 \
     --idle-timeout-ms 4000 --journal "$dist_journal" \
     >/dev/null 2> "$serve_log" &

@@ -6,12 +6,21 @@
 //!   ids: config table1 fig3 fig4 fig5 fig6 fig7 fig8 overhead fig9 fig10
 //!        reduction fig11 summary all (default: all)
 //! ```
+//!
+//! A malformed argument ends the run with one `figures:` line on stderr and
+//! exit code 2.
 
 use tfsim_bench::{
     render_config, render_fig10, render_fig11, render_fig3, render_fig4, render_fig5, render_fig6,
     render_fig7, render_fig8, render_fig9, render_overhead, render_reduction, render_summary,
     render_table1, run_campaigns, run_sw_experiments, Scale,
 };
+
+/// Refuses the command line: one `figures:` line on stderr, exit code 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("figures: {msg}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,19 +37,17 @@ fn main() {
             "--scale" => {
                 let s = args.get(i + 1).map(String::as_str).unwrap_or("");
                 scale = Scale::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown scale {s:?}; use quick|default|paper");
-                    std::process::exit(2);
+                    usage_error(format!("unknown scale {s:?}; use quick|default|paper"))
                 });
                 i += 2;
             }
             "--seed" => {
-                seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(42);
+                seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    usage_error("--seed needs a numeric argument".to_string())
+                });
                 i += 2;
             }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown argument {other:?}")),
         }
     }
 
@@ -115,7 +122,6 @@ fn main() {
         emit("summary", render_summary(c.expect("campaigns"), s.expect("sw")));
     }
     if !any {
-        eprintln!("unknown figure id {fig:?}");
-        std::process::exit(2);
+        usage_error(format!("unknown figure id {fig:?}"));
     }
 }

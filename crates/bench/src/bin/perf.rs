@@ -17,8 +17,7 @@ use std::net::TcpListener;
 use tfsim_arch::swinject::{self, FaultModel, SwTally};
 use tfsim_arch::FuncSim;
 use tfsim_bitstate::{
-    fingerprint_of, CachedFingerprint, FieldMeta, InjectionMask, StateVisitor, UnitId, UnitStamp,
-    VisitState,
+    fingerprint_of, CachedFingerprint, FieldMeta, InjectionMask, StateVisitor, UnitId, VisitState,
 };
 use tfsim_check::{Bench, Rng};
 use tfsim_inject::{
@@ -79,8 +78,8 @@ fn bench_fingerprint(b: &mut Bench) {
         let mut cpu = warmed_pipeline("gzip-like", 500);
         b.bench("fingerprint/full-machine", || fingerprint_of(&mut cpu));
     }
-    // What every trial's first µArch check pays: a fresh engine rehashes
-    // each latch unit and reads each shadow unit's maintained digest.
+    // What every full µArch check pays: the engine rehashes each latch
+    // unit and reads each shadow unit's maintained digest.
     if wants(b, "fingerprint/cached-cold") {
         let mut cpu = warmed_pipeline("mcf-like", 500);
         b.bench("fingerprint/cached-cold", || CachedFingerprint::new().fingerprint(&mut cpu));
@@ -132,7 +131,7 @@ impl StateVisitor for UnitFields {
         self.ord += 1;
     }
 
-    fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
+    fn enter_unit(&mut self, unit: UnitId, _digest: Option<u128>) -> bool {
         self.unit = Some(unit);
         self.ord = 0;
         true

@@ -1,6 +1,7 @@
-//! `tfsim-run` refuses what it cannot use: a malformed argument or input
-//! ends the run with one `tfsim-run:` line on stderr and a nonzero exit
-//! (2 for usage, 1 for damaged files), never a silent default or a crash.
+//! `tfsim-run` and `figures` refuse what they cannot use: a malformed
+//! argument or input ends the run with one line on stderr, prefixed with
+//! the binary's name, and a nonzero exit (2 for usage, 1 for damaged
+//! files), never a silent default or a crash.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -9,14 +10,18 @@ fn tfsim_run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tfsim-run")).args(args).output().expect("start tfsim-run")
 }
 
-/// Runs `args` and checks the exit code and the single diagnostic line.
-fn assert_refused(args: &[&str], code: i32, needle: &str) {
-    let out = tfsim_run(args);
+/// Checks a refused run's exit code and its single diagnostic line.
+fn assert_refused_by(bin: &str, args: &[&str], out: Output, code: i32, needle: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: one line expected, got {stderr}");
-    assert!(stderr.starts_with("tfsim-run: "), "{args:?}: {stderr}");
+    assert!(stderr.starts_with(&format!("{bin}: ")), "{args:?}: {stderr}");
     assert!(stderr.contains(needle), "{args:?}: {stderr:?} lacks {needle:?}");
+}
+
+/// Runs `tfsim-run args` and checks that it refuses them.
+fn assert_refused(args: &[&str], code: i32, needle: &str) {
+    assert_refused_by("tfsim-run", args, tfsim_run(args), code, needle);
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -31,6 +36,22 @@ fn run_mode_rejects_malformed_arguments() {
     assert_refused(&["gzip-like", "--config", "fast"], 2, "unknown config");
     assert_refused(&["gzip-like", "--bogus"], 2, "unknown argument");
     assert_refused(&[], 2, "usage");
+}
+
+#[test]
+fn figures_rejects_malformed_arguments() {
+    // Each is refused before any campaign runs.
+    let cases: [(&[&str], &str); 5] = [
+        (&["--seed", "notanumber"], "--seed needs a numeric"),
+        (&["--seed"], "--seed needs a numeric"),
+        (&["--scale", "huge"], "unknown scale"),
+        (&["--fig", "fig99"], "unknown figure id"),
+        (&["--bogus"], "unknown argument"),
+    ];
+    for (args, needle) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures")).args(args).output().expect("start");
+        assert_refused_by("figures", args, out, 2, needle);
+    }
 }
 
 #[test]

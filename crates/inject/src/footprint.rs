@@ -25,7 +25,7 @@
 //! [`Loggability::Core`]: tfsim_bitstate::Loggability::Core
 
 use tfsim_bitstate::{
-    Category, FieldMeta, InjectionMask, StateVisitor, StorageKind, UnitId, UnitStamp, VisitState,
+    Category, FieldMeta, InjectionMask, StateVisitor, StorageKind, UnitId, VisitState,
 };
 use tfsim_uarch::Pipeline;
 
@@ -220,7 +220,7 @@ impl StateVisitor for SpanCollector<'_> {
     // The default `array` forwards entry-by-entry to `field`, which is
     // exactly the per-word granularity the footprint uses. Do not override.
 
-    fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
+    fn enter_unit(&mut self, unit: UnitId, _digest: Option<u128>) -> bool {
         self.unit = Some(unit);
         self.ord = 0;
         true
@@ -394,7 +394,7 @@ mod tests {
                     Loggability::Core | Loggability::Extended => {
                         assert!(logged, "{unit:?} never logged")
                     }
-                    Loggability::Unlogged | Loggability::Shadow => {
+                    Loggability::Shadow => {
                         assert!(!logged, "{unit:?} must not log")
                     }
                 }

@@ -30,8 +30,8 @@
 //!
 //!   These sites are classified by the decision loop that steps the others
 //!   (`StartPoint::decide`), run over their [`Golden`] view: the golden
-//!   run's retirements, flushes and halt, and µArch checks that match from
-//!   the heal on. No machine is built.
+//!   run's retirements and halt (it never flushes protectively), and µArch
+//!   checks that match from the heal on. No machine is built.
 //! * **Simulated** — everything else (sites on untracked words, targets
 //!   outside any unit, faults the golden run reads before any decision)
 //!   is stepped on the snapshot ladder in the same batch, at the same
@@ -167,7 +167,9 @@ impl Run for Golden<'_> {
         self.at += 1;
         Step {
             retired: &sp.records()[retired],
-            protective_flush: sp.pflush_at(self.at),
+            // The golden run never flushes protectively (the walk forbids
+            // it).
+            protective_flush: false,
             stop: sp.halted_at.filter(|&(hc, _)| hc == self.at).map(|(_, code)| Ok(code)),
         }
     }
@@ -385,7 +387,7 @@ mod tests {
     fn eligible_fields(
         cpu: &mut tfsim_uarch::Pipeline,
     ) -> Vec<(Option<UnitId>, u32, u64, tfsim_bitstate::Category, u64)> {
-        use tfsim_bitstate::{FieldMeta, StateVisitor, UnitStamp, VisitState};
+        use tfsim_bitstate::{FieldMeta, StateVisitor, VisitState};
         #[derive(Default)]
         struct Fields {
             pos: u64,
@@ -401,7 +403,7 @@ mod tests {
                 }
                 self.ord += 1;
             }
-            fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
+            fn enter_unit(&mut self, unit: UnitId, _digest: Option<u128>) -> bool {
                 (self.unit, self.ord) = (Some(unit), 0);
                 true
             }

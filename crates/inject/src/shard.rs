@@ -1143,4 +1143,94 @@ mod tests {
         assert!(Msg::parse("{}").is_err());
         assert!(Msg::parse("{\"m\":\"grant\",\"bench\":1}").is_err());
     }
+
+    /// Applies one mutation to `bytes`: `kind` picks it, `a` and `b` place
+    /// it.
+    fn mutate(bytes: &mut Vec<u8>, kind: u8, a: u64, b: u64) {
+        let at = |n: usize| (a % (n as u64 + 1)) as usize;
+        match kind {
+            // Flip one bit.
+            0 if !bytes.is_empty() => {
+                let i = at(bytes.len() - 1);
+                bytes[i] ^= 1 << (b % 8);
+            }
+            // Insert a byte.
+            1 => bytes.insert(at(bytes.len()), b as u8),
+            // Delete a byte.
+            2 if !bytes.is_empty() => {
+                bytes.remove(at(bytes.len() - 1));
+            }
+            // Splice a 20-digit number over one of the frame's digits.
+            3 => {
+                let digits: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i].is_ascii_digit()).collect();
+                let i = digits.get(a as usize % digits.len().max(1)).copied().unwrap_or(at(bytes.len()));
+                let j = (i + 1).min(bytes.len());
+                bytes.splice(i..j, format!("{b:020}").into_bytes());
+            }
+            // Duplicate a span of up to 64 bytes.
+            4 => {
+                let i = at(bytes.len());
+                let j = (i + (b % 64) as usize).min(bytes.len());
+                let span = bytes[i..j].to_vec();
+                bytes.splice(j..j, span);
+            }
+            // Truncate.
+            5 => bytes.truncate(at(bytes.len())),
+            _ => {}
+        }
+    }
+
+    /// Seeded mutations of a valid frame of every message kind never make
+    /// the wire's parsers panic: `Msg::parse`, `JournalMeta::check_task`
+    /// on the task of any completion that still parses, and
+    /// `FrameReader::read` on the frame behind its own length and behind
+    /// the unmutated frame's.
+    #[test]
+    fn mutated_frames_are_refused_not_a_crash() {
+        use tfsim_check::prop::{self, any_u64, ints, vecs, Config};
+        let mut config = CampaignConfig::quick(5);
+        config.start_points = 1;
+        config.trials_per_start_point = 4;
+        config.monitor_cycles = 200;
+        config.scale = 1;
+        let workloads = &tfsim_workloads::all()[..1];
+        let meta = JournalMeta::new(&config, workloads);
+        let (task, _) = execute_task(&config, workloads, 0, 0, &mut None);
+        assert_eq!(meta.check_task(&task), Ok(()));
+        let frames: Vec<String> = [
+            Msg::Hello,
+            Msg::Welcome { worker: 3, meta: meta.render(), lease_ms: 5_000, heartbeat_ms: 500 },
+            Msg::Request,
+            Msg::Grant { bench: 0, sp: 0, token: 17 },
+            Msg::Wait { ms: 250 },
+            Msg::Done,
+            Msg::Heartbeat { token: 17 },
+            Msg::Complete { token: 17, task: Box::new(task) },
+            Msg::Ack { accepted: true, duplicate: false },
+            Msg::Reject { reason: "task (9, 0) is outside the campaign grid".to_string() },
+        ]
+        .iter()
+        .map(Msg::render)
+        .collect();
+        let mut cfg = Config::from_env();
+        if std::env::var_os("TFSIM_PROP_CASES").is_none() {
+            cfg.cases = 10_000;
+        }
+        let gen = (ints(0..frames.len()), vecs((ints(0u8..6), any_u64(), any_u64()), 1..5));
+        prop::run(&cfg, "mutated_frames_are_refused_not_a_crash", &gen, |(k, mutations)| {
+            let mut bytes = frames[*k].clone().into_bytes();
+            for &(kind, a, b) in mutations {
+                mutate(&mut bytes, kind, a, b);
+            }
+            if let Ok(Msg::Complete { task, .. }) = Msg::parse(&String::from_utf8_lossy(&bytes)) {
+                let _ = meta.check_task(&task);
+            }
+            for len in [bytes.len(), frames[*k].len()] {
+                let mut framed = (len as u32).to_le_bytes().to_vec();
+                framed.extend_from_slice(&bytes);
+                let _ = FrameReader::default().read(&mut &framed[..]);
+            }
+            Ok(())
+        });
+    }
 }

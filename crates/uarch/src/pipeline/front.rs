@@ -9,7 +9,7 @@ use crate::config::sizes;
 use crate::exec::{FuClass, SchedEntry};
 use crate::queues::{flw, size_to_log2, ExcCode, LqEntry, RobEntry, SlotPayload, SqEntry};
 
-use super::{FlowEvent, Pipeline};
+use super::Pipeline;
 
 /// Advances one front-end latch group toward the next: when every
 /// destination slot is free, each valid source slot is copied into the
@@ -192,7 +192,7 @@ impl Pipeline {
                 ras_snapshot: p.ras_snapshot,
                 dst_ecc,
                 old_ecc,
-                seq: p.seq,
+                fetch_cycle: p.fetch_cycle,
             });
 
             // LSQ allocation.
@@ -418,10 +418,6 @@ impl Pipeline {
                 }
             }
 
-            let seq = self.fetch_seq;
-            self.fetch_seq += 1;
-            let cycle = self.cycles;
-            self.log_flow(FlowEvent::Fetch { seq, cycle });
             group.push(SlotPayload {
                 valid: true,
                 raw: raw as u64,
@@ -432,7 +428,7 @@ impl Pipeline {
                 parity: self.config.insn_parity && parity32(raw),
                 ghr_snapshot,
                 ras_snapshot: self.ras.pointer(),
-                seq,
+                fetch_cycle: self.cycles,
             });
 
             if taken {

@@ -69,31 +69,15 @@ pub struct CycleReport {
     pub protective_flush: bool,
 }
 
-/// Instrumentation events for the Figure 6 valid-instruction analysis
-/// (recorded only when [`Pipeline::enable_flow_log`] was called).
+/// One committed instruction, recorded for the Figure 6 valid-instruction
+/// analysis (only when [`Pipeline::enable_flow_log`] was called): it was in
+/// flight from `fetch` up to `commit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowEvent {
-    /// Instruction `seq` entered the machine at `cycle`.
-    Fetch {
-        /// Fetch sequence number.
-        seq: u64,
-        /// Cycle of entry.
-        cycle: u64,
-    },
-    /// Instruction `seq` retired at `cycle`.
-    Commit {
-        /// Fetch sequence number.
-        seq: u64,
-        /// Cycle of commit.
-        cycle: u64,
-    },
-    /// Instruction `seq` was squashed at `cycle`.
-    Squash {
-        /// Fetch sequence number.
-        seq: u64,
-        /// Cycle of squash.
-        cycle: u64,
-    },
+pub struct FlowEvent {
+    /// Cycle the instruction was fetched.
+    pub fetch: u64,
+    /// Cycle it committed.
+    pub commit: u64,
 }
 
 /// Instrumentation counters (not machine state; never visited).
@@ -240,7 +224,6 @@ pub struct Pipeline {
     pub(crate) excepted: Option<ExcCode>,
     pub(crate) cycles: u64,
     pub(crate) instret: u64,
-    pub(crate) fetch_seq: u64,
     pub(crate) flow_log: Option<Vec<FlowEvent>>,
     pub(crate) stats: PipeStats,
 }
@@ -298,7 +281,6 @@ impl Pipeline {
             excepted: None,
             cycles: 0,
             instret: 0,
-            fetch_seq: 0,
             flow_log: None,
             stats: PipeStats::default(),
         }
@@ -311,15 +293,11 @@ impl Pipeline {
         self.dtlb = dtlb;
     }
 
-    /// Turns on [`FlowEvent`] recording (golden runs only; it is
+    /// Turns on [`FlowEvent`] recording from the next commit on, dropping
+    /// any events not yet drained (golden runs only; it is
     /// instrumentation, not machine state).
     pub fn enable_flow_log(&mut self) {
         self.flow_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded flow events.
-    pub fn take_flow_events(&mut self) -> Vec<FlowEvent> {
-        self.flow_log.take().unwrap_or_default()
     }
 
     /// Hands the flow events recorded since the last drain to `f`, in
@@ -427,12 +405,6 @@ impl Pipeline {
             mhrs: self.mhrs.occupancy() as f64 / sizes::MHRS as f64,
             frontend: frontend_slots
                 / (3.0 * sizes::FETCH_WIDTH as f64 + 3.0 * sizes::DECODE_WIDTH as f64),
-        }
-    }
-
-    pub(crate) fn log_flow(&mut self, ev: FlowEvent) {
-        if let Some(log) = self.flow_log.as_mut() {
-            log.push(ev);
         }
     }
 

@@ -124,8 +124,9 @@ impl Pipeline {
             };
             self.instret += 1;
             report.retired += 1;
-            let cycle = self.cycles;
-            self.log_flow(FlowEvent::Commit { seq: e.seq, cycle });
+            if let Some(log) = self.flow_log.as_mut() {
+                log.push(FlowEvent { fetch: e.fetch_cycle, commit: self.cycles });
+            }
             report.events.push(RetireEvent::Retired(record));
         }
     }

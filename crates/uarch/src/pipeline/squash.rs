@@ -6,7 +6,7 @@ use crate::config::sizes;
 use crate::exec::FuBank;
 use crate::queues::{flw, SlotPayload};
 
-use super::{FlowEvent, Pipeline};
+use super::Pipeline;
 
 impl Pipeline {
     /// Requests a fetch redirect (consumed by the next fetch phase).
@@ -15,47 +15,18 @@ impl Pipeline {
         self.redirect_pc = pc & !3;
     }
 
-    fn squash_slot(&mut self, slot: &mut SlotPayload) {
-        if slot.valid {
-            let (seq, cycle) = (slot.seq, self.cycles);
-            self.log_flow(FlowEvent::Squash { seq, cycle });
-        }
-        *slot = SlotPayload::default();
-    }
-
     /// Clears every instruction in the fetch buffers, fetch queue, and
-    /// decode/rename pipe. The valid probe inside `squash_slot` feeds only
-    /// the flow log (instrumentation), so each latch slot is logged as a
-    /// pure whole-slot overwrite — the `fq.squash_all` precedent.
+    /// decode/rename pipe: each latch slot is logged as a whole-slot
+    /// overwrite.
     pub(crate) fn clear_frontend(&mut self) {
-        let mut stages = std::mem::take(&mut self.fstages);
-        for (st, stage) in stages.iter_mut().enumerate() {
-            for (i, slot) in stage.iter_mut().enumerate() {
-                self.flatch_write_all(flw::fstage(st, i));
-                self.squash_slot(slot);
-            }
+        for slot in 0..flw::SLOTS {
+            self.flatch_write_all(slot);
         }
-        self.fstages = stages;
-        let cycle = self.cycles;
-        for seq in self.fq.squash_all() {
-            self.log_flow(FlowEvent::Squash { seq, cycle });
+        let latches = self.fstages.iter_mut().flatten();
+        for slot in latches.chain(&mut self.dec1).chain(&mut self.dec2).chain(&mut self.ren) {
+            *slot = SlotPayload::default();
         }
-        for (stage, base) in [("dec1", flw::DEC1), ("dec2", flw::DEC2), ("ren", flw::REN)] {
-            let mut slots = match stage {
-                "dec1" => std::mem::take(&mut self.dec1),
-                "dec2" => std::mem::take(&mut self.dec2),
-                _ => std::mem::take(&mut self.ren),
-            };
-            for (i, slot) in slots.iter_mut().enumerate() {
-                self.flatch_write_all(base + i as u32);
-                self.squash_slot(slot);
-            }
-            match stage {
-                "dec1" => self.dec1 = slots,
-                "dec2" => self.dec2 = slots,
-                _ => self.ren = slots,
-            }
-        }
+        self.fq.clear();
     }
 
     /// Squashes everything younger than `tag` (and `tag` itself when
@@ -82,8 +53,6 @@ impl Pipeline {
             }
             let stop_after = inclusive && youngest == tag % cap;
             let e = self.rob.pop_tail();
-            let (seq, cycle) = (e.seq, self.cycles);
-            self.log_flow(FlowEvent::Squash { seq, cycle });
             if e.has_dst {
                 // Return the allocated register to the head of the free
                 // list (the RAT itself is rebuilt below).
@@ -156,9 +125,7 @@ impl Pipeline {
         self.stats.full_flushes += 1;
         self.clear_frontend();
         while !self.rob.is_empty() {
-            let e = self.rob.pop_tail();
-            let (seq, cycle) = (e.seq, self.cycles);
-            self.log_flow(FlowEvent::Squash { seq, cycle });
+            self.rob.pop_tail();
         }
         self.rob.clear();
         self.sched.clear();

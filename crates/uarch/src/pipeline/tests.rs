@@ -283,9 +283,6 @@ fn cached_fingerprint_tracks_a_live_pipeline() {
             assert_ne!(flat.unit(u), 0, "unit {u} never visited");
         }
     }
-    // In steady state the big shadow arrays are mostly clean: the cache
-    // must actually be earning its keep.
-    assert!(engine.hits() > 0, "no unit was ever served from cache");
 }
 
 #[test]
@@ -353,36 +350,6 @@ fn in_flight_never_exceeds_capacity() {
     }
     assert!(peak <= crate::config::sizes::MAX_IN_FLIGHT as u64, "peak {peak}");
     assert!(peak > 16, "pipeline should actually fill: peak {peak}");
-}
-
-#[test]
-fn flow_log_conservation() {
-    // Every fetched instruction is eventually committed or squashed (or
-    // still in flight at the end).
-    let mut a = Asm::new(0x1_0000);
-    lcg_kernel(&mut a);
-    let mut cpu = pipeline_with_tlbs(&Program::new("flow", a), PipelineConfig::baseline());
-    cpu.enable_flow_log();
-    cpu.run(100_000);
-    assert!(cpu.halted().is_some());
-    let events = cpu.take_flow_events();
-    use std::collections::BTreeMap;
-    let mut state: BTreeMap<u64, u8> = BTreeMap::new();
-    for ev in &events {
-        match ev {
-            FlowEvent::Fetch { seq, .. } => {
-                assert!(state.insert(*seq, 0).is_none(), "double fetch of {seq}");
-            }
-            FlowEvent::Commit { seq, .. } => {
-                assert_eq!(state.insert(*seq, 1), Some(0), "commit without fetch: {seq}");
-            }
-            FlowEvent::Squash { seq, .. } => {
-                assert_eq!(state.insert(*seq, 2), Some(0), "squash without fetch: {seq}");
-            }
-        }
-    }
-    let committed = state.values().filter(|&&s| s == 1).count() as u64;
-    assert_eq!(committed, cpu.instret());
 }
 
 #[test]
@@ -798,7 +765,7 @@ fn check_invariants_flags_planted_corruptions() {
 mod access_ordinals {
     use super::*;
     use std::collections::BTreeSet;
-    use tfsim_bitstate::{FieldMeta, StateVisitor, UnitId, UnitStamp};
+    use tfsim_bitstate::{FieldMeta, StateVisitor, UnitId};
     use crate::exec::schedw;
     use crate::queues::{lqw, sqw, LqEntry, RobEntry, SlotPayload, SqEntry};
 
@@ -817,7 +784,7 @@ mod access_ordinals {
             self.fields.push((self.unit, self.ord, *bits));
             self.ord += 1;
         }
-        fn enter_unit(&mut self, unit: UnitId, _stamp: UnitStamp) -> bool {
+        fn enter_unit(&mut self, unit: UnitId, _digest: Option<u128>) -> bool {
             self.unit = Some(unit);
             self.ord = 0;
             true
@@ -1264,7 +1231,7 @@ mod access_ordinals {
         // The per-unit `Loggability` declaration must agree with what the
         // drain covers: Core and Extended units have tracked words (Core
         // exactly the words `is_tracked` names, which the write-exact
-        // tests above audit), Unlogged and Shadow units none.
+        // tests above audit), Shadow units none.
         use tfsim_bitstate::Loggability;
         for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
             let cpu = tiny_pipeline(config);
@@ -1284,12 +1251,8 @@ mod access_ordinals {
                     Loggability::Extended => {
                         assert!(tracked, "{unit:?} declares Extended but has no tracked words");
                     }
-                    Loggability::Unlogged | Loggability::Shadow => {
-                        assert!(
-                            !tracked,
-                            "{unit:?} declares {:?} but has tracked words",
-                            unit.loggability()
-                        );
+                    Loggability::Shadow => {
+                        assert!(!tracked, "{unit:?} declares Shadow but has tracked words");
                     }
                 }
             }

@@ -1,29 +1,27 @@
 //! The full-machine state walk: every latch bit and RAM cell of the
 //! pipeline, in a fixed deterministic order, categorized per Table 1.
 //!
-//! The walk is bracketed into [`UnitId`] fingerprint units so cached
-//! fingerprint engines can skip unchanged subtrees, and so injection
-//! telemetry can attribute a flipped bit to the pipeline unit owning it
+//! The walk is bracketed into [`UnitId`] fingerprint units so fingerprint
+//! engines can keep per-unit subhashes, and so injection telemetry can
+//! attribute a flipped bit to the pipeline unit owning it
 //! (`FlipBit` notes the innermost open bracket when its target bit goes
 //! by). The brackets never affect bit numbering: census and injection
 //! visitors see the identical field order whether or not they observe
 //! `enter_unit`, so a trial's target index means the same thing with
 //! tracing on or off.
 //!
-//! Latch-dense units that plausibly change every cycle (`Front` …
-//! `ArchCtrl`) are stamped with the cycle counter — safe because all
-//! pipeline mutation happens inside `step()`, which advances it — and
-//! rehashed word by word when it moves. The *shadow units* (predictors,
-//! BTB, RAS, cache tags, store sets) hold 89% of the machine's words but
-//! are never injected, so each structure maintains its own content digest
-//! (`UnitDigest`) inside the mutation methods that write it, and the walk
-//! hands that digest over as the unit's subhash: a cached engine reads it
-//! without visiting a word, while the flat `Fingerprint` recomputes it
-//! from the fields visited here and, in debug builds, asserts the two
-//! agree.
+//! The latch-dense units that change almost every cycle (`Front` …
+//! `ArchCtrl`) are hashed word by word on every walk. The *shadow units*
+//! (predictors, BTB, RAS, cache tags, store sets) hold 89% of the machine's
+//! words but are never injected, so each structure maintains its own
+//! content digest (`UnitDigest`) inside the mutation methods that write
+//! it, and the walk hands that digest over as the unit's subhash: a cached
+//! engine reads it without visiting a word, while the flat `Fingerprint`
+//! recomputes it from the fields visited here and, in debug builds,
+//! asserts the two agree.
 
 use tfsim_bitstate::{
-    visit_bool, visit_pc, Category, FieldMeta, StateVisitor, StorageKind, UnitId, UnitStamp,
+    visit_bool, visit_pc, Category, FieldMeta, StateVisitor, StorageKind, UnitDigest, UnitId,
     VisitState,
 };
 
@@ -35,9 +33,9 @@ impl VisitState for Pipeline {
         let ctrl = FieldMeta::new(Category::Ctrl, latch);
         let parity_on = self.config.insn_parity;
         let ptr_ecc = self.config.pointer_ecc;
-        let cyc = UnitStamp::Gen(self.cycles);
 
-        if v.enter_unit(UnitId::Front, cyc) {
+        // The latch units keep no digest: engines hash their words.
+        if v.enter_unit(UnitId::Front, None) {
             // Fetch control.
             visit_pc(v, latch, &mut self.fetch_pc);
             visit_bool(v, FieldMeta::new(Category::Valid, latch), &mut self.redirect_valid);
@@ -72,7 +70,7 @@ impl VisitState for Pipeline {
             v.exit_unit(UnitId::Front);
         }
 
-        if v.enter_unit(UnitId::Rename, cyc) {
+        if v.enter_unit(UnitId::Rename, None) {
             self.spec_rat.visit(v);
             self.arch_rat.visit(v);
             self.spec_fl.visit(v);
@@ -80,24 +78,24 @@ impl VisitState for Pipeline {
             v.exit_unit(UnitId::Rename);
         }
 
-        if v.enter_unit(UnitId::Sched, cyc) {
+        if v.enter_unit(UnitId::Sched, None) {
             self.sched.visit(v, ptr_ecc);
             v.exit_unit(UnitId::Sched);
         }
-        if v.enter_unit(UnitId::Rob, cyc) {
+        if v.enter_unit(UnitId::Rob, None) {
             self.rob.visit(v, parity_on, ptr_ecc);
             v.exit_unit(UnitId::Rob);
         }
-        if v.enter_unit(UnitId::Lsq, cyc) {
+        if v.enter_unit(UnitId::Lsq, None) {
             self.lsq.visit(v, ptr_ecc);
             v.exit_unit(UnitId::Lsq);
         }
-        if v.enter_unit(UnitId::Fus, cyc) {
+        if v.enter_unit(UnitId::Fus, None) {
             self.fus.visit(v, ptr_ecc);
             v.exit_unit(UnitId::Fus);
         }
 
-        if v.enter_unit(UnitId::Regfile, cyc) {
+        if v.enter_unit(UnitId::Regfile, None) {
             self.regfile.visit(v);
             v.exit_unit(UnitId::Regfile);
         }
@@ -106,7 +104,7 @@ impl VisitState for Pipeline {
         // between the out-of-order-window units and these fields in the
         // (frozen) field order, so the speculative-ready bits and MHRs ride
         // in the ArchCtrl bracket.
-        if v.enter_unit(UnitId::ArchCtrl, cyc) {
+        if v.enter_unit(UnitId::ArchCtrl, None) {
             for b in self.spec_ready.iter_mut() {
                 visit_bool(v, ctrl, b);
             }
@@ -123,7 +121,7 @@ impl VisitState for Pipeline {
         // Shadow state: prediction and cache tag arrays (fingerprinted for
         // the µArch Match comparison, excluded from injection), each with
         // its maintained content digest.
-        let digest = |d: tfsim_bitstate::UnitDigest| UnitStamp::Digest(d.value());
+        let digest = |d: UnitDigest| Some(d.value());
         if v.enter_unit(UnitId::Bpred, digest(self.bpred.digest())) {
             self.bpred.visit_state(v);
             v.exit_unit(UnitId::Bpred);

@@ -38,9 +38,9 @@ pub struct SlotPayload {
     pub ghr_snapshot: u64,
     /// RAS pointer snapshot for squash recovery (shadow).
     pub ras_snapshot: u64,
-    /// Instrumentation only: global fetch sequence number. Not machine
-    /// state — never visited, never affects execution.
-    pub seq: u64,
+    /// Instrumentation only: the cycle the instruction was fetched. Not
+    /// machine state — never visited, never affects execution.
+    pub fetch_cycle: u64,
 }
 
 impl SlotPayload {
@@ -205,17 +205,6 @@ impl FetchQueue {
         self.count = 0;
     }
 
-    /// Empties the queue for a squash, returning the fetch sequence number
-    /// of each occupied slot so the pipeline can flow-log the squashed
-    /// instructions. The occupancy probe feeds instrumentation only (the
-    /// flow log), never machine behaviour, so this is still logged as a
-    /// pure full-queue overwrite.
-    pub fn squash_all(&mut self) -> Vec<u64> {
-        let seqs = self.slots.iter().filter(|s| s.valid).map(|s| s.seq).collect();
-        self.clear();
-        seqs
-    }
-
     /// Visits all slots and ring pointers.
     pub fn visit(&mut self, v: &mut dyn StateVisitor, parity_enabled: bool) {
         for s in self.slots.iter_mut() {
@@ -313,8 +302,9 @@ pub struct RobEntry {
     pub dst_ecc: u64,
     /// Pointer-ECC check bits for `old_preg`.
     pub old_ecc: u64,
-    /// Instrumentation only (never visited): fetch sequence number.
-    pub seq: u64,
+    /// Instrumentation only (never visited): the cycle the instruction
+    /// was fetched.
+    pub fetch_cycle: u64,
 }
 
 impl RobEntry {

@@ -124,7 +124,6 @@ fn assert_engine_equals_oracle(cfg: &CampaignConfig, workloads: &[Workload]) -> 
             // The campaign's warm-up, golden continuation and plan draw.
             let mut cpu = Pipeline::new(&program, cfg.pipeline);
             cpu.set_tlbs(probe.code_pages().clone(), probe.data_pages().clone());
-            cpu.enable_flow_log();
             for _ in 0..cfg.warmup_cycles + cfg.spacing_cycles * s as u64 {
                 if !cpu.running() {
                     break;

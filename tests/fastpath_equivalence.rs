@@ -58,7 +58,6 @@ fn warmed_pipeline_with(config: PipelineConfig) -> Pipeline {
     probe.run(50_000_000);
     let mut cpu = Pipeline::new(&p, config);
     cpu.set_tlbs(probe.code_pages().clone(), probe.data_pages().clone());
-    cpu.enable_flow_log();
     for _ in 0..400 {
         cpu.step();
     }
