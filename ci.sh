@@ -142,6 +142,16 @@ dist_args="--quick --seed 7 --start-points 2 --trials 8 --monitor 1000 \
     --scale 1 --workloads gzip-like,twolf-like"
 $run_tfsim campaign $dist_args > target/ci_census_dist_ref.txt 2>/dev/null
 serve_log=target/ci_serve.err
+# A gate that fails while a coordinator runs in the background ends the
+# script (set -e); the trap ends the coordinator with it instead of leaving
+# it listening until its idle timeout. Waiting for a coordinator disarms it.
+serve_pid=""
+trap '[ -z "$serve_pid" ] || kill "$serve_pid" 2>/dev/null' EXIT
+wait_serve() {
+    local pid=$serve_pid
+    serve_pid=""
+    wait "$pid"
+}
 # Each coordinator's log is emptied before it starts: the polling below
 # may run before the backgrounded shell opens the log, and must find
 # neither a missing file (sed fails) nor the previous leg's port.
@@ -160,7 +170,7 @@ $run_tfsim worker --connect "127.0.0.1:$port" --chaos seed=11,kill=n1 \
     2>/dev/null && exit 1 # the chaos-killed worker must exit non-zero
 $run_tfsim worker --connect "127.0.0.1:$port" --shard target/ci_shard.jsonl \
     2>/dev/null
-wait "$serve_pid"
+wait_serve
 diff target/ci_census_dist_ref.txt target/ci_census_dist.txt
 # Degraded leg: the only worker dies, the coordinator times out incomplete
 # (non-zero exit) with the accepted task journaled; --resume finishes.
@@ -180,7 +190,7 @@ done
 test -n "$port"
 $run_tfsim worker --connect "127.0.0.1:$port" --chaos seed=12,kill=n1 \
     2>/dev/null && exit 1
-if wait "$serve_pid"; then
+if wait_serve; then
     echo "serve must exit non-zero when the campaign is incomplete" >&2
     exit 1
 fi

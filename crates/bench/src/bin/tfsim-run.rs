@@ -26,10 +26,12 @@
 //! census. Every campaign runs the analytic masking pruner in front of the
 //! snapshot ladder: dead-window proofs discharge most sites without
 //! simulating them, and the rest run on the ladder. With `--trace PATH` it
-//! streams the per-trial JSONL event stream to `PATH` (plus metrics, a live
-//! progress meter on stderr, and the pruner's per-site disposition tally
-//! in the footer); without it the campaign takes the untraced
-//! zero-overhead path. The census is rendered through the same
+//! streams the per-trial JSONL event stream to `PATH`, with the span
+//! profile and, in the trace's footer event, the pruner's per-site
+//! disposition tally; it shows a live progress meter on stderr and prints
+//! the five exact work counters above the census and the span profile
+//! below it. Without it the campaign takes the untraced zero-overhead
+//! path. The census is rendered through the same
 //! `tfsim_stats::census_rows` builder either way, so traced and untraced
 //! runs of the same seed print byte-identical censuses.
 //!
@@ -44,10 +46,11 @@
 //! divergence timeline (which units disagreed with the golden run, cycle
 //! by cycle) as `propagation` events in the trace — the census and
 //! journal stay byte-identical to the shallower runs. `--profile PATH`
-//! turns on the hierarchical span profiler, prints a wall-time footer
-//! (campaign → benchmark → {golden spine, start points → phases}) with the
-//! coverage of every depth that has children, and writes a collapsed-stack
-//! file flamegraph tooling reads directly.
+//! (or `--trace`) turns on the hierarchical span profiler and prints a
+//! wall-time footer (campaign → benchmark → {spine → {warmup, walk}, spN →
+//! {trials → engine steps, journal}}) with the coverage of every depth that
+//! has children; `--profile` also writes a collapsed-stack file flamegraph
+//! tooling reads directly.
 //!
 //! `serve` runs the distributed coordinator: it binds a TCP listener
 //! (port 0 picks an ephemeral port, printed to stderr), hands (benchmark,
@@ -67,7 +70,7 @@
 //!
 //! `report` parses a JSONL trace back and renders the full
 //! fault-propagation report (census, per-category/per-unit vulnerability,
-//! propagation pairs, latency histograms, phase timings, span profile).
+//! propagation pairs, latency histograms, span profile).
 //! `report PATH --propagation` renders the deep-trace aggregation
 //! instead: propagation chains, a per-unit residency heatmap over cycle
 //! offsets, per-unit detection latencies, and a machine-readable JSON

@@ -1,7 +1,8 @@
 //! `tfsim-run` and `figures` refuse what they cannot use: a malformed
 //! argument or input ends the run with one line on stderr, prefixed with
 //! the binary's name, and a nonzero exit (2 for usage, 1 for damaged
-//! files), never a silent default or a crash.
+//! files), never a silent default or a crash. A traced campaign prints one
+//! record of each measurement.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -103,4 +104,55 @@ fn malformed_assembly_is_refused_not_a_crash() {
         assert_refused(&[path.to_str().unwrap()], 1, needle);
         std::fs::remove_file(&path).unwrap();
     }
+}
+
+/// A traced campaign records each measurement once. Its footer prints the
+/// five exact work counters above the census, and no outcome counts, phase
+/// timings or latency histograms of its own; the report on its trace
+/// renders the span profile and no phase table. A trace of an older
+/// schema, which may carry `phase` events, is refused.
+#[test]
+fn traced_campaign_footer_prints_only_the_work_counters() {
+    let trace = tmp("footer-trace.jsonl");
+    let campaign = [
+        "campaign", "--quick", "--seed", "7", "--start-points", "1", "--trials", "4",
+        "--monitor", "300", "--scale", "1", "--workloads", "gzip-like", "--threads", "1",
+        "--trace", trace.to_str().unwrap(),
+    ];
+    let out = tfsim_run(&campaign);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let (footer, rest) = stdout.split_once("\n\n").expect("a blank line ends the footer");
+    let names: Vec<&str> = footer
+        .lines()
+        .map(|l| {
+            let (name, value) = l.trim().split_once(' ').expect("name and value");
+            assert!(value.trim().parse::<u64>().is_ok(), "{l:?} is no counter");
+            name
+        })
+        .collect();
+    let counters = [
+        "golden/rows_hashed",
+        "golden/words_hashed",
+        "footprint/events_kept",
+        "trials/cycles_stepped",
+        "golden/cycles_stepped",
+    ];
+    assert_eq!(names, counters, "{stdout}");
+    assert!(rest.starts_with("outcome census (4 trials)"), "{stdout}");
+    assert!(rest.contains("\nspan profile (wall time, summed across workers)\n"), "{stdout}");
+
+    let out = tfsim_run(&["report", trace.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let report = String::from_utf8(out.stdout).unwrap();
+    assert!(report.contains("\nspan profile ("), "{report}");
+    assert!(report.contains("  spine"), "{report}");
+    assert!(!report.contains("phase"), "{report}");
+
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let v3 = tmp("footer-trace-v3.jsonl");
+    std::fs::write(&v3, text.replacen("\"schema\":4,", "\"schema\":3,", 1)).unwrap();
+    assert_refused(&["report", v3.to_str().unwrap()], 1, "unsupported schema version 3");
+    std::fs::remove_file(&trace).unwrap();
+    std::fs::remove_file(&v3).unwrap();
 }

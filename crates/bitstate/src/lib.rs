@@ -502,7 +502,7 @@ pub trait StateVisitor {
     /// Returning `false` asks the machine to skip the unit's fields and not
     /// call [`StateVisitor::exit_unit`]: the visitor already knows the
     /// unit's contribution (its maintained digest). Visitors that must see
-    /// every field — censuses, bit counts, fault injection, snapshots —
+    /// every field — censuses, bit counts, fault injection —
     /// keep this default, which visits everything. Units never nest.
     fn enter_unit(&mut self, _unit: UnitId, _digest: Option<u128>) -> bool {
         true
@@ -1522,142 +1522,5 @@ mod tests {
         assert!(!InjectionMask::LatchesAndRams.eligible(shadow));
         assert!(InjectionMask::LatchesOnly.eligible(latch));
         assert!(!InjectionMask::LatchesOnly.eligible(ram));
-    }
-}
-
-/// A captured copy of every visited field's bits, in visit order.
-///
-/// Two snapshots of machines with identical structure can be
-/// [diffed](Snapshot::diff) to locate exactly which fields differ — the
-/// debugging companion to the pass/fail answer a [`Fingerprint`] gives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Snapshot {
-    fields: Vec<(FieldMeta, u32, u64)>,
-}
-
-impl Snapshot {
-    /// Captures a snapshot of `machine`.
-    pub fn capture(machine: &mut dyn VisitState) -> Snapshot {
-        struct Collector {
-            fields: Vec<(FieldMeta, u32, u64)>,
-        }
-        impl StateVisitor for Collector {
-            fn field(&mut self, meta: FieldMeta, width: u32, bits: &mut u64) {
-                self.fields.push((meta, width, *bits));
-            }
-        }
-        let mut c = Collector { fields: Vec::new() };
-        machine.visit_state(&mut c);
-        Snapshot { fields: c.fields }
-    }
-
-    /// Number of fields captured.
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-
-    /// Compares two snapshots field by field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshots have different structure (they must come
-    /// from machines with identical configuration).
-    pub fn diff(&self, other: &Snapshot) -> Vec<FieldDiff> {
-        assert_eq!(self.fields.len(), other.fields.len(), "snapshot structure mismatch");
-        let mut out = Vec::new();
-        for (i, ((meta, width, a), (_, _, b))) in
-            self.fields.iter().zip(other.fields.iter()).enumerate()
-        {
-            if a != b {
-                out.push(FieldDiff {
-                    index: i,
-                    category: meta.category,
-                    kind: meta.kind,
-                    width: *width,
-                    left: *a,
-                    right: *b,
-                });
-            }
-        }
-        out
-    }
-}
-
-/// One differing field reported by [`Snapshot::diff`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldDiff {
-    /// Position in visit order.
-    pub index: usize,
-    /// Category of the field.
-    pub category: Category,
-    /// Storage kind.
-    pub kind: StorageKind,
-    /// Field width in bits.
-    pub width: u32,
-    /// Bits in the first snapshot.
-    pub left: u64,
-    /// Bits in the second snapshot.
-    pub right: u64,
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-
-    struct Pair {
-        a: u64,
-        b: Vec<u64>,
-    }
-    impl VisitState for Pair {
-        fn visit_state(&mut self, v: &mut dyn StateVisitor) {
-            v.field(FieldMeta::new(Category::Data, StorageKind::Latch), 16, &mut self.a);
-            v.array(FieldMeta::new(Category::Regfile, StorageKind::Ram), 8, &mut self.b);
-        }
-    }
-
-    #[test]
-    fn identical_machines_have_empty_diff() {
-        let mut x = Pair { a: 5, b: vec![1, 2, 3] };
-        let mut y = Pair { a: 5, b: vec![1, 2, 3] };
-        let sx = Snapshot::capture(&mut x);
-        let sy = Snapshot::capture(&mut y);
-        assert!(sx.diff(&sy).is_empty());
-        assert_eq!(sx.len(), 4);
-        assert!(!sx.is_empty());
-    }
-
-    #[test]
-    fn diff_locates_the_changed_field() {
-        let mut x = Pair { a: 5, b: vec![1, 2, 3] };
-        let mut y = Pair { a: 5, b: vec![1, 9, 3] };
-        let d = Snapshot::capture(&mut x).diff(&Snapshot::capture(&mut y));
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].category, Category::Regfile);
-        assert_eq!(d[0].kind, StorageKind::Ram);
-        assert_eq!((d[0].left, d[0].right), (2, 9));
-        assert_eq!(d[0].index, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "structure mismatch")]
-    fn structural_mismatch_panics() {
-        let mut x = Pair { a: 5, b: vec![1, 2, 3] };
-        let mut y = Pair { a: 5, b: vec![1, 2] };
-        let _ = Snapshot::capture(&mut x).diff(&Snapshot::capture(&mut y));
-    }
-
-    #[test]
-    fn snapshot_agrees_with_fingerprint() {
-        let mut x = Pair { a: 7, b: vec![4, 5, 6] };
-        let mut y = Pair { a: 7, b: vec![4, 5, 6] };
-        assert_eq!(fingerprint_of(&mut x), fingerprint_of(&mut y));
-        y.b[0] ^= 1;
-        assert_ne!(fingerprint_of(&mut x), fingerprint_of(&mut y));
-        assert_eq!(Snapshot::capture(&mut x).diff(&Snapshot::capture(&mut y)).len(), 1);
     }
 }

@@ -6,16 +6,17 @@
 //! probes the program once, warms once, and serves every start point from
 //! one golden walk ([`BenchSpine`]). Results stay per (benchmark, start
 //! point): each start point keeps its own PRNG substream, journal line,
-//! `Phase` events and scatter point.
+//! trial events and scatter point.
 //!
 //! # Telemetry
 //!
-//! [`run_campaign_observed`] threads a [`CampaignObs`] through the run:
-//! per-trial events into an [`EventSink`], counters and latency histograms
-//! into a [`CampaignMetrics`], and task completions into a
-//! [`tfsim_obs::Progress`] gauge. With [`CampaignObs::disabled`] (what
-//! [`run_campaign`] / [`run_campaign_on`] use) the workers run the engine
-//! at [`Trace::Off`] — no timing calls, no trace slots.
+//! [`run_campaign_journaled`] threads a [`CampaignObs`] through the run:
+//! per-trial events into an [`EventSink`], the exact work counters into a
+//! [`CampaignMetrics`], wall time into a [`SpanProfiler`], and task
+//! completions into a [`tfsim_obs::Progress`] gauge. With
+//! [`CampaignObs::disabled`] (what [`run_campaign`] / [`run_campaign_on`]
+//! use) the workers run the engine at [`Trace::Off`] — no timing calls, no
+//! trace slots.
 //!
 //! Event streams are deterministic: workers buffer per-task results, and
 //! events are emitted *after* the thread pool drains, in canonical
@@ -31,8 +32,8 @@ use tfsim_check::Rng;
 use tfsim_bitstate::{Category, InjectionMask, StorageKind, UnitId};
 use tfsim_isa::Program;
 use tfsim_obs::{
-    CounterId, DeepTrace, Event, EventSink, HistogramId, LocalMetrics, LocalSpans,
-    MetricsRegistry, NoopSink, Progress, PruneDispositions, SpanProfiler, SCHEMA_VERSION,
+    DeepTrace, Event, EventSink, LocalSpans, NoopSink, Progress, PruneDispositions, SpanProfiler,
+    SCHEMA_VERSION,
 };
 use tfsim_uarch::PipelineConfig;
 use tfsim_workloads::Workload;
@@ -41,8 +42,8 @@ use crate::footprint::Footprint;
 use crate::journal::{CampaignJournal, JournaledTask};
 use crate::pruner::{fault_sites, watch_list, Sites};
 use crate::trial::{
-    between, eligible_bits, walk, warm_pipeline, FailureMode, Outcome, StartPoint, Stops, Trace,
-    TracedBatch, TrialRecord, TrialSpec,
+    eligible_bits, walk, warm_pipeline, FailureMode, Outcome, StartPoint, Stops, Trace,
+    TracedBatch, TrialRecord, TrialSpec, WorkCounters,
 };
 
 /// Locks a mutex, recovering from poisoning.
@@ -351,113 +352,38 @@ impl CampaignResult {
     }
 }
 
-/// Campaign instruments pre-registered on a [`MetricsRegistry`].
-///
-/// Workers record into thread-local [`tfsim_obs::LocalMetrics`] scratchpads
-/// and merge once per (benchmark, start point) task, so the per-trial hot
-/// path touches plain integers only.
-pub struct CampaignMetrics {
-    registry: MetricsRegistry,
-    trials: CounterId,
-    matched: CounterId,
-    gray: CounterId,
-    failed: CounterId,
-    warmup_ns: CounterId,
-    prepare_ns: CounterId,
-    advance_ns: CounterId,
-    monitor_ns: CounterId,
-    /// Golden fingerprint rows hashed: each live benchmark's golden walk
-    /// (the union of its start points' sparse grids) plus each batch's
-    /// dense and deferred attribution rows. Exact and machine-independent.
-    rows_hashed: CounterId,
-    /// Words mixed into those rows: the latch units' words, since the
-    /// shadow units contribute their maintained digests without a word
-    /// visited. Exact and machine-independent.
-    words_hashed: CounterId,
-    /// First accesses the live tasks' access footprints kept: fault sites
-    /// whose word the golden run reads or overwrites inside their window.
-    footprint_events: CounterId,
-    /// Cycles the live tasks' faulted trial machines stepped: the sites
-    /// the pruner could not prove dead, each from its injection to its
-    /// decision. Exact and machine-independent.
-    cycles_stepped: CounterId,
-    /// Cycles the live tasks' fault-free machines stepped: each benchmark's
-    /// warm-up and golden walk, and each batch's dense-row and closing
-    /// replay. Exact and machine-independent.
-    golden_cycles: CounterId,
-    fail_latency: HistogramId,
-    match_latency: HistogramId,
-}
+/// A campaign's exact work counters, summed over its live tasks: the one
+/// counter record of what the campaign did. Journal-replayed tasks add
+/// nothing, since their work was not re-done. Workers add one
+/// [`WorkCounters`] per benchmark, under one short lock.
+#[derive(Debug, Default)]
+pub struct CampaignMetrics(Mutex<WorkCounters>);
 
 impl CampaignMetrics {
-    /// Creates the standard campaign instrument set.
+    /// Zeroed counters.
     pub fn new() -> CampaignMetrics {
-        let mut registry = MetricsRegistry::new();
-        CampaignMetrics {
-            trials: registry.counter("trials"),
-            matched: registry.counter("matched"),
-            gray: registry.counter("gray"),
-            failed: registry.counter("failed"),
-            warmup_ns: registry.counter("phase/warmup_ns"),
-            prepare_ns: registry.counter("phase/prepare_ns"),
-            advance_ns: registry.counter("phase/advance_ns"),
-            monitor_ns: registry.counter("phase/monitor_ns"),
-            rows_hashed: registry.counter("golden/rows_hashed"),
-            words_hashed: registry.counter("golden/words_hashed"),
-            footprint_events: registry.counter("footprint/events_kept"),
-            cycles_stepped: registry.counter("trials/cycles_stepped"),
-            golden_cycles: registry.counter("golden/cycles_stepped"),
-            fail_latency: registry.histogram("cycles-to-failure-detection"),
-            match_latency: registry.histogram("cycles-to-reconvergence"),
-            registry,
-        }
+        CampaignMetrics::default()
     }
 
-    /// Total trials recorded so far.
-    pub fn trials(&self) -> u64 {
-        self.registry.counter_value(self.trials)
+    /// The counters so far.
+    pub fn work(&self) -> WorkCounters {
+        *lock_recover(&self.0)
     }
 
-    /// Trials that ended in a known failure so far.
-    pub fn failed(&self) -> u64 {
-        self.registry.counter_value(self.failed)
-    }
-
-    /// Snapshot of the failure-detection latency histogram (cycles from
-    /// injection to the decision).
-    pub fn fail_latency(&self) -> tfsim_obs::Histogram {
-        self.registry.histogram_value(self.fail_latency)
-    }
-
-    /// Renders every instrument as text.
+    /// Renders the counters as a name/value table, one line each.
     pub fn render(&self) -> String {
-        self.registry.render()
-    }
-
-    /// Folds one task's trials into `local`: the trial and outcome counters,
-    /// and the decision latencies of the trials that carry a trace.
-    fn fold_trials(&self, local: &mut LocalMetrics, task: &JournaledTask) {
-        local.add(self.trials, task.records.len() as u64);
-        for (rec, tr) in task.records.iter().zip(&task.traces) {
-            let latency = tr.detect_cycle - rec.inject_cycle;
-            match rec.outcome {
-                Outcome::MicroArchMatch => {
-                    local.add(self.matched, 1);
-                    local.observe(self.match_latency, latency);
-                }
-                Outcome::GrayArea => local.add(self.gray, 1),
-                Outcome::Failure(_) => {
-                    local.add(self.failed, 1);
-                    local.observe(self.fail_latency, latency);
-                }
-            }
-        }
-    }
-}
-
-impl Default for CampaignMetrics {
-    fn default() -> Self {
-        CampaignMetrics::new()
+        let w = self.work();
+        [
+            ("golden/rows_hashed", w.rows_hashed),
+            ("golden/words_hashed", w.words_hashed),
+            ("footprint/events_kept", w.footprint_events),
+            ("trials/cycles_stepped", w.trial_cycles),
+            ("golden/cycles_stepped", w.golden_cycles),
+        ]
+        .iter()
+        // Names padded to the longest one's 21 characters.
+        .map(|(name, n)| format!("  {name:<21}  {n}\n"))
+        .collect()
     }
 }
 
@@ -470,12 +396,12 @@ impl Default for CampaignMetrics {
 pub struct CampaignObs<'a> {
     /// Destination for the per-trial event stream.
     pub sink: &'a dyn EventSink,
-    /// Counters and latency histograms, if wanted.
+    /// The exact work counters, if wanted.
     pub metrics: Option<&'a CampaignMetrics>,
     /// Live task-completion gauge, if wanted.
     pub progress: Option<&'a Progress>,
     /// Hierarchical wall-time self-profile, if wanted: workers time each
-    /// task's phases into thread-local [`LocalSpans`] scratchpads, merged
+    /// task's steps into thread-local [`LocalSpans`] scratchpads, merged
     /// here once per task. With a sink attached, the merged tree is also
     /// emitted as [`Event::Span`] events before the campaign footer.
     pub spans: Option<&'a SpanProfiler>,
@@ -509,13 +435,7 @@ struct TaskOutput {
     /// campaign ran deep-traced; replayed tasks have none — timelines are
     /// not journaled).
     deeps: Vec<DeepTrace>,
-    /// Wall time of the [`PHASES`], in nanoseconds (zero untraced and for
-    /// replayed tasks).
-    phase_ns: [u64; 4],
 }
-
-/// The phases a task's `Phase` events time.
-const PHASES: [&str; 4] = ["warmup", "prepare", "advance", "monitor"];
 
 /// The Figure 6 scatter point of one task (classified records only; the
 /// same arithmetic whether the task ran live or was replayed from a
@@ -559,28 +479,21 @@ pub(crate) struct BenchSpine {
     bench: usize,
     points: Vec<SpinePoint>,
     footprint: Footprint,
-    /// Wall time of the warm-up (program build and probe included) and of
-    /// the walk (plan draws included); zero at [`Trace::Off`].
-    warmup_ns: u64,
-    walk_ns: u64,
-    /// Cycles the warm-up and the walk stepped. Exact and
-    /// machine-independent.
-    golden_cycles: u64,
-    /// Golden rows the walk hashed, and the words mixed into them.
-    rows_hashed: u64,
-    words_hashed: u64,
+    /// Cycles the warm-up and the walk stepped, and the golden rows the
+    /// walk hashed with the words mixed into them.
+    work: WorkCounters,
 }
 
 impl BenchSpine {
     /// Walks benchmark `bench`'s spine over `start_points` (ascending, not
-    /// empty), timing it when `trace` is on and charging it to `spans`'
-    /// open span as `spine` → {`warmup`, `walk`}.
+    /// empty), charging its time to `spans`' open span as `spine` →
+    /// {`warmup`, `walk`}: the warm-up includes the program build and
+    /// probe, the walk the plan draws.
     fn walk(
         config: &CampaignConfig,
         workload: &Workload,
         bench: usize,
         start_points: &[u32],
-        trace: Trace,
         mut spans: Option<&mut LocalSpans>,
     ) -> BenchSpine {
         let warm = |s: u32| config.warmup_cycles + config.spacing_cycles * s as u64;
@@ -589,11 +502,9 @@ impl BenchSpine {
             ls.enter("spine");
             ls.enter("warmup");
         }
-        let t0 = trace.clock();
         let program: Program = workload.build(config.scale);
         let mut warmed = warm_pipeline(&program, config.pipeline, first);
         let warmup_cycles = warmed.cycles();
-        let t1 = trace.clock();
         if let Some(ls) = spans.as_deref_mut() {
             ls.exit();
             ls.enter("walk");
@@ -630,8 +541,9 @@ impl BenchSpine {
             })
             .collect();
         let mut footprint = Footprint::new(&watched);
-        let walked = walk(warmed, Some(Stops { offsets: &offsets, horizon, mask }), &mut footprint);
-        let t2 = trace.clock();
+        let mut walked =
+            walk(warmed, Some(Stops { offsets: &offsets, horizon, mask }), &mut footprint);
+        walked.work.golden_cycles += warmup_cycles;
         if let Some(ls) = spans {
             ls.exit(); // walk
             ls.exit(); // spine
@@ -647,22 +559,13 @@ impl BenchSpine {
                 shim,
             })
             .collect();
-        BenchSpine {
-            bench,
-            points,
-            footprint,
-            warmup_ns: between(t0, t1),
-            walk_ns: between(t1, t2),
-            golden_cycles: warmup_cycles + walked.stepped,
-            rows_hashed: walked.rows_hashed,
-            words_hashed: walked.words_hashed,
-        }
+        BenchSpine { bench, points, footprint, work: walked.work }
     }
 
     /// Runs one start point's drawn trial plan through the engine on the
     /// walk's footprint at trace level `trace`, and returns it in journal
-    /// form, with the rest of the batch (timings, counters, timelines) and
-    /// the disposition tally. The single definition keeps the in-process
+    /// form, with the rest of the batch (timings, work counters, timelines)
+    /// and the disposition tally. The single definition keeps the in-process
     /// pool and the distributed worker on the same machine code, so a
     /// worker's results are byte-identical to the local run's by
     /// construction.
@@ -716,7 +619,7 @@ pub(crate) fn execute_task(
         *spine = None;
         let all: Vec<u32> = (0..config.start_points).collect();
         let w = &workloads[bench];
-        *spine = Some(BenchSpine::walk(config, w, bench, &all, Trace::Off, None));
+        *spine = Some(BenchSpine::walk(config, w, bench, &all, None));
     }
     let spine = spine.as_ref().expect("walked above");
     let point = spine
@@ -735,16 +638,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
 
 /// Runs a campaign over an explicit workload list.
 pub fn run_campaign_on(config: &CampaignConfig, workloads: &[Workload]) -> CampaignResult {
-    run_campaign_observed(config, workloads, &CampaignObs::disabled())
-}
-
-/// Runs a campaign over an explicit workload list with telemetry.
-pub fn run_campaign_observed(
-    config: &CampaignConfig,
-    workloads: &[Workload],
-    obs: &CampaignObs<'_>,
-) -> CampaignResult {
-    run_campaign_journaled(config, workloads, obs, None)
+    run_campaign_journaled(config, workloads, &CampaignObs::disabled(), None)
 }
 
 /// Runs a campaign over an explicit workload list with telemetry and an
@@ -843,20 +737,15 @@ fn run_campaign_core(
         });
     }
 
-    // Tasks replayed from the journal become ordinary task outputs (zero
-    // phase timings: no work was re-done). Metrics and progress see them
-    // so a resumed run's counters cover the whole campaign.
+    // Tasks replayed from the journal become ordinary task outputs. The
+    // work counters skip them (no work was re-done); progress counts them,
+    // so a resumed run's meter covers the whole campaign.
     let mut restored: Vec<TaskOutput> = Vec::with_capacity(replayed.len());
     for t in replayed {
-        if let Some(metrics) = obs.metrics {
-            let mut local = metrics.registry.local();
-            metrics.fold_trials(&mut local, &t);
-            metrics.registry.absorb(&local);
-        }
         if let Some(p) = obs.progress {
             p.add(1);
         }
-        restored.push(TaskOutput { task: t, prune: None, deeps: Vec::new(), phase_ns: [0; 4] });
+        restored.push(TaskOutput { task: t, prune: None, deeps: Vec::new() });
     }
     let outputs: Mutex<Vec<TaskOutput>> = Mutex::new(restored);
 
@@ -886,29 +775,21 @@ fn run_campaign_core(
                     ls.enter(w.name);
                     ls
                 });
-                let spine =
-                    BenchSpine::walk(config, w, bench, &start_points, trace, spans.as_mut());
-                if let Some(metrics) = obs.metrics {
-                    // The spine's work, charged once per benchmark.
-                    let mut local = metrics.registry.local();
-                    local.add(metrics.warmup_ns, spine.warmup_ns);
-                    local.add(metrics.prepare_ns, spine.walk_ns);
-                    local.add(metrics.rows_hashed, spine.rows_hashed);
-                    local.add(metrics.words_hashed, spine.words_hashed);
-                    local.add(metrics.golden_cycles, spine.golden_cycles);
-                    metrics.registry.absorb(&local);
-                }
+                let spine = BenchSpine::walk(config, w, bench, &start_points, spans.as_mut());
+                // The benchmark's work: its spine's, charged once, plus
+                // every start point's batch.
+                let mut work = spine.work;
 
-                for (k, point) in spine.points.iter().enumerate() {
+                for point in &spine.points {
                     if let Some(ls) = spans.as_mut() {
                         ls.enter(&format!("sp{}", point.start_point));
                         ls.enter("trials");
                     }
                     let (task, batch, prune) = spine.run(config, point, trace);
                     if let Some(ls) = spans.as_mut() {
-                        // Engine-internal phase attribution: counted by the
-                        // batch itself (no extra clocks here), charged as
-                        // children of the open `trials` span.
+                        // Engine-internal attribution: counted by the batch
+                        // itself (no extra clocks here), charged as children
+                        // of the open `trials` span.
                         ls.record("advance", batch.advance_ns, task.records.len() as u64);
                         ls.record("ride", batch.ride_ns, 1);
                         ls.record("classify", batch.classify_ns, 1);
@@ -917,21 +798,7 @@ fn run_campaign_core(
                         ls.record("attribute", batch.attribute_ns, 1);
                         ls.exit();
                     }
-                    if let Some(metrics) = obs.metrics {
-                        // One scratchpad per start point, merged under one
-                        // short lock: the per-trial recording is lock- and
-                        // atomic-free.
-                        let mut local = metrics.registry.local();
-                        metrics.fold_trials(&mut local, &task);
-                        local.add(metrics.advance_ns, batch.advance_ns);
-                        local.add(metrics.monitor_ns, batch.monitor_ns);
-                        local.add(metrics.rows_hashed, batch.rows_hashed);
-                        local.add(metrics.words_hashed, batch.words_hashed);
-                        local.add(metrics.footprint_events, batch.footprint_events);
-                        local.add(metrics.cycles_stepped, batch.cycles_stepped);
-                        local.add(metrics.golden_cycles, batch.golden_cycles);
-                        metrics.registry.absorb(&local);
-                    }
+                    work += batch.work;
                     if let Some(p) = obs.progress {
                         p.add(1);
                     }
@@ -957,17 +824,15 @@ fn run_campaign_core(
                         ls.exit(); // journal
                         ls.exit(); // spN
                     }
-                    // The spine's time is charged once, to the phase events
-                    // of its first start point.
-                    let (warmup_ns, walk_ns) =
-                        if k == 0 { (spine.warmup_ns, spine.walk_ns) } else { (0, 0) };
                     lock_recover(&outputs).push(TaskOutput {
                         task,
                         // The tally is telemetry: kept on observed runs only.
                         prune: trace.on().then_some(prune),
                         deeps: batch.deeps,
-                        phase_ns: [warmup_ns, walk_ns, batch.advance_ns, batch.monitor_ns],
                     });
+                }
+                if let Some(metrics) = obs.metrics {
+                    *lock_recover(&metrics.0) += work;
                 }
                 if let Some((ls, profiler)) = spans.as_mut().zip(obs.spans) {
                     ls.exit(); // benchmark
@@ -1046,14 +911,6 @@ fn run_campaign_core(
         for out in &outputs {
             let task = &out.task;
             let (bench, sp) = (task.bench as u64, task.start_point as u64);
-            for (phase, ns) in PHASES.into_iter().zip(out.phase_ns) {
-                obs.sink.emit(&Event::Phase {
-                    benchmark: bench,
-                    start_point: sp,
-                    phase: phase.to_string(),
-                    wall_ns: ns,
-                });
-            }
             // Trial numbers index the drawn plan (`specs`), so a
             // quarantined trial keeps its slot — it becomes a `Quarantine`
             // event — and every surviving trial's number is unchanged vs.
@@ -1206,15 +1063,15 @@ mod tests {
             progress: Some(&progress),
             spans: None,
         };
-        let observed = run_campaign_observed(&config, &workloads, &obs);
+        let observed = run_campaign_journaled(&config, &workloads, &obs, None);
 
         // Observation must not change science.
         assert_eq!(observed.totals(), plain.totals());
         assert_eq!(observed.eligible_bits, plain.eligible_bits);
 
-        // Event stream: header, 4 phase events, 12 trials, footer.
+        // Event stream: header, 12 trials, footer.
         let events = sink.events();
-        assert_eq!(events.len(), 1 + 4 + 12 + 1);
+        assert_eq!(events.len(), 1 + 12 + 1);
         assert!(matches!(events[0], Event::CampaignStart { seed: 5, .. }));
         let trials = events
             .iter()
@@ -1229,11 +1086,14 @@ mod tests {
             other => panic!("expected campaign_end, got {other:?}"),
         }
 
-        // Metrics and progress agree with the result.
-        assert_eq!(metrics.trials(), 12);
-        assert_eq!(metrics.failed(), observed.totals().failed());
+        // The result counts every trial; the footer counts the work and
+        // progress the tasks.
+        assert_eq!(observed.totals().total(), 12);
+        assert_eq!(observed.totals().failed(), plain.totals().failed());
+        let work = metrics.work();
+        assert!(work.golden_cycles > 0 && work.rows_hashed > 0, "{work:?}");
+        assert_eq!(metrics.render().lines().count(), 5);
         assert_eq!(progress.snapshot(), (1, 1));
-        assert!(metrics.render().contains("trials"));
     }
 
     #[test]

@@ -209,11 +209,6 @@ impl LeaseTable {
         self.pending.is_empty() && self.leases.is_empty()
     }
 
-    /// Number of tasks with an accepted completion.
-    pub fn completed_count(&self) -> usize {
-        self.done.len()
-    }
-
     /// Accounting totals so far.
     pub fn stats(&self) -> LeaseStats {
         self.stats

@@ -38,15 +38,16 @@
 //! [`StartPoint::run_trial`] is the per-trial oracle the engine is tested
 //! against, record for record.
 //!
-//! Campaigns are observable via [`run_campaign_observed`]: per-trial events
-//! into a `tfsim_obs::EventSink` (JSONL traces for the `tfsim-run report`
-//! subcommand), counters and latency histograms into [`CampaignMetrics`],
-//! and a live progress gauge. Telemetry is strictly pay-for-what-you-use:
+//! Campaigns are observable via [`run_campaign_journaled`]: per-trial
+//! events into a `tfsim_obs::EventSink` (JSONL traces for the `tfsim-run
+//! report` subcommand), the exact [`WorkCounters`] into
+//! [`CampaignMetrics`], wall time into a span profiler, and a live
+//! progress gauge. Telemetry is strictly pay-for-what-you-use:
 //! [`run_campaign`] uses [`CampaignObs::disabled`] and runs the engine at
 //! [`Trace::Off`]: no trace slots, no timing calls.
 //!
 //! ```no_run
-//! use tfsim_inject::{run_campaign, run_campaign_observed, CampaignConfig, CampaignObs};
+//! use tfsim_inject::{run_campaign, run_campaign_journaled, CampaignConfig, CampaignObs};
 //! use tfsim_bitstate::InjectionMask;
 //! use tfsim_obs::RingSink;
 //!
@@ -58,7 +59,7 @@
 //! // The same campaign with the trial-event stream kept in memory:
 //! let sink = RingSink::new(4096);
 //! let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
-//! let traced = run_campaign_observed(&config, &tfsim_workloads::all(), &obs);
+//! let traced = run_campaign_journaled(&config, &tfsim_workloads::all(), &obs, None);
 //! assert_eq!(traced.totals(), result.totals());
 //! println!("{} events captured", sink.events().len());
 //! ```
@@ -72,8 +73,8 @@ mod shard;
 mod trial;
 
 pub use campaign::{
-    run_campaign, run_campaign_journaled, run_campaign_observed, run_campaign_on,
-    run_campaign_with_tasks, BenchmarkResult, CampaignConfig, CampaignMetrics, CampaignObs,
+    run_campaign, run_campaign_journaled, run_campaign_on, run_campaign_with_tasks,
+    BenchmarkResult, CampaignConfig, CampaignMetrics, CampaignObs,
     CampaignQuarantine, CampaignResult, OutcomeCounts, ScatterPoint,
 };
 pub use journal::{CampaignJournal, JournalMeta, JournaledTask};
@@ -85,5 +86,5 @@ pub use shard::{
 pub use tfsim_obs::PruneDispositions;
 pub use trial::{
     FailureMode, Outcome, StartPoint, Trace, TracedBatch, TrialFault, TrialRecord, TrialSpec,
-    TrialTrace,
+    TrialTrace, WorkCounters,
 };

@@ -51,7 +51,7 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 use std::time::Instant;
@@ -221,7 +221,7 @@ pub enum Trace {
     /// Records only: no trace slots, no timing calls.
     Off,
     /// Adds a [`TrialTrace`] per trial (decision cycle, first observed
-    /// divergence and its unit) and the batch's phase timings.
+    /// divergence and its unit) and the batch's timings.
     On,
     /// Adds each trial's change-only divergence timeline: the set of
     /// diverged units at every µArch check, from the per-unit
@@ -240,7 +240,7 @@ impl Trace {
         self == Trace::Deep
     }
 
-    /// The current time when traced; phase timings start from it.
+    /// The current time when traced; timings start from it.
     pub(crate) fn clock(self) -> Option<Instant> {
         self.on().then(Instant::now)
     }
@@ -252,12 +252,50 @@ pub(crate) fn since(t0: Option<Instant>) -> u64 {
 }
 
 /// Nanoseconds from `a` to `b` (zero untraced).
-pub(crate) fn between(a: Option<Instant>, b: Option<Instant>) -> u64 {
+fn between(a: Option<Instant>, b: Option<Instant>) -> u64 {
     a.zip(b).map_or(0, |(a, b)| b.duration_since(a).as_nanos() as u64)
 }
 
-/// Output of [`StartPoint::run_batch`]: records plus, when traced,
-/// per-trial traces and the batch's phase timing.
+/// Exact work counters: what a golden walk, a batch or a campaign stepped,
+/// hashed and kept, not how long it took. They are machine-independent, so
+/// a fixed campaign counts the same at any thread count and on any machine.
+/// Sums of them are taken with `+=`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Golden fingerprint rows hashed (`golden/rows_hashed`): each golden
+    /// walk's rows on the union of its start points' sparse grids, and each
+    /// batch's dense and deferred attribution rows.
+    pub rows_hashed: u64,
+    /// Words mixed into those rows (`golden/words_hashed`): the latch
+    /// units' words, since the shadow units contribute their maintained
+    /// digests without a word visited.
+    pub words_hashed: u64,
+    /// First accesses the access footprints kept (`footprint/events_kept`):
+    /// fault sites whose word the golden run reads or overwrites inside
+    /// their window.
+    pub footprint_events: u64,
+    /// Cycles the faulted trial machines stepped (`trials/cycles_stepped`):
+    /// each site the pruner could not prove dead, from its injection to its
+    /// decision. The analytic rider steps none.
+    pub trial_cycles: u64,
+    /// Cycles the fault-free machines stepped (`golden/cycles_stepped`):
+    /// warm-ups, golden walks, and each batch's dense-row and closing
+    /// replay, and its own footprint walk when none was supplied.
+    pub golden_cycles: u64,
+}
+
+impl AddAssign for WorkCounters {
+    fn add_assign(&mut self, other: WorkCounters) {
+        self.rows_hashed += other.rows_hashed;
+        self.words_hashed += other.words_hashed;
+        self.footprint_events += other.footprint_events;
+        self.trial_cycles += other.trial_cycles;
+        self.golden_cycles += other.golden_cycles;
+    }
+}
+
+/// Output of [`StartPoint::run_batch`]: records, the batch's work counters
+/// and, when traced, per-trial traces and the batch's timings.
 #[derive(Debug, Clone, Default)]
 pub struct TracedBatch {
     /// One record per *classified* input spec, in input order (identical
@@ -276,15 +314,14 @@ pub struct TracedBatch {
     pub deeps: Vec<DeepTrace>,
     /// Wall-clock time spent advancing the fault-free walker.
     pub advance_ns: u64,
-    /// Wall-clock time spent flipping, monitoring, and classifying.
-    pub monitor_ns: u64,
-    /// Portion of `monitor_ns` spent on the proved-dead sites' golden views
-    /// (the analytic rider).
+    /// Wall-clock time spent classifying the proved-dead sites on their
+    /// golden views (the analytic rider).
     pub ride_ns: u64,
-    /// Portion of `monitor_ns` spent stepping the simulated sites.
+    /// Wall-clock time spent flipping, stepping and classifying the
+    /// simulated sites.
     pub classify_ns: u64,
-    /// Wall-clock time spent in the pruner's disposition proofs; *not*
-    /// part of `monitor_ns`, since the analysis runs before any trial.
+    /// Wall-clock time spent in the pruner's disposition proofs, which run
+    /// before any trial.
     pub prune_ns: u64,
     /// Wall-clock time spent hashing the batch's dense golden rows (the
     /// post-injection windows of its simulated trials).
@@ -292,23 +329,10 @@ pub struct TracedBatch {
     /// Wall-clock time spent resolving post-decision attributions whose
     /// golden rows the batch did not already hold.
     pub attribute_ns: u64,
-    /// Golden rows the batch hashed (dense rows plus deferred attribution
-    /// rows). Exact and machine-independent.
-    pub rows_hashed: u64,
-    /// Words the batch's golden walk mixed into those rows. Exact and
-    /// machine-independent.
-    pub words_hashed: u64,
-    /// First accesses the batch's access footprint kept: fault sites whose
-    /// word the golden run reads or overwrites inside their window.
-    pub footprint_events: u64,
-    /// Cycles the classified trials' faulted machines stepped (zero for
-    /// sites the pruner's analytic rider settles). Exact and
-    /// machine-independent.
-    pub cycles_stepped: u64,
-    /// Cycles the batch's fault-free machines stepped: its dense-row and
-    /// closing replay, and a footprint walk of its own when none was
-    /// supplied. Exact and machine-independent.
-    pub golden_cycles: u64,
+    /// The batch's work: its dense and deferred golden rows, its
+    /// footprint's kept events, its simulated trials' cycles, and its
+    /// fault-free replays (and footprint walk, when none was supplied).
+    pub work: WorkCounters,
 }
 
 thread_local! {
@@ -425,13 +449,9 @@ pub(crate) struct Walked {
     /// One start point per offset, in offset order (none for a
     /// footprint-only walk).
     pub(crate) points: Vec<StartPoint>,
-    /// Cycles the fault-free machine stepped. Exact and
-    /// machine-independent.
-    pub(crate) stepped: u64,
-    /// Golden rows hashed.
-    pub(crate) rows_hashed: u64,
-    /// Words mixed into those rows.
-    pub(crate) words_hashed: u64,
+    /// The cycles the fault-free machine stepped, and the golden rows
+    /// hashed with the words mixed into them.
+    pub(crate) work: WorkCounters,
 }
 
 /// The golden walk: the one fault-free pass that everything the classifier
@@ -478,7 +498,8 @@ pub(crate) fn walk(
             stepped += 1;
             footprint.observe(&mut golden, stepped);
         }
-        return Walked { points: Vec::new(), stepped, rows_hashed: 0, words_hashed: 0 };
+        let work = WorkCounters { golden_cycles: stepped, ..WorkCounters::default() };
+        return Walked { points: Vec::new(), work };
     };
     let end = offsets.last().map_or(0, |o| o + horizon);
 
@@ -538,7 +559,7 @@ pub(crate) fn walk(
     // The golden rows are hashed with the cached engine: the shadow units'
     // maintained digests cost nothing to read.
     let mut engine = CachedFingerprint::new();
-    let mut rows_hashed = 0;
+    let mut work = WorkCounters::default();
     let mut t = 0;
     instret.push(golden.instret());
     loop {
@@ -552,7 +573,7 @@ pub(crate) fn walk(
             closed += 1;
         }
         if let Some(g) = grid_at(t, &grids) {
-            rows_hashed += 1;
+            work.rows_hashed += 1;
             grids[g].rows.push(hash_row(&mut engine, &mut golden));
         }
         if t == end || !golden.running() {
@@ -574,13 +595,13 @@ pub(crate) fn walk(
         instret.push(golden.instret());
         footprint.observe(&mut golden, t);
     }
-    let stepped = t;
+    work.golden_cycles = t;
     if t < end {
         // Halted: freeze every later row, count and checkpoint.
         let frozen = match grid_at(t, &grids) {
             Some(g) => *grids[g].rows.last().expect("the row just hashed"),
             None => {
-                rows_hashed += 1;
+                work.rows_hashed += 1;
                 hash_row(&mut engine, &mut golden)
             }
         };
@@ -632,7 +653,8 @@ pub(crate) fn walk(
             }
         })
         .collect();
-    Walked { points, stepped, rows_hashed, words_hashed: engine.words() }
+    work.words_hashed = engine.words();
+    Walked { points, work }
 }
 
 impl StartPoint {
@@ -799,17 +821,17 @@ impl StartPoint {
                 let sites = fault_sites(&mut golden, self.horizon, mask, specs, panic_shim);
                 let watched: Vec<_> = watch_list(&sites, specs, 0, self.horizon, monitor).collect();
                 let mut footprint = Footprint::new(&watched);
-                batch.golden_cycles = walk(golden, None, &mut footprint).stepped;
+                batch.work += walk(golden, None, &mut footprint).work;
                 own = (sites, footprint);
                 (&own.0, &own.1, 0)
             }
         };
-        // The proofs are the pruner's own analysis time, outside the
-        // monitor bracket: they run before any trial.
+        // The proofs are the pruner's own analysis time: they run before
+        // any trial.
         let t0 = trace.clock();
         let (proved, kept) = self.prove(specs, sites, footprint, offset, monitor);
         batch.prune_ns = since(t0);
-        batch.footprint_events = kept;
+        batch.work.footprint_events = kept;
 
         let n = specs.len();
         let mut out: Vec<Option<TrialRecord>> = vec![None; n];
@@ -864,7 +886,7 @@ impl StartPoint {
                 Ok(d) => {
                     out[i] = Some(d.record);
                     closings.extend(d.closing.map(|c| (i, c)));
-                    batch.cycles_stepped += d.last_step - spec.inject_cycle;
+                    batch.work.trial_cycles += d.last_step - spec.inject_cycle;
                 }
                 Err(payload) => batch.faults.push(TrialFault {
                     index: i,
@@ -877,10 +899,7 @@ impl StartPoint {
         let t0 = trace.clock();
         rows.close(closings, &mut traces, &mut deeps);
         batch.attribute_ns = since(t0);
-        batch.monitor_ns = batch.ride_ns + batch.classify_ns;
-        batch.rows_hashed = rows.hashed();
-        batch.words_hashed = rows.words_hashed();
-        batch.golden_cycles += rows.stepped();
+        batch.work += rows.work();
 
         // Quarantined trials have no record, trace or timeline.
         fn classified<T>(slots: Vec<T>, out: &[Option<TrialRecord>]) -> Vec<T> {
@@ -1253,9 +1272,8 @@ struct GoldenWalk {
     cpu: Pipeline,
     at: u64,
     engine: CachedFingerprint,
-    hashed: u64,
-    /// Cycles the replay stepped (a halted machine steps no more).
-    stepped: u64,
+    /// Rows hashed and cycles stepped (a halted machine steps no more).
+    work: WorkCounters,
 }
 
 impl GoldenWalk {
@@ -1264,8 +1282,7 @@ impl GoldenWalk {
             cpu: sp.checkpoint.clone(),
             at: 0,
             engine: CachedFingerprint::new(),
-            hashed: 0,
-            stepped: 0,
+            work: WorkCounters::default(),
         }
     }
 
@@ -1277,10 +1294,10 @@ impl GoldenWalk {
         while self.at < cycle && self.cpu.running() {
             self.cpu.step();
             self.at += 1;
-            self.stepped += 1;
+            self.work.golden_cycles += 1;
         }
         self.at = cycle;
-        self.hashed += 1;
+        self.work.rows_hashed += 1;
         hash_row(&mut self.engine, &mut self.cpu)
     }
 }
@@ -1321,19 +1338,11 @@ impl<'a> Rows<'a> {
         }
     }
 
-    /// Golden rows hashed so far (dense rows and deferred closings).
-    pub(crate) fn hashed(&self) -> u64 {
-        self.walk.hashed
-    }
-
-    /// Words mixed into those rows.
-    pub(crate) fn words_hashed(&self) -> u64 {
-        self.walk.engine.words()
-    }
-
-    /// Cycles the batch's golden replay stepped.
-    pub(crate) fn stepped(&self) -> u64 {
-        self.walk.stepped
+    /// The golden replay's work so far: the rows hashed (dense rows and
+    /// deferred closings), the words mixed into them, and the cycles
+    /// stepped.
+    pub(crate) fn work(&self) -> WorkCounters {
+        WorkCounters { words_hashed: self.walk.engine.words(), ..self.walk.work }
     }
 
     /// Resolves the batch's deferred closings, in ascending decision
@@ -1651,8 +1660,8 @@ pub(crate) mod tests {
         for (name, _, warmed) in warmed_workloads() {
             let stops = Stops { offsets: &[0], horizon: 64, mask: InjectionMask::LatchesAndRams };
             let walked = walk(warmed.clone(), Some(stops), &mut Footprint::default());
-            assert_eq!(walked.rows_hashed, 9, "{name}");
-            let per_row = walked.words_hashed / walked.rows_hashed;
+            assert_eq!(walked.work.rows_hashed, 9, "{name}");
+            let per_row = walked.work.words_hashed / walked.work.rows_hashed;
             assert!(per_row <= 5_000, "{name}: {per_row} words per golden row");
         }
     }
@@ -1842,7 +1851,8 @@ pub(crate) mod tests {
         let (traced, _) = sp.run_batch(InjectionMask::LatchesAndRams, &specs, 1_500, Trace::On);
         assert_eq!(traced.records, plain, "tracing must not change classification");
         assert_eq!(traced.traces.len(), specs.len());
-        assert!(traced.advance_ns > 0 || traced.monitor_ns > 0, "timing was captured");
+        let timed = traced.advance_ns + traced.ride_ns + traced.classify_ns;
+        assert!(timed > 0, "timing was captured");
         for (rec, tr) in traced.records.iter().zip(traced.traces.iter()) {
             assert!(
                 tr.detect_cycle >= rec.inject_cycle,

@@ -21,13 +21,15 @@ use crate::json::{obj, parse, Json};
 /// wall-time profile). v3 — adds the distributed-execution ops events:
 /// `worker` (worker lifecycle) and `lease` (grant / renew / expiry /
 /// reassignment / completion accounting). Ops events appear only in a
-/// coordinator's operational trace, never in campaign traces, so campaign
-/// traces remain a strict v2 subset.
-pub const SCHEMA_VERSION: u64 = 3;
+/// coordinator's operational trace, never in campaign traces. v4 — drops
+/// the per-task `phase` event: a campaign's wall time is recorded once, as
+/// `span` events.
+pub const SCHEMA_VERSION: u64 = 4;
 
-/// Oldest schema version this reader still understands. v1/v2 traces
-/// contain a strict subset of the v3 event kinds, so they parse unchanged.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
+/// Oldest schema version this reader still understands. v1–v3 traces carry
+/// `phase` events, which this reader no longer knows, so they are refused
+/// at the header.
+pub const MIN_SCHEMA_VERSION: u64 = 4;
 
 /// Per-site disposition counts from the analytic masking pruner: how each
 /// planned trial of the campaign's live-executed tasks was discharged.
@@ -84,17 +86,6 @@ pub enum Event {
         inject_window: u64,
         /// Post-injection monitoring horizon, in cycles.
         monitor_cycles: u64,
-    },
-    /// Per-phase wall-clock timing for one (benchmark, start point) task.
-    Phase {
-        /// Benchmark index into the `CampaignStart` workload list.
-        benchmark: u64,
-        /// Start-point index within the benchmark.
-        start_point: u64,
-        /// Phase name: `warmup`, `prepare`, `advance`, or `monitor`.
-        phase: String,
-        /// Elapsed wall-clock nanoseconds (zeroed by [`strip_wall_clock`]).
-        wall_ns: u64,
     },
     /// One completed injection trial.
     Trial {
@@ -282,13 +273,6 @@ impl Event {
                 ("inject_window", int(*inject_window)),
                 ("monitor_cycles", int(*monitor_cycles)),
             ]),
-            Event::Phase { benchmark, start_point, phase, wall_ns } => obj([
-                ("ev", Json::Str("phase".to_string())),
-                ("benchmark", int(*benchmark)),
-                ("start_point", int(*start_point)),
-                ("phase", Json::Str(phase.clone())),
-                ("wall_ns", int(*wall_ns)),
-            ]),
             Event::Trial {
                 benchmark,
                 start_point,
@@ -456,12 +440,6 @@ impl Event {
                     monitor_cycles: field("monitor_cycles")?,
                 })
             }
-            "phase" => Ok(Event::Phase {
-                benchmark: field("benchmark")?,
-                start_point: field("start_point")?,
-                phase: text("phase")?,
-                wall_ns: field("wall_ns")?,
-            }),
             "trial" => Ok(Event::Trial {
                 benchmark: field("benchmark")?,
                 start_point: field("start_point")?,
@@ -605,9 +583,6 @@ pub fn strip_wall_clock(events: &[Event]) -> Vec<Event> {
         .iter()
         .cloned()
         .map(|ev| match ev {
-            Event::Phase { benchmark, start_point, phase, .. } => {
-                Event::Phase { benchmark, start_point, phase, wall_ns: 0 }
-            }
             Event::Span { path, calls, .. } => Event::Span { path, wall_ns: 0, calls },
             Event::Worker { worker, action, .. } => Event::Worker { at_ms: 0, worker, action },
             Event::Lease { worker, benchmark, start_point, token, action, .. } => {
@@ -652,7 +627,6 @@ mod tests {
                 inject_window: 200,
                 monitor_cycles: 3000,
             },
-            Event::Phase { benchmark: 0, start_point: 0, phase: "warmup".to_string(), wall_ns: 12345 },
             Event::Trial {
                 benchmark: 0,
                 start_point: 0,
@@ -762,7 +736,7 @@ mod tests {
     #[test]
     fn header_is_enforced() {
         assert!(parse_trace("").is_err());
-        let trial_first = sample_events()[2].to_json();
+        let trial_first = sample_events()[1].to_json();
         assert!(parse_trace(&trial_first).is_err());
         let bad_version = Event::CampaignStart {
             schema: SCHEMA_VERSION + 1,
@@ -778,8 +752,8 @@ mod tests {
 
     #[test]
     fn accepts_older_schema_versions_back_to_min() {
-        // v1 traces are a strict subset of v2; the reader keeps accepting
-        // them. Anything below MIN or above current is rejected.
+        // Anything below MIN (a v1–v3 trace, which may carry `phase`
+        // events) or above current is rejected.
         for schema in MIN_SCHEMA_VERSION..=SCHEMA_VERSION {
             let header = Event::CampaignStart {
                 schema,
@@ -809,13 +783,9 @@ mod tests {
         let events = sample_events();
         let stripped = strip_wall_clock(&events);
         assert_eq!(stripped.len(), events.len());
-        assert_eq!(stripped[2], events[2]); // trials untouched
-        assert_eq!(stripped[4], events[4]); // quarantines untouched
-        match &stripped[1] {
-            Event::Phase { wall_ns, .. } => assert_eq!(*wall_ns, 0),
-            _ => panic!("expected phase"),
-        }
-        match &stripped[5] {
+        assert_eq!(stripped[1], events[1]); // trials untouched
+        assert_eq!(stripped[3], events[3]); // quarantines untouched
+        match &stripped[4] {
             Event::CampaignEnd { wall_ns, trials, quarantined, .. } => {
                 assert_eq!(*wall_ns, 0);
                 assert_eq!(*trials, 2);
@@ -823,8 +793,8 @@ mod tests {
             }
             _ => panic!("expected campaign_end"),
         }
-        assert_eq!(stripped[7], events[7]); // propagation carries no wall clock
-        match &stripped[8] {
+        assert_eq!(stripped[6], events[6]); // propagation carries no wall clock
+        match &stripped[7] {
             Event::Span { path, wall_ns, calls } => {
                 assert_eq!(*wall_ns, 0);
                 assert_eq!(*calls, 40);
@@ -832,7 +802,7 @@ mod tests {
             }
             _ => panic!("expected span"),
         }
-        match &stripped[9] {
+        match &stripped[8] {
             Event::Worker { at_ms, worker, action } => {
                 assert_eq!(*at_ms, 0);
                 assert_eq!(*worker, 2);
@@ -840,7 +810,7 @@ mod tests {
             }
             _ => panic!("expected worker"),
         }
-        match &stripped[10] {
+        match &stripped[9] {
             Event::Lease { at_ms, token, action, .. } => {
                 assert_eq!(*at_ms, 0);
                 assert_eq!(*token, 17);
@@ -909,7 +879,12 @@ mod tests {
     fn rejects_malformed_events() {
         assert!(Event::from_json("{}").is_err());
         assert!(Event::from_json("{\"ev\":\"mystery\"}").is_err());
-        assert!(Event::from_json("{\"ev\":\"phase\",\"benchmark\":0}").is_err());
+        // v4 dropped `phase`: a v3 phase line is an unknown event.
+        assert!(Event::from_json(
+            "{\"ev\":\"phase\",\"benchmark\":0,\"start_point\":0,\
+             \"phase\":\"warmup\",\"wall_ns\":1}"
+        )
+        .is_err());
         assert!(Event::from_json(
             "{\"ev\":\"campaign_end\",\"trials\":\"three\",\"matched\":0,\"gray\":0,\"failed\":0,\"eligible_bits\":0,\"wall_ns\":0}"
         )

@@ -8,12 +8,12 @@
 //! - [`sink`] — where events go: [`NoopSink`] (disabled — instrumented code
 //!   must add no measurable overhead), [`RingSink`] (in-memory, for tests),
 //!   [`JsonlSink`] (line-buffered trace files).
-//! - [`metrics`] — monotonic counters and log2-bucketed latency histograms
-//!   that workers update locally and merge once per task, so the hot path
-//!   takes no locks and touches no atomics.
-//! - [`span`] — hierarchical wall-time spans with the same local-scratchpad
-//!   contention model, for campaign self-profiling (footer + collapsed
-//!   stacks for flamegraph tooling).
+//! - [`metrics`] — log2-bucketed latency histograms, which reports rebuild
+//!   from the trial events.
+//! - [`span`] — hierarchical wall-time spans that workers record into
+//!   local scratchpads and merge once per task, so the hot path takes no
+//!   locks: the one record of where a campaign's time goes (footer +
+//!   collapsed stacks for flamegraph tooling).
 //! - [`trace`] — change-only per-trial divergence timelines ([`DeepTrace`])
 //!   backing the opt-in deep-trace mode.
 //! - [`progress`] — a lock-free done/total gauge for live one-line meters.
@@ -37,7 +37,7 @@ pub mod trace;
 pub use event::{
     parse_trace, strip_wall_clock, Event, PruneDispositions, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
-pub use metrics::{CounterId, Histogram, HistogramId, LocalMetrics, MetricsRegistry};
+pub use metrics::Histogram;
 pub use progress::Progress;
 pub use sink::{EventSink, JsonlSink, NoopSink, RingSink};
 pub use span::{LocalSpans, SpanProfiler, SpanTree};

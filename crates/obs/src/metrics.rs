@@ -1,13 +1,5 @@
-//! Monotonic counters and log2-bucketed histograms for campaign workers.
-//!
-//! The contention model: the hot path (a worker recording per-trial samples)
-//! touches only its own [`LocalMetrics`] — plain `u64` arithmetic, no atomics,
-//! no locks. Workers call [`MetricsRegistry::absorb`] once per completed task
-//! (a few dozen trials), which takes one short lock to merge. Merging is
-//! associative and commutative, so the aggregate is independent of worker
-//! scheduling.
-
-use std::sync::Mutex;
+//! Log2-bucketed histograms of `u64` samples, for the latency
+//! distributions a campaign report rebuilds from its trial events.
 
 /// Number of histogram buckets: one for zero plus one per power of two up
 /// to `u64::MAX`.
@@ -57,15 +49,6 @@ impl Histogram {
         self.count += 1;
         self.sum += value as u128;
         self.buckets[Histogram::bucket_of(value)] += 1;
-    }
-
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
     }
 
     /// Total number of recorded samples.
@@ -134,122 +117,6 @@ impl Histogram {
     }
 }
 
-/// Handle to a counter registered in a [`MetricsRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a histogram registered in a [`MetricsRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// A named set of counters and histograms aggregated across workers.
-///
-/// Register instruments up front (requires `&mut self`), hand each worker a
-/// [`LocalMetrics`] scratchpad via [`MetricsRegistry::local`], and merge
-/// completed scratchpads back with [`MetricsRegistry::absorb`].
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counter_names: Vec<&'static str>,
-    histogram_names: Vec<&'static str>,
-    totals: Mutex<Totals>,
-}
-
-#[derive(Debug, Default)]
-struct Totals {
-    counters: Vec<u64>,
-    histograms: Vec<Histogram>,
-}
-
-/// Per-worker metrics scratchpad: plain integers, no synchronization.
-#[derive(Debug, Clone)]
-pub struct LocalMetrics {
-    counters: Vec<u64>,
-    histograms: Vec<Histogram>,
-}
-
-impl LocalMetrics {
-    /// Increments a counter by `n`.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0] += n;
-    }
-
-    /// Records one histogram sample.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0].record(value);
-    }
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Registers a monotonic counter.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        self.counter_names.push(name);
-        let t = self.totals.get_mut().expect("metrics poisoned");
-        t.counters.push(0);
-        CounterId(self.counter_names.len() - 1)
-    }
-
-    /// Registers a histogram.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        self.histogram_names.push(name);
-        let t = self.totals.get_mut().expect("metrics poisoned");
-        t.histograms.push(Histogram::new());
-        HistogramId(self.histogram_names.len() - 1)
-    }
-
-    /// A zeroed scratchpad matching the registered instruments.
-    pub fn local(&self) -> LocalMetrics {
-        LocalMetrics {
-            counters: vec![0; self.counter_names.len()],
-            histograms: vec![Histogram::new(); self.histogram_names.len()],
-        }
-    }
-
-    /// Merges a scratchpad into the totals (one lock acquisition).
-    pub fn absorb(&self, local: &LocalMetrics) {
-        let mut t = self.totals.lock().expect("metrics poisoned");
-        for (a, b) in t.counters.iter_mut().zip(local.counters.iter()) {
-            *a += *b;
-        }
-        for (a, b) in t.histograms.iter_mut().zip(local.histograms.iter()) {
-            a.merge(b);
-        }
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.totals.lock().expect("metrics poisoned").counters[id.0]
-    }
-
-    /// Snapshot of a histogram.
-    pub fn histogram_value(&self, id: HistogramId) -> Histogram {
-        self.totals.lock().expect("metrics poisoned").histograms[id.0].clone()
-    }
-
-    /// Renders all instruments: counters as a name/value table, histograms
-    /// as bar charts.
-    pub fn render(&self) -> String {
-        let t = self.totals.lock().expect("metrics poisoned");
-        let mut out = String::new();
-        if !self.counter_names.is_empty() {
-            let width = self.counter_names.iter().map(|n| n.len()).max().unwrap_or(0);
-            for (name, value) in self.counter_names.iter().zip(t.counters.iter()) {
-                out.push_str(&format!("  {name:<width$}  {value}\n"));
-            }
-        }
-        for (name, h) in self.histogram_names.iter().zip(t.histograms.iter()) {
-            out.push_str(&h.render(name));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,32 +177,5 @@ mod tests {
         assert!(text.contains("[          32 ..           63]"));
         assert!(!text.contains("[           0 ..            0]"));
         assert_eq!(Histogram::new().render("empty"), "empty (n=0)\n  (no samples)\n");
-    }
-
-    #[test]
-    fn registry_absorbs_locals() {
-        let mut reg = MetricsRegistry::new();
-        let trials = reg.counter("trials");
-        let fails = reg.counter("failures");
-        let lat = reg.histogram("latency");
-
-        let mut a = reg.local();
-        a.add(trials, 10);
-        a.observe(lat, 4);
-        let mut b = reg.local();
-        b.add(trials, 5);
-        b.add(fails, 2);
-        b.observe(lat, 9);
-        reg.absorb(&a);
-        reg.absorb(&b);
-
-        assert_eq!(reg.counter_value(trials), 15);
-        assert_eq!(reg.counter_value(fails), 2);
-        let h = reg.histogram_value(lat);
-        assert_eq!(h.count(), 2);
-        let rendered = reg.render();
-        assert!(rendered.contains("trials"));
-        assert!(rendered.contains("15"));
-        assert!(rendered.contains("latency (n=2"));
     }
 }

@@ -1,9 +1,9 @@
 //! Hierarchical wall-time spans for campaign self-profiling.
 //!
-//! The contention model mirrors [`crate::metrics`]: a worker owns a
-//! [`LocalSpans`] scratchpad per task — entering and leaving spans touches
-//! only plain vectors and one `Instant` read, no locks — and merges it into
-//! the shared [`SpanProfiler`] once per completed task. Merging span trees
+//! The contention model: a worker owns a [`LocalSpans`] scratchpad per
+//! task — entering and leaving spans touches only plain vectors and one
+//! `Instant` read, no locks — and merges it into the shared
+//! [`SpanProfiler`] once per completed task. Merging span trees
 //! is associative and commutative (per-path sums), so the aggregate is
 //! independent of worker scheduling.
 //!
@@ -12,9 +12,10 @@
 //! convention, so [`SpanTree::collapsed`] output feeds flamegraph tooling
 //! unmodified. Wall-time recorded here is *summed across workers*: with N
 //! threads the root can legitimately exceed campaign wall-clock by up to
-//! N×. Coverage is therefore judged per level ([`SpanTree::coverage_at_depth`]):
-//! the fraction of time at one tree depth that its child spans account for,
-//! which is thread-count-sound.
+//! N×. Coverage is therefore judged per level
+//! ([`SpanTree::child_coverage_at_depth`]): the fraction of the time of the
+//! spans at one tree depth that their child spans account for, which is
+//! thread-count-sound.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -159,34 +160,14 @@ impl SpanTree {
         d
     }
 
-    /// Fraction of the wall time at tree depth `depth` (root = 0) that the
-    /// child spans of those nodes account for, or `None` if that depth has
-    /// no recorded time. Summing across nodes of one depth keeps the ratio
-    /// meaningful under multi-threading: every worker's task time and its
-    /// phase breakdown land at the same depths.
-    pub fn coverage_at_depth(&self, depth: usize) -> Option<f64> {
-        let mut total = 0u64;
-        let mut covered = 0u64;
-        for i in 0..self.nodes.len() {
-            if self.depth_of(i) == depth {
-                total += self.nodes[i].wall_ns;
-                covered +=
-                    self.nodes[i].children.iter().map(|&c| self.nodes[c].wall_ns).sum::<u64>();
-            }
-        }
-        if total == 0 {
-            None
-        } else {
-            Some(covered as f64 / total as f64)
-        }
-    }
-
-    /// Fraction of the wall time of the spans at tree depth `depth` that
-    /// have children which those children account for, or `None` if no
-    /// span at that depth has children with recorded time. Unlike
-    /// [`SpanTree::coverage_at_depth`], leaf spans at the depth do not
-    /// count against it: it asks whether every span that is broken down is
-    /// broken down completely.
+    /// Fraction of the wall time of the spans at tree depth `depth` (the
+    /// root is depth 0) that have children which those children account
+    /// for, or `None` if no span at that depth has children with recorded
+    /// time. Leaf spans at the depth do not count against it: it asks
+    /// whether every span that is broken down is broken down completely.
+    /// Summing across the spans of one depth keeps the ratio meaningful
+    /// under multi-threading: every worker's task time and its breakdown
+    /// land at the same depths.
     pub fn child_coverage_at_depth(&self, depth: usize) -> Option<f64> {
         let mut total = 0u64;
         let mut covered = 0u64;
@@ -443,15 +424,6 @@ mod tests {
         // c self = 100-60-40 = 0 (omitted); c;x self = 0 (omitted).
         assert_eq!(t.collapsed(), "c;x;k 60\nc;y 40\n");
         assert_eq!(SpanTree::new().collapsed(), "");
-    }
-
-    #[test]
-    fn coverage_is_per_depth() {
-        let t = tree(&[("c", 100, 1), ("c;x", 90, 1), ("c;y", 8, 1), ("c;x;k", 45, 1)]);
-        assert!((t.coverage_at_depth(0).unwrap() - 0.98).abs() < 1e-9);
-        assert!((t.coverage_at_depth(1).unwrap() - 45.0 / 98.0).abs() < 1e-9);
-        assert_eq!(t.coverage_at_depth(5), None);
-        assert_eq!(SpanTree::new().coverage_at_depth(0), None);
     }
 
     #[test]

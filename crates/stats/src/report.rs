@@ -4,8 +4,7 @@
 //! (`tfsim_obs::Event`) into [`TelemetryReport::from_events`] and renders
 //! the result: outcome census, per-category and per-unit vulnerability
 //! with Wilson confidence intervals, injected-unit → first-diverging-unit
-//! propagation pairs, latency-to-divergence histograms, and per-phase
-//! wall-clock totals.
+//! propagation pairs, latency histograms, and the span profile.
 //!
 //! The census block is also used by the *untraced* campaign path: both
 //! renderers build their rows through [`census_rows`], which is what
@@ -109,7 +108,6 @@ pub struct TelemetryReport {
     fail_latency: Histogram,
     match_latency: Histogram,
     divergence_latency: Histogram,
-    phase_ns: BTreeMap<String, u64>,
     eligible_bits: Option<u64>,
     wall_ns: Option<u64>,
     prune: Option<PruneDispositions>,
@@ -167,7 +165,6 @@ impl TelemetryReport {
             fail_latency: Histogram::new(),
             match_latency: Histogram::new(),
             divergence_latency: Histogram::new(),
-            phase_ns: BTreeMap::new(),
             eligible_bits: None,
             wall_ns: None,
             prune: None,
@@ -256,9 +253,6 @@ impl TelemetryReport {
                     s.0 += wall_ns;
                     s.1 += calls;
                 }
-                Event::Phase { phase, wall_ns, .. } => {
-                    *report.phase_ns.entry(phase.clone()).or_insert(0) += wall_ns;
-                }
                 Event::Quarantine { .. } => {
                     report.quarantined += 1;
                 }
@@ -318,9 +312,6 @@ impl TelemetryReport {
             }
             Event::Quarantine { benchmark, start_point, trial, .. } => {
                 ("quarantine", *benchmark, *start_point, Some(*trial))
-            }
-            Event::Phase { benchmark, start_point, .. } => {
-                ("phase", *benchmark, *start_point, None)
             }
             Event::Lease { benchmark, start_point, .. } => {
                 ("lease", *benchmark, *start_point, None)
@@ -490,23 +481,8 @@ impl TelemetryReport {
         out.push('\n');
         out.push_str(&self.divergence_latency.render("cycles to first µarch divergence"));
 
-        if !self.phase_ns.is_empty() {
-            out.push_str("\nphase wall-clock totals\n");
-            let mut t = Table::new(&["phase", "total ms"]);
-            for phase in ["warmup", "prepare", "advance", "monitor"] {
-                if let Some(ns) = self.phase_ns.get(phase) {
-                    t.row_owned(vec![phase.to_string(), format!("{:.1}", *ns as f64 / 1e6)]);
-                }
-            }
-            for (phase, ns) in &self.phase_ns {
-                if !matches!(phase.as_str(), "warmup" | "prepare" | "advance" | "monitor") {
-                    t.row_owned(vec![phase.clone(), format!("{:.1}", *ns as f64 / 1e6)]);
-                }
-            }
-            out.push_str(&t.render());
-        }
         if !self.spans.is_empty() {
-            out.push_str("\nspan profile (wall time per phase, summed across workers)\n");
+            out.push_str("\nspan profile (wall time per span, summed across workers)\n");
             let mut t = Table::new(&["span", "calls", "total ms"]);
             for (path, (ns, calls)) in &self.spans {
                 // Indent by depth so the `;`-separated paths read as a tree.
@@ -800,12 +776,7 @@ mod tests {
                 inject_window: 100,
                 monitor_cycles: 2000,
             },
-            Event::Phase {
-                benchmark: 0,
-                start_point: 0,
-                phase: "warmup".to_string(),
-                wall_ns: 2_000_000,
-            },
+            Event::Span { path: "campaign".to_string(), wall_ns: 2_000_000, calls: 1 },
             trial("rob", Some("rob"), "fail", Some("regfile"), 10, 90, Some((12, "rename"))),
             trial("rob", Some("rob"), "match", None, 5, 40, Some((7, "rob"))),
             trial("bpred", Some("bpred"), "gray", None, 0, 2000, None),
@@ -850,7 +821,7 @@ mod tests {
         assert!(rendered.contains("fail:regfile"));
         assert!(rendered.contains("rename"), "propagation target missing:\n{rendered}");
         assert!(rendered.contains("cycles to failure detection"));
-        assert!(rendered.contains("warmup"));
+        assert!(rendered.contains("span profile"));
         assert!(rendered.contains("eligible bits: 512"));
     }
 
@@ -953,11 +924,19 @@ mod tests {
         assert!(err.contains("trial 4 of 4"), "got: {err}");
 
         let mut events = sample_stream();
-        if let Event::Phase { start_point, .. } = &mut events[1] {
-            *start_point = 9;
-        }
+        events.insert(
+            2,
+            Event::Quarantine {
+                benchmark: 0,
+                start_point: 9,
+                trial: 0,
+                target: 77,
+                inject_cycle: 9,
+                panic_msg: "forced mid-trial panic".to_string(),
+            },
+        );
         let err = TelemetryReport::from_events(&events).unwrap_err();
-        assert!(err.starts_with("event 2 (phase) names start point 9"), "got: {err}");
+        assert!(err.starts_with("event 3 (quarantine) names start point 9"), "got: {err}");
     }
 
     #[test]

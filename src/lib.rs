@@ -17,7 +17,7 @@
 //! * [`inject`] — the fault-injection campaign framework.
 //! * [`workloads`] — ten SPECint-2000-like synthetic kernels.
 //! * [`stats`] — confidence intervals, regression, and tables.
-//! * [`obs`] — campaign telemetry: event sinks, JSONL traces, metrics.
+//! * [`obs`] — campaign telemetry: event sinks, JSONL traces, span profiles.
 
 pub use tfsim_arch as arch;
 pub use tfsim_bitstate as bitstate;

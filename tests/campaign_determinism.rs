@@ -218,7 +218,7 @@ fn different_seeds_change_the_trial_mix() {
 
 #[test]
 fn forced_panic_is_quarantined_without_disturbing_other_trials() {
-    use tfsim::inject::{run_campaign_observed, CampaignObs};
+    use tfsim::inject::{run_campaign_journaled, CampaignObs};
     use tfsim::obs::{strip_wall_clock, Event, RingSink};
 
     let workloads: Vec<_> = workloads::all()
@@ -261,7 +261,7 @@ fn forced_panic_is_quarantined_without_disturbing_other_trials() {
         cfg.panic_shim = panic_shim;
         let sink = RingSink::new(1 << 16);
         let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
-        run_campaign_observed(&cfg, &workloads, &obs);
+        run_campaign_journaled(&cfg, &workloads, &obs, None);
         strip_wall_clock(&sink.events())
     };
     let clean_events = run_traced(None);

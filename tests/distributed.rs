@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use tfsim::check::Chaos;
 use tfsim::inject::{
-    merge_shards, run_campaign_journaled, run_campaign_observed, run_campaign_with_tasks,
+    merge_shards, run_campaign_journaled, run_campaign_with_tasks,
     run_worker, serve_campaign, CampaignConfig, CampaignJournal, CampaignObs, CampaignResult,
     FailureMode, JournalMeta, ServeConfig, ServeReport, WorkerConfig, WorkerReport,
 };
@@ -125,7 +125,7 @@ fn distributed_census_and_event_stream_match_single_process() {
     let wl = two_workloads();
     let sink = RingSink::new(1 << 16);
     let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
-    let reference = run_campaign_observed(&cfg, &wl, &obs);
+    let reference = run_campaign_journaled(&cfg, &wl, &obs, None);
     let ref_census = census_of(&reference);
     let mut ref_events = strip_wall_clock(&sink.events());
     // The live run's footer carries the pruner's disposition tally; tasks
@@ -160,7 +160,7 @@ fn one_worker_walks_one_spine_per_benchmark() {
     cfg.start_points = 3;
     let wl = two_workloads();
     let obs = CampaignObs { sink: &NoopSink, metrics: None, progress: None, spans: None };
-    let reference = census_of(&run_campaign_observed(&cfg, &wl, &obs));
+    let reference = census_of(&run_campaign_journaled(&cfg, &wl, &obs, None));
 
     let (report, results) = cluster(&cfg, &wl, &short_leases(), None, vec![Spawn::clean()]);
     let worker = results.into_iter().next().expect("one worker").expect("clean worker");
@@ -174,10 +174,11 @@ fn one_worker_walks_one_spine_per_benchmark() {
 fn chaos_schedules_converge_to_the_reference_census() {
     let cfg = config();
     let wl = two_workloads();
-    let reference = census_of(&run_campaign_observed(
+    let reference = census_of(&run_campaign_journaled(
         &cfg,
         &wl,
         &CampaignObs { sink: &NoopSink, metrics: None, progress: None, spans: None },
+        None,
     ));
 
     // One chaotic worker per schedule, one clean worker to guarantee the
@@ -205,10 +206,11 @@ fn chaos_schedules_converge_to_the_reference_census() {
 fn stalled_heartbeats_expire_but_the_first_completion_wins() {
     let cfg = config();
     let wl = two_workloads();
-    let reference = census_of(&run_campaign_observed(
+    let reference = census_of(&run_campaign_journaled(
         &cfg,
         &wl,
         &CampaignObs { sink: &NoopSink, metrics: None, progress: None, spans: None },
+        None,
     ));
 
     // Every task stalls its heartbeats and the lease is far shorter than
@@ -227,10 +229,11 @@ fn stalled_heartbeats_expire_but_the_first_completion_wins() {
 fn torn_and_duplicated_shards_merge_first_wins() {
     let cfg = config();
     let wl = two_workloads();
-    let reference = census_of(&run_campaign_observed(
+    let reference = census_of(&run_campaign_journaled(
         &cfg,
         &wl,
         &CampaignObs { sink: &NoopSink, metrics: None, progress: None, spans: None },
+        None,
     ));
 
     let torn = tmp("torn.jsonl");
@@ -272,10 +275,11 @@ fn torn_and_duplicated_shards_merge_first_wins() {
 fn all_workers_killed_completes_via_resume() {
     let cfg = config();
     let wl = two_workloads();
-    let reference = census_of(&run_campaign_observed(
+    let reference = census_of(&run_campaign_journaled(
         &cfg,
         &wl,
         &CampaignObs { sink: &NoopSink, metrics: None, progress: None, spans: None },
+        None,
     ));
 
     let path = tmp("resume.jsonl");
