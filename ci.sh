@@ -5,8 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release --offline"
-cargo build --release --offline
+echo "==> cargo build --release --offline --workspace"
+# The root manifest is a package, so without --workspace cargo builds only
+# the root library, not the tfsim-bench binaries the gates below run.
+cargo build --release --offline --workspace
 
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace

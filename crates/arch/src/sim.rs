@@ -1,7 +1,24 @@
 //! The functional simulator core.
+//!
+//! [`FuncSim::new`] decodes the program's code section once, word by word,
+//! into an image shared by every clone of the simulator, and a fetch from
+//! that section reads its instruction from the image instead of reading
+//! and decoding memory. The image is used only while it equals memory:
+//! the first store that overlaps it drops it for good, after which every
+//! fetch reads and decodes memory; and an instruction-word fault model,
+//! which changes the word after the fetch, executes the decoding of the
+//! changed word. Memory is private, so nothing can write behind the image.
+//! Debug builds check every instruction the image serves against
+//! `decode(memory)`.
 
-use tfsim_isa::{alu, decode, syscall, ExecClass, Mnemonic, PalFunc, Program, Reg};
+use std::sync::Arc;
+
+use tfsim_isa::{alu, decode, syscall, ExecClass, Insn, Mnemonic, PalFunc, Program, Reg};
 use tfsim_mem::{is_aligned, PageSet, SparseMemory, PAGE_SIZE};
+
+/// The raw `CALL_PAL callsys` word: opcode 0 with PAL function 0x83 is the
+/// only word that decodes to a system call.
+pub(crate) const CALLSYS_WORD: u32 = 0x83;
 
 /// Program-visible register and control state.
 ///
@@ -161,17 +178,64 @@ pub enum ArchFault {
     FlipBranch,
 }
 
+/// The decoded words of a program's code section.
+#[derive(Debug, Clone)]
+struct Image {
+    /// Address of the first word.
+    base: u64,
+    /// `insns[i]` decodes the word at `base + 4 * i`.
+    insns: Arc<[Insn]>,
+}
+
+impl Image {
+    /// Decodes the aligned words of the section holding `program`'s entry
+    /// point. Data sections are left out: a store into the image drops it,
+    /// and programs store into their data. A later section that overlaps
+    /// the image overwrites its words when memory is loaded, so such a
+    /// program gets no image.
+    fn load(program: &Program) -> Option<Image> {
+        let at = program.sections.iter().position(|s| (s.addr..s.end()).contains(&program.entry))?;
+        let s = &program.sections[at];
+        let base = s.addr.checked_next_multiple_of(4)?;
+        let insns: Arc<[Insn]> = s.bytes.get((base - s.addr) as usize..)?
+            .chunks_exact(4)
+            .map(|w| decode(u32::from_le_bytes(w.try_into().expect("a 4-byte chunk"))))
+            .collect();
+        let image = Image { base, insns };
+        let overwritten = program.sections[at + 1..]
+            .iter()
+            .any(|t| !t.bytes.is_empty() && image.overlaps(t.addr, t.bytes.len() as u64));
+        (!image.insns.is_empty() && !overwritten).then_some(image)
+    }
+
+    /// The decoding of the word at `pc`, if `pc` is one of the image's
+    /// words.
+    fn get(&self, pc: u64) -> Option<Insn> {
+        let i = pc.wrapping_sub(self.base) / 4;
+        (pc.is_multiple_of(4) && i < self.insns.len() as u64).then(|| self.insns[i as usize])
+    }
+
+    /// Whether the `size` bytes at `addr` overlap the image (offsets are
+    /// taken modulo 2^64, so neither interval's end can overflow).
+    fn overlaps(&self, addr: u64, size: u64) -> bool {
+        addr.wrapping_sub(self.base) < 4 * self.insns.len() as u64
+            || self.base.wrapping_sub(addr) < size
+    }
+}
+
 /// The functional simulator.
 ///
-/// Executes one instruction per [`step`](FuncSim::step), maintains the
-/// memory image and the output stream, and records the pages touched (used
-/// to preload the pipeline model's TLBs).
+/// Executes one instruction per [`step`](FuncSim::step), maintains its
+/// memory and the output stream, and records the pages touched (used to
+/// preload the pipeline model's TLBs).
 #[derive(Debug, Clone)]
 pub struct FuncSim {
     /// Program-visible state.
     pub state: ArchState,
-    /// The memory image.
-    pub mem: SparseMemory,
+    mem: SparseMemory,
+    /// The code section decoded as loaded, until a store overlaps it (see
+    /// the module documentation).
+    image: Option<Image>,
     output: Vec<u8>,
     halted: Option<u64>,
     exception: Option<Exception>,
@@ -182,12 +246,19 @@ pub struct FuncSim {
     /// stay on it skip the insert.
     last_code_page: u64,
     data_pages: PageSet,
+    /// The page `data_pages` last received from a load or store: accesses
+    /// that stay on it skip the insert.
+    last_data_page: u64,
     pending_fault: Option<ArchFault>,
 }
 
 impl FuncSim {
     /// Creates a simulator loaded with `program`, PC at its entry point.
     pub fn new(program: &Program) -> FuncSim {
+        // Allocated before the memory pages: after them, the table left the
+        // heap fragmented enough to raise a campaign's peak RSS by about
+        // 2 MiB (see DESIGN.md).
+        let image = Image::load(program);
         let mut code_pages = PageSet::new();
         let mut data_pages = PageSet::new();
         for s in &program.sections {
@@ -197,6 +268,7 @@ impl FuncSim {
         FuncSim {
             state: ArchState::new(program.entry),
             mem: SparseMemory::from_program(program),
+            image,
             output: Vec::new(),
             halted: None,
             exception: None,
@@ -205,7 +277,39 @@ impl FuncSim {
             code_pages,
             last_code_page: u64::MAX,
             data_pages,
+            last_data_page: u64::MAX,
             pending_fault: None,
+        }
+    }
+
+    /// The simulator's memory, read-only: only the program's stores write
+    /// it, so the decoded image can tell when it stops matching.
+    pub fn mem(&self) -> &SparseMemory {
+        &self.mem
+    }
+
+    /// The image's decoding of the word at `pc`, while the image holds it.
+    fn image_insn(&self, pc: u64) -> Option<Insn> {
+        let insn = self.image.as_ref()?.get(pc)?;
+        debug_assert_eq!(insn, decode(self.mem.read_u32(pc)), "stale image word at {pc:#x}");
+        Some(insn)
+    }
+
+    /// Whether the word at the pc is `CALL_PAL callsys` (the raw word
+    /// `0x83`) as memory holds it: an armed fault does not change the
+    /// answer. Read from the decoded image while it holds the word.
+    pub fn next_is_callsys(&self) -> bool {
+        let pc = self.state.pc;
+        self.image_insn(pc).map_or_else(|| self.mem.read_u32(pc), |insn| insn.raw) == CALLSYS_WORD
+    }
+
+    /// Inserts the page of an aligned load or store into `data_pages`,
+    /// unless it is the page last inserted.
+    fn touch_data(&mut self, addr: u64, size: u64) {
+        // An aligned access of at most 8 bytes never crosses a page.
+        if addr / PAGE_SIZE != self.last_data_page {
+            self.data_pages.insert_range(addr, size);
+            self.last_data_page = addr / PAGE_SIZE;
         }
     }
 
@@ -279,7 +383,8 @@ impl FuncSim {
             self.code_pages.insert_range(pc, 4);
             self.last_code_page = pc / PAGE_SIZE;
         }
-        let mut raw = self.mem.read_u32(pc);
+        let cached = self.image_insn(pc);
+        let mut raw = cached.map_or_else(|| self.mem.read_u32(pc), |insn| insn.raw);
 
         // Fault models operating on the instruction word.
         let mut force_branch_flip = false;
@@ -315,7 +420,11 @@ impl FuncSim {
             }
         }
 
-        let insn = decode(raw);
+        // A fault model that changed the word executes the changed word.
+        let insn = match cached {
+            Some(insn) if insn.raw == raw => insn,
+            _ => decode(raw),
+        };
         let mut next_pc = pc.wrapping_add(4);
         let mut dst: Option<(Reg, u64)> = None;
         let mut store: Option<StoreRecord> = None;
@@ -354,7 +463,7 @@ impl FuncSim {
                 if !is_aligned(addr, size) {
                     raise!(Exception::Alignment { addr });
                 }
-                self.data_pages.insert_range(addr, size);
+                self.touch_data(addr, size);
                 let rawv = self.mem.read_sized(addr, size);
                 dst = Some((insn.ra, alu::extend_load(insn.mnemonic, rawv)));
             }
@@ -365,9 +474,12 @@ impl FuncSim {
                 if !is_aligned(addr, size) {
                     raise!(Exception::Alignment { addr });
                 }
-                self.data_pages.insert_range(addr, size);
+                self.touch_data(addr, size);
                 let value = self.state.read_reg(insn.ra);
                 self.mem.write_sized(addr, value, size);
+                if self.image.as_ref().is_some_and(|image| image.overlaps(addr, size)) {
+                    self.image = None;
+                }
                 store = Some(StoreRecord { addr, value, size });
             }
             ExecClass::Branch => match insn.mnemonic {
@@ -718,6 +830,93 @@ mod tests {
             StepEvent::Exception(Exception::IllegalInstruction) => {}
             other => panic!("expected illegal instruction, got {other:?}"),
         }
+    }
+
+    /// Steps once and returns the retire record, asserting that the image
+    /// served the instruction's fetch.
+    fn step_from_image(sim: &mut FuncSim) -> RetireRecord {
+        let pc = sim.state.pc;
+        assert!(sim.image_insn(pc).is_some(), "fetch at {pc:#x} not from the image");
+        match sim.step() {
+            StepEvent::Retired(r) => r,
+            other => panic!("expected a retirement, got {other:?}"),
+        }
+    }
+
+    /// A program that stores a new instruction word over an instruction
+    /// it has already executed, then runs it again: the second run retires
+    /// and executes the stored word, not the image's decoding of the old
+    /// one.
+    #[test]
+    fn self_modifying_code_executes_the_stored_word() {
+        let mut w = Asm::new(0);
+        w.li(Reg::R9, 42);
+        let new_word = w.finish_words()[0];
+        let mut a = Asm::new(0x1_0000);
+        let target = a.here();
+        let top = a.here_label();
+        a.li(Reg::R9, 1); // overwritten by `li r9, 42` after its first run
+        a.addq(Reg::R10, Reg::R9, Reg::R10);
+        let done = a.label();
+        a.bne(Reg::R11, done);
+        a.li(Reg::R11, 1);
+        a.li(Reg::R2, new_word as u64);
+        a.li(Reg::R1, target);
+        a.stl(Reg::R2, Reg::R1, 0);
+        a.br(top);
+        a.bind(done);
+        a.li(Reg::V0, syscall::EXIT);
+        a.mov(Reg::R10, Reg::A0);
+        a.callsys();
+        let mut sim = FuncSim::new(&Program::new("smc", a));
+        let old_word = step_from_image(&mut sim).raw;
+        assert_ne!(old_word, new_word);
+        let (trace, result) = sim.run_trace(100);
+        assert_eq!(result.exit_code, Some(43), "1 from the old word, 42 from the new");
+        let rerun = trace.iter().find(|r| r.pc == target).expect("the target runs again");
+        assert_eq!(rerun.raw, new_word);
+        assert_eq!(rerun.dst, Some((Reg::R9, 42)));
+    }
+
+    /// `FlipInsnBit` and `MakeNop` at an instruction the image holds
+    /// retire and execute the modified word.
+    #[test]
+    fn modified_words_retire_and_execute() {
+        let mut a = Asm::new(0x1_0000);
+        a.li(Reg::R1, 123); // lda r1, 123(r31)
+        a.halt();
+        let p = Program::new("modified", a);
+        let word = FuncSim::new(&p).mem().read_u32(0x1_0000);
+
+        let mut sim = FuncSim::new(&p);
+        sim.inject(ArchFault::FlipInsnBit { bit: 0 });
+        let r = step_from_image(&mut sim);
+        assert_eq!(r.raw, word ^ 1);
+        assert_eq!(r.dst, Some((Reg::R1, 122)));
+        assert_eq!(sim.state.read_reg(Reg::R1), 122);
+
+        let mut sim = FuncSim::new(&p);
+        sim.inject(ArchFault::MakeNop);
+        let r = step_from_image(&mut sim);
+        assert_eq!(decode(r.raw).mnemonic, Mnemonic::Bis);
+        assert_eq!(r.dst, None);
+        assert_eq!(sim.state.read_reg(Reg::R1), 0);
+    }
+
+    /// A data section loaded over the code section replaces its words:
+    /// the simulator executes what memory holds.
+    #[test]
+    fn a_section_loaded_over_the_code_is_executed() {
+        let mut a = Asm::new(0x1_0000);
+        a.li(Reg::R1, 5);
+        a.halt();
+        let mut over = Asm::new(0x1_0000);
+        over.li(Reg::R1, 7);
+        let word = over.finish_words()[0];
+        let p = Program::new("over", a).with_data(0x1_0000, word.to_le_bytes().to_vec());
+        let mut sim = FuncSim::new(&p);
+        assert_eq!(sim.run(10).exit_code, Some(0));
+        assert_eq!(sim.state.read_reg(Reg::R1), 7);
     }
 
     #[test]

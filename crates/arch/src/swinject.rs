@@ -21,6 +21,12 @@
 //! early once it has exactly reconverged with the fault-free run, with the
 //! outcome the full run would reach at its next system call.
 //!
+//! Trials, shadows and the walker all run from the decoded image of the
+//! program's code that `FuncSim::new` builds and its clones share: a step
+//! and the syscall test before it ([`FuncSim::next_is_callsys`]) each read
+//! one table entry in place of a memory read, and the step skips the
+//! decode.
+//!
 //! ```
 //! use tfsim_arch::swinject::{golden_ref, run_campaign, FaultModel};
 //! use tfsim_isa::{Asm, Program, Reg};
@@ -47,10 +53,6 @@ use crate::sim::{ArchFault, ArchState, FuncSim, StepEvent};
 /// instructions of the fault, so a longer window only adds shadow steps to
 /// trials that never reconverge.
 const LOCKSTEP_WINDOW: u64 = 256;
-
-/// The raw `CALL_PAL callsys` word: opcode 0 with PAL function 0x83 is the
-/// only word that decodes to a system call.
-const CALLSYS_WORD: u32 = 0x83;
 
 /// The six architectural fault models of Section 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -177,10 +179,10 @@ pub fn golden_ref(program: &Program, max_insns: u64) -> GoldenRef {
             max_insns
         );
         // Snapshot before executing a syscall.
-        if sim.mem.read_u32(sim.state.pc) == CALLSYS_WORD {
+        if sim.next_is_callsys() {
             snapshots.push(Snapshot {
                 state: sim.state.clone(),
-                mem_checksum: sim.mem.checksum(),
+                mem_checksum: sim.mem().checksum(),
             });
         }
         match sim.step() {
@@ -289,13 +291,13 @@ fn run_from(
         if executed == k {
             sim.inject(fault);
         }
-        let at_syscall = sim.mem.read_u32(sim.state.pc) == CALLSYS_WORD;
+        let at_syscall = sim.next_is_callsys();
         // Check for architectural reconvergence, but only once the fault
         // has actually been applied.
         if executed > k && !sim.fault_pending() {
             if at_syscall {
                 if let Some(snap) = golden.snapshots.get(syscall_index) {
-                    if snap.state == sim.state && snap.mem_checksum == sim.mem.checksum() {
+                    if snap.state == sim.state && snap.mem_checksum == sim.mem().checksum() {
                         return SwOutcome::StateOk { control_diverged };
                     }
                 }
@@ -304,7 +306,7 @@ fn run_from(
                 if syscall_index < golden.snapshots.len()
                     && syscall_index as u64 == g.syscall_count()
                     && sim.state == g.state
-                    && *mem_equal.get_or_insert_with(|| sim.mem == g.mem)
+                    && *mem_equal.get_or_insert_with(|| sim.mem() == g.mem())
                 {
                     return SwOutcome::StateOk { control_diverged };
                 }
@@ -412,13 +414,13 @@ pub fn run_campaign(
 }
 
 /// Runs one trial per `(k, fault)` draw on the snapshot ladder. Returns
-/// the tally and how many instructions the trials retired (the walker and
-/// the shadows not included).
+/// the tally, how many instructions the trials retired, and how many the
+/// walker retired (the shadows' are in neither count).
 fn ladder(
     program: &Program,
     golden: &GoldenRef,
     mut draws: Vec<(u64, ArchFault)>,
-) -> (SwTally, u64) {
+) -> (SwTally, u64, u64) {
     draws.sort_by_key(|&(k, _)| k);
     let mut walker = FuncSim::new(program);
     let mut tally = SwTally::default();
@@ -437,12 +439,13 @@ fn ladder(
         tally.record(run_from(&mut sim, Some(walker.clone()), golden, k, fault));
         stepped += sim.instret() - k;
     }
-    (tally, stepped)
+    (tally, stepped, walker.instret())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::CALLSYS_WORD;
     use tfsim_isa::{syscall, Asm, Reg};
 
     /// A program with dead values: computes into R9 but never uses it, then
@@ -727,7 +730,7 @@ mod tests {
             assert_eq!(draws.first().map(|d| d.0), Some(0));
             assert_eq!(draws.last().map(|d| d.0), Some(g.retired() - 1));
             let expect = tally_of(draws.iter().map(|&(k, f)| reference(&p, &g, k, f)));
-            let (got, _) = ladder(&p, &g, draws);
+            let (got, _, _) = ladder(&p, &g, draws);
             assert_eq!(got, expect, "{}", p.name);
         }
     }
@@ -748,7 +751,7 @@ mod tests {
         let k = writer_of(&p, Reg::R9, 1234);
         let fault = ArchFault::FlipResultBit64 { bit: 5 };
         assert_eq!(reference(&p, &g, k, fault), SwOutcome::OutputOk);
-        let (tally, stepped) = ladder(&p, &g, vec![(k, fault)]);
+        let (tally, stepped, _) = ladder(&p, &g, vec![(k, fault)]);
         assert_eq!(tally, tally_of([SwOutcome::OutputOk]));
         assert_eq!(stepped, g.retired() - k, "the trial runs to the halt");
     }
@@ -763,7 +766,7 @@ mod tests {
         let k = g.cond_branches[0];
         let expect = SwOutcome::StateOk { control_diverged: true };
         assert_eq!(reference(&p, &g, k, ArchFault::FlipBranch), expect);
-        let (tally, stepped) = ladder(&p, &g, vec![(k, ArchFault::FlipBranch)]);
+        let (tally, stepped, _) = ladder(&p, &g, vec![(k, ArchFault::FlipBranch)]);
         assert_eq!(tally, tally_of([expect]));
         assert_eq!(stepped, g.retired() + 1 - k, "the trial runs to the exit syscall");
     }
@@ -777,7 +780,7 @@ mod tests {
         let k = writer_of(&p, Reg::R2, 0x2_0000);
         let fault = ArchFault::FlipResultBit64 { bit: 20 }; // 0x12_0000
         assert_eq!(reference(&p, &g, k, fault), SwOutcome::OutputOk);
-        let (tally, stepped) = ladder(&p, &g, vec![(k, fault)]);
+        let (tally, stepped, _) = ladder(&p, &g, vec![(k, fault)]);
         assert_eq!(tally, tally_of([SwOutcome::OutputOk]));
         assert_eq!(stepped, g.retired() - k);
     }
@@ -792,7 +795,7 @@ mod tests {
         let g = golden_ref(&p, 10_000);
         let k = g.cond_branches[0];
         assert_eq!(reference(&p, &g, k, ArchFault::FlipBranch), SwOutcome::OutputBad);
-        let (tally, _) = ladder(&p, &g, vec![(k, ArchFault::FlipBranch)]);
+        let (tally, _, _) = ladder(&p, &g, vec![(k, ArchFault::FlipBranch)]);
         assert_eq!(tally, tally_of([SwOutcome::OutputBad]));
     }
 
@@ -813,9 +816,35 @@ mod tests {
             (0..64).map(|bit| (k, ArchFault::FlipResultBit64 { bit })).collect();
         let expect = tally_of(draws.iter().map(|&(k, f)| reference(&p, &g, k, f)));
         assert_eq!(expect.state_ok, 64);
-        let (got, stepped) = ladder(&p, &g, draws);
+        let (got, stepped, _) = ladder(&p, &g, draws);
         assert_eq!(got, expect);
         assert!(stepped <= 64 * 4, "{stepped} instructions for 64 masked trials");
+    }
+
+    /// The instructions that one fixed campaign per model on `bzip2-like`
+    /// (the campaigns `tests/sw_ladder_equivalence.rs` holds to the
+    /// reference) steps, split into the trials' and the walker's. The
+    /// counts are exact and machine-independent, so a change to the
+    /// substrate's speed leaves them alone.
+    #[test]
+    fn ladder_work_counts_are_pinned_on_bzip2_like() {
+        let p = tfsim_workloads::by_name("bzip2-like").expect("workload").build(1);
+        let g = golden_ref(&p, 10_000_000);
+        let pins = [
+            (FaultModel::ResultBit32, 178_107, 22_093),
+            (FaultModel::ResultBit64, 243_177, 15_933),
+            (FaultModel::ResultRandom, 148_577, 22_227),
+            (FaultModel::InsnBit, 197_839, 21_555),
+            (FaultModel::Nop, 125_442, 21_751),
+            (FaultModel::BranchFlip, 208_998, 22_326),
+        ];
+        for (model, trials, walker) in pins {
+            let seed = 42 ^ (model as u64) << 8;
+            let mut rng = Rng::from_seed_stream(seed, model as u64);
+            let draws = (0..24).map(|_| draw(&g, model, &mut rng)).collect();
+            let (_, stepped, walked) = ladder(&p, &g, draws);
+            assert_eq!((stepped, walked), (trials, walker), "{}", model.label());
+        }
     }
 
     /// The raw-word syscall check agrees with the decoder.

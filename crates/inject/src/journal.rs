@@ -163,10 +163,13 @@ impl JournalMeta {
             seed: num("seed")?,
             mask,
             timeout_counter: flag("timeout_counter")?,
-            // The watchdog's counter is 10 bits wide.
+            // The watchdog's counter is 10 bits wide, and a threshold below
+            // the classifier's lock rule (100 cycles without a retirement)
+            // can flush the fault-free machine, whose longest gap between
+            // retirements is 19 cycles on the standard workloads.
             timeout_threshold: u32::try_from(num("timeout_threshold")?)
                 .ok()
-                .filter(|t| (1..1024).contains(t))
+                .filter(|t| (100..1024).contains(t))
                 .ok_or("timeout_threshold out of range")?,
             regfile_ecc: flag("regfile_ecc")?,
             pointer_ecc: flag("pointer_ecc")?,
@@ -815,8 +818,9 @@ mod tests {
         let wrong_version = m.render().replace("\"version\":2", "\"version\":99");
         assert!(JournalMeta::parse(&wrong_version).is_err());
         // A watchdog threshold the 10-bit counter cannot hold is refused,
-        // not handed to the pipeline it would fail to build.
-        for t in [0, 1024] {
+        // not handed to the pipeline it would fail to build, and so is one
+        // below the lock rule, which would flush the golden walk.
+        for t in [0, 1, 19, 99, 1024] {
             let field = format!("\"timeout_threshold\":{t}");
             let header = m.render().replace("\"timeout_threshold\":100", &field);
             assert_ne!(header, m.render());

@@ -95,16 +95,29 @@ impl SparseMemory {
         })
     }
 
-    /// Reads `N` little-endian bytes starting at `addr`.
+    /// Reads `N` little-endian bytes starting at `addr`: one page lookup
+    /// when they stay inside one page.
     fn read_le<const N: usize>(&self, addr: u64) -> [u8; N] {
         let mut buf = [0u8; N];
-        self.read_bytes(addr, &mut buf);
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + N <= PAGE_SIZE as usize {
+            if let Some(p) = self.pages.get(&(addr / PAGE_SIZE)) {
+                buf.copy_from_slice(&p[off..off + N]);
+            }
+        } else {
+            self.read_bytes(addr, &mut buf);
+        }
         buf
     }
 
-    fn write_le(&mut self, addr: u64, bytes: &[u8]) {
-        for (num, off, at, n) in Self::page_runs(addr, bytes.len()) {
-            self.page_mut(num)[off..off + n].copy_from_slice(&bytes[at..at + n]);
+    /// Writes `N` little-endian bytes starting at `addr`: one page lookup
+    /// when they stay inside one page.
+    fn write_le<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + N <= PAGE_SIZE as usize {
+            self.page_mut(addr / PAGE_SIZE)[off..off + N].copy_from_slice(&bytes);
+        } else {
+            self.write_bytes(addr, &bytes);
         }
     }
 
@@ -125,17 +138,17 @@ impl SparseMemory {
 
     /// Writes a little-endian 16-bit value.
     pub fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_le(addr, &value.to_le_bytes());
+        self.write_le(addr, value.to_le_bytes());
     }
 
     /// Writes a little-endian 32-bit value.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_le(addr, &value.to_le_bytes());
+        self.write_le(addr, value.to_le_bytes());
     }
 
     /// Writes a little-endian 64-bit value.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_le(addr, &value.to_le_bytes());
+        self.write_le(addr, value.to_le_bytes());
     }
 
     /// Reads `size` bytes (1, 2, 4, or 8) zero-extended into a `u64`.
@@ -182,7 +195,9 @@ impl SparseMemory {
 
     /// Writes a byte slice starting at `addr`.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        self.write_le(addr, bytes);
+        for (num, off, at, n) in Self::page_runs(addr, bytes.len()) {
+            self.page_mut(num)[off..off + n].copy_from_slice(&bytes[at..at + n]);
+        }
     }
 
     /// Number of allocated pages (for capacity diagnostics).

@@ -83,7 +83,7 @@ fn pipeline_and_funcsim_agree_on_final_architectural_state() {
     // The entire memory image and the output stream.
     assert_eq!(
         cpu.mem_checksum(),
-        golden.mem.checksum(),
+        golden.mem().checksum(),
         "memory images must be identical"
     );
     assert_eq!(cpu.output(), golden.output(), "output streams must be identical");
@@ -112,6 +112,6 @@ fn differential_holds_under_protected_configuration() {
     assert_eq!(cpu.halted(), Some(0));
     assert_eq!(cpu.instret(), golden.instret());
     assert_eq!(cpu.arch_regs(), *golden.state.regs());
-    assert_eq!(cpu.mem_checksum(), golden.mem.checksum());
+    assert_eq!(cpu.mem_checksum(), golden.mem().checksum());
     assert_eq!(cpu.output(), golden.output());
 }

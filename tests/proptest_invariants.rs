@@ -290,6 +290,6 @@ prop_check! {
         let mut sim = tfsim::arch::FuncSim::new(&Program::new("li", a));
         let r = sim.run(100);
         prop_assert_eq!(r.exit_code, Some(0));
-        prop_assert_eq!(sim.mem.read_u64(0x2_0000), v);
+        prop_assert_eq!(sim.mem().read_u64(0x2_0000), v);
     }
 }

@@ -1,7 +1,7 @@
 //! The Section-5 snapshot ladder (`swinject::run_campaign`) against its
 //! reference, one `swinject::run_trial` from reset per trial, on real
-//! workloads; and the functional simulator's code-page set, which the
-//! microarchitectural campaigns preload their TLBs from.
+//! workloads; and the functional simulator's code- and data-page sets,
+//! which the microarchitectural campaigns preload their TLBs from.
 //!
 //! The synthetic-program properties and the edge cases of the ladder's
 //! early-reconvergence exit live next to the engine, in
@@ -10,6 +10,7 @@
 use tfsim::arch::swinject::{golden_ref, run_campaign, run_trial, FaultModel, SwTally};
 use tfsim::arch::{FuncSim, StepEvent};
 use tfsim::check::Rng;
+use tfsim::isa::{decode, ExecClass};
 use tfsim::mem::PageSet;
 
 /// The per-trial reference tally of `run_campaign(program, golden, model,
@@ -61,5 +62,31 @@ fn code_pages_equal_per_instruction_inserts() {
             }
         }
         assert_eq!(sim.code_pages(), &expect, "{}", w.name);
+    }
+}
+
+/// `FuncSim::data_pages` after a full run equals the set built by
+/// inserting every load's and store's bytes, on every workload.
+#[test]
+fn data_pages_equal_per_access_inserts() {
+    for w in tfsim::workloads::all() {
+        let program = w.build(1);
+        let mut sim = FuncSim::new(&program);
+        let mut expect = PageSet::new();
+        for s in &program.sections {
+            expect.insert_range(s.addr, s.bytes.len() as u64);
+        }
+        loop {
+            let insn = decode(sim.mem().read_u32(sim.state.pc));
+            if matches!(insn.exec_class(), ExecClass::Load | ExecClass::Store) {
+                let addr = sim.state.read_reg(insn.rb).wrapping_add(insn.imm as u64);
+                expect.insert_range(addr, insn.access_size());
+            }
+            if !matches!(sim.step(), StepEvent::Retired(_)) {
+                break;
+            }
+        }
+        assert_eq!(sim.exit_code(), Some(0), "{}", w.name);
+        assert_eq!(sim.data_pages(), &expect, "{}", w.name);
     }
 }
