@@ -27,8 +27,8 @@
 # `inject/trials-per-sec` (the engine at `Trace::Off`, the zero-overhead
 # contract's pinned number) vs `inject/trials-per-sec-traced` (the same
 # engine at `Trace::On`: per-trial traces and phase timings), both over
-# the identical 100-trial plan. Both pay the batch's own footprint replay
-# and dense golden rows.
+# the identical 100-trial plan. Both pay the batch's own golden walk, which
+# hashes its rows and resolves its footprint.
 #
 # The deep-trace pair extends the telemetry-overhead story:
 # `inject/trials-per-sec-deep-traced` runs the identical plan at
@@ -44,7 +44,8 @@
 #
 # `inject/pruner-overhead` runs a 100-site batch the pruner discharges
 # entirely without simulating, so its median is the pure per-batch
-# analysis cost (footprint replay and analytic rides).
+# analysis cost (the golden walk that resolves the footprint, and the
+# analytic rides).
 # `inject/prepare` times one cold golden pass of the same start point.
 #
 # The distributed pair `inject/distributed-overhead/{in-process,

@@ -23,12 +23,13 @@ echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> perf smoke (timings non-gating, exit status gating)"
-# One minimal sample through the injection and Figure 11 benches so the
-# bench binary and bench.sh's data source can never bit-rot. Timings from
-# a 1-sample run are meaningless and are NOT compared against anything,
-# but a bench binary that crashes is a real regression, so its exit
-# status gates.
-for filter in inject/ arch/; do
+# One minimal sample through every bench bench.sh records (the injection
+# and Figure 11 benches and the layer rows) so the bench binary and
+# bench.sh's data source can never bit-rot. Timings from a 1-sample run
+# are meaningless and are NOT compared against anything, but a bench
+# binary that crashes, or a filter that matches nothing, is a real
+# regression, so its exit status gates.
+for filter in inject/ arch/ pipeline/step-1k/ funcsim/step-10k fingerprint/; do
     TFSIM_BENCH_SAMPLES=1 TFSIM_BENCH_SAMPLE_MS=1 \
         cargo run --release --offline -q -p tfsim-bench --bin perf -- "$filter"
 done

@@ -174,38 +174,45 @@ fn untouched_bits(cpu: &Pipeline, mask: InjectionMask, cycles: u64) -> Vec<u64> 
 }
 
 /// Campaign-throughput benches at the `default_scale` shape (warm-up 2,000
-/// cycles, injection window 250, monitor 10,000). Every batch pays its own
-/// dense golden rows and access-footprint walk (a campaign start point
-/// shares its benchmark's walk for the footprint):
+/// cycles, injection window 250, monitor 10,000). Every standalone batch
+/// pays its own golden walk of the 10,250-cycle continuation, which hashes
+/// its sparse grid and its plan's dense window and resolves its access
+/// footprint (a campaign start point shares its benchmark's walk instead):
 ///
 /// * `inject/prepare` — one cold `StartPoint::prepare` of the 10,250-cycle
-///   golden continuation (stepping, retirement aggregates, and the sparse
-///   golden rows); ns per golden cycle = median_ns / 10,250.
+///   golden continuation (stepping and retirement aggregates; it hashes no
+///   golden row, since no plan is checked against it); ns per golden
+///   cycle = median_ns / 10,250.
 /// * `inject/trials-per-sec` — one full start-point batch (100 trials)
-///   through the engine (`run_trials`: dead-window proofs discharge most
-///   sites without a trial, the rest step on the snapshot ladder, footprint
-///   replay included); trials/sec = 100e9 / median_ns.
+///   through the engine (`run_trials`: its golden walk, then dead-window
+///   proofs discharge most sites without a trial and the rest step on the
+///   snapshot ladder against the walk's rows); trials/sec = 100e9 /
+///   median_ns.
 /// * `inject/trials-per-sec-traced` — the identical batch at `Trace::On`
-///   (per-trial traces + phase timing). The median ratio to the untraced
-///   bench is the telemetry overhead; the untraced bench itself must not
-///   move, which is the zero-overhead-when-disabled contract pinned by
-///   `BENCH_campaign.json`.
+///   (per-trial traces, batch timings, and the closings of trials decided
+///   before a check saw their divergence: rows from the walk's table, or
+///   off the ladder's walker past the plan's dense window). The median
+///   ratio to the untraced bench is the telemetry overhead; the untraced
+///   bench itself must not move, which is the zero-overhead-when-disabled
+///   contract pinned by `BENCH_campaign.json`.
 /// * `inject/trials-per-sec-deep-traced` — the identical batch at
 ///   `Trace::Deep`: on top of tracing, µArch-divergent checks sample the
 ///   per-unit diverged set into the trial's divergence timeline (dense
-///   just after injection, every eighth check once sparse, via a dedicated
-///   incremental fingerprint engine). The deep/traced median ratio is the
+///   just after injection, every eighth check once sparse), and every
+///   trial that does not match closes its timeline, most of them at the
+///   window's end, off the walker. The deep/traced median ratio is the
 ///   timeline cost; it is bounded even for faults that stay diverged
 ///   across the whole monitor window.
 /// * `inject/pruner-overhead` — a 100-site batch the pruner proves dead
 ///   in its entirety (sites in words the golden run never accesses,
 ///   screened by one tracked replay beforehand): no trial ever simulates,
 ///   so the median is the pure per-batch cost of the pruning analysis
-///   (footprint replay, analytic classification), with every site keeping
-///   the replay running to the end of its window.
+///   (the golden walk that resolves the footprint, analytic
+///   classification).
 /// * `inject/engine-vs-naive/{naive,engine}` — the same 25-trial plan
-///   through per-trial `run_trial` (replay + flat fingerprints) and the
-///   batched engine `run_trials`. The naive/engine median ratio is the
+///   through per-trial `run_trial` (a replay, then the trial stepped in
+///   lockstep with a fault-free clone, checked with flat fingerprints) and
+///   the batched engine `run_trials`. The naive/engine median ratio is the
 ///   fast-path speedup.
 fn bench_campaign(b: &mut Bench) {
     const WINDOW: u64 = 250;

@@ -252,9 +252,7 @@ fn parse_campaign_flags(
     if resume && journal_path.is_none() {
         die(EXIT_USAGE, "--resume needs --journal PATH");
     }
-    if config.scale == 0 {
-        die(EXIT_USAGE, "--scale must be at least 1");
-    }
+    config.validate().unwrap_or_else(|e| die(EXIT_USAGE, e));
     CampaignFlags { config, workloads, trace, journal_path, resume }
 }
 

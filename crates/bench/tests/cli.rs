@@ -59,8 +59,53 @@ fn figures_rejects_malformed_arguments() {
 fn campaigns_reject_scale_zero() {
     // Every program halts within about 50 cycles at scale 0, inside the
     // warm-up, so no start point would see a running machine.
-    assert_refused(&["campaign", "--scale", "0"], 2, "--scale must be at least 1");
-    assert_refused(&["serve", "--scale", "0"], 2, "--scale must be at least 1");
+    assert_refused(&["campaign", "--scale", "0"], 2, "scale must be at least 1");
+    assert_refused(&["serve", "--scale", "0"], 2, "scale must be at least 1");
+}
+
+/// A schedule that cannot run is refused where it enters: on the command
+/// line (exit 2), and in a journal header, which `merge`, `--resume` and a
+/// worker's welcome all parse (exit 1). It is not drawn from an empty
+/// window, run on programs that halt in their warm-up, wrapped past the
+/// last cycle count into windows that end before their injections, or
+/// walked past the cycles a golden walk can index.
+#[test]
+fn campaigns_reject_schedules_that_cannot_run() {
+    let campaign = |monitor| {
+        vec![
+            "campaign", "--quick", "--seed", "7", "--start-points", "1", "--trials", "4",
+            "--monitor", monitor, "--scale", "1", "--workloads", "gzip-like", "--threads", "1",
+        ]
+    };
+    assert_refused(&campaign("18446744073709551615"), 2, "exceeds");
+
+    let journal = tmp("schedule-journal.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let mut journaled = campaign("50");
+    journaled.extend(["--journal", journal.to_str().unwrap()]);
+    let out = tfsim_run(&journaled);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let damage: [(&[(&str, &str)], &str); 3] = [
+        (&[("\"inject_window\":200", "\"inject_window\":0")], "inject_window must be"),
+        (&[("\"scale\":1", "\"scale\":0")], "scale must be at least 1"),
+        (
+            &[
+                ("\"spacing_cycles\":600", "\"spacing_cycles\":9000000000000000000"),
+                ("\"start_points\":1", "\"start_points\":2"),
+            ],
+            "exceeds",
+        ),
+    ];
+    let shard = tmp("schedule-shard.jsonl");
+    for (edits, needle) in damage {
+        let damaged = edits.iter().fold(text.clone(), |t, (from, to)| t.replacen(from, to, 1));
+        assert_ne!(damaged, text, "{edits:?}");
+        std::fs::write(&shard, damaged).unwrap();
+        assert_refused(&["merge", shard.to_str().unwrap()], 1, needle);
+    }
+    std::fs::remove_file(&shard).unwrap();
+    std::fs::remove_file(&journal).unwrap();
 }
 
 #[test]

@@ -177,6 +177,37 @@ impl CampaignConfig {
     fn horizon(&self) -> u64 {
         self.inject_window + self.monitor_cycles
     }
+
+    /// Checks that the campaign can run: an injection window to draw from,
+    /// programs that outlast their warm-up (every program halts within
+    /// about 50 cycles at scale 0), and a last start point's horizon,
+    /// `warmup + spacing × (start_points − 1) + inject_window + monitor`
+    /// cycles from reset, that the golden walk can index: it keeps an
+    /// 8-byte retirement count per cycle, and no table may exceed
+    /// `isize::MAX` bytes.
+    pub fn validate(&self) -> Result<(), String> {
+        const MAX_CYCLES: u64 = isize::MAX as u64 / 8;
+        if self.inject_window == 0 {
+            return Err("inject_window must be at least 1".to_string());
+        }
+        if self.scale == 0 {
+            return Err("scale must be at least 1".to_string());
+        }
+        let last = u64::from(self.start_points.saturating_sub(1));
+        self.spacing_cycles
+            .checked_mul(last)
+            .and_then(|c| c.checked_add(self.warmup_cycles))
+            .and_then(|c| c.checked_add(self.inject_window))
+            .and_then(|c| c.checked_add(self.monitor_cycles))
+            .filter(|&c| c <= MAX_CYCLES)
+            .map(drop)
+            .ok_or_else(|| {
+                format!(
+                    "warmup + spacing × (start_points − 1) + inject_window + monitor exceeds \
+                     the {MAX_CYCLES} cycles a golden walk can index"
+                )
+            })
+    }
 }
 
 /// Outcome counters for a slice of trials.
@@ -471,9 +502,10 @@ struct SpinePoint {
 /// One benchmark's start points, served by one golden walk: the program is
 /// built and probed once, one warm-up from reset reaches the first start
 /// point, and one walk from there reaches the last one's horizon, cloning
-/// every checkpoint, hashing every start point's sparse rows, and resolving
-/// every start point's footprint on the way. The trial plans are drawn
-/// before the walk: the eligible-bit count depends only on the pipeline
+/// every checkpoint, hashing every golden row a start point's trials read
+/// (its sparse grid and its plan's dense window), and resolving every start
+/// point's footprint on the way. The trial plans are drawn before the walk,
+/// which needs them: the eligible-bit count depends only on the pipeline
 /// config and the mask.
 pub(crate) struct BenchSpine {
     bench: usize,
@@ -541,8 +573,9 @@ impl BenchSpine {
             })
             .collect();
         let mut footprint = Footprint::new(&watched);
-        let mut walked =
-            walk(warmed, Some(Stops { offsets: &offsets, horizon, mask }), &mut footprint);
+        let stops: Vec<(u64, &[TrialSpec])> =
+            offsets.iter().zip(&plans).map(|(&o, plan)| (o, &plan.1[..])).collect();
+        let mut walked = walk(warmed, Stops { points: &stops, horizon, mask }, &mut footprint);
         walked.work.golden_cycles += warmup_cycles;
         if let Some(ls) = spans {
             ls.exit(); // walk
@@ -575,7 +608,7 @@ impl BenchSpine {
         point: &SpinePoint,
         trace: Trace,
     ) -> (JournaledTask, TracedBatch, PruneDispositions) {
-        let walked = Some((&point.sites, &self.footprint));
+        let walked = (&point.sites, &self.footprint);
         let (mut batch, dispo) = point.sp.batch(
             config.mask,
             &point.specs,
@@ -794,7 +827,6 @@ fn run_campaign_core(
                         ls.record("ride", batch.ride_ns, 1);
                         ls.record("classify", batch.classify_ns, 1);
                         ls.record("prune", batch.prune_ns, 1);
-                        ls.record("rows", batch.rows_ns, 1);
                         ls.record("attribute", batch.attribute_ns, 1);
                         ls.exit();
                     }

@@ -99,11 +99,6 @@ impl Footprint {
         self.open.iter().all(|&n| n == 0)
     }
 
-    /// The last step any site's window reaches.
-    pub(crate) fn last(&self) -> u64 {
-        self.last
-    }
-
     /// Resolves the sites that the accesses of walk step `step` reach:
     /// every site injected before the step whose word it accesses. The
     /// first access of a step decides, so read-before-write inside one
@@ -281,7 +276,7 @@ pub(crate) fn timelines(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::{walk, warm_pipeline, StartPoint};
+    use crate::trial::{walk, warm_pipeline, StartPoint, Stops};
     use tfsim_bitstate::Loggability;
     use tfsim_isa::{Asm, Reg};
     use tfsim_uarch::PipelineConfig;
@@ -329,7 +324,9 @@ mod tests {
             let watched: Vec<_> =
                 sites.iter().map(|&(u, o, c)| (u, o, c, window_end(c))).collect();
             let mut fp = Footprint::new(&watched);
-            walk(sp.checkpoint.clone(), None, &mut fp);
+            let mask = InjectionMask::LatchesAndRams;
+            let stops = Stops { points: &[(0, &[])], horizon: sp.horizon, mask };
+            walk(sp.checkpoint.clone(), stops, &mut fp);
             for &(unit, ord, inject) in &sites {
                 let expected = reference.get(&(unit, ord)).and_then(|tl| {
                     tl.iter()

@@ -186,6 +186,7 @@ impl JournalMeta {
             benchmarks,
             eligible_bits: 0,
         };
+        meta.config().validate()?;
         meta.eligible_bits = eligible_bits(meta.pipeline(), meta.mask);
         Ok(meta)
     }
@@ -217,6 +218,11 @@ impl JournalMeta {
                     .ok_or_else(|| format!("unknown workload {name:?}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
+        Ok((self.config(), workloads))
+    }
+
+    /// The config half of [`JournalMeta::to_campaign`].
+    fn config(&self) -> CampaignConfig {
         let mut config = CampaignConfig::quick(self.seed);
         config.mask = self.mask;
         config.pipeline = self.pipeline();
@@ -227,7 +233,7 @@ impl JournalMeta {
         config.spacing_cycles = self.spacing_cycles;
         config.inject_window = self.inject_window;
         config.monitor_cycles = self.monitor_cycles;
-        Ok((config, workloads))
+        config
     }
 
     /// Checks that a parsed task means something in this campaign, so
@@ -825,6 +831,22 @@ mod tests {
             let header = m.render().replace("\"timeout_threshold\":100", &field);
             assert_ne!(header, m.render());
             assert!(JournalMeta::parse(&header).unwrap_err().contains("timeout_threshold"));
+        }
+        // A campaign that cannot run is refused, not drawn from an empty
+        // window, run on programs that halt in their warm-up, or scheduled
+        // past the cycles a golden walk can index.
+        let cases = [
+            ("\"inject_window\":200", "\"inject_window\":0", "inject_window"),
+            ("\"scale\":2", "\"scale\":0", "scale"),
+            ("\"spacing_cycles\":600", "\"spacing_cycles\":9000000000000000000", "exceeds"),
+            ("\"monitor_cycles\":3000", "\"monitor_cycles\":18446744073709551615", "exceeds"),
+            ("\"warmup_cycles\":1500", "\"warmup_cycles\":18446744073709551000", "exceeds"),
+        ];
+        for (field, damaged, needle) in cases {
+            let header = m.render().replace(field, damaged);
+            assert_ne!(header, m.render());
+            let err = JournalMeta::parse(&header).unwrap_err();
+            assert!(err.contains(needle), "{damaged}: {err}");
         }
     }
 

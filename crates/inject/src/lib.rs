@@ -6,12 +6,13 @@
 //!
 //! 1. **Warm-up and checkpoints.** A workload runs on the pipeline model;
 //!    checkpoints (clones of the warmed machine) become *start points*.
-//! 2. **Golden precomputation.** From each start point the fault-free
-//!    machine runs for the monitoring horizon, recording a 128-bit
-//!    fingerprint of *every* state bit on every eighth cycle (each trial
-//!    batch adds the cycles just after its injections), the retirement
-//!    trace, and the per-cycle count of in-flight instructions that
-//!    eventually commit (for the Figure 6 utilization analysis).
+//! 2. **Golden precomputation.** One fault-free pass per start point (one
+//!    per benchmark in a campaign) runs the machine for the monitoring
+//!    horizon, recording a 128-bit fingerprint of *every* state bit on
+//!    every eighth cycle and on every cycle just after the start point's
+//!    planned injections, the retirement trace, and the per-cycle count of
+//!    in-flight instructions that eventually commit (for the Figure 6
+//!    utilization analysis).
 //! 3. **Trials.** Each trial clones the checkpoint, flips one uniformly
 //!    chosen eligible state bit at a uniformly chosen cycle, and monitors
 //!    up to 10,000 cycles, classifying the outcome as:
@@ -36,7 +37,9 @@
 //! are stepped on the snapshot ladder, one fault-free walker advanced
 //! through the injection window and one clone per trial.
 //! [`StartPoint::run_trial`] is the per-trial oracle the engine is tested
-//! against, record for record.
+//! against, record for record: it steps each faulted machine in lockstep
+//! with a fault-free clone and reads no golden fingerprint, so the tests
+//! also check every fingerprint the engine reads.
 //!
 //! Campaigns are observable via [`run_campaign_journaled`]: per-trial
 //! events into a `tfsim_obs::EventSink` (JSONL traces for the `tfsim-run

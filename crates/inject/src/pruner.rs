@@ -6,17 +6,18 @@
 //! A single-bit fault is a difference δ against the golden run. As long as
 //! no computation consumes the faulted word, the trial's observable
 //! behaviour — its retire stream, its halt, its per-cycle retirement
-//! pattern — is the golden run's, already precomputed by
-//! [`StartPoint::prepare`]. On campaign-shaped batches most sites land in
+//! pattern — is the golden run's, already recorded by the golden walk
+//! (`crate::trial::walk`). On campaign-shaped batches most sites land in
 //! idle words of the big RAMs, and simulating them grinds a full
 //! monitoring window to conclude nothing happened.
 //!
 //! The pruner runs once per batch, before any trial, on the access
 //! footprint of the batch's sites (`crate::footprint`: each site's first
-//! access to its word after injection, for every loggable structure). A
-//! campaign resolves the footprints of all its start points on one
-//! benchmark inside the golden walk that prepares them; a standalone batch
-//! walks its own. Every site gets exactly one of two dispositions:
+//! access to its word after injection, for every loggable structure). The
+//! footprint is resolved inside the golden walk that hashes the batch's
+//! rows: a campaign's walk resolves the footprints of all its start points
+//! on one benchmark, and a standalone batch walks its start point once
+//! more with its plan. Every site gets exactly one of two dispositions:
 //!
 //! * **Proved dead** — the site's machine would replay the golden run
 //!   until the trial is decided or the fault heals:
@@ -193,17 +194,17 @@ impl Run for Golden<'_> {
 
 impl StartPoint {
     /// The disposition of each spec's site. `footprint` holds the sites'
-    /// first accesses in walk steps, this start point sitting `offset`
-    /// steps into that walk. Also returns the number of distinct first
-    /// accesses the footprint kept.
+    /// first accesses in walk steps, from the walk that produced this start
+    /// point. Also returns the number of distinct first accesses the
+    /// footprint kept.
     pub(crate) fn prove(
         &self,
         specs: &[TrialSpec],
         sites: &Sites,
         footprint: &Footprint,
-        offset: u64,
         monitor: u64,
     ) -> (Vec<Proof>, u64) {
+        let offset = self.offset;
         let mut kept = Vec::new();
         let proved = specs
             .iter()
@@ -244,7 +245,7 @@ impl StartPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::{warm_pipeline, Trace, TracedBatch};
+    use crate::trial::{walk, warm_pipeline, Stops, Trace, TracedBatch};
     use tfsim_isa::{Asm, Reg};
     use tfsim_uarch::PipelineConfig;
 
@@ -281,8 +282,11 @@ mod tests {
     /// the analytic rider must reproduce.
     fn ladder(sp: &StartPoint, specs: &[TrialSpec], monitor: u64, trace: Trace) -> TracedBatch {
         let none: Sites = vec![None; specs.len()];
-        let walked = Some((&none, &Footprint::default()));
-        let (batch, dispo) = sp.batch(MASK, specs, monitor, trace, None, walked);
+        let stops = Stops { points: &[(0, specs)], horizon: sp.horizon, mask: MASK };
+        let walked = walk(sp.checkpoint.clone(), stops, &mut Footprint::default());
+        let sp = &walked.points[0];
+        let (batch, dispo) =
+            sp.batch(MASK, specs, monitor, trace, None, (&none, &Footprint::default()));
         assert_eq!(dispo.simulated, specs.len() as u64, "no site is provable");
         batch
     }
@@ -502,8 +506,17 @@ mod tests {
                 inject_cycle: (t * 19) % 160,
             })
             .collect();
+        // The campaign's path: sites and footprint from the walk that
+        // hashes the plan's rows.
         let shim = 13usize;
-        let (batch, dispo) = sp.batch(MASK, &specs, 1_000, Trace::Off, Some(shim), None);
+        let mut golden = sp.checkpoint.clone();
+        let sites = fault_sites(&mut golden, sp.horizon, MASK, &specs, Some(shim));
+        let watched: Vec<_> = watch_list(&sites, &specs, 0, sp.horizon, 1_000).collect();
+        let mut footprint = Footprint::new(&watched);
+        let stops = Stops { points: &[(0, &specs)], horizon: sp.horizon, mask: MASK };
+        let alone = walk(golden, stops, &mut footprint).points.remove(0);
+        let walked = (&sites, &footprint);
+        let (batch, dispo) = alone.batch(MASK, &specs, 1_000, Trace::Off, Some(shim), walked);
         assert_eq!(batch.faults.len(), 1);
         assert_eq!(batch.faults[0].index, shim);
         assert_eq!(batch.faults[0].spec, specs[shim]);

@@ -1,14 +1,18 @@
 //! Start-point preparation and trial execution.
 //!
 //! Every trial is classified by one decision loop, [`StartPoint::decide`],
-//! over one of two views of it ([`Run`]): a faulted machine the loop steps
-//! ([`Stepped`]), or a site the pruner proved dead, read off the golden
-//! run's aggregates (`crate::pruner::Golden`). Two equivalent execution
-//! paths drive it:
+//! over one of three views of it ([`Run`]): a faulted machine the loop
+//! steps and checks against the golden rows ([`Stepped`]), the same
+//! machine stepped in lockstep with a fault-free clone ([`Lockstep`]), or a
+//! site the pruner proved dead, read off the golden run's aggregates
+//! (`crate::pruner::Golden`). Two equivalent execution paths drive it:
 //!
-//! * [`StartPoint::run_trial`] — the naive reference: clone the checkpoint,
-//!   replay fault-free to the injection cycle, flip, and step the loop with
-//!   flat whole-machine fingerprints. Deliberately simple; the oracle every
+//! * [`StartPoint::run_trial`] — the naive reference: replay fault-free
+//!   from the checkpoint to the injection cycle, clone that machine, flip
+//!   the clone, and step both, checking the trial's flat whole-machine
+//!   fingerprint against the fault-free machine's. It reads no golden row,
+//!   so the engine ≡ oracle tests check every row the engine reads against
+//!   a real fault-free machine. Deliberately simple; the oracle every
 //!   optimization is measured and verified against.
 //! * The engine ([`StartPoint::run_trials`], [`StartPoint::run_batch`] and
 //!   every campaign): one batch per start point. The analytic pruner
@@ -25,29 +29,35 @@
 //! # The golden walk
 //!
 //! Everything the classifier and the pruner read from the fault-free run
-//! comes from one routine, [`walk`]. A campaign walks each benchmark's run
-//! once (its *spine*) from its first pending start point's checkpoint to
-//! its last one's horizon, and every start point is a [`StartPoint`] view
-//! of it, clipped to its own window: its checkpoint, its part of the one
-//! copy of the retire records and per-cycle retirement counts, its valid
-//! counts (folded from each commit's fetch and commit cycles), and its
-//! sparse rows. [`StartPoint::prepare`] is the one-start-point case; a
-//! batch with no footprint from a walk walks its own.
+//! comes from one routine, [`walk`], the only fault-free pass a start point
+//! gets. A campaign walks each benchmark's run once (its *spine*) from its
+//! first pending start point's checkpoint to its last one's horizon, and
+//! every start point is a [`StartPoint`] view of it, clipped to its own
+//! window: its checkpoint, its part of the one copy of the retire records
+//! and per-cycle retirement counts, its valid counts (folded from each
+//! commit's fetch and commit cycles), and its golden rows.
+//! [`StartPoint::prepare`] is the one-start-point case without a trial
+//! plan; a standalone batch walks its start point's checkpoint once more,
+//! with its plan.
 //!
 //! # Golden rows
 //!
 //! A µArch-Match check compares the trial machine against the golden
 //! fingerprint *row* of the same cycle (root hash plus per-unit
 //! subhashes). Checks run at every cycle of the dense window
-//! `(inject, inject + 64]` and at every eighth cycle after it, so the walk
-//! hashes only each start point's sparse grid (its checkpoint and every
-//! eighth cycle after it; start points whose offsets differ modulo 8 lie on
-//! different grids, and a row on several is hashed once) and each batch
-//! hashes the dense rows of its simulated trials' injection windows in one
-//! golden replay ([`Rows`]). Traced batches' post-decision attribution
-//! reads a row at the decision cycle, which may lie on neither; those reads
-//! are deferred to one forward replay after the batch's trials
-//! ([`Rows::close`]), so untraced batches never pay for them.
+//! `(inject, inject + 64]` and at every eighth cycle after it, so for each
+//! start point walked with a plan the walk hashes its sparse grid (its
+//! checkpoint and every eighth step after it) and the plan's dense window
+//! `[min inject, max inject + 64]`, both to its horizon. The walk is the
+//! only place rows are hashed: it keeps them in one table indexed by walk
+//! step, a step on several grids or windows is hashed once, and after a
+//! halt every later step points at the frozen row. A batch reads its check
+//! rows there and replays no golden cycle. Traced batches' post-decision
+//! attribution reads a row at the decision cycle, which the table may not
+//! hold; those closings wait until the batch's trials are done
+//! ([`StartPoint::close`]), and the ladder's walker steps forward to the
+//! ones past the plan's dense window, so untraced batches never pay for
+//! them.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -58,8 +68,8 @@ use std::time::Instant;
 
 use tfsim_arch::RetireRecord;
 use tfsim_bitstate::{
-    fingerprint_of, BitCount, CachedFingerprint, Category, Fingerprint, FlipBit, InjectionMask,
-    StorageKind, UnitId, VisitState,
+    fingerprint_of, BitCount, CachedFingerprint, Category, FlipBit, InjectionMask, StorageKind,
+    UnitId, VisitState,
 };
 use tfsim_isa::{decode, Asm, Program};
 use tfsim_obs::{DeepTrace, PruneDispositions};
@@ -263,8 +273,9 @@ fn between(a: Option<Instant>, b: Option<Instant>) -> u64 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Golden fingerprint rows hashed (`golden/rows_hashed`): each golden
-    /// walk's rows on the union of its start points' sparse grids, and each
-    /// batch's dense and deferred attribution rows.
+    /// walk's rows on the union of its start points' sparse grids and their
+    /// plans' dense windows, and each batch's closing rows hashed off its
+    /// walker.
     pub rows_hashed: u64,
     /// Words mixed into those rows (`golden/words_hashed`): the latch
     /// units' words, since the shadow units contribute their maintained
@@ -278,9 +289,10 @@ pub struct WorkCounters {
     /// each site the pruner could not prove dead, from its injection to its
     /// decision. The analytic rider steps none.
     pub trial_cycles: u64,
-    /// Cycles the fault-free machines stepped (`golden/cycles_stepped`):
-    /// warm-ups, golden walks, and each batch's dense-row and closing
-    /// replay, and its own footprint walk when none was supplied.
+    /// Cycles the fault-free machines stepped for golden data
+    /// (`golden/cycles_stepped`): warm-ups, golden walks (a standalone
+    /// batch's included), and each batch's walker steps past its last
+    /// injection to reach its closings.
     pub golden_cycles: u64,
 }
 
@@ -323,15 +335,12 @@ pub struct TracedBatch {
     /// Wall-clock time spent in the pruner's disposition proofs, which run
     /// before any trial.
     pub prune_ns: u64,
-    /// Wall-clock time spent hashing the batch's dense golden rows (the
-    /// post-injection windows of its simulated trials).
-    pub rows_ns: u64,
-    /// Wall-clock time spent resolving post-decision attributions whose
-    /// golden rows the batch did not already hold.
+    /// Wall-clock time spent resolving the post-decision attributions (the
+    /// closing loop).
     pub attribute_ns: u64,
-    /// The batch's work: its dense and deferred golden rows, its
-    /// footprint's kept events, its simulated trials' cycles, and its
-    /// fault-free replays (and footprint walk, when none was supplied).
+    /// The batch's work: its footprint's kept events, its simulated
+    /// trials' cycles, its closing rows and walker steps, and, standalone,
+    /// its own golden walk.
     pub work: WorkCounters,
 }
 
@@ -374,8 +383,8 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 pub(crate) type Row = (u128, [u128; UnitId::COUNT]);
 
 /// Past its dense post-injection window, the classifier checks µArch Match
-/// on every `SPARSE`th cycle; each start point keeps golden rows on exactly
-/// that grid, counted from its own checkpoint.
+/// on every `SPARSE`th cycle; the walk hashes each planned start point's
+/// rows on exactly that grid, counted from its own checkpoint.
 pub(crate) const SPARSE: u64 = 8;
 
 /// Length of the classifier's dense check window after each injection.
@@ -384,25 +393,28 @@ pub(crate) const DENSE: u64 = 64;
 /// One benchmark's fault-free run, stepped once by [`walk`] from its first
 /// start point's checkpoint to its last start point's horizon. Every start
 /// point on the walk is a [`StartPoint`] view of this one copy of the retire
-/// records and per-cycle aggregates, which are indexed by walk step.
+/// records, per-cycle aggregates and golden rows, which are indexed by walk
+/// step.
 struct Spine {
     /// The machine's retirement count after `t` steps.
     instret: Vec<u64>,
     /// The golden retirement trace, in commit order.
     records: Vec<RetireRecord>,
-    /// Golden rows on the union of the start points' check grids: one grid
-    /// per residue of their offsets modulo [`SPARSE`].
-    grids: Vec<Grid>,
+    /// The golden rows the walk hashed, each once.
+    rows: Vec<Row>,
+    /// Per walk step, the index of its row in `rows`: [`UNHASHED`] (past
+    /// the end of `rows`) for a step no check reads. A `u32` indexes any
+    /// table that fits in memory: 2^32 rows would take a terabyte.
+    row_at: Vec<u32>,
     /// Eligible bit count under the walk's mask.
     bit_count: u64,
 }
 
-/// Golden rows every [`SPARSE`] steps: `rows[j]` is the state after
-/// `first + j * SPARSE` steps.
-struct Grid {
-    first: u64,
-    rows: Vec<Row>,
-}
+/// [`Spine::row_at`]'s entry for a step the walk did not hash.
+const UNHASHED: u32 = u32::MAX;
+
+/// A step the walk is to hash, in [`Spine::row_at`] before it does.
+const WANTED: u32 = u32::MAX - 1;
 
 /// A prepared start point: a warmed checkpoint plus its view of the golden
 /// continuation the classifier compares against, clipped to its own window
@@ -416,10 +428,6 @@ pub struct StartPoint {
     pub(crate) offset: u64,
     /// The checkpoint's retirement count.
     base_instret: u64,
-    /// `spine.grids[grid].rows[row0 + k]` is the state `k * SPARSE` steps
-    /// after the checkpoint.
-    grid: usize,
-    row0: usize,
     /// This window's part of the spine's retirement trace.
     records: Range<usize>,
     /// Cycle (steps after checkpoint) at which the golden run halted: 0
@@ -435,19 +443,19 @@ fn hash_row(engine: &mut CachedFingerprint, cpu: &mut Pipeline) -> Row {
     (root, *engine.unit_hashes())
 }
 
-/// The start points a [`walk`] records: their checkpoints' offsets from the
-/// walk's first step (ascending), their common horizon, and the mask whose
-/// eligible bits they count.
+/// The start points a [`walk`] records: each one's checkpoint offset from
+/// the walk's first step (ascending) with its trial plan (empty when no
+/// trial will be checked against it), their common horizon, and the mask
+/// whose eligible bits they count.
 pub(crate) struct Stops<'a> {
-    pub(crate) offsets: &'a [u64],
+    pub(crate) points: &'a [(u64, &'a [TrialSpec])],
     pub(crate) horizon: u64,
     pub(crate) mask: InjectionMask,
 }
 
 /// What one [`walk`] produced.
 pub(crate) struct Walked {
-    /// One start point per offset, in offset order (none for a
-    /// footprint-only walk).
+    /// One start point per stop, in offset order.
     pub(crate) points: Vec<StartPoint>,
     /// The cycles the fault-free machine stepped, and the golden rows
     /// hashed with the words mixed into them.
@@ -456,25 +464,24 @@ pub(crate) struct Walked {
 
 /// The golden walk: the one fault-free pass that everything the classifier
 /// and the pruner read from the golden run comes from. `golden` sits at the
-/// first start point's checkpoint; with `stops`, it is stepped to the last
-/// start point's horizon, and on the way the walk:
+/// first start point's checkpoint and is stepped to the last start point's
+/// horizon; on the way the walk:
 ///
 /// * clones each start point's checkpoint as the walk reaches it (without
 ///   the walk's flow log and access tracking);
-/// * hashes the golden rows of the union of the start points' check grids,
-///   each row once, however many grids it lies on;
+/// * hashes, into one table, the golden rows every check and closing of a
+///   planned start point may read: its sparse grid and its plan's dense
+///   window, each row once, however many grids and windows it lies on;
 /// * keeps one copy of the retire records and retirement counts, which
 ///   every start point views through its own window;
 /// * logs each commit's fetch and commit cycles and folds them into each
 ///   open start point's Figure 6 valid counts, each fold stopping at its
-///   own horizon.
+///   own horizon;
+/// * resolves `footprint`'s sites, tracking accesses only in the units with
+///   sites still open.
 ///
-/// Throughout, it resolves `footprint`'s sites, tracking accesses only in
-/// the units with sites still open. Without `stops` the walk does nothing
-/// else, and ends once every site is resolved or the last window closes.
-/// Either way it ends early when the machine halts: a halted machine never
-/// changes again, so every later row, count and checkpoint is the terminal
-/// one.
+/// It ends early when the machine halts: a halted machine never changes
+/// again, so every later row, count and checkpoint is the terminal one.
 ///
 /// # Panics
 ///
@@ -485,45 +492,27 @@ pub(crate) struct Walked {
 /// fault-free run only when set shorter than the run's own gaps between
 /// retirements (under 19 cycles on the standard workloads, where the
 /// fault-free machine keeps flushing itself).
-pub(crate) fn walk(
-    mut golden: Pipeline,
-    stops: Option<Stops<'_>>,
-    footprint: &mut Footprint,
-) -> Walked {
+pub(crate) fn walk(mut golden: Pipeline, stops: Stops<'_>, footprint: &mut Footprint) -> Walked {
+    let Stops { points: stops, horizon, mask } = stops;
     golden.set_access_tracking(footprint.tracked());
-    let Some(Stops { offsets, horizon, mask }) = stops else {
-        let mut stepped = 0;
-        while stepped < footprint.last() && golden.running() && !footprint.done() {
-            golden.step();
-            stepped += 1;
-            footprint.observe(&mut golden, stepped);
-        }
-        let work = WorkCounters { golden_cycles: stepped, ..WorkCounters::default() };
-        return Walked { points: Vec::new(), work };
-    };
-    let end = offsets.last().map_or(0, |o| o + horizon);
+    let end = stops.last().map_or(0, |&(o, _)| o + horizon);
 
-    // One grid per residue: the union of the grids of the start points
-    // whose offsets share it. Offsets ascend, so a grid's first row is its
-    // first start point's and its last row its last start point's.
-    let mut grid_of = [usize::MAX; SPARSE as usize];
-    let mut grids: Vec<Grid> = Vec::new();
-    let mut grid_end: Vec<u64> = Vec::new();
-    for &o in offsets {
-        let last = o + horizon / SPARSE * SPARSE;
-        match grid_of[(o % SPARSE) as usize] {
-            usize::MAX => {
-                grid_of[(o % SPARSE) as usize] = grids.len();
-                grids.push(Grid { first: o, rows: Vec::new() });
-                grid_end.push(last);
-            }
-            g => grid_end[g] = last,
+    // The steps a planned start point's checks and closings read: its
+    // sparse grid, and the dense window from its first injection (a trial
+    // with an empty window closes there) to 64 steps after its last, both
+    // clipped to the horizon, where a trial injected past it closes.
+    let mut row_at = vec![UNHASHED; end as usize + 1];
+    for &(o, plan) in stops.iter().filter(|(_, plan)| !plan.is_empty()) {
+        let (lo, hi) = plan.iter().fold((u64::MAX, 0), |(lo, hi), s| {
+            (lo.min(s.inject_cycle), hi.max(s.inject_cycle))
+        });
+        let dense = lo.min(horizon)..=hi.saturating_add(DENSE).min(horizon);
+        for c in (0..=horizon).step_by(SPARSE as usize).chain(dense) {
+            row_at[(o + c) as usize] = WANTED;
         }
     }
-    let grid_at = |t: u64, grids: &[Grid]| {
-        let g = grid_of[(t % SPARSE) as usize];
-        (g != usize::MAX && grids[g].first <= t && t <= grid_end[g]).then_some(g)
-    };
+    // One allocation for the rows (and a frozen row after a halt).
+    let mut rows = Vec::with_capacity(row_at.iter().filter(|&&k| k == WANTED).count() + 1);
 
     // Figure 6's valid counts fold the commits as the golden run logs
     // them, so the log never holds more than one cycle's events. An
@@ -545,8 +534,8 @@ pub(crate) fn walk(
         let valid = ValidCounts::new(golden.cycles(), horizon);
         (Open { checkpoint, offset, records: retired..retired }, valid)
     };
-    let mut points: Vec<Open> = Vec::with_capacity(offsets.len());
-    let mut folds: Vec<ValidCounts> = Vec::with_capacity(offsets.len());
+    let mut points: Vec<Open> = Vec::with_capacity(stops.len());
+    let mut folds: Vec<ValidCounts> = Vec::with_capacity(stops.len());
     // Start points before `closed` are past their horizon: their folds
     // take no more events and their records end.
     let mut closed = 0;
@@ -563,7 +552,7 @@ pub(crate) fn walk(
     let mut t = 0;
     instret.push(golden.instret());
     loop {
-        while points.len() < offsets.len() && offsets[points.len()] == t {
+        while points.len() < stops.len() && stops[points.len()].0 == t {
             let (point, valid) = open(&golden, t, records.len());
             points.push(point);
             folds.push(valid);
@@ -572,9 +561,9 @@ pub(crate) fn walk(
             points[closed].records.end = records.len();
             closed += 1;
         }
-        if let Some(g) = grid_at(t, &grids) {
-            work.rows_hashed += 1;
-            grids[g].rows.push(hash_row(&mut engine, &mut golden));
+        if row_at[t as usize] == WANTED {
+            row_at[t as usize] = rows.len() as u32;
+            rows.push(hash_row(&mut engine, &mut golden));
         }
         if t == end || !golden.running() {
             break;
@@ -598,19 +587,18 @@ pub(crate) fn walk(
     work.golden_cycles = t;
     if t < end {
         // Halted: freeze every later row, count and checkpoint.
-        let frozen = match grid_at(t, &grids) {
-            Some(g) => *grids[g].rows.last().expect("the row just hashed"),
-            None => {
-                work.rows_hashed += 1;
-                hash_row(&mut engine, &mut golden)
+        let frozen = &mut row_at[t as usize..];
+        if frozen.contains(&WANTED) {
+            if matches!(frozen[0], WANTED | UNHASHED) {
+                frozen[0] = rows.len() as u32;
+                rows.push(hash_row(&mut engine, &mut golden));
             }
-        };
-        for (grid, &last) in grids.iter_mut().zip(&grid_end) {
-            grid.rows.resize(((last - grid.first) / SPARSE) as usize + 1, frozen);
+            let row = frozen[0];
+            frozen.fill(row);
         }
         instret.resize(end as usize + 1, golden.instret());
-        while points.len() < offsets.len() {
-            let (point, valid) = open(&golden, offsets[points.len()], records.len());
+        while points.len() < stops.len() {
+            let (point, valid) = open(&golden, stops[points.len()].0, records.len());
             points.push(point);
             folds.push(valid);
         }
@@ -623,22 +611,16 @@ pub(crate) fn walk(
     if let Some(first) = points.first_mut() {
         first.checkpoint.visit_state(&mut count);
     }
-    let spine = Arc::new(Spine {
-        instret,
-        records,
-        grids,
-        bit_count: count.count,
-    });
+    work.rows_hashed = rows.len() as u64;
+    work.words_hashed = engine.words();
+    let spine = Arc::new(Spine { instret, records, rows, row_at, bit_count: count.count });
     let points = points
         .into_iter()
         .zip(folds)
         .map(|(point, valid)| {
             let offset = point.offset;
-            let grid = grid_of[(offset % SPARSE) as usize];
             StartPoint {
                 base_instret: spine.instret[offset as usize],
-                row0: ((offset - spine.grids[grid].first) / SPARSE) as usize,
-                grid,
                 // A start point opened on a halted machine halted at its
                 // step 0.
                 halted_at: halted_at
@@ -653,15 +635,15 @@ pub(crate) fn walk(
             }
         })
         .collect();
-    work.words_hashed = engine.words();
     Walked { points, work }
 }
 
 impl StartPoint {
     /// Prepares a start point from a *warmed* pipeline: the one-start-point
     /// case of the golden walk. Runs the golden continuation for `horizon`
-    /// cycles, keeping per-cycle retirement aggregates and the golden rows
-    /// of the sparse grid.
+    /// cycles, keeping per-cycle retirement aggregates. It hashes no golden
+    /// row: no plan is checked against it, and a batch walks it again with
+    /// its own.
     ///
     /// # Panics
     ///
@@ -669,8 +651,8 @@ impl StartPoint {
     /// flushes protectively (which takes a watchdog threshold shorter than
     /// the fault-free run's gaps between retirements).
     pub fn prepare(warmed: &Pipeline, horizon: u64, mask: InjectionMask) -> StartPoint {
-        let stops = Stops { offsets: &[0], horizon, mask };
-        let walked = walk(warmed.clone(), Some(stops), &mut Footprint::default());
+        let stops = Stops { points: &[(0, &[])], horizon, mask };
+        let walked = walk(warmed.clone(), stops, &mut Footprint::default());
         walked.points.into_iter().next().expect("one start point")
     }
 
@@ -695,20 +677,22 @@ impl StartPoint {
         self.spine.instret[(self.offset + step) as usize] - self.base_instret
     }
 
-    /// The golden row `cycle` steps after the checkpoint, if `cycle` lies
-    /// on this start point's sparse grid.
-    pub(crate) fn grid_row(&self, cycle: u64) -> Option<&Row> {
-        (cycle.is_multiple_of(SPARSE) && cycle <= self.horizon)
-            .then(|| &self.spine.grids[self.grid].rows[self.row0 + (cycle / SPARSE) as usize])
+    /// The golden row `cycle` steps after the checkpoint, if the walk
+    /// hashed that step.
+    pub(crate) fn row(&self, cycle: u64) -> Option<&Row> {
+        let k = *self.spine.row_at.get((self.offset + cycle) as usize)?;
+        self.spine.rows.get(k as usize)
     }
 
     /// Runs one trial: flip eligible bit number `target` at `inject_cycle`
     /// (relative to the checkpoint) and monitor for `monitor` cycles.
     ///
     /// This is the naive reference path: it replays fault-free from the
-    /// checkpoint and hashes the whole machine at every µArch-Match check.
-    /// The engine ([`StartPoint::run_trials`], [`StartPoint::run_batch`],
-    /// every campaign) must return the same record for every spec.
+    /// checkpoint, steps the faulted machine in lockstep with the
+    /// fault-free one ([`Lockstep`]), and hashes the whole machine at every
+    /// µArch-Match check. The engine ([`StartPoint::run_trials`],
+    /// [`StartPoint::run_batch`], every campaign) must return the same
+    /// record for every spec.
     pub fn run_trial(
         &self,
         mask: InjectionMask,
@@ -716,18 +700,17 @@ impl StartPoint {
         inject_cycle: u64,
         monitor: u64,
     ) -> TrialRecord {
-        let rows = Rows::new(self, std::iter::once(inject_cycle));
-        let mut cpu = self.checkpoint.clone();
-
         // Advance fault-free to the injection cycle.
+        let mut golden = self.checkpoint.clone();
         for _ in 0..inject_cycle {
-            if !cpu.running() {
+            if !golden.running() {
                 break;
             }
-            cpu.step();
+            golden.step();
         }
 
-        let mut run = Stepped::flip(cpu, mask, target, &rows, false);
+        let trial = Faulted::flip(golden.clone(), mask, target);
+        let mut run = Lockstep { trial, golden, engine: CachedFingerprint::new() };
         let end = self.horizon.min(inject_cycle + monitor);
         self.decide(&mut run, inject_cycle, end, None, None).record
     }
@@ -742,13 +725,15 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> Vec<TrialRecord> {
-        self.batch(mask, specs, monitor, Trace::Off, None, None).0.records
+        self.run_batch(mask, specs, monitor, Trace::Off).0.records
     }
 
     /// Runs a batch of trials through the engine at trace level `trace`,
     /// returning the batch and the pruner's per-site disposition tally.
     /// The records are [`StartPoint::run_trials`]' at every level; see
-    /// [`Trace`] for what each level adds.
+    /// [`Trace`] for what each level adds. The batch walks the checkpoint
+    /// once more with `specs` as its plan, which hashes its golden rows and
+    /// resolves its footprint, and counts that walk as its own work.
     pub fn run_batch(
         &self,
         mask: InjectionMask,
@@ -756,7 +741,18 @@ impl StartPoint {
         monitor: u64,
         trace: Trace,
     ) -> (TracedBatch, PruneDispositions) {
-        self.batch(mask, specs, monitor, trace, None, None)
+        // One clone of the checkpoint serves the span walk, which leaves it
+        // unchanged, and then the golden walk.
+        let mut golden = self.checkpoint.clone();
+        let sites = fault_sites(&mut golden, self.horizon, mask, specs, None);
+        let watched: Vec<_> = watch_list(&sites, specs, 0, self.horizon, monitor).collect();
+        let mut footprint = Footprint::new(&watched);
+        let stops = Stops { points: &[(0, specs)], horizon: self.horizon, mask };
+        let walked = walk(golden, stops, &mut footprint);
+        let sp = walked.points.first().expect("one start point");
+        let (mut batch, dispo) = sp.batch(mask, specs, monitor, trace, None, (&sites, &footprint));
+        batch.work += walked.work;
+        (batch, dispo)
     }
 
     /// [`StartPoint::run_batch`] at [`Trace::On`], under the name the
@@ -774,10 +770,9 @@ impl StartPoint {
     /// The engine: one pass over a batch of specs that
     ///
     /// * takes each spec's fault site and the golden run's first access to
-    ///   its word from `walked` (a campaign's golden walk resolved them,
-    ///   and footprint steps are walk steps); without it, the batch
-    ///   resolves its sites and walks its own footprint from the
-    ///   checkpoint;
+    ///   its word from `sites` and the footprint, resolved by the golden walk
+    ///   that produced this start point with `specs` as its plan (footprint
+    ///   steps are walk steps);
     /// * proves the sites' dispositions (`crate::pruner`) and classifies
     ///   every proved-dead site by the decision loop over its golden view,
     ///   building no machine;
@@ -785,9 +780,11 @@ impl StartPoint {
     ///   injection cycle, one fault-free *walker* clone of the checkpoint
     ///   advances monotonically through the injection window and each
     ///   trial classifies a clone of it, with µArch-Match checks on a
-    ///   per-trial [`CachedFingerprint`]. Equivalence with the per-trial
-    ///   replay holds because the walker is deterministic, stepping a
-    ///   halted machine is a no-op, and cloning is exact.
+    ///   per-trial [`CachedFingerprint`] against the walk's golden rows.
+    ///   Equivalence with the per-trial replay holds because the walker is
+    ///   deterministic, stepping a halted machine is a no-op, and cloning
+    ///   is exact;
+    /// * resolves the traced trials' closings ([`StartPoint::close`]).
     ///
     /// Every record, trace, timeline and quarantine goes straight into its
     /// input-order slot. Each stepped trial runs under a `catch_unwind`
@@ -807,29 +804,14 @@ impl StartPoint {
         monitor: u64,
         trace: Trace,
         panic_shim: Option<usize>,
-        walked: Option<(&Sites, &Footprint)>,
+        (sites, footprint): (&Sites, &Footprint),
     ) -> (TracedBatch, PruneDispositions) {
         install_containment_hook();
         let mut batch = TracedBatch::default();
-        let own;
-        let (sites, footprint, offset) = match walked {
-            Some((sites, footprint)) => (sites, footprint, self.offset),
-            None => {
-                // One clone of the checkpoint serves the span walk, which
-                // leaves it unchanged, and then the footprint's walk.
-                let mut golden = self.checkpoint.clone();
-                let sites = fault_sites(&mut golden, self.horizon, mask, specs, panic_shim);
-                let watched: Vec<_> = watch_list(&sites, specs, 0, self.horizon, monitor).collect();
-                let mut footprint = Footprint::new(&watched);
-                batch.work += walk(golden, None, &mut footprint).work;
-                own = (sites, footprint);
-                (&own.0, &own.1, 0)
-            }
-        };
         // The proofs are the pruner's own analysis time: they run before
         // any trial.
         let t0 = trace.clock();
-        let (proved, kept) = self.prove(specs, sites, footprint, offset, monitor);
+        let (proved, kept) = self.prove(specs, sites, footprint, monitor);
         batch.prune_ns = since(t0);
         batch.work.footprint_events = kept;
 
@@ -854,9 +836,6 @@ impl StartPoint {
 
         let mut order: Vec<usize> = (0..n).filter(|&i| proved[i].is_none()).collect();
         order.sort_by_key(|&i| specs[i].inject_cycle);
-        let t0 = trace.clock();
-        let mut rows = Rows::new(self, order.iter().map(|&i| specs[i].inject_cycle));
-        batch.rows_ns = since(t0);
         let mut walker = self.checkpoint.clone();
         let mut walked = 0u64;
         for &i in &order {
@@ -877,7 +856,8 @@ impl StartPoint {
                         spec.target, spec.inject_cycle
                     );
                 }
-                let mut run = Stepped::flip(walker.clone(), mask, spec.target, &rows, true);
+                let trial = Faulted::flip(walker.clone(), mask, spec.target);
+                let mut run = Stepped { trial, sp: self, engine: CachedFingerprint::new() };
                 let c = spec.inject_cycle;
                 self.decide(&mut run, c, self.horizon.min(c + monitor), trace, deep)
             }));
@@ -897,9 +877,8 @@ impl StartPoint {
             batch.classify_ns += since(t1);
         }
         let t0 = trace.clock();
-        rows.close(closings, &mut traces, &mut deeps);
+        batch.work += self.close(closings, (walker, walked), &mut traces, &mut deeps);
         batch.attribute_ns = since(t0);
-        batch.work += rows.work();
 
         // Quarantined trials have no record, trace or timeline.
         fn classified<T>(slots: Vec<T>, out: &[Option<TrialRecord>]) -> Vec<T> {
@@ -916,6 +895,59 @@ impl StartPoint {
             simulated,
         };
         (batch, dispo)
+    }
+
+    /// Resolves a batch's closings in ascending decision cycle. A closing
+    /// whose row the walk hashed reads it from the table. Any other lies
+    /// past the plan's dense window, so past the last injection the ladder
+    /// reached: `walker`, the ladder's walker `walked` steps after the
+    /// checkpoint, steps forward to it and is hashed there (a halted walker
+    /// is already in its frozen state). `closings` pairs each with the spec
+    /// index of its slots in `traces` and `deeps` (either may be empty).
+    /// Returns the rows hashed off the walker and the steps it took.
+    fn close(
+        &self,
+        mut closings: Vec<(usize, Closing)>,
+        (mut walker, mut walked): (Pipeline, u64),
+        traces: &mut [TrialTrace],
+        deeps: &mut [DeepTrace],
+    ) -> WorkCounters {
+        let mut work = WorkCounters::default();
+        let mut engine = CachedFingerprint::new();
+        closings.sort_by_key(|(_, c)| c.at);
+        for (i, c) in closings {
+            let (differs, mask) = match c.seen {
+                Seen::State(row) => {
+                    let (root, units) = *row;
+                    let (golden, golden_units) = match self.row(c.at) {
+                        Some(row) => *row,
+                        None => {
+                            assert!(walked <= c.at, "walker at {walked} is past closing {}", c.at);
+                            while walked < c.at && walker.running() {
+                                walker.step();
+                                walked += 1;
+                                work.golden_cycles += 1;
+                            }
+                            work.rows_hashed += 1;
+                            hash_row(&mut engine, &mut walker)
+                        }
+                    };
+                    (root != golden, UnitId::diverged_mask(&units, &golden_units))
+                }
+                Seen::Diverged(mask) => (mask != 0, mask),
+            };
+            // A trace that still lacks a divergence takes it from here.
+            let trace = traces.get_mut(i).filter(|tr| tr.divergence_cycle.is_none());
+            if let Some(tr) = trace.filter(|_| differs) {
+                tr.divergence_cycle = Some(c.at);
+                tr.diverged_unit = UnitId::from_mask(mask).next();
+            }
+            if let Some(d) = deeps.get_mut(i) {
+                d.push(c.at, mask);
+            }
+        }
+        work.words_hashed = engine.words();
+        work
     }
 
     /// The decision loop: the paper's one classification procedure, run
@@ -1110,11 +1142,13 @@ pub(crate) struct Decision {
 }
 
 /// What the decision loop ([`StartPoint::decide`]) reads of a trial, one
-/// step at a time. Two views supply it: [`Stepped`], a faulted machine the
-/// loop steps, and the pruner's golden view of a proved-dead site, read off
-/// the golden run's aggregates. The loop is generic over the view, so each
-/// is compiled into its own copy of it: no dispatch, and no allocation of
-/// the loop's own per step.
+/// step at a time. Three views supply it: [`Stepped`], a faulted machine
+/// the loop steps and checks against the walk's golden rows, [`Lockstep`],
+/// the oracle's faulted machine stepped beside a fault-free one, and the
+/// pruner's golden view of a proved-dead site, read off the golden run's
+/// aggregates. The loop is generic over the view, so each is compiled into
+/// its own copy of it: no dispatch, and no allocation of the loop's own per
+/// step.
 pub(crate) trait Run {
     /// The flipped bit's category, storage kind and unit.
     fn site(&self) -> (Category, StorageKind, Option<UnitId>);
@@ -1150,54 +1184,23 @@ pub(crate) struct Step<'a> {
     pub(crate) stop: Option<Result<u64, ExcCode>>,
 }
 
-/// The stepped view: a faulted machine, checked against a batch's golden
-/// rows.
-struct Stepped<'a> {
+/// A faulted machine and its step events: what the two stepped views
+/// share.
+struct Faulted {
     cpu: Pipeline,
     site: (Category, StorageKind, Option<UnitId>),
     /// The last step's retirements, in a buffer kept across steps.
     retired: Vec<RetireRecord>,
-    rows: &'a Rows<'a>,
-    /// The cached engine of the checks, whose suspect short-circuit
-    /// localizes a divergence for free, and of the deep samples, whose
-    /// full walks leave that suspect alone; flat walks without it.
-    engine: Option<CachedFingerprint>,
 }
 
-impl<'a> Stepped<'a> {
+impl Faulted {
     /// Flips eligible bit `target` of `cpu`, a machine fault-free up to the
-    /// injection, and views it against the golden rows in `rows`. With
-    /// `cached` the checks, and the deep samples of failing checks, run on
-    /// a [`CachedFingerprint`] (the engine); without, the checks run on
-    /// flat [`fingerprint_of`] walks (the oracle). Both hash definitions
-    /// are identical by construction.
-    fn flip(
-        mut cpu: Pipeline,
-        mask: InjectionMask,
-        target: u64,
-        rows: &'a Rows<'a>,
-        cached: bool,
-    ) -> Stepped<'a> {
+    /// injection.
+    fn flip(mut cpu: Pipeline, mask: InjectionMask, target: u64) -> Faulted {
         let mut flip = FlipBit::new(mask, target);
         cpu.visit_state(&mut flip);
         let hit = flip.flipped.expect("target bit within eligible range");
-        Stepped {
-            site: (hit.category, hit.kind, hit.unit),
-            retired: Vec::new(),
-            rows,
-            engine: cached.then(CachedFingerprint::new),
-            cpu,
-        }
-    }
-}
-
-impl Run for Stepped<'_> {
-    fn site(&self) -> (Category, StorageKind, Option<UnitId>) {
-        self.site
-    }
-
-    fn running(&self) -> bool {
-        self.cpu.running()
+        Faulted { cpu, site: (hit.category, hit.kind, hit.unit), retired: Vec::new() }
     }
 
     fn step(&mut self) -> Step<'_> {
@@ -1215,34 +1218,96 @@ impl Run for Stepped<'_> {
         }
         Step { retired: &self.retired, protective_flush: report.protective_flush, stop }
     }
+}
+
+/// The engine's stepped view: a faulted machine, checked against its start
+/// point's golden rows on a [`CachedFingerprint`], whose suspect
+/// short-circuit localizes a divergence for free. The deep samples and the
+/// closing state take full walks on the same engine, which leave that
+/// suspect alone.
+struct Stepped<'a> {
+    trial: Faulted,
+    sp: &'a StartPoint,
+    engine: CachedFingerprint,
+}
+
+impl Run for Stepped<'_> {
+    fn site(&self) -> (Category, StorageKind, Option<UnitId>) {
+        self.trial.site
+    }
+
+    fn running(&self) -> bool {
+        self.trial.cpu.running()
+    }
+
+    fn step(&mut self) -> Step<'_> {
+        self.trial.step()
+    }
 
     fn matches(&mut self, step: u64) -> bool {
-        let (root, units) = self.rows.get(step).expect("the batch holds every check row");
-        match self.engine.as_mut() {
-            // Per-unit comparison against the golden row, short-circuiting
-            // on the unit a latent fault keeps diverged.
-            Some(e) => e.matches(&mut self.cpu, *root, units),
-            None => fingerprint_of(&mut self.cpu) == *root,
-        }
+        // Per-unit comparison against the golden row, short-circuiting on
+        // the unit a latent fault keeps diverged.
+        let (root, units) = self.sp.row(step).expect("the walk hashed every check row");
+        self.engine.matches(&mut self.trial.cpu, *root, units)
     }
 
     fn suspect(&self) -> Option<UnitId> {
-        self.engine.as_ref().and_then(|e| e.suspect())
+        self.engine.suspect()
     }
 
     fn diverged(&mut self, step: u64) -> u16 {
-        let (_, units) = self.rows.get(step).expect("the batch holds every check row");
-        let e = self.engine.as_mut().expect("deep samples run on the engine");
-        e.fingerprint(&mut self.cpu);
-        UnitId::diverged_mask(e.unit_hashes(), units)
+        let (_, units) = self.sp.row(step).expect("the walk hashed every check row");
+        self.engine.fingerprint(&mut self.trial.cpu);
+        UnitId::diverged_mask(self.engine.unit_hashes(), units)
     }
 
     fn seen(&mut self) -> Seen {
-        // One hierarchical walk at the decision state; the golden row it is
-        // compared with may lie on no grid the batch holds.
-        let mut fp = Fingerprint::new();
-        self.cpu.visit_state(&mut fp);
-        Seen::State(Box::new((fp.value(), *fp.unit_hashes())))
+        // One full walk of the decision state, compared with golden once
+        // the batch's trials are done.
+        let root = self.engine.fingerprint(&mut self.trial.cpu);
+        Seen::State(Box::new((root, *self.engine.unit_hashes())))
+    }
+}
+
+/// The oracle's view: a faulted machine stepped in lockstep with the
+/// fault-free machine it was cloned from. A check compares the trial's flat
+/// fingerprint with the fault-free machine's, hashed as the walk hashes its
+/// rows, so it reads no golden row. The oracle runs without observer slots,
+/// so nothing samples or closes it.
+struct Lockstep {
+    trial: Faulted,
+    golden: Pipeline,
+    engine: CachedFingerprint,
+}
+
+impl Run for Lockstep {
+    fn site(&self) -> (Category, StorageKind, Option<UnitId>) {
+        self.trial.site
+    }
+
+    fn running(&self) -> bool {
+        self.trial.cpu.running()
+    }
+
+    fn step(&mut self) -> Step<'_> {
+        self.golden.step();
+        self.trial.step()
+    }
+
+    fn matches(&mut self, _step: u64) -> bool {
+        fingerprint_of(&mut self.trial.cpu) == self.engine.fingerprint(&mut self.golden)
+    }
+
+    fn suspect(&self) -> Option<UnitId> {
+        None
+    }
+
+    fn diverged(&mut self, _step: u64) -> u16 {
+        unreachable!("the oracle keeps no divergence timeline")
+    }
+
+    fn seen(&mut self) -> Seen {
+        unreachable!("the oracle keeps no trace to close")
     }
 }
 
@@ -1258,127 +1323,13 @@ pub(crate) enum Seen {
 
 /// A trial's decision state, waiting for the golden row of its decision
 /// cycle: what traced batches' post-decision attribution and the deep
-/// timeline's closing sample compare. [`Rows::close`] resolves a batch's
-/// closings after its trials, so untraced batches never pay for the rows.
+/// timeline's closing sample compare. [`StartPoint::close`] resolves a
+/// batch's closings after its trials, so untraced batches never pay for the
+/// rows.
 pub(crate) struct Closing {
     /// The decision cycle, clamped to the golden horizon.
     at: u64,
     seen: Seen,
-}
-
-/// A fault-free replay of the golden continuation that hashes rows on
-/// demand, moving forward only.
-struct GoldenWalk {
-    cpu: Pipeline,
-    at: u64,
-    engine: CachedFingerprint,
-    /// Rows hashed and cycles stepped (a halted machine steps no more).
-    work: WorkCounters,
-}
-
-impl GoldenWalk {
-    fn new(sp: &StartPoint) -> GoldenWalk {
-        GoldenWalk {
-            cpu: sp.checkpoint.clone(),
-            at: 0,
-            engine: CachedFingerprint::new(),
-            work: WorkCounters::default(),
-        }
-    }
-
-    /// The golden row after `cycle` steps; `cycle` must not precede the
-    /// previous call's.
-    fn row(&mut self, cycle: u64) -> Row {
-        assert!(cycle >= self.at, "golden walk cannot step back from {} to {cycle}", self.at);
-        // Stepping a halted machine is a no-op: its state stays frozen.
-        while self.at < cycle && self.cpu.running() {
-            self.cpu.step();
-            self.at += 1;
-            self.work.golden_cycles += 1;
-        }
-        self.at = cycle;
-        self.work.rows_hashed += 1;
-        hash_row(&mut self.engine, &mut self.cpu)
-    }
-}
-
-/// The golden rows one batch's classifier reads: the start point's sparse
-/// grid, plus dense rows over `[lo, lo + dense.len())` covering every
-/// dense check window `(c, c + 64]` of the batch's injection cycles.
-pub(crate) struct Rows<'a> {
-    sp: &'a StartPoint,
-    lo: u64,
-    dense: Vec<Row>,
-    /// Positioned at the last dense row; resolves deferred closings.
-    walk: GoldenWalk,
-}
-
-impl<'a> Rows<'a> {
-    /// Hashes the dense rows for trials injected at `cycles`: one golden
-    /// walk over `[min, max + 64]`, clipped to the horizon. Grid cycles are
-    /// copied from the sparse rows.
-    pub(crate) fn new(sp: &'a StartPoint, cycles: impl Iterator<Item = u64>) -> Rows<'a> {
-        let (lo, hi) = cycles.fold((u64::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
-        let hi = hi.saturating_add(DENSE).min(sp.horizon);
-        let mut walk = GoldenWalk::new(sp);
-        let dense = (lo..=hi)
-            .map(|c| match c % SPARSE {
-                0 => *sp.grid_row(c).expect("a grid row inside the horizon"),
-                _ => walk.row(c),
-            })
-            .collect();
-        Rows { sp, lo, dense, walk }
-    }
-
-    /// The golden row after `cycle` steps, if the batch holds it.
-    pub(crate) fn get(&self, cycle: u64) -> Option<&Row> {
-        match cycle.checked_sub(self.lo).and_then(|k| self.dense.get(k as usize)) {
-            Some(row) => Some(row),
-            None => self.sp.grid_row(cycle),
-        }
-    }
-
-    /// The golden replay's work so far: the rows hashed (dense rows and
-    /// deferred closings), the words mixed into them, and the cycles
-    /// stepped.
-    pub(crate) fn work(&self) -> WorkCounters {
-        WorkCounters { words_hashed: self.walk.engine.words(), ..self.walk.work }
-    }
-
-    /// Resolves the batch's deferred closings, in ascending decision
-    /// cycle: rows the batch holds are read directly, the others come from
-    /// walking the golden run forward. `closings` pairs each with the spec
-    /// index of its slots in `traces` and `deeps` (either may be empty).
-    pub(crate) fn close(
-        &mut self,
-        mut closings: Vec<(usize, Closing)>,
-        traces: &mut [TrialTrace],
-        deeps: &mut [DeepTrace],
-    ) {
-        closings.sort_by_key(|(_, c)| c.at);
-        for (i, c) in closings {
-            let (differs, mask) = match c.seen {
-                Seen::State(row) => {
-                    let (root, units) = *row;
-                    let (golden, golden_units) = match self.get(c.at) {
-                        Some(row) => *row,
-                        None => self.walk.row(c.at),
-                    };
-                    (root != golden, UnitId::diverged_mask(&units, &golden_units))
-                }
-                Seen::Diverged(mask) => (mask != 0, mask),
-            };
-            // A trace that still lacks a divergence takes it from here.
-            let trace = traces.get_mut(i).filter(|tr| tr.divergence_cycle.is_none());
-            if let Some(tr) = trace.filter(|_| differs) {
-                tr.divergence_cycle = Some(c.at);
-                tr.diverged_unit = UnitId::from_mask(mask).next();
-            }
-            if let Some(d) = deeps.get_mut(i) {
-                d.push(c.at, mask);
-            }
-        }
-    }
 }
 
 /// Figure 6 instrumentation for one start point: for each cycle
@@ -1461,6 +1412,9 @@ pub(crate) fn warm_pipeline(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use tfsim_bitstate::Fingerprint;
+    use tfsim_check::prop::{self, ints, vecs, Config};
+    use tfsim_check::prop_assert_eq;
     use tfsim_isa::Reg;
 
     /// Cycles the stepping audit checks per workload and config.
@@ -1656,10 +1610,12 @@ pub(crate) mod tests {
     fn golden_rows_hash_only_the_latch_words() {
         // The shadow units contribute their maintained digests without a
         // word visited, so a row costs the latch units' words alone (3,257
-        // on the baseline machine, a few more with protection).
+        // on the baseline machine, a few more with protection). A plan
+        // injecting at the horizon reads its sparse grid alone.
+        let plan = [TrialSpec { target: 0, inject_cycle: 64 }];
         for (name, _, warmed) in warmed_workloads() {
-            let stops = Stops { offsets: &[0], horizon: 64, mask: InjectionMask::LatchesAndRams };
-            let walked = walk(warmed.clone(), Some(stops), &mut Footprint::default());
+            let stops = Stops { points: &[(0, &plan)], horizon: 64, mask: MASK_ALL };
+            let walked = walk(warmed.clone(), stops, &mut Footprint::default());
             assert_eq!(walked.work.rows_hashed, 9, "{name}");
             let per_row = walked.work.words_hashed / walked.work.rows_hashed;
             assert!(per_row <= 5_000, "{name}: {per_row} words per golden row");
@@ -1921,11 +1877,10 @@ pub(crate) mod tests {
     }
 
     /// Walks one spine over the start points warmed `starts` cycles from
-    /// reset (ascending) and checks every view against a standalone
-    /// `prepare` of that start point, field by field, and the footprint
-    /// the spine resolved against a standalone footprint walk of each.
-    /// Returns the step of each start point's window at which the run
-    /// halted.
+    /// reset (ascending) and checks every view, field by field, and the
+    /// footprint the spine resolved against a standalone walk of each start
+    /// point with its own plan. Returns the step of each start point's
+    /// window at which the run halted.
     fn assert_spine_equals_standalone(
         name: &str,
         program: &Program,
@@ -1959,19 +1914,27 @@ pub(crate) mod tests {
             .flat_map(|((specs, sites), &o)| watch_list(sites, specs, o, horizon, MONITOR))
             .collect();
         let mut spine_fp = Footprint::new(&watched);
-        let stops = Stops { offsets: &offsets, horizon, mask: MASK };
-        let walked = walk(warmed, Some(stops), &mut spine_fp);
+        let stops: Vec<(u64, &[TrialSpec])> =
+            offsets.iter().zip(&plans).map(|(&o, (specs, _))| (o, &specs[..])).collect();
+        let walked = walk(warmed, Stops { points: &stops, horizon, mask: MASK }, &mut spine_fp);
         assert_eq!(walked.points.len(), starts.len());
         for ((&start, view), (specs, sites)) in starts.iter().zip(&walked.points).zip(&plans) {
             let at = format!("{name}, start point at {start}");
-            let alone = StartPoint::prepare(&warm_pipeline(program, config, start), horizon, MASK);
+            let own: Vec<_> = watch_list(sites, specs, 0, horizon, MONITOR).collect();
+            let mut own_fp = Footprint::new(&own);
+            let stops = Stops { points: &[(0, specs)], horizon, mask: MASK };
+            let alone = walk(warm_pipeline(program, config, start), stops, &mut own_fp);
+            let alone = &alone.points[0];
             let (a, b) = (&view.checkpoint, &alone.checkpoint);
             assert_eq!((a.cycles(), a.instret()), (b.cycles(), b.instret()), "{at}");
             assert_eq!(fingerprint_of(&mut a.clone()), fingerprint_of(&mut b.clone()), "{at}");
-            for c in (0..=horizon).step_by(SPARSE as usize) {
-                assert_eq!(view.grid_row(c), alone.grid_row(c), "{at}: row {c}");
+            // The spine holds every row the plan's walk hashed, and maybe
+            // rows of its other start points' grids and windows.
+            for c in 0..=horizon {
+                if let Some(row) = alone.row(c) {
+                    assert_eq!(view.row(c), Some(row), "{at}: row {c}");
+                }
             }
-            assert!(view.grid_row(horizon / SPARSE * SPARSE + SPARSE).is_none(), "{at}");
             for step in 1..=horizon {
                 assert_eq!(view.instret(step), alone.instret(step), "{at}: step {step}");
             }
@@ -1980,9 +1943,6 @@ pub(crate) mod tests {
             assert_eq!(view.valid_counts, alone.valid_counts, "{at}");
             assert_eq!(view.bit_count(), alone.bit_count(), "{at}");
 
-            let own: Vec<_> = watch_list(sites, specs, 0, horizon, MONITOR).collect();
-            let mut own_fp = Footprint::new(&own);
-            walk(alone.checkpoint.clone(), None, &mut own_fp);
             let o = view.offset;
             for (unit, ord, c, end) in own {
                 assert_eq!(
@@ -2012,18 +1972,23 @@ pub(crate) mod tests {
         assert_spine_equals_standalone("subset", &program, config, &[800, 1_800], 1_200);
     }
 
-    #[test]
-    fn spine_views_equal_standalone_start_points_around_a_halt() {
+    /// A store/load loop of `loops` iterations that halts.
+    fn halt_bed(loops: u64) -> Program {
         let mut a = Asm::new(0x1_0000);
         a.li(Reg::R1, 0x10_0000);
-        a.li(Reg::R7, 3_000);
+        a.li(Reg::R7, loops);
         let top = a.here_label();
         a.stq(Reg::R7, Reg::R1, 0);
         a.ldq(Reg::R6, Reg::R1, 0);
         a.subq_i(Reg::R7, 1, Reg::R7);
         a.bne(Reg::R7, top);
         a.halt();
-        let p = tfsim_isa::Program::new("halt-bed", a).with_data(0x10_0000, vec![0u8; 64]);
+        tfsim_isa::Program::new("halt-bed", a).with_data(0x10_0000, vec![0u8; 64])
+    }
+
+    #[test]
+    fn spine_views_equal_standalone_start_points_around_a_halt() {
+        let p = halt_bed(3_000);
         for config in [PipelineConfig::baseline(), PipelineConfig::protected()] {
             let halt = warm_pipeline(&p, config, 1_000_000).cycles();
             assert!(halt > 1_000, "the program must outlast the first window ({halt})");
@@ -2040,12 +2005,81 @@ pub(crate) mod tests {
         }
     }
 
+    /// The walk's row table holds a row for every step a planned trial's
+    /// checks and closing read: its injection step, the dense window after
+    /// it and the sparse grid to the horizon, each the fingerprint of a
+    /// fault-free machine at that step. Random plans on one to four start
+    /// points 0–199 cycles apart, so their dense windows overlap, and the
+    /// run halts inside a window, between windows, before the first
+    /// checkpoint or after the last horizon.
     #[test]
-    fn golden_rows_match_a_fault_free_clone_and_flips_diverge() {
+    fn the_row_table_holds_every_check_row_of_the_fault_free_run() {
+        const HORIZON: u64 = 240;
+        let p = halt_bed(2_000);
+        let config = PipelineConfig::baseline();
+        let halt = warm_pipeline(&p, config, 1_000_000).cycles();
+        // The halt lies 700 steps after `base`, and every walk starts in
+        // the first 500 and ends within 1,400.
+        let base = halt.checked_sub(700).expect("the program outlasts 700 cycles");
+        let warmed = warm_pipeline(&p, config, base);
+        let mut cpu = warmed.clone();
+        let fault_free: Vec<Row> = (0..1_400)
+            .map(|k| {
+                if k > 0 {
+                    cpu.step();
+                }
+                let mut fp = Fingerprint::new();
+                cpu.visit_state(&mut fp);
+                (fp.value(), *fp.unit_hashes())
+            })
+            .collect();
+        assert_eq!(fingerprint_of(&mut cpu), fault_free[1_399].0);
+
+        let mut cfg = Config::from_env();
+        cfg.cases = cfg.cases.min(24);
+        let plan = vecs(ints(0..HORIZON + 1), 1..6);
+        let gen = (ints(0u64..500), vecs((ints(0u64..200), plan), 1..5));
+        prop::run(&cfg, "the_row_table_holds_every_check_row", &gen, |(first, points)| {
+            let mut golden = warmed.clone();
+            for _ in 0..*first {
+                golden.step();
+            }
+            let mut offset = 0;
+            let plans: Vec<(u64, Vec<TrialSpec>)> = points
+                .iter()
+                .enumerate()
+                .map(|(k, (gap, cycles))| {
+                    offset += if k > 0 { *gap } else { 0 };
+                    let plan = cycles.iter().map(|&c| TrialSpec { target: 0, inject_cycle: c });
+                    (offset, plan.collect())
+                })
+                .collect();
+            let stops: Vec<(u64, &[TrialSpec])> = plans.iter().map(|(o, p)| (*o, &p[..])).collect();
+            let stops = Stops { points: &stops, horizon: HORIZON, mask: MASK_ALL };
+            let walked = walk(golden, stops, &mut Footprint::default());
+            for ((o, plan), sp) in plans.iter().zip(&walked.points) {
+                for c in plan.iter().map(|s| s.inject_cycle) {
+                    let dense = c..=(c + DENSE).min(HORIZON);
+                    let sparse = (c..=HORIZON).filter(|step| step % SPARSE == 0);
+                    for step in dense.chain(sparse) {
+                        let row = Some(&fault_free[(first + o + step) as usize]);
+                        prop_assert_eq!(sp.row(step), row, "offset {o}, inject {c}, step {step}");
+                    }
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn golden_rows_diverge_under_a_flip() {
         let sp = start_point();
-        // A batch injecting at cycle 30 holds the dense rows 30..=94; cycle
-        // 37 is off the sparse grid, 40 is on it.
-        let rows = Rows::new(&sp, std::iter::once(30));
+        // A plan injecting at cycle 30 has the walk hash the dense rows
+        // 30..=94; cycle 37 is off the sparse grid, 40 is on it.
+        let plan = [TrialSpec { target: 0, inject_cycle: 30 }];
+        let stops = Stops { points: &[(0, &plan)], horizon: sp.horizon, mask: MASK_ALL };
+        let walked = walk(sp.checkpoint.clone(), stops, &mut Footprint::default());
+        let sp = &walked.points[0];
         let mut cpu = sp.checkpoint.clone();
         let mut walked = 0;
         for k in [37u64, 40] {
@@ -2053,12 +2087,7 @@ pub(crate) mod tests {
                 cpu.step();
                 walked += 1;
             }
-            let (root, units) = rows.get(k).expect("row held by the batch");
-            let mut fp = Fingerprint::new();
-            cpu.visit_state(&mut fp);
-            assert_eq!(fp.value(), *root, "fault-free clone must match golden at {k}");
-            assert_eq!(fp.unit_hashes(), units);
-
+            let (root, units) = sp.row(k).expect("row hashed by the walk");
             // Flip a bit: the root diverges and at least one unit is named.
             let mut flipped = cpu.clone();
             let mut flip = FlipBit::new(InjectionMask::LatchesAndRams, 12_345);
@@ -2068,9 +2097,9 @@ pub(crate) mod tests {
             assert_ne!(fp.value(), *root);
             assert_ne!(UnitId::diverged_mask(fp.unit_hashes(), units), 0);
         }
-        // Off the grid and outside the dense window: deferred to the walk.
-        assert!(rows.get(101).is_none());
-        assert!(rows.get(104).is_some(), "grid rows are always held");
+        // Off the grid and outside the dense window: no check reads it.
+        assert!(sp.row(101).is_none());
+        assert!(sp.row(104).is_some(), "grid rows are hashed to the horizon");
     }
 
     #[test]
