@@ -22,6 +22,11 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps --offline (warnings denied)"
+# A doc link that resolves to nothing, to two items, or to a private item
+# fails here rather than rendering as plain text in the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> perf smoke (timings non-gating, exit status gating)"
 # One minimal sample through every bench bench.sh records (the injection
 # and Figure 11 benches and the layer rows) so the bench binary and

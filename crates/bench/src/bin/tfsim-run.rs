@@ -775,7 +775,7 @@ fn main() {
 
     // Architectural run (also supplies the pipeline's TLB preload).
     let mut func = FuncSim::new(&program);
-    let ar = func.run(max_cycles * 8);
+    let ar = func.run(max_cycles.saturating_mul(8));
     println!(
         "architectural: {} instructions, exit {:?}, exception {:?}, {} output bytes",
         func.instret(),

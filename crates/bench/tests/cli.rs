@@ -39,6 +39,17 @@ fn run_mode_rejects_malformed_arguments() {
     assert_refused(&[], 2, "usage");
 }
 
+/// The functional run's instruction budget, eight per cycle, saturates:
+/// the largest cycle budget runs the program to its halt.
+#[test]
+fn run_mode_takes_the_largest_cycle_budget() {
+    let max = u64::MAX.to_string();
+    let out = tfsim_run(&["gzip-like", "--max-cycles", &max, "--arch-only"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.lines().any(|l| l.starts_with("architectural: ")), "{stdout}");
+}
+
 #[test]
 fn figures_rejects_malformed_arguments() {
     // Each is refused before any campaign runs.

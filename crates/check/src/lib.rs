@@ -13,8 +13,8 @@
 //!   macro runs a property over generated inputs, reports the failing
 //!   `(seed, case)` pair on failure, and shrinks integers, tuples, and
 //!   vectors to a minimal counterexample.
-//! * [`bench`] — a wall-clock micro-bench runner (warm-up, calibrated
-//!   batches, median-of-N, JSON output) replacing `criterion`.
+//! * [`bench`](mod@bench) — a wall-clock micro-bench runner (warm-up,
+//!   calibrated batches, median-of-N, JSON output) replacing `criterion`.
 //! * [`chaos`] — deterministic fault-point schedules (worker kills,
 //!   stalled heartbeats, torn shards, dropped/duplicated frames) for the
 //!   distributed-campaign robustness suite; a schedule is a pure function

@@ -2,8 +2,8 @@
 //! replacement).
 //!
 //! A property is an ordinary function body run against many generated
-//! inputs. The [`prop_check!`] macro expands each property into a
-//! `#[test]`:
+//! inputs. The [`prop_check!`](crate::prop_check!) macro expands each
+//! property into a `#[test]`:
 //!
 //! ```
 //! use tfsim_check::prop::{any_u64, ints};
@@ -470,8 +470,9 @@ macro_rules! prop_check {
     };
 }
 
-/// Asserts a condition inside a [`prop_check!`] body; on failure the case
-/// is reported (and shrunk) instead of aborting the process.
+/// Asserts a condition inside a [`prop_check!`](crate::prop_check!) body;
+/// on failure the case is reported (and shrunk) instead of aborting the
+/// process.
 #[macro_export]
 macro_rules! prop_assert {
     ($cond:expr $(,)?) => {
@@ -496,7 +497,7 @@ macro_rules! prop_assert {
     };
 }
 
-/// Equality assertion for [`prop_check!`] bodies.
+/// Equality assertion for [`prop_check!`](crate::prop_check!) bodies.
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($left:expr, $right:expr $(,)?) => {{
@@ -526,7 +527,7 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Inequality assertion for [`prop_check!`] bodies.
+/// Inequality assertion for [`prop_check!`](crate::prop_check!) bodies.
 #[macro_export]
 macro_rules! prop_assert_ne {
     ($left:expr, $right:expr $(,)?) => {{

@@ -89,11 +89,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32 random bits (upper half of [`Rng::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, n)` (Lemire's multiply-with-rejection, so the
     /// distribution is exactly uniform).
     ///

@@ -61,7 +61,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Campaign parameters. The defaults mirror the paper's methodology at a
 /// reduced scale; [`CampaignConfig::paper_scale`] approaches the paper's
 /// 25–30k trials per campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Which bits are eligible (latches+RAMs, or latches only).
     pub mask: InjectionMask,
@@ -136,40 +136,23 @@ impl CampaignConfig {
     /// the paper's full 25–30k).
     pub fn default_scale(seed: u64) -> CampaignConfig {
         CampaignConfig {
-            mask: InjectionMask::LatchesAndRams,
-            pipeline: PipelineConfig::baseline(),
-            scale: 2,
             start_points: 6,
             trials_per_start_point: 100,
             warmup_cycles: 2_000,
             spacing_cycles: 500,
             inject_window: 250,
             monitor_cycles: 10_000,
-            seed,
-            threads: 0,
-            pruned: false,
-            deep_trace: false,
-            panic_shim: None,
+            ..CampaignConfig::quick(seed)
         }
     }
 
     /// The paper's scale: ~25,000–30,000 trials, 10,000-cycle monitoring.
     pub fn paper_scale(seed: u64) -> CampaignConfig {
         CampaignConfig {
-            mask: InjectionMask::LatchesAndRams,
-            pipeline: PipelineConfig::baseline(),
             scale: 4,
             start_points: 27,
-            trials_per_start_point: 100,
-            warmup_cycles: 2_000,
             spacing_cycles: 700,
-            inject_window: 250,
-            monitor_cycles: 10_000,
-            seed,
-            threads: 0,
-            pruned: false,
-            deep_trace: false,
-            panic_shim: None,
+            ..CampaignConfig::default_scale(seed)
         }
     }
 
@@ -180,7 +163,8 @@ impl CampaignConfig {
 
     /// Checks that the campaign can run: an injection window to draw from,
     /// programs that outlast their warm-up (every program halts within
-    /// about 50 cycles at scale 0), and a last start point's horizon,
+    /// about 50 cycles at scale 0), a watchdog threshold in `100..1024`,
+    /// and a last start point's horizon,
     /// `warmup + spacing × (start_points − 1) + inject_window + monitor`
     /// cycles from reset, that the golden walk can index: it keeps an
     /// 8-byte retirement count per cycle, and no table may exceed
@@ -192,6 +176,13 @@ impl CampaignConfig {
         }
         if self.scale == 0 {
             return Err("scale must be at least 1".to_string());
+        }
+        // The watchdog's counter is 10 bits wide, and a threshold below
+        // the classifier's lock rule (100 cycles without a retirement)
+        // can flush the fault-free machine, whose longest gap between
+        // retirements is 19 cycles on the standard workloads.
+        if !(100..1024).contains(&self.pipeline.timeout_threshold) {
+            return Err("timeout_threshold must be in 100..1024".to_string());
         }
         let last = u64::from(self.start_points.saturating_sub(1));
         self.spacing_cycles
@@ -782,11 +773,13 @@ fn run_campaign_core(
     }
     let outputs: Mutex<Vec<TaskOutput>> = Mutex::new(restored);
 
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        config.threads
-    };
+    // At most one worker per pool task: the rest would find the list
+    // empty, and a large `threads` must not ask the OS for idle threads.
+    let threads = match config.threads {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+        n => n,
+    }
+    .min(lock_recover(&work).len());
 
     std::thread::scope(|scope| {
         for _ in 0..threads {

@@ -1,12 +1,12 @@
 //! Crash-safe, append-only campaign journal.
 //!
-//! One JSONL file per campaign: a header line pinning the experiment
-//! configuration, then one line per completed `(benchmark, start point)`
-//! task carrying everything needed to replay that task's contribution to
-//! the census without re-running it. Every append is flushed and
-//! `sync_data`'d before the task becomes visible to the in-memory
-//! aggregation, so the journal never claims work the disk has not seen
-//! ("durability before visibility").
+//! One JSONL file per campaign: a header line pinning the campaign's
+//! [`CampaignConfig`] and workload set ([`JournalMeta`]), then one line per
+//! completed `(benchmark, start point)` task carrying everything needed to
+//! replay that task's contribution to the census without re-running it.
+//! Every append is flushed and `sync_data`'d before the task becomes
+//! visible to the in-memory aggregation, so the journal never claims work
+//! the disk has not seen ("durability before visibility").
 //!
 //! Recovery rule for a file cut short by a crash (or by the resume
 //! property test, which truncates at *every* byte boundary):
@@ -52,34 +52,22 @@ const MAGIC: &str = "tfsim-campaign";
 /// byte-identical across it and any run can resume any journal.
 const VERSION: u64 = 2;
 
-/// The experiment configuration a journal belongs to, pinned on the
-/// header line and validated on [`CampaignJournal::resume`]: replaying a
-/// task into a campaign with a different seed, mask, scale, workload set,
-/// or protection config would silently corrupt the census.
+/// The campaign a journal belongs to, pinned on the header line and
+/// validated on [`CampaignJournal::resume`]: replaying a task into a
+/// campaign with a different seed, mask, scale, workload set, or
+/// protection config would silently corrupt the census.
 ///
-/// `CampaignConfig::threads` and `deep_trace` are deliberately *not* part
-/// of the identity (they are an execution strategy and an observation
-/// level, and results are byte-identical across them), and neither is the
-/// trace level of the run (traced or not) or the hidden `panic_shim` test
-/// hook. Divergence timelines are likewise not journaled: a deep-traced
-/// campaign resumed from a journal emits no `propagation` events for the
-/// replayed tasks.
+/// The identity is the [`CampaignConfig`] less the fields that are not
+/// experiment parameters, which [`JournalMeta::new`] resets: `threads` (an
+/// execution strategy), `deep_trace` (an observation level), the inert
+/// `pruned` and the hidden `panic_shim` test hook. Results are
+/// byte-identical across them, and across the trace level of the run.
+/// Divergence timelines are likewise not journaled: a deep-traced campaign
+/// resumed from a journal emits no `propagation` events for the replayed
+/// tasks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalMeta {
-    seed: u64,
-    mask: InjectionMask,
-    timeout_counter: bool,
-    timeout_threshold: u32,
-    regfile_ecc: bool,
-    pointer_ecc: bool,
-    insn_parity: bool,
-    scale: u32,
-    start_points: u32,
-    trials_per_start_point: u32,
-    warmup_cycles: u64,
-    spacing_cycles: u64,
-    inject_window: u64,
-    monitor_cycles: u64,
+    config: CampaignConfig,
     benchmarks: Vec<String>,
     /// The eligible-bit count every task of the campaign must carry,
     /// derived from the pipeline config and mask (not rendered).
@@ -93,23 +81,17 @@ impl JournalMeta {
     /// trials), so untraced, traced, and deep-traced runs write
     /// byte-identical journals and share them freely.
     pub fn new(config: &CampaignConfig, workloads: &[Workload]) -> JournalMeta {
+        let config = CampaignConfig {
+            threads: 0,
+            pruned: false,
+            deep_trace: false,
+            panic_shim: None,
+            ..config.clone()
+        };
         JournalMeta {
-            seed: config.seed,
-            mask: config.mask,
-            timeout_counter: config.pipeline.timeout_counter,
-            timeout_threshold: config.pipeline.timeout_threshold,
-            regfile_ecc: config.pipeline.regfile_ecc,
-            pointer_ecc: config.pipeline.pointer_ecc,
-            insn_parity: config.pipeline.insn_parity,
-            scale: config.scale,
-            start_points: config.start_points,
-            trials_per_start_point: config.trials_per_start_point,
-            warmup_cycles: config.warmup_cycles,
-            spacing_cycles: config.spacing_cycles,
-            inject_window: config.inject_window,
-            monitor_cycles: config.monitor_cycles,
-            benchmarks: workloads.iter().map(|w| w.name.to_string()).collect(),
             eligible_bits: eligible_bits(config.pipeline, config.mask),
+            config,
+            benchmarks: workloads.iter().map(|w| w.name.to_string()).collect(),
         }
     }
 
@@ -124,7 +106,8 @@ impl JournalMeta {
         self.to_json().render()
     }
 
-    /// Parses a header line produced by [`JournalMeta::render`].
+    /// Parses a header line produced by [`JournalMeta::render`], refusing
+    /// a campaign [`CampaignConfig::validate`] refuses.
     pub fn parse(line: &str) -> Result<JournalMeta, String> {
         let v = json::parse(line.trim_end())?;
         if v.get("journal").and_then(Json::as_str) != Some(MAGIC) {
@@ -140,6 +123,9 @@ impl JournalMeta {
             v.get(key)
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("header missing integer {key:?}"))
+        };
+        let narrow = |key: &str| -> Result<u32, String> {
+            u32::try_from(num(key)?).map_err(|_| format!("{key} out of range"))
         };
         let flag = |key: &str| -> Result<bool, String> {
             match v.get(key) {
@@ -159,46 +145,30 @@ impl JournalMeta {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("header missing array \"benchmarks\"".to_string()),
         };
-        let mut meta = JournalMeta {
-            seed: num("seed")?,
+        let config = CampaignConfig {
             mask,
-            timeout_counter: flag("timeout_counter")?,
-            // The watchdog's counter is 10 bits wide, and a threshold below
-            // the classifier's lock rule (100 cycles without a retirement)
-            // can flush the fault-free machine, whose longest gap between
-            // retirements is 19 cycles on the standard workloads.
-            timeout_threshold: u32::try_from(num("timeout_threshold")?)
-                .ok()
-                .filter(|t| (100..1024).contains(t))
-                .ok_or("timeout_threshold out of range")?,
-            regfile_ecc: flag("regfile_ecc")?,
-            pointer_ecc: flag("pointer_ecc")?,
-            insn_parity: flag("insn_parity")?,
-            scale: u32::try_from(num("scale")?).map_err(|_| "scale out of range")?,
-            start_points: u32::try_from(num("start_points")?)
-                .map_err(|_| "start_points out of range")?,
-            trials_per_start_point: u32::try_from(num("trials_per_start_point")?)
-                .map_err(|_| "trials_per_start_point out of range")?,
+            pipeline: PipelineConfig {
+                timeout_counter: flag("timeout_counter")?,
+                timeout_threshold: narrow("timeout_threshold")?,
+                regfile_ecc: flag("regfile_ecc")?,
+                pointer_ecc: flag("pointer_ecc")?,
+                insn_parity: flag("insn_parity")?,
+            },
+            scale: narrow("scale")?,
+            start_points: narrow("start_points")?,
+            trials_per_start_point: narrow("trials_per_start_point")?,
             warmup_cycles: num("warmup_cycles")?,
             spacing_cycles: num("spacing_cycles")?,
             inject_window: num("inject_window")?,
             monitor_cycles: num("monitor_cycles")?,
-            benchmarks,
-            eligible_bits: 0,
+            ..CampaignConfig::quick(num("seed")?)
         };
-        meta.config().validate()?;
-        meta.eligible_bits = eligible_bits(meta.pipeline(), meta.mask);
-        Ok(meta)
-    }
-
-    fn pipeline(&self) -> PipelineConfig {
-        PipelineConfig {
-            timeout_counter: self.timeout_counter,
-            timeout_threshold: self.timeout_threshold,
-            regfile_ecc: self.regfile_ecc,
-            pointer_ecc: self.pointer_ecc,
-            insn_parity: self.insn_parity,
-        }
+        config.validate()?;
+        Ok(JournalMeta {
+            eligible_bits: eligible_bits(config.pipeline, config.mask),
+            config,
+            benchmarks,
+        })
     }
 
     /// Reconstructs the campaign this identity describes: the config
@@ -218,22 +188,7 @@ impl JournalMeta {
                     .ok_or_else(|| format!("unknown workload {name:?}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok((self.config(), workloads))
-    }
-
-    /// The config half of [`JournalMeta::to_campaign`].
-    fn config(&self) -> CampaignConfig {
-        let mut config = CampaignConfig::quick(self.seed);
-        config.mask = self.mask;
-        config.pipeline = self.pipeline();
-        config.scale = self.scale;
-        config.start_points = self.start_points;
-        config.trials_per_start_point = self.trials_per_start_point;
-        config.warmup_cycles = self.warmup_cycles;
-        config.spacing_cycles = self.spacing_cycles;
-        config.inject_window = self.inject_window;
-        config.monitor_cycles = self.monitor_cycles;
-        config
+        Ok((self.config.clone(), workloads))
     }
 
     /// Checks that a parsed task means something in this campaign, so
@@ -246,14 +201,14 @@ impl JournalMeta {
     /// * it counts the campaign's eligible bits.
     pub(crate) fn check_task(&self, task: &JournaledTask) -> Result<(), String> {
         let (bench, sp) = (task.bench, task.start_point);
-        if bench >= self.benchmarks.len() || sp >= self.start_points {
+        if bench >= self.benchmarks.len() || sp >= self.config.start_points {
             return Err(format!("task ({bench}, {sp}) is outside the campaign grid"));
         }
-        if task.specs.len() != self.trials_per_start_point as usize {
+        if task.specs.len() != self.config.trials_per_start_point as usize {
             return Err(format!(
                 "task ({bench}, {sp}) has {} specs, the campaign draws {}",
                 task.specs.len(),
-                self.trials_per_start_point
+                self.config.trials_per_start_point
             ));
         }
         let mut next = 0;
@@ -285,35 +240,33 @@ impl JournalMeta {
     }
 
     fn to_json(&self) -> Json {
+        let (c, p) = (&self.config, self.config.pipeline);
         obj([
             ("journal", Json::Str(MAGIC.to_string())),
             ("version", Json::Int(VERSION as i128)),
-            ("seed", Json::Int(self.seed as i128)),
+            ("seed", Json::Int(c.seed as i128)),
             (
                 "mask",
                 Json::Str(
-                    match self.mask {
+                    match c.mask {
                         InjectionMask::LatchesAndRams => "latches+rams",
                         InjectionMask::LatchesOnly => "latches",
                     }
                     .to_string(),
                 ),
             ),
-            ("timeout_counter", Json::Bool(self.timeout_counter)),
-            ("timeout_threshold", Json::Int(self.timeout_threshold as i128)),
-            ("regfile_ecc", Json::Bool(self.regfile_ecc)),
-            ("pointer_ecc", Json::Bool(self.pointer_ecc)),
-            ("insn_parity", Json::Bool(self.insn_parity)),
-            ("scale", Json::Int(self.scale as i128)),
-            ("start_points", Json::Int(self.start_points as i128)),
-            (
-                "trials_per_start_point",
-                Json::Int(self.trials_per_start_point as i128),
-            ),
-            ("warmup_cycles", Json::Int(self.warmup_cycles as i128)),
-            ("spacing_cycles", Json::Int(self.spacing_cycles as i128)),
-            ("inject_window", Json::Int(self.inject_window as i128)),
-            ("monitor_cycles", Json::Int(self.monitor_cycles as i128)),
+            ("timeout_counter", Json::Bool(p.timeout_counter)),
+            ("timeout_threshold", Json::Int(p.timeout_threshold as i128)),
+            ("regfile_ecc", Json::Bool(p.regfile_ecc)),
+            ("pointer_ecc", Json::Bool(p.pointer_ecc)),
+            ("insn_parity", Json::Bool(p.insn_parity)),
+            ("scale", Json::Int(c.scale as i128)),
+            ("start_points", Json::Int(c.start_points as i128)),
+            ("trials_per_start_point", Json::Int(c.trials_per_start_point as i128)),
+            ("warmup_cycles", Json::Int(c.warmup_cycles as i128)),
+            ("spacing_cycles", Json::Int(c.spacing_cycles as i128)),
+            ("inject_window", Json::Int(c.inject_window as i128)),
+            ("monitor_cycles", Json::Int(c.monitor_cycles as i128)),
             (
                 "benchmarks",
                 Json::Arr(self.benchmarks.iter().map(|b| Json::Str(b.clone())).collect()),
@@ -749,6 +702,7 @@ fn write_line(file: &mut File, value: &Json) -> io::Result<()> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use tfsim_check::Rng;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tfsim-journal-{}-{name}", std::process::id()))
@@ -801,19 +755,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn meta_round_trips_through_the_wire_form() {
-        let mut config = CampaignConfig::paper_scale(0xBEEF);
-        config.mask = InjectionMask::LatchesOnly;
-        config.pipeline = tfsim_uarch::PipelineConfig::protected();
-        config.threads = 3; // an execution strategy: not part of the identity
-        let workloads = tfsim_workloads::all();
-        let m = JournalMeta::new(&config, &workloads);
-        let back = JournalMeta::parse(&m.render()).unwrap();
-        assert_eq!(back, m);
-        let (rebuilt_config, rebuilt_workloads) = back.to_campaign().unwrap();
-        assert_eq!(JournalMeta::new(&rebuilt_config, &rebuilt_workloads), m);
-        assert_eq!(rebuilt_config.threads, 0, "strategy fields reset to defaults");
+    /// Log-uniform below `2^bits`, so small and large values both occur.
+    fn below(rng: &mut Rng, bits: u32) -> u64 {
+        rng.next_u64() >> rng.gen_range(64 - bits..64)
+    }
+
+    /// Campaigns over non-empty workload subsets, inside
+    /// `CampaignConfig::validate`'s bound, with every field drawn (the ones
+    /// the identity leaves out too). The literal names every field, so a
+    /// new one must be drawn here before this compiles.
+    struct Campaigns;
+
+    impl tfsim_check::Gen for Campaigns {
+        type Value = (CampaignConfig, Vec<Workload>);
+
+        fn generate(&self, rng: &mut Rng) -> Self::Value {
+            let all = tfsim_workloads::all();
+            let keep = rng.gen_range(1..1u32 << all.len());
+            let workloads = (0..all.len()).filter(|i| keep >> i & 1 == 1).map(|i| all[i]);
+            let config = CampaignConfig {
+                mask: [InjectionMask::LatchesAndRams, InjectionMask::LatchesOnly]
+                    [rng.gen_range(0..2)],
+                pipeline: PipelineConfig {
+                    timeout_counter: rng.gen_bool(0.5),
+                    timeout_threshold: rng.gen_range(100..1024),
+                    regfile_ecc: rng.gen_bool(0.5),
+                    pointer_ecc: rng.gen_bool(0.5),
+                    insn_parity: rng.gen_bool(0.5),
+                },
+                scale: below(rng, 32).max(1) as u32,
+                start_points: below(rng, 32) as u32,
+                trials_per_start_point: below(rng, 32) as u32,
+                // A horizon under validate's 2^60 cycles: 2^56 + 2^24 × 2^32 + 2^56 + 2^56.
+                warmup_cycles: below(rng, 56),
+                spacing_cycles: below(rng, 24),
+                inject_window: below(rng, 56).max(1),
+                monitor_cycles: below(rng, 56),
+                seed: rng.next_u64(),
+                threads: below(rng, 16) as usize,
+                pruned: rng.gen_bool(0.5),
+                deep_trace: rng.gen_bool(0.5),
+                panic_shim: rng.gen_bool(0.5).then(|| {
+                    (below(rng, 8) as usize, below(rng, 8) as u32, below(rng, 8) as u32)
+                }),
+            };
+            (config, workloads.collect())
+        }
+    }
+
+    tfsim_check::prop_check! {
+        /// The header keeps every identity field: rendered and parsed back,
+        /// or rebuilt as a campaign and pinned again, it is the same meta.
+        fn meta_round_trips_through_the_wire_form(campaign in Campaigns) {
+            let (config, workloads) = campaign;
+            let m = JournalMeta::new(&config, &workloads);
+            tfsim_check::prop_assert_eq!(JournalMeta::parse(&m.render()), Ok(m.clone()));
+            let (config, workloads) = m.to_campaign().expect("standard workloads");
+            tfsim_check::prop_assert_eq!(config.threads, 0, "strategy fields reset to defaults");
+            tfsim_check::prop_assert_eq!(JournalMeta::new(&config, &workloads), m);
+        }
     }
 
     #[test]

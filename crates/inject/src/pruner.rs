@@ -64,7 +64,7 @@ use tfsim_bitstate::{Category, InjectionMask, StorageKind, UnitId};
 use tfsim_uarch::Pipeline;
 
 use crate::footprint::{resolve_spans, Footprint, Span};
-use crate::trial::{Run, Seen, StartPoint, Step, TrialSpec};
+use crate::trial::{window_end, Run, Seen, StartPoint, Step, TrialSpec};
 
 /// A batch's fault sites, one per spec: the span the target lands in and
 /// the unit whose tracked word the footprint speaks for, or `None` for a
@@ -116,7 +116,7 @@ pub(crate) fn watch_list<'a>(
     sites.iter().zip(specs).filter_map(move |(site, spec)| {
         let (span, unit) = (*site)?;
         let c = spec.inject_cycle;
-        Some((unit, span.unit_ord, offset + c, offset + horizon.min(c + monitor)))
+        Some((unit, span.unit_ord, offset + c, offset + window_end(horizon, c, monitor)))
     })
 }
 
@@ -212,7 +212,7 @@ impl StartPoint {
             .map(|(spec, site)| {
                 let (span, unit) = (*site)?;
                 let c = spec.inject_cycle;
-                let end = offset + self.horizon.min(c + monitor);
+                let end = offset + window_end(self.horizon, c, monitor);
                 let first = footprint
                     .first_access(unit, span.unit_ord, offset + c, end)
                     .map(|(a, w)| (a - offset, w));

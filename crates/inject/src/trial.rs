@@ -266,6 +266,12 @@ fn between(a: Option<Instant>, b: Option<Instant>) -> u64 {
     a.zip(b).map_or(0, |(a, b)| b.duration_since(a).as_nanos() as u64)
 }
 
+/// The last step a trial injected at step `inject` is monitored to: its
+/// `monitor` cycles, cut at its start point's `horizon`.
+pub(crate) fn window_end(horizon: u64, inject: u64, monitor: u64) -> u64 {
+    horizon.min(inject.saturating_add(monitor))
+}
+
 /// Exact work counters: what a golden walk, a batch or a campaign stepped,
 /// hashed and kept, not how long it took. They are machine-independent, so
 /// a fixed campaign counts the same at any thread count and on any machine.
@@ -689,8 +695,8 @@ impl StartPoint {
     ///
     /// This is the naive reference path: it replays fault-free from the
     /// checkpoint, steps the faulted machine in lockstep with the
-    /// fault-free one ([`Lockstep`]), and hashes the whole machine at every
-    /// µArch-Match check. The engine ([`StartPoint::run_trials`],
+    /// fault-free one, and hashes the whole machine at every µArch-Match
+    /// check. The engine ([`StartPoint::run_trials`],
     /// [`StartPoint::run_batch`], every campaign) must return the same
     /// record for every spec.
     pub fn run_trial(
@@ -711,7 +717,7 @@ impl StartPoint {
 
         let trial = Faulted::flip(golden.clone(), mask, target);
         let mut run = Lockstep { trial, golden, engine: CachedFingerprint::new() };
-        let end = self.horizon.min(inject_cycle + monitor);
+        let end = window_end(self.horizon, inject_cycle, monitor);
         self.decide(&mut run, inject_cycle, end, None, None).record
     }
 
@@ -826,7 +832,7 @@ impl StartPoint {
             if let Some((span, heal)) = site {
                 let c = specs[i].inject_cycle;
                 let mut run = Golden::new(self, span, c, *heal);
-                let end = self.horizon.min(c + monitor);
+                let end = window_end(self.horizon, c, monitor);
                 let d = self.decide(&mut run, c, end, traces.get_mut(i), deeps.get_mut(i));
                 out[i] = Some(d.record);
                 closings.extend(d.closing.map(|c| (i, c)));
@@ -859,7 +865,7 @@ impl StartPoint {
                 let trial = Faulted::flip(walker.clone(), mask, spec.target);
                 let mut run = Stepped { trial, sp: self, engine: CachedFingerprint::new() };
                 let c = spec.inject_cycle;
-                self.decide(&mut run, c, self.horizon.min(c + monitor), trace, deep)
+                self.decide(&mut run, c, window_end(self.horizon, c, monitor), trace, deep)
             }));
             CONTAINED.with(|c| c.set(false));
             match classified {

@@ -261,11 +261,6 @@ impl Insn {
         matches!(self.mnemonic, Mnemonic::Bsr | Mnemonic::Jsr)
     }
 
-    /// Whether this instruction pops the return address stack (`RET`).
-    pub fn is_return(&self) -> bool {
-        self.mnemonic == Mnemonic::Ret
-    }
-
     /// Direct branch target for branch-format instructions: `PC + 4 + 4*disp`.
     pub fn branch_target(&self, pc: u64) -> u64 {
         pc.wrapping_add(4).wrapping_add((self.imm as u64).wrapping_mul(4))

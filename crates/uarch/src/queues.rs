@@ -765,12 +765,6 @@ impl Lsq {
 
     /// Test-only mutable access; logs nothing.
     #[doc(hidden)]
-    pub fn poke_lq(&mut self, i: usize) -> &mut LqEntry {
-        &mut self.lq[i % sizes::LOAD_QUEUE]
-    }
-
-    /// Test-only mutable access; logs nothing.
-    #[doc(hidden)]
     pub fn poke_sq(&mut self, i: usize) -> &mut SqEntry {
         &mut self.sq[i % sizes::STORE_QUEUE]
     }
@@ -1075,12 +1069,6 @@ impl Lsq {
     pub fn sq_rob(&mut self, i: usize) -> u64 {
         self.log.read(Self::sord(i, sqw::ROB));
         self.sq[i % sizes::STORE_QUEUE].rob
-    }
-
-    /// Logged read: store PC.
-    pub fn sq_pc(&mut self, i: usize) -> u64 {
-        self.log.read(Self::sord(i, sqw::PC));
-        self.sq[i % sizes::STORE_QUEUE].pc
     }
 
     /// Logged read: store is senior (retired, draining)?

@@ -151,11 +151,6 @@ impl PhysRegFile {
         self.ready.get(preg as usize).copied().unwrap_or(true)
     }
 
-    /// Scoreboard read without logging (observers and tests only).
-    pub fn peek_ready(&self, preg: u64) -> bool {
-        self.ready.get(preg as usize).copied().unwrap_or(true)
-    }
-
     /// Sets the scoreboard ready bit.
     pub fn set_ready(&mut self, preg: u64, ready: bool) {
         if (preg as usize) < self.ready.len() {
